@@ -1,20 +1,22 @@
-"""Perf regression harness: vectorized vs reference AccOpt ΔAcc scoring.
+"""Perf regression harness: batched vs scalar AccOpt ΔAcc scoring.
 
 The assignment-side twin of ``bench_inference_speed.py`` and
 ``bench_serving_throughput.py``: times one AccOpt batch (Algorithm 1) on a
-Figure 14-scale corpus — 4k tasks, the paper-profile worker pool — under both
-scoring engines and writes
-``benchmarks/results/BENCH_assignment_speed.json``:
+Figure 14-scale corpus — 4k tasks, the paper-profile worker pool — under the
+production assigner and the scalar oracle of ``tests/oracles/accopt.py``, and
+writes ``benchmarks/results/BENCH_assignment_speed.json``:
 
-* **the gate** — the vectorized engine (batched
-  :mod:`repro.core.accuracy_kernel` scoring) must be at least ``MIN_SPEEDUP``×
-  faster than the scalar reference path on the identical batch, and the two
-  engines must produce *identical* assignments (they are the same exact greedy
-  algorithm);
+* **the gate** — the production assigner (batched
+  :mod:`repro.core.accuracy_kernel` scoring) must be at least
+  ``ASSIGNMENT_MIN_SPEEDUP``× faster than the scalar oracle on the identical
+  batch, and the two must produce *identical* assignments (they are the same
+  exact greedy algorithm);
 * **serving latency** — p50/p95 of live per-worker assignment requests served
   by :class:`repro.serving.frontend.AssignmentFrontend` against a published
   snapshot of the fitted parameters, tracking the serving-side ratchet
-  (target: p50 under ``P50_TARGET_MS`` at this scale).
+  (target: p50 under ``FRONTEND_P50_TARGET_MS`` at this scale).
+
+Both thresholds are defined in ``check_gates.py``.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ import json
 import time
 
 from bench_common import RESULTS_DIR, build_inference_corpus
+from check_gates import ASSIGNMENT_MIN_SPEEDUP, FRONTEND_P50_TARGET_MS
+from oracles import ReferenceAccOptAssigner
 
 from repro.assign.accopt import AccOptAssigner
 from repro.core.inference import InferenceConfig, LocationAwareInference
@@ -38,24 +42,13 @@ TASKS_PER_WORKER = 2
 #: EM iterations used to produce realistic (fitted) parameters for scoring.
 FIT_ITERATIONS = 5
 
-#: The regression gate: minimum required speedup of vectorized over reference.
-MIN_SPEEDUP = 10.0
-
-#: Serving-latency requests measured against the published snapshot, and the
-#: ratchet target recorded alongside them.
+#: Serving-latency requests measured against the published snapshot.
 FRONTEND_REQUESTS = 30
-P50_TARGET_MS = 50.0
 
 
-def _time_assign(engine: str, corpus, parameters, available):
+def _time_assign(assigner_cls, corpus, parameters, available):
     dataset, pool, distance_model, answers = corpus
-    assigner = AccOptAssigner(
-        dataset.tasks,
-        pool.workers,
-        distance_model,
-        parameters,
-        engine=engine,
-    )
+    assigner = assigner_cls(dataset.tasks, pool.workers, distance_model, parameters)
     started = time.perf_counter()
     assignment = assigner.assign(available, TASKS_PER_WORKER, answers)
     return time.perf_counter() - started, assignment
@@ -75,16 +68,16 @@ def test_assignment_speed_regression(benchmark):
     parameters = model.parameters
     available = list(pool.worker_ids[:AVAILABLE_WORKERS])
 
-    # Time vectorized first so the reference run cannot warm the distance
-    # cache for it (the vectorized engine computes its own distance matrix).
+    # Time the batched assigner first so the scalar run cannot warm the
+    # distance cache for it (the batched path computes its own distance rows).
     vectorized_s, vectorized_assignment = _time_assign(
-        "vectorized", corpus, parameters, available
+        AccOptAssigner, corpus, parameters, available
     )
     reference_s, reference_assignment = _time_assign(
-        "reference", corpus, parameters, available
+        ReferenceAccOptAssigner, corpus, parameters, available
     )
     assert vectorized_assignment == reference_assignment, (
-        "vectorized and reference AccOpt diverged on the benchmark corpus"
+        "batched and scalar AccOpt diverged on the benchmark corpus"
     )
     speedup = reference_s / vectorized_s
 
@@ -117,26 +110,26 @@ def test_assignment_speed_regression(benchmark):
         "reference_batch_s": round(reference_s, 4),
         "vectorized_batch_s": round(vectorized_s, 4),
         "speedup": round(speedup, 2),
-        "min_required_speedup": MIN_SPEEDUP,
+        "min_required_speedup": ASSIGNMENT_MIN_SPEEDUP,
         "assignments_identical": vectorized_assignment == reference_assignment,
         "frontend_requests": stats.requests,
         "frontend_p50_ms": round(stats.p50_latency_ms, 3),
         "frontend_p95_ms": round(stats.p95_latency_ms, 3),
-        "frontend_p50_target_ms": P50_TARGET_MS,
+        "frontend_p50_target_ms": FRONTEND_P50_TARGET_MS,
     }
     path = RESULTS_DIR / "BENCH_assignment_speed.json"
     path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     print(f"\n=== assignment_speed ===\n{json.dumps(payload, indent=2)}\n")
 
-    # The timed unit for pytest-benchmark: one vectorized AccOpt batch on a
+    # The timed unit for pytest-benchmark: one batched AccOpt batch on a
     # fresh assigner (cold task-array and distance caches, like the gate run).
     benchmark.pedantic(
-        lambda: _time_assign("vectorized", corpus, parameters, available),
+        lambda: _time_assign(AccOptAssigner, corpus, parameters, available),
         rounds=1,
         iterations=1,
     )
 
-    assert speedup >= MIN_SPEEDUP, (
-        f"vectorized AccOpt scoring is only {speedup:.1f}x faster than the "
-        f"reference engine (required: {MIN_SPEEDUP}x); see {path}"
+    assert speedup >= ASSIGNMENT_MIN_SPEEDUP, (
+        f"batched AccOpt scoring is only {speedup:.1f}x faster than the "
+        f"scalar oracle (required: {ASSIGNMENT_MIN_SPEEDUP}x); see {path}"
     )

@@ -9,13 +9,13 @@ possibly meet.  Writes ``benchmarks/results/BENCH_scale_sparse.json``:
 
 * **the memory gate** — peak traced allocation across universe construction,
   the sparse EM fit and one sparse AccOpt batch must stay under
-  ``PEAK_MEMORY_BUDGET_MB``;
+  ``MAX_PEAK_MEMORY_MB``;
 * **the wall gate** — the same end-to-end run must finish within
-  ``WALL_BUDGET_S`` (a coarse regression tripwire, sized ~4x the observed
+  ``MAX_SCALE_WALL_S`` (a coarse regression tripwire, sized ~4x the observed
   wall so CI noise cannot flake it);
 * **the oracle tier** — before the big run, a small universe is fitted and
   assigned under both engines with a covering radius; the sparse and dense
-  paths must agree on every parameter to ``ORACLE_TOLERANCE`` and produce
+  paths must agree on every parameter to ``MAX_ORACLE_PARAM_DIFF`` and produce
   identical greedy assignments.
 
 The candidate radius is sized for ~30 in-radius tasks per worker
@@ -33,6 +33,7 @@ import tracemalloc
 import numpy as np
 
 from bench_common import RESULTS_DIR
+from check_gates import MAX_ORACLE_PARAM_DIFF, MAX_PEAK_MEMORY_MB, MAX_SCALE_WALL_S
 
 from repro.assign.accopt import AccOptAssigner
 from repro.core.inference import InferenceConfig, LocationAwareInference
@@ -58,17 +59,11 @@ EM_ITERATIONS = 3
 AVAILABLE_WORKERS = 8
 TASKS_PER_WORKER = 2
 
-#: The gates.  A dense W x T float64 distance (or accuracy) matrix alone is
-#: NUM_WORKERS * NUM_TASKS * 8 bytes = ~76 GB, so the memory budget is the
-#: real gate: the run only fits inside it via the CSR candidate path.
-PEAK_MEMORY_BUDGET_MB = 2048.0
-WALL_BUDGET_S = 900.0
 
 #: Oracle tier: sparse vs dense agreement on a small, fully-covered universe.
 ORACLE_TASKS = 150
 ORACLE_WORKERS = 60
 ORACLE_ANSWERS = 450
-ORACLE_TOLERANCE = 1e-9
 
 SEED = 2016
 
@@ -196,7 +191,7 @@ def _oracle_tier() -> dict:
         )
     return {
         "oracle_max_param_diff": max_diff,
-        "max_oracle_param_diff": ORACLE_TOLERANCE,
+        "max_oracle_param_diff": MAX_ORACLE_PARAM_DIFF,
         "oracle_assignments_identical": dense_assignment == sparse_assignment,
     }
 
@@ -206,7 +201,7 @@ def test_scale_sparse_gate(benchmark):
     assert oracle["oracle_assignments_identical"], (
         "sparse and dense AccOpt diverged on the covered oracle universe"
     )
-    assert oracle["oracle_max_param_diff"] <= ORACLE_TOLERANCE
+    assert oracle["oracle_max_param_diff"] <= MAX_ORACLE_PARAM_DIFF
 
     # The gated run: tracemalloc covers universe construction, the sparse EM
     # fit and the sparse AccOpt batch — everything a serving deployment would
@@ -250,11 +245,11 @@ def test_scale_sparse_gate(benchmark):
         "assign_pairs_pruned": int(pruned),
         "dense_matrix_equivalent_mb": round(dense_matrix_mb, 1),
         "peak_memory_mb": round(peak_memory_mb, 1),
-        "max_allowed_peak_memory_mb": PEAK_MEMORY_BUDGET_MB,
+        "max_allowed_peak_memory_mb": MAX_PEAK_MEMORY_MB,
         "build_wall_s": round(build_wall_s, 2),
         "fit_assign_wall_s": round(fit_assign_wall_s, 2),
         "total_wall_s": round(total_wall_s, 2),
-        "max_allowed_wall_s": WALL_BUDGET_S,
+        "max_allowed_wall_s": MAX_SCALE_WALL_S,
         **{k: (round(v, 12) if isinstance(v, float) else v) for k, v in oracle.items()},
     }
     path = RESULTS_DIR / "BENCH_scale_sparse.json"
@@ -270,12 +265,12 @@ def test_scale_sparse_gate(benchmark):
         iterations=1,
     )
 
-    assert peak_memory_mb <= PEAK_MEMORY_BUDGET_MB, (
+    assert peak_memory_mb <= MAX_PEAK_MEMORY_MB, (
         f"sparse scale run peaked at {peak_memory_mb:.0f} MB "
-        f"(budget: {PEAK_MEMORY_BUDGET_MB:.0f} MB; dense needs "
+        f"(budget: {MAX_PEAK_MEMORY_MB:.0f} MB; dense needs "
         f"~{dense_matrix_mb / 1024:.0f} GB); see {path}"
     )
-    assert total_wall_s <= WALL_BUDGET_S, (
+    assert total_wall_s <= MAX_SCALE_WALL_S, (
         f"sparse scale run took {total_wall_s:.0f}s "
-        f"(budget: {WALL_BUDGET_S:.0f}s); see {path}"
+        f"(budget: {MAX_SCALE_WALL_S:.0f}s); see {path}"
     )

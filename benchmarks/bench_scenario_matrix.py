@@ -34,17 +34,18 @@ import json
 import time
 
 from bench_common import RESULTS_DIR
+from check_gates import (
+    MAX_CLEAN_EQUIVALENCE_DELTA,
+    MAX_SPAM_FALSE_POSITIVE_RATE,
+    MIN_DRIFT_DECAYED_MARGIN,
+    MIN_SPAM_DETECTION_PRECISION,
+    MIN_SPAM_DETECTION_RECALL,
+)
 
 from repro.framework.scenarios import SCENARIO_NAMES, build_scenario
 from repro.serving.service import OnlineServingService
 
 SEED = 42
-
-MAX_CLEAN_EQUIVALENCE_DELTA = 1e-6
-MIN_SPAM_DETECTION_RECALL = 0.9
-MIN_SPAM_DETECTION_PRECISION = 0.9
-MAX_SPAM_FALSE_POSITIVE_RATE = 0.1
-MIN_DRIFT_DECAYED_MARGIN = 0.0
 
 
 def _run_scenario(name: str, **overrides):

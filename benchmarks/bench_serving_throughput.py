@@ -7,7 +7,7 @@ online serving subsystem (:mod:`repro.serving`) and writes
 * **headline throughput** — answers/sec of the full 20k-answer micro-batched
   replay (ingestion wall-clock, including snapshot publishing);
 * **the gate** — on an identical stream prefix, micro-batched incremental
-  serving must sustain at least ``MIN_SPEEDUP``× the throughput of *naive*
+  serving must sustain at least ``SERVING_MIN_SPEEDUP``× the throughput of *naive*
   refresh-per-answer serving (micro-batch size 1: one incremental update and
   one snapshot publish per answer).  The prefix keeps the naive run tractable
   and biases the comparison in naive's favour — its updates run against a much
@@ -35,8 +35,8 @@ online serving subsystem (:mod:`repro.serving`) and writes
   event payloads), verifying dynamic arrival at benchmark scale;
 * **the journal-overhead gate** — an identical full-stream replay with the
   write-ahead answer journal enabled (crash-safe serving) must sustain at
-  least ``JOURNAL_OVERHEAD_FLOOR`` of the throughput ratchet: durability may
-  not cost more than 30% of the log-free hot path;
+  least ``MIN_JOURNALED_ANSWERS_PER_SEC`` (70% of the throughput ratchet):
+  durability may not cost more than 30% of the log-free hot path;
 * **the phase breakdown** — the full-stream replay runs with the telemetry
   tracer attached (:mod:`repro.obs`): per-quarter shares of wall time spent
   in apply/refresh/publish land in the artifact (diagnosing throughput decay
@@ -45,6 +45,8 @@ online serving subsystem (:mod:`repro.serving`) and writes
   wall clock — if attribution drifts below that, the breakdown is lying by
   omission.  The registry snapshot and a Chrome ``trace_event`` ring are
   written next to the JSON artifact for CI upload.
+
+Every threshold named above is defined in ``check_gates.py``.
 """
 
 from __future__ import annotations
@@ -61,6 +63,16 @@ from bench_common import (
     SERVING_STREAM_ANSWERS,
     build_answer_stream,
     build_open_world_stream,
+)
+from check_gates import (
+    MAX_FULL_STREAM_LOG_FLATTENS,
+    MAX_INGEST_STALL_MS,
+    MIN_ATTRIBUTED_WALL_FRACTION,
+    MIN_FULL_STREAM_ANSWERS_PER_SEC,
+    MIN_JOURNALED_ANSWERS_PER_SEC,
+    MIN_LATE_OVER_STEADY,
+    MIN_OPEN_WORLD_FRACTION,
+    SERVING_MIN_SPEEDUP,
 )
 
 from repro.core.inference import InferenceConfig, LocationAwareInference
@@ -87,75 +99,27 @@ PIPELINE_LAG_ANSWERS = 1500
 #: Prefix replayed by BOTH configurations for the gate comparison.
 GATE_PREFIX_ANSWERS = 1000
 
-#: The regression gate: micro-batched throughput over refresh-per-answer.
-MIN_SPEEDUP = 5.0
-
 #: Live assignment requests measured against the final snapshot.
 ASSIGNMENT_REQUESTS = 40
 
 #: Iteration cap for the periodic full refreshes (warm-started, converges early).
 FULL_REFRESH_MAX_ITERATIONS = 25
 
-#: Degradation gate: the last quarter of the stream must sustain at least this
-#: fraction of the second quarter's throughput (the first steady-state window —
-#: by then the estimate covers every entity; the first quarter runs on small
-#: pre-refresh parameter dicts and would flatter the comparison).  Before the
-#: incremental updater gathered relevant answers through the AnswerSet indexes
-#: and published copy-on-write estimates, per-batch cost tracked the *total*
-#: log size and the tail collapsed to ~150 answers/s (~0.17x of early);
-#: the log-free hot path bounded the neighbourhood cost (~0.4x measured,
-#: gated at 0.3), and the pipelined loop took the late-stream full re-fits
-#: off the ingest thread entirely (~0.8x measured), so the gate doubles.
-MIN_LATE_OVER_STEADY = 0.6
-
-#: Steady-state throughput ratchet: full-stream micro-batched ingestion of the
-#: 20k-answer corpus.  PR 4 (incrementally maintained AnswerTensor +
-#: array-first publishes) gated at 900 and measured ~1400 here; the log-free
-#: hot path (live-tensor refreshes, sweep early-exit, dirty-row delta
-#: publishes) measured ~2100-2200 and gated at 1800; the pipelined loop —
-#: background full re-fits overlapped with ingest plus sufficient-stat
-#: O(changed rows) applies — measures ~3700, so the gate ratchets to 3000.
-MIN_FULL_STREAM_ANSWERS_PER_SEC = 3000.0
-
-#: Stall ceiling: the longest single ingest stall — one ``submit``/``flush``
-#: call, including any wait at a background-refresh integration point — over
-#: the full-stream replay.  The pipelined loop's worst flush is one
-#: micro-batch apply plus the residual integration wait (~1.5 s measured for
-#: the final, largest fit, vs ~1.7 s for the same fit run inline by the
-#: serial loop); the ceiling pins that with headroom for CI machines.
-MAX_INGEST_STALL_MS = 2500.0
-
-#: Log-free invariant: AnswerSet -> tensor flattens allowed on the full-stream
-#: replay (every full refresh must reuse the live tensor).
-MAX_FULL_STREAM_LOG_FLATTENS = 0
-
-#: Durability-overhead gate: the same full-stream replay with the write-ahead
-#: answer journal enabled must sustain at least this fraction of the
-#: throughput ratchet — journaling every accepted event (checksummed append +
-#: buffered flush per answer) may not cost more than 30% of the hot path.
-JOURNAL_OVERHEAD_FLOOR = 0.7
-MIN_JOURNALED_ANSWERS_PER_SEC = JOURNAL_OVERHEAD_FLOOR * MIN_FULL_STREAM_ANSWERS_PER_SEC
-
 #: Records per journal segment in the journaled replay (a realistic rotation
 #: cadence: ~20 segment files over the 20k stream).
 JOURNAL_SEGMENT_RECORDS = 1024
-
-#: Attribution-coverage gate: pipeline spans (apply/refresh/publish and the
-#: per-batch guard/journal attributions) must explain at least this fraction
-#: of the full-stream replay's wall clock.
-MIN_ATTRIBUTED_WALL_FRACTION = 0.9
 
 #: Prefix replayed under tracemalloc for the peak-memory report (kept off the
 #: timed replays — allocation tracking itself costs wall-clock).
 MEMORY_PREFIX_ANSWERS = 4000
 
-#: Open-world stream: this fraction of events references workers/tasks absent
-#: from the serving model at startup (registered on first sight from the event
-#: payloads); the replay must complete and actually exercise the arrival path.
+#: Open-world stream: the holdback fractions of workers/tasks stay absent from
+#: the serving model at startup (registered on first sight from the event
+#: payloads); the replay must complete and draw at least
+#: ``MIN_OPEN_WORLD_FRACTION`` of its events from those entities.
 OPEN_WORLD_STREAM_ANSWERS = 6000
 OPEN_WORLD_HOLDBACK_WORKERS = 0.25
 OPEN_WORLD_HOLDBACK_TASKS = 0.10
-MIN_OPEN_WORLD_FRACTION = 0.2
 
 
 def _replay(
@@ -420,7 +384,7 @@ def test_serving_throughput_gate(benchmark):
         "gate_micro_answers_per_sec": round(micro_rate, 1),
         "gate_naive_answers_per_sec": round(naive_rate, 1),
         "gate_speedup": round(speedup, 2),
-        "min_required_speedup": MIN_SPEEDUP,
+        "min_required_speedup": SERVING_MIN_SPEEDUP,
         "assignment_requests": stats.requests,
         "assignment_p50_ms": round(stats.p50_latency_ms, 3),
         "assignment_p95_ms": round(stats.p95_latency_ms, 3),
@@ -463,9 +427,9 @@ def test_serving_throughput_gate(benchmark):
         iterations=1,
     )
 
-    assert speedup >= MIN_SPEEDUP, (
+    assert speedup >= SERVING_MIN_SPEEDUP, (
         f"micro-batched serving is only {speedup:.1f}x faster than "
-        f"refresh-per-answer (required: {MIN_SPEEDUP}x); see {path}"
+        f"refresh-per-answer (required: {SERVING_MIN_SPEEDUP}x); see {path}"
     )
     assert late_over_steady >= MIN_LATE_OVER_STEADY, (
         f"ingestion throughput degrades over the stream: last quarter runs at "
@@ -491,7 +455,8 @@ def test_serving_throughput_gate(benchmark):
     assert journaled_rate >= MIN_JOURNALED_ANSWERS_PER_SEC, (
         f"journaled ingestion ran at {journaled_rate:.0f} answers/s "
         f"(floor: {MIN_JOURNALED_ANSWERS_PER_SEC:.0f} = "
-        f"{JOURNAL_OVERHEAD_FLOOR:.0%} of the throughput ratchet) — the "
+        f"{MIN_JOURNALED_ANSWERS_PER_SEC / MIN_FULL_STREAM_ANSWERS_PER_SEC:.0%} "
+        f"of the throughput ratchet) — the "
         f"write-ahead journal costs too much; see {path}"
     )
     assert ow_fraction >= MIN_OPEN_WORLD_FRACTION, (

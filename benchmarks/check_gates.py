@@ -1,11 +1,15 @@
-"""Enforce the recorded perf-gate thresholds from the BENCH_*.json results.
+"""The perf-gate thresholds, and the checker that enforces them.
 
-Each benchmark writes its measurements *and* the thresholds it was gated on
-into ``benchmarks/results/BENCH_*.json``.  This checker re-reads those files
-and fails (exit code 1) if any recorded metric regressed below its recorded
-threshold — a belt-and-braces guard for CI: even if a benchmark's in-process
-assertions are edited or skipped, the published artifact cannot claim a gate
-it did not meet.
+Every gate threshold is defined exactly once, below.  The gated benchmarks
+import these constants for their in-process asserts and echo them into
+``benchmarks/results/BENCH_*.json`` next to the measurements.  This checker
+re-reads those files and fails (exit code 1) if
+
+* any recorded metric violates its threshold as defined *here* — the
+  artifact cannot claim a gate it did not meet, even if a benchmark's
+  in-process assertions are edited or skipped; or
+* a result file records a threshold different from the one defined here —
+  a benchmark cannot quietly lower its own gate.
 
 Run from the repository root after the benchmarks::
 
@@ -20,102 +24,224 @@ from pathlib import Path
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
-#: (file, metric, threshold key, direction) — ``">="`` means the metric must
-#: be at least the threshold, ``"<="`` at most.
+# ---------------------------------------------------------------- thresholds
+#: ``bench_inference_speed.py``: batched EM over the per-record oracle,
+#: per iteration.  Raised from the initial 5x once the kernel reliably
+#: measured ~18x.
+INFERENCE_MIN_SPEEDUP = 10.0
+
+#: ``bench_assignment_speed.py``: batched AccOpt scoring over the scalar
+#: oracle on one batch, and the frontend's p50 request latency ceiling.
+ASSIGNMENT_MIN_SPEEDUP = 10.0
+FRONTEND_P50_TARGET_MS = 50.0
+
+#: ``bench_serving_throughput.py``: micro-batched serving over
+#: refresh-per-answer on an identical stream prefix.
+SERVING_MIN_SPEEDUP = 5.0
+
+#: Degradation gate: the last quarter of the stream must sustain at least this
+#: fraction of the second quarter's throughput (the first steady-state window —
+#: by then the estimate covers every entity; the first quarter runs on small
+#: pre-refresh parameter dicts and would flatter the comparison).  Before the
+#: incremental updater gathered relevant answers through the AnswerSet indexes
+#: and published copy-on-write estimates, per-batch cost tracked the *total*
+#: log size and the tail collapsed to ~150 answers/s (~0.17x of early);
+#: the log-free hot path bounded the neighbourhood cost (~0.4x measured,
+#: gated at 0.3), and the pipelined loop took the late-stream full re-fits
+#: off the ingest thread entirely (~0.8x measured), so the gate doubled.
+MIN_LATE_OVER_STEADY = 0.6
+
+#: Steady-state throughput ratchet: full-stream micro-batched ingestion of the
+#: 20k-answer corpus.  The open-world array substrate (incrementally
+#: maintained AnswerTensor + array-first publishes) gated at 900 and measured
+#: ~1400; the log-free hot path (live-tensor refreshes, sweep early-exit,
+#: dirty-row delta publishes) measured ~2100-2200 and gated at 1800; the
+#: pipelined loop — background full re-fits overlapped with ingest plus
+#: sufficient-stat O(changed rows) applies — measures ~3700, so the gate
+#: ratcheted to 3000.
+MIN_FULL_STREAM_ANSWERS_PER_SEC = 3000.0
+
+#: Log-free invariant: AnswerSet -> tensor flattens allowed on the full-stream
+#: replay (every full refresh must reuse the live tensor).
+MAX_FULL_STREAM_LOG_FLATTENS = 0
+
+#: Stall ceiling: the longest single ingest stall — one ``submit``/``flush``
+#: call, including any wait at a background-refresh integration point — over
+#: the full-stream replay.  The pipelined loop's worst flush is one
+#: micro-batch apply plus the residual integration wait (~1.5 s measured for
+#: the final, largest fit, vs ~1.7 s for the same fit run inline by the
+#: serial loop); the ceiling pins that with headroom for CI machines.
+MAX_INGEST_STALL_MS = 2500.0
+
+#: Open-world stream: at least this fraction of the replay's events must come
+#: from workers/tasks absent at startup.
+MIN_OPEN_WORLD_FRACTION = 0.2
+
+#: Durability-overhead gate: the full-stream replay with the write-ahead
+#: answer journal enabled must sustain 70% of the throughput ratchet —
+#: journaling every accepted event (checksummed append + buffered flush per
+#: answer) may not cost more than 30% of the hot path.
+MIN_JOURNALED_ANSWERS_PER_SEC = 2100.0
+
+#: Attribution-coverage gate: pipeline spans must explain at least this
+#: fraction of the full-stream replay's wall clock.
+MIN_ATTRIBUTED_WALL_FRACTION = 0.9
+
+#: ``bench_scale_sparse.py``.  A dense W x T float64 matrix of the 1e5 x 1e5
+#: universe alone is ~76 GB, so the memory budget is the real gate: the run
+#: only fits inside it via the CSR candidate path.  The wall budget is a
+#: coarse tripwire (~4x the observed wall); the oracle tolerance bounds the
+#: sparse-vs-dense parameter difference on a small, fully-covered universe.
+MAX_PEAK_MEMORY_MB = 2048.0
+MAX_SCALE_WALL_S = 900.0
+MAX_ORACLE_PARAM_DIFF = 1e-9
+
+#: ``bench_scenario_matrix.py``: a clean stream is indistinguishable from a
+#: reputation-blind run, spam is caught at 90% recall and 90% precision with
+#: at most 10% honest workers flagged, and decayed statistics beat frozen ones
+#: on the drift stream (strictly: the margin must exceed the threshold).
+MAX_CLEAN_EQUIVALENCE_DELTA = 1e-6
+MIN_SPAM_DETECTION_RECALL = 0.9
+MIN_SPAM_DETECTION_PRECISION = 0.9
+MAX_SPAM_FALSE_POSITIVE_RATE = 0.1
+MIN_DRIFT_DECAYED_MARGIN = 0.0
+
+#: (file, metric, threshold key, direction, threshold) — ``">="`` means the
+#: metric must be at least the threshold, ``"<="`` at most.  The threshold key
+#: names where the benchmark echoes the threshold into its result file.
 GATES = [
-    ("BENCH_inference_speed.json", "speedup", "min_required_speedup", ">="),
-    ("BENCH_assignment_speed.json", "speedup", "min_required_speedup", ">="),
+    (
+        "BENCH_inference_speed.json",
+        "speedup",
+        "min_required_speedup",
+        ">=",
+        INFERENCE_MIN_SPEEDUP,
+    ),
+    (
+        "BENCH_assignment_speed.json",
+        "speedup",
+        "min_required_speedup",
+        ">=",
+        ASSIGNMENT_MIN_SPEEDUP,
+    ),
     (
         "BENCH_assignment_speed.json",
         "frontend_p50_ms",
         "frontend_p50_target_ms",
         "<=",
+        FRONTEND_P50_TARGET_MS,
     ),
-    ("BENCH_serving_throughput.json", "gate_speedup", "min_required_speedup", ">="),
+    (
+        "BENCH_serving_throughput.json",
+        "gate_speedup",
+        "min_required_speedup",
+        ">=",
+        SERVING_MIN_SPEEDUP,
+    ),
     (
         "BENCH_serving_throughput.json",
         "late_over_steady",
         "min_late_over_steady",
         ">=",
+        MIN_LATE_OVER_STEADY,
     ),
     (
         "BENCH_serving_throughput.json",
         "full_stream_answers_per_sec",
         "min_full_stream_answers_per_sec",
         ">=",
+        MIN_FULL_STREAM_ANSWERS_PER_SEC,
     ),
     (
         "BENCH_serving_throughput.json",
         "full_stream_log_flattens",
         "max_full_stream_log_flattens",
         "<=",
+        MAX_FULL_STREAM_LOG_FLATTENS,
     ),
     (
         "BENCH_serving_throughput.json",
         "max_ingest_stall_ms",
         "max_allowed_ingest_stall_ms",
         "<=",
+        MAX_INGEST_STALL_MS,
     ),
     (
         "BENCH_serving_throughput.json",
         "open_world_fraction",
         "min_open_world_fraction",
         ">=",
+        MIN_OPEN_WORLD_FRACTION,
     ),
     (
         "BENCH_serving_throughput.json",
         "journaled_answers_per_sec",
         "min_journaled_answers_per_sec",
         ">=",
+        MIN_JOURNALED_ANSWERS_PER_SEC,
     ),
     (
         "BENCH_serving_throughput.json",
         "attributed_wall_fraction",
         "min_attributed_wall_fraction",
         ">=",
+        MIN_ATTRIBUTED_WALL_FRACTION,
     ),
     (
         "BENCH_scale_sparse.json",
         "peak_memory_mb",
         "max_allowed_peak_memory_mb",
         "<=",
+        MAX_PEAK_MEMORY_MB,
     ),
-    ("BENCH_scale_sparse.json", "total_wall_s", "max_allowed_wall_s", "<="),
+    (
+        "BENCH_scale_sparse.json",
+        "total_wall_s",
+        "max_allowed_wall_s",
+        "<=",
+        MAX_SCALE_WALL_S,
+    ),
     (
         "BENCH_scale_sparse.json",
         "oracle_max_param_diff",
         "max_oracle_param_diff",
         "<=",
+        MAX_ORACLE_PARAM_DIFF,
     ),
     (
         "BENCH_scenario_matrix.json",
         "clean_equivalence_delta",
         "max_clean_equivalence_delta",
         "<=",
+        MAX_CLEAN_EQUIVALENCE_DELTA,
     ),
     (
         "BENCH_scenario_matrix.json",
         "spam_detection_recall",
         "min_spam_detection_recall",
         ">=",
+        MIN_SPAM_DETECTION_RECALL,
     ),
     (
         "BENCH_scenario_matrix.json",
         "spam_detection_precision",
         "min_spam_detection_precision",
         ">=",
+        MIN_SPAM_DETECTION_PRECISION,
     ),
     (
         "BENCH_scenario_matrix.json",
         "spam_false_positive_rate",
         "max_spam_false_positive_rate",
         "<=",
+        MAX_SPAM_FALSE_POSITIVE_RATE,
     ),
     (
         "BENCH_scenario_matrix.json",
         "drift_decayed_margin",
         "min_drift_decayed_margin",
         ">=",
+        MIN_DRIFT_DECAYED_MARGIN,
     ),
 ]
 
@@ -130,15 +256,19 @@ def main() -> int:
             continue
         payloads[name] = json.loads(path.read_text(encoding="utf-8"))
 
-    for name, metric, threshold_key, direction in GATES:
+    for name, metric, threshold_key, direction, threshold in GATES:
         payload = payloads.get(name)
         if payload is None:
             continue
-        if metric not in payload or threshold_key not in payload:
-            failures.append(f"{name}: missing {metric!r} or {threshold_key!r}")
+        if metric not in payload:
+            failures.append(f"{name}: missing {metric!r}")
             continue
+        if threshold_key in payload and float(payload[threshold_key]) != threshold:
+            failures.append(
+                f"{name}: records {threshold_key} = {payload[threshold_key]}, "
+                f"but the gate is {threshold} (thresholds live in check_gates.py)"
+            )
         value = float(payload[metric])
-        threshold = float(payload[threshold_key])
         ok = value >= threshold if direction == ">=" else value <= threshold
         status = "ok" if ok else "REGRESSED"
         print(f"{name}: {metric} = {value} {direction} {threshold} ... {status}")

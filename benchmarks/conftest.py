@@ -27,6 +27,9 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
+# The gated speed benches time production code against the reference
+# implementations in tests/oracles/.
+sys.path.insert(1, str(Path(__file__).parent.parent / "tests"))
 
 from bench_common import (  # noqa: E402  (path bootstrap above)
     BenchProfile,

@@ -9,9 +9,10 @@
   beyond the paper: entropy-based task selection in the spirit of the CDAS
   baseline discussed in the related work.
 * :class:`~repro.assign.accopt.AccOptAssigner` — the paper's greedy
-  accuracy-improvement assigner (Algorithm 1), scoring candidate pairs through
-  the batched :mod:`repro.core.accuracy_kernel` by default with the scalar
-  path kept as an ``engine="reference"`` oracle.
+  accuracy-improvement assigner (Algorithm 1), scoring candidate pairs
+  through the batched :mod:`repro.core.accuracy_kernel` (dense, or
+  candidate-pruned with ``engine="sparse"``).  The scalar Algorithm 1 it is
+  tested against lives in ``tests/oracles/accopt.py``.
 
 All strategies implement :class:`repro.core.assignment.TaskAssigner`.
 :func:`build_assigner` constructs any of them by name — the CLI, the examples
@@ -47,10 +48,10 @@ def build_assigner(
 
     ``distance_model`` is required by the distance-aware strategies
     (``"accopt"`` and ``"spatial"``); ``seed`` only affects ``"random"``;
-    ``engine`` selects the ``"accopt"`` ΔAcc scoring path (``"vectorized"``
-    batched kernels by default, ``"sparse"`` for the candidate-pruned CSR
-    path — which additionally needs ``candidate_radius`` — and
-    ``"reference"`` for the scalar oracle).  ``metrics`` is an optional
+    ``engine`` selects the ``"accopt"`` ΔAcc scoring layout (one of
+    :data:`ACCOPT_ENGINES`: ``"vectorized"`` dense kernels by default, or
+    ``"sparse"`` for the candidate-pruned CSR path, which additionally needs
+    ``candidate_radius``).  ``metrics`` is an optional
     :class:`~repro.obs.metrics.MetricsRegistry` receiving the sparse
     engine's candidate-pruning statistics.
     """

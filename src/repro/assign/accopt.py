@@ -8,10 +8,10 @@ paper uses the greedy Algorithm 1: repeatedly pick the (worker, task) pair with
 the largest marginal ΔAcc, update the affected task's hypothetical accuracy via
 Lemma 2's recursion, and stop when every worker has ``h`` tasks.
 
-:class:`AccOptAssigner` implements Algorithm 1 behind two engines:
+:class:`AccOptAssigner` implements Algorithm 1 on the batched ΔAcc kernels of
+:mod:`repro.core.accuracy_kernel`, in one of two layouts:
 
-* ``engine="vectorized"`` (the default) scores every candidate pair through
-  the batched kernels of :mod:`repro.core.accuracy_kernel`: one
+* ``engine="vectorized"`` (the default) scores every candidate pair: one
   ``(|W|, |T|)`` Equation 9 matrix over the
   :class:`~repro.core.params.ArrayParameterStore` arrays and a cached
   normalised-distance matrix, one fused marginal-gain matrix, and an O(|W|)
@@ -25,10 +25,12 @@ Lemma 2's recursion, and stop when every worker has ``h`` tasks.
   only O(nnz) candidate state plus an O(|T|) far-side heap instead of the
   dense ``(|W|, |T|)`` matrices — with ``candidate_radius=inf`` (every pair a
   candidate) it reproduces the vectorized engine's pick sequence exactly.
-* ``engine="reference"`` keeps the original scalar path — per-label
-  :class:`~repro.core.accuracy.LabelAccuracy` recursion driven through an
-  :class:`~repro.core.accuracy.AccuracyEstimator` and a lazy max-heap — as the
-  equivalence oracle the vectorized engine is tested against.
+
+The scalar Algorithm 1 — Lemma 2's recursion one label at a time, driven
+through a lazy max-heap — lives in ``tests/oracles/accopt.py``.  The dense
+layout must reproduce its assignments exactly
+(``tests/test_assign_accopt_equivalence.py``), and the sparse layout the
+dense one's at a covering radius (``tests/test_sparse_kernels.py``).
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from repro.core import accuracy_kernel
-from repro.core.accuracy import AccuracyEstimator, LabelAccuracy
 from repro.core.assignment import TaskAssigner
 from repro.core.params import ArrayParameterStore, ModelParameters
 from repro.data.models import AnswerSet, Task, Worker
@@ -50,7 +51,7 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.obs.metrics import MetricsRegistry
 
 #: Engines accepted by :class:`AccOptAssigner`.
-ACCOPT_ENGINES = ("vectorized", "sparse", "reference")
+ACCOPT_ENGINES = ("vectorized", "sparse")
 
 
 class AccOptAssigner(TaskAssigner):
@@ -97,9 +98,9 @@ class AccOptAssigner(TaskAssigner):
         self._candidate_radius = candidate_radius
         self._metrics = metrics
         self._candidate_index: CandidateIndex | None = None
-        # Task-side orderings shared by every vectorized call; initially sorted
-        # to match the reference path's _candidate_tasks ordering, with tasks
-        # arriving later (open-world growth) appended in arrival order.
+        # Task-side orderings shared by every call; initially sorted (the
+        # order _candidate_tasks walks), with tasks arriving later
+        # (open-world growth) appended in arrival order.
         self._task_ids: list[str] = sorted(self._tasks)
         self._task_column = {tid: j for j, tid in enumerate(self._task_ids)}
         self._task_locations = [self._tasks[tid].location for tid in self._task_ids]
@@ -158,9 +159,7 @@ class AccOptAssigner(TaskAssigner):
         workers = self._assignable_workers(available_workers)
         if not workers:
             return {w: [] for w in available_workers}
-        if self._engine == "reference":
-            assignment = self._assign_reference(workers, h, answers)
-        elif self._engine == "sparse":
+        if self._engine == "sparse":
             assignment = self._assign_sparse(workers, h, answers)
         else:
             assignment = self._assign_vectorized(workers, h, answers)
@@ -173,7 +172,7 @@ class AccOptAssigner(TaskAssigner):
         """Flat ``label_probs`` and ``influence_weights`` over the task order.
 
         Gathered through :meth:`ModelParameters.task` so unseen tasks receive
-        the footnote-3 priors, exactly like the reference estimator.
+        the footnote-3 priors.
         """
         if self._task_arrays is None:
             num_labels, label_offsets = self._ensure_task_layout()
@@ -222,8 +221,8 @@ class AccOptAssigner(TaskAssigner):
         self, available_workers: Sequence[str], h: int, answers: AnswerSet
     ) -> dict[str, list[str]]:
         # Sorted worker rows so that argmax's row-major tie-break (first row
-        # wins) matches the reference heap's lexicographic (worker, task)
-        # ordering on exactly tied gains, independent of the caller's order.
+        # wins) matches a heap's lexicographic (worker, task) ordering on
+        # exactly tied gains, independent of the caller's order.
         worker_list = sorted(available_workers)
         num_workers = len(worker_list)
         num_tasks = len(self._task_ids)
@@ -481,112 +480,4 @@ class AccOptAssigner(TaskAssigner):
             for other in np.unique(affected).tolist():
                 if other != i:
                     refresh_row(other)
-        return assignment
-
-    # -------------------------------------------------------- reference engine
-    def _assign_reference(
-        self, available_workers: Sequence[str], h: int, answers: AnswerSet
-    ) -> dict[str, list[str]]:
-        """The scalar Algorithm 1: per-label recursion plus a lazy max-heap."""
-        estimator = AccuracyEstimator(
-            tasks=self._tasks,
-            workers=self._workers,
-            distance_model=self._distance_model,
-            parameters=self._parameters,
-            answers=answers,
-        )
-
-        assignment: dict[str, list[str]] = {w: [] for w in available_workers}
-
-        # Per-task baseline accuracy pairs (Equation 15) and the evolving state
-        # reflecting the workers tentatively assigned this round (Ŵ(t)).
-        baselines: dict[str, list[LabelAccuracy]] = {}
-        current_states: dict[str, list[LabelAccuracy]] = {}
-
-        # Cache of estimated answer accuracies P(z = r_w) per (worker, task).
-        answer_accuracy: dict[tuple[str, str], float] = {}
-
-        def states_for(task_id: str) -> list[LabelAccuracy]:
-            if task_id not in baselines:
-                base = estimator.current_label_accuracies(task_id)
-                baselines[task_id] = base
-                current_states[task_id] = list(base)
-            return current_states[task_id]
-
-        def improvement_for(
-            worker_id: str, task_id: str
-        ) -> tuple[float, list[LabelAccuracy]]:
-            key = (worker_id, task_id)
-            if key not in answer_accuracy:
-                answer_accuracy[key] = estimator.answer_accuracy(worker_id, task_id)
-            states = states_for(task_id)
-            new_states = [state.add_worker(answer_accuracy[key]) for state in states]
-            gain = sum(
-                new.expected_improvement_over(base)
-                for new, base in zip(new_states, baselines[task_id])
-            )
-            # Subtract the gain already banked by previously selected workers so
-            # the heap ranks *marginal* improvements, as line 19 of Algorithm 1.
-            already = sum(
-                state.expected_improvement_over(base)
-                for state, base in zip(states, baselines[task_id])
-            )
-            return gain - already, new_states
-
-        # Candidate tasks per worker (tasks not yet answered by that worker).
-        candidates: dict[str, set[str]] = {
-            worker_id: set(self._candidate_tasks(worker_id, answers))
-            for worker_id in available_workers
-        }
-
-        # Max-heap of (-marginal_gain, version, worker, task).  Whenever a task
-        # receives a new tentative worker its version bumps, the task is
-        # eagerly re-scored for every remaining worker (Algorithm 1's
-        # incremental re-score), and entries carrying an old version are
-        # discarded on pop.  The re-score must be eager: a pick can *increase*
-        # other workers' marginal gains on the same task (a negative gain
-        # shrinks in magnitude as ``m_t`` grows), so a lazy heap would commit an
-        # in-between pair and miss the true greedy maximum.
-        task_version: dict[str, int] = {}
-        heap: list[tuple[float, int, str, str]] = []
-
-        def push(worker_id: str, task_id: str) -> None:
-            gain, _ = improvement_for(worker_id, task_id)
-            version = task_version.get(task_id, 0)
-            heapq.heappush(heap, (-gain, version, worker_id, task_id))
-
-        for worker_id in available_workers:
-            for task_id in candidates[worker_id]:
-                push(worker_id, task_id)
-
-        remaining_capacity = {worker_id: h for worker_id in available_workers}
-        total_to_assign = sum(
-            min(h, len(candidates[worker_id])) for worker_id in available_workers
-        )
-        assigned_total = 0
-
-        while assigned_total < total_to_assign and heap:
-            neg_gain, version, worker_id, task_id = heapq.heappop(heap)
-            if remaining_capacity[worker_id] <= 0:
-                continue
-            if task_id not in candidates[worker_id]:
-                continue
-            if version != task_version.get(task_id, 0):
-                continue  # superseded by the eager re-score below
-
-            # Commit the pick.
-            _, new_states = improvement_for(worker_id, task_id)
-            current_states[task_id] = new_states
-            task_version[task_id] = task_version.get(task_id, 0) + 1
-
-            assignment[worker_id].append(task_id)
-            candidates[worker_id].discard(task_id)
-            remaining_capacity[worker_id] -= 1
-            assigned_total += 1
-
-            # Re-score the chosen task for every worker that can still take it.
-            for other_id in available_workers:
-                if remaining_capacity[other_id] > 0 and task_id in candidates[other_id]:
-                    push(other_id, task_id)
-
         return assignment

@@ -14,16 +14,12 @@ Unlike the paper's model this estimator is *location-unaware*: a worker's
 quality is the same regardless of how far the POI is, which is exactly the
 deficiency the case study in Table I illustrates.
 
-Two EM engines implement the iteration, mirroring the vectorised/reference
-split of :mod:`repro.core.inference`:
-
-* ``engine="vectorized"`` (the default) flattens the answer log once into the
-  same flat-index layout the :class:`~repro.core.em_kernel.AnswerTensor` uses —
-  integer item/worker index arrays plus a 0/1 response vector — and runs every
-  E/M step as ``np.bincount`` segment sums over those indices;
-* ``engine="reference"`` is the original per-observation Python loop, kept as
-  the executable specification the vectorised engine is equivalence-tested
-  against (``tests/test_baselines_dawid_skene.py``).
+The EM loop flattens the answer log once into the same flat-index layout the
+:class:`~repro.core.em_kernel.AnswerTensor` uses — integer item/worker index
+arrays plus a 0/1 response vector — and runs every E/M step as
+``np.bincount`` segment sums over those indices.  The per-observation loop it
+is equivalence-tested against lives in ``tests/oracles/dawid_skene.py``
+(``tests/test_baselines_dawid_skene.py``).
 """
 
 from __future__ import annotations
@@ -35,9 +31,6 @@ import numpy as np
 from repro.baselines.base import LabelInferenceModel
 from repro.data.models import AnswerSet, Task
 
-#: Valid values of :attr:`DawidSkeneConfig.engine`.
-DS_ENGINES = ("vectorized", "reference")
-
 
 @dataclass
 class DawidSkeneConfig:
@@ -46,7 +39,6 @@ class DawidSkeneConfig:
     max_iterations: int = 100
     convergence_threshold: float = 1e-4
     smoothing: float = 0.1
-    engine: str = "vectorized"
 
     def __post_init__(self) -> None:
         if self.max_iterations <= 0:
@@ -58,8 +50,6 @@ class DawidSkeneConfig:
             )
         if self.smoothing < 0:
             raise ValueError(f"smoothing must be non-negative, got {self.smoothing}")
-        if self.engine not in DS_ENGINES:
-            raise ValueError(f"engine must be one of {DS_ENGINES}, got {self.engine!r}")
 
 
 @dataclass
@@ -101,10 +91,7 @@ class DawidSkeneInference(LabelInferenceModel):
 
     def fit(self, answers: AnswerSet) -> "DawidSkeneInference":
         items, observations = self._flatten(answers)
-        if self._config.engine == "reference":
-            posterior, confusion, result = self._fit_reference(items, observations)
-        else:
-            posterior, confusion, result = self._fit_vectorized(items, observations)
+        posterior, confusion, result = self._run_em(items, observations)
 
         self._confusion = confusion
         self._probabilities = {}
@@ -122,8 +109,8 @@ class DawidSkeneInference(LabelInferenceModel):
         self._require_task(task_id)
         return self._probabilities[task_id].copy()
 
-    # ------------------------------------------------------- vectorized engine
-    def _fit_vectorized(
+    # ---------------------------------------------------------------------- EM
+    def _run_em(
         self,
         items: list[tuple[str, int]],
         observations: list[tuple[str, tuple[str, int], int]],
@@ -134,8 +121,8 @@ class DawidSkeneInference(LabelInferenceModel):
         0/1 response — and each E/M step is a fixed number of ``np.bincount``
         segment sums, exactly like the M-step scatter-adds of
         :func:`repro.core.em_kernel.em_step`.  The per-bin accumulation order
-        equals the observation order the reference loop uses, so the two
-        engines agree to floating-point noise.
+        equals the observation order, so a per-observation loop over the same
+        observations agrees to floating-point noise.
         """
         worker_ids = sorted({worker_id for worker_id, _, _ in observations})
         item_index = {item: i for i, item in enumerate(items)}
@@ -221,82 +208,6 @@ class DawidSkeneInference(LabelInferenceModel):
             iterations=iterations, converged=converged, convergence_trace=trace
         )
         return posterior_dict, confusion, result
-
-    # -------------------------------------------------------- reference engine
-    def _fit_reference(
-        self,
-        items: list[tuple[str, int]],
-        observations: list[tuple[str, tuple[str, int], int]],
-    ) -> tuple[dict[tuple[str, int], float], dict[str, np.ndarray], DawidSkeneResult]:
-        """The original per-observation EM loop (the executable specification)."""
-        worker_ids = sorted({worker_id for worker_id, _, _ in observations})
-
-        # Initialise truth posteriors with the majority-vote fraction.
-        posterior = {}
-        for item in items:
-            votes = [r for _, key, r in observations if key == item]
-            posterior[item] = float(np.mean(votes)) if votes else 0.5
-
-        # Index observations per item and per worker once.
-        obs_by_item: dict[tuple[str, int], list[tuple[str, int]]] = {item: [] for item in items}
-        obs_by_worker: dict[str, list[tuple[tuple[str, int], int]]] = {
-            worker_id: [] for worker_id in worker_ids
-        }
-        for worker_id, item, response in observations:
-            obs_by_item[item].append((worker_id, response))
-            obs_by_worker[worker_id].append((item, response))
-
-        confusion = {
-            worker_id: np.array([[0.7, 0.3], [0.3, 0.7]]) for worker_id in worker_ids
-        }
-        prior_positive = 0.5
-        smoothing = self._config.smoothing
-
-        trace: list[float] = []
-        converged = False
-        iterations = 0
-        for iteration in range(self._config.max_iterations):
-            iterations = iteration + 1
-
-            # M-step: confusion matrices and class prior from current posteriors.
-            new_confusion = {}
-            for worker_id in worker_ids:
-                counts = np.full((2, 2), smoothing)
-                for item, response in obs_by_worker[worker_id]:
-                    p1 = posterior[item]
-                    counts[1, response] += p1
-                    counts[0, response] += 1.0 - p1
-                counts /= counts.sum(axis=1, keepdims=True)
-                new_confusion[worker_id] = counts
-            confusion = new_confusion
-            if posterior:
-                prior_positive = float(np.mean(list(posterior.values())))
-                prior_positive = min(1.0 - 1e-6, max(1e-6, prior_positive))
-
-            # E-step: truth posteriors from the confusion matrices.
-            max_change = 0.0
-            new_posterior = {}
-            for item in items:
-                log_p1 = np.log(prior_positive)
-                log_p0 = np.log(1.0 - prior_positive)
-                for worker_id, response in obs_by_item[item]:
-                    matrix = confusion[worker_id]
-                    log_p1 += np.log(max(matrix[1, response], 1e-12))
-                    log_p0 += np.log(max(matrix[0, response], 1e-12))
-                denominator = np.logaddexp(log_p1, log_p0)
-                value = float(np.exp(log_p1 - denominator))
-                max_change = max(max_change, abs(value - posterior[item]))
-                new_posterior[item] = value
-            posterior = new_posterior
-            trace.append(max_change)
-            if max_change <= self._config.convergence_threshold:
-                converged = True
-                break
-
-        result = DawidSkeneResult(
-            iterations=iterations, converged=converged, convergence_trace=trace
-        )
-        return posterior, confusion, result
 
     # ------------------------------------------------------------------ internal
     def _flatten(

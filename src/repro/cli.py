@@ -108,7 +108,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--assigner-engine",
         choices=ACCOPT_ENGINES,
         default="vectorized",
-        help="AccOpt ΔAcc scoring path: batched kernels or the scalar reference",
+        help="AccOpt ΔAcc scoring layout: dense batched kernels or the "
+             "candidate-pruned sparse path",
     )
     campaign.add_argument(
         "--candidate-radius",
@@ -170,7 +171,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--assigner-engine",
         choices=ACCOPT_ENGINES,
         default="vectorized",
-        help="AccOpt ΔAcc scoring path: batched kernels or the scalar reference",
+        help="AccOpt ΔAcc scoring layout: dense batched kernels or the "
+             "candidate-pruned sparse path",
     )
     serve.add_argument(
         "--candidate-radius",

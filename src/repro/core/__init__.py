@@ -9,17 +9,20 @@
   array-backed (:class:`~repro.core.params.ArrayParameterStore`) form.
 * :mod:`repro.core.inference` — the location-aware graphical model and its EM
   parameter estimation (Section III).
-* :mod:`repro.core.em_kernel` — the vectorised (batched NumPy) EM engine the
-  default ``engine="vectorized"`` configuration runs on.
+* :mod:`repro.core.em_kernel` — the batched NumPy EM engine every fit and
+  incremental update runs on.
 * :mod:`repro.core.incremental` — the incremental EM update applied between
   full re-runs (Section III-D).
-* :mod:`repro.core.accuracy` — accuracy estimation for hypothetical
-  assignments (Equations 15–20, Lemmas 1–2).
-* :mod:`repro.core.accuracy_kernel` — the vectorised (batched NumPy) ΔAcc
-  scoring kernels the default AccOpt ``engine="vectorized"`` runs on.
+* :mod:`repro.core.accuracy_kernel` — the batched ΔAcc scoring kernels for
+  hypothetical assignments (Equations 15–20, Lemmas 1–2) that AccOpt runs on.
 * :mod:`repro.core.assignment` — the :class:`TaskAssigner` interface shared by
   every assignment strategy (the AccOpt implementation itself lives in
   :mod:`repro.assign.accopt`).
+
+Each job has one production engine.  The per-record / per-label
+specifications these engines are equivalence-tested against (EM, the
+incremental update, Section IV-B's accuracy pairs) live with the tests, in
+``tests/oracles/``.
 """
 
 from repro.core.distance_functions import (
@@ -41,17 +44,7 @@ from repro.core.inference import (
     LocationAwareInference,
 )
 from repro.core.incremental import IncrementalUpdater
-from repro.core.accuracy import AccuracyEstimator, LabelAccuracy
 from repro.core.assignment import TaskAssigner
-
-
-def __getattr__(name: str):
-    # Legacy re-export; resolved lazily to avoid a core -> assign import cycle.
-    if name == "AccOptAssigner":
-        from repro.assign.accopt import AccOptAssigner
-
-        return AccOptAssigner
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 __all__ = [
@@ -68,8 +61,5 @@ __all__ = [
     "InferenceResult",
     "LocationAwareInference",
     "IncrementalUpdater",
-    "AccuracyEstimator",
-    "LabelAccuracy",
     "TaskAssigner",
-    "AccOptAssigner",
 ]

@@ -1,11 +1,11 @@
 """Vectorised ΔAcc scoring kernels for the AccOpt assigner.
 
-:mod:`repro.core.accuracy` carries Section IV-B's math one label at a time:
-:class:`~repro.core.accuracy.LabelAccuracy` pairs, Lemma 2's recursion and the
-Equation 20 improvement, all driven through scalar ``ModelParameters`` lookups.
-This module is the array-backed twin the vectorised
-:class:`~repro.assign.accopt.AccOptAssigner` engine runs on — the assignment
-counterpart of :mod:`repro.core.em_kernel`:
+Section IV-B's math — the Equation 15 accuracy pairs, Lemma 2's recursion and
+the Equation 20 improvement — written over arrays: the one engine
+:class:`~repro.assign.accopt.AccOptAssigner` runs on, and the assignment
+counterpart of :mod:`repro.core.em_kernel`.  The one-label-at-a-time form it
+is tested against (``LabelAccuracy``, ``AccuracyEstimator``) lives in
+``tests/oracles/accuracy.py``.
 
 * :func:`answer_accuracy_matrix` evaluates Equation 9 for **every** candidate
   (worker, task) pair in one batch, reading the flat arrays of an
@@ -14,8 +14,8 @@ counterpart of :mod:`repro.core.em_kernel`:
   :func:`~repro.spatial.distance.normalised_distance_matrix`);
 * :class:`BatchAccuracyState` stores the Equation 15 accuracy pairs of every
   label of every task as flat ragged arrays (the exact layout of
-  ``ArrayParameterStore.label_probs``), mirroring one
-  :class:`~repro.core.accuracy.LabelAccuracy` list per task;
+  ``ArrayParameterStore.label_probs``), mirroring one list of scalar
+  accuracy pairs per task;
 * :func:`marginal_gains` scores the marginal ΔAcc of every candidate pair in
   one ``(|W|, |T|)`` array operation, and :func:`add_worker` commits a greedy
   pick by re-scoring only the chosen task (Algorithm 1's incremental update).
@@ -153,8 +153,8 @@ def _segment_sums(values: np.ndarray, label_offsets: np.ndarray) -> np.ndarray:
 class BatchAccuracyState:
     """Accuracy pairs of every label of every task, as flat ragged arrays.
 
-    The array counterpart of one :class:`~repro.core.accuracy.LabelAccuracy`
-    list per task: slot ``s`` of the flat arrays is label ``s`` in the
+    The array counterpart of one list of per-label accuracy pairs per task:
+    slot ``s`` of the flat arrays is label ``s`` in the
     ``label_offsets`` ragged layout (task ``j`` owns
     ``[label_offsets[j], label_offsets[j+1])``), exactly as
     :attr:`~repro.core.params.ArrayParameterStore.label_probs` stores them.
@@ -193,8 +193,7 @@ def baseline_state(
 
     ``label_probs`` is the flat ragged ``P(z = 1)`` storage (the
     ``ArrayParameterStore`` layout), ``answer_counts`` the per-task ``|W(t)|``.
-    Batched counterpart of
-    :meth:`repro.core.accuracy.AccuracyEstimator.current_label_accuracies`.
+    Batched counterpart of the scalar estimator's per-task baselines.
     """
     p_z1 = np.array(label_probs, dtype=float)
     offsets = np.asarray(label_offsets, dtype=np.intp)
@@ -326,12 +325,12 @@ def add_workers(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Lemma 2's recursion for one task's whole label vector.
 
-    The batched twin of :meth:`repro.core.accuracy.LabelAccuracy.add_workers`:
-    starts from the Equation 15 baselines of ``p_z1`` (one entry per label) and
-    applies each hypothetical worker's Equation 9 accuracy in turn.  Returns
+    The batched twin of the scalar per-label recursion: starts from the
+    Equation 15 baselines of ``p_z1`` (one entry per label) and applies each
+    hypothetical worker's Equation 9 accuracy in turn.  Returns
     the final ``(acc_if_correct, acc_if_incorrect)`` vectors; the equivalence
     tests hold these against the scalar recursion and the exponential
-    :func:`repro.core.accuracy.enumerate_expected_accuracy` definition.
+    enumeration that defines it (``tests/oracles/accuracy.py``).
     """
     acc_correct = np.array(p_z1, dtype=float)
     acc_incorrect = 1.0 - acc_correct

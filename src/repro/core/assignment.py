@@ -5,13 +5,9 @@ the set ``W`` of currently available workers and a per-worker HIT size ``h``,
 choose ``A(W)`` maximising the total expected accuracy improvement
 ``Σ_t Σ_k ΔAcc_{t,k}(Ŵ(t))``.  :class:`TaskAssigner` is the contract every
 strategy in :mod:`repro.assign` implements — the paper's AccOpt greedy
-algorithm (:class:`~repro.assign.accopt.AccOptAssigner`, which now lives with
-the other strategies and scores candidates through the batched
-:mod:`repro.core.accuracy_kernel`) as well as the Random, Spatial-First and
-Uncertainty-First baselines.
-
-``AccOptAssigner`` is still importable from this module for backwards
-compatibility, but its implementation moved to :mod:`repro.assign.accopt`.
+algorithm (:class:`~repro.assign.accopt.AccOptAssigner`, which scores
+candidates through the batched :mod:`repro.core.accuracy_kernel`) as well as
+the Random, Spatial-First and Uncertainty-First baselines.
 """
 
 from __future__ import annotations
@@ -125,13 +121,3 @@ class TaskAssigner(ABC):
         """Tasks the worker has not answered yet, in deterministic order."""
         done = answers.tasks_of_worker(worker_id)
         return [task_id for task_id in sorted(self._tasks) if task_id not in done]
-
-
-def __getattr__(name: str):
-    # Legacy import path: the AccOpt implementation moved to repro.assign.accopt,
-    # imported lazily here to avoid a core -> assign import cycle.
-    if name == "AccOptAssigner":
-        from repro.assign.accopt import AccOptAssigner
-
-        return AccOptAssigner
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,11 +1,13 @@
 """Vectorised EM kernel for the location-aware inference model.
 
-This module is the batched twin of the per-record E/M code in
-:mod:`repro.core.inference`.  The whole answer log is flattened **once** per
-fit into an :class:`AnswerTensor` — integer worker/task/label index arrays, a
-precomputed ``(N, |F|)`` matrix of the distance-function set evaluated at every
-answer's distance, and a flat 0/1 response vector — after which one EM
-iteration is a fixed number of NumPy kernels.  The tensor is also the serving
+This module is the one production EM engine behind
+:mod:`repro.core.inference` and :mod:`repro.core.incremental`, the batched
+twin of the per-record E/M specification in ``tests/oracles/em.py``.  The
+whole answer log is flattened **once** per fit into an :class:`AnswerTensor`
+— integer worker/task/label index arrays, a precomputed ``(N, |F|)`` matrix
+of the distance-function set evaluated at every answer's distance, and a
+flat 0/1 response vector — after which one EM iteration is a fixed number of
+NumPy kernels.  The tensor is also the serving
 path's **live** structure: it grows in place (:meth:`AnswerTensor.append_answers`,
 capacity-doubling buffers, per-entity row indexes),
 :func:`localized_sweeps` runs the incremental updater's masked sweeps against
@@ -17,7 +19,7 @@ flatten below happens once per *stream*, not once per refresh.  Per full
 iteration:
 
 * the E-step posteriors of *all* answers are computed as array expressions
-  mirroring ``LocationAwareInference._expectation`` term by term, and
+  mirroring the per-record ``expectation`` term by term, and
 * the M-step scatter-adds (``z_sums``, ``dt_sums``, ``i_sums``, ``dw_sums``)
   become segment sums via ``np.bincount`` over the index arrays.
 
@@ -527,8 +529,8 @@ class AnswerTensor:
     ) -> "AnswerTensor":
         """Index ``answers`` against the task/worker registries.
 
-        Validation mirrors ``LocationAwareInference._build_records``: unknown
-        ids raise ``KeyError``, label-count mismatches raise ``ValueError``.
+        Validation: unknown ids raise ``KeyError``, label-count mismatches
+        raise ``ValueError``.
         Distances are computed with the batched
         :meth:`~repro.spatial.distance.DistanceModel.worker_task_distances`
         instead of N scalar cache lookups.  ``pair_distance_fn`` overrides
@@ -627,7 +629,7 @@ def initial_store(
     alpha: float,
     initial_p_qualified: float,
 ) -> ArrayParameterStore:
-    """Batched twin of ``LocationAwareInference._initial_parameters``.
+    """The cold-start estimate of a fit.
 
     Soft majority vote per label (clipped into [0.02, 0.98]) and uniform
     function weights with an optimistic qualification prior everywhere else.
@@ -701,7 +703,7 @@ def _estep_posteriors(
     owning position in those arrays; ``pz1`` (already clipped) and
     ``observed_one`` are per label response.  Returns
     ``(post_z1, post_i1, post_dw, post_dt, evidence)`` — the array mirror of
-    ``LocationAwareInference._expectation``, shared by the full
+    the per-record E-step, shared by the full
     :func:`em_step` and the localized :func:`em_step_localized`.
     """
     floor = PROBABILITY_FLOOR
@@ -754,8 +756,8 @@ def em_step(
     """One combined E+M step over the whole tensor (Equations 12 and 14).
 
     Returns the new parameter store and the total log-likelihood of the
-    observed answers under the *input* parameters.  Mirrors
-    ``LocationAwareInference._em_iteration`` exactly, with every per-record
+    observed answers under the *input* parameters.  Mirrors the per-record
+    E+M step (``tests/oracles/em.py``) exactly, with every per-record
     quantity promoted to an array over the N answers / M label responses.
 
     ``answer_weights`` (one non-negative weight per answer row) turns the
@@ -1019,7 +1021,7 @@ def localized_sweeps(
     neighbourhoods therefore stop burning iterations — late in a long stream
     most affected entities are already well-estimated and one sweep barely
     moves them.  ``early_exit_threshold == 0`` runs every sweep over the full
-    affected sets, which is what the reference-engine equivalence pins.
+    affected sets, which is what the per-record oracle equivalence pins.
     ``label_slots`` must be the concatenation of the affected tasks' slot
     ranges in ``affected_tasks`` order (as :func:`label_slots_of_tasks`
     builds them).
@@ -1543,7 +1545,7 @@ def warm_start_extra_delta(
     ``ModelParameters.max_difference`` spans the *union* of the old and new
     entity sets, while the array engine only tracks entities present in the
     answer tensor.  When warm-starting from parameters whose entity sets differ
-    from the tensor's, the reference engine's first delta picks up extra terms:
+    from the tensor's, the per-record loop's first delta picks up extra terms:
     a task present on one side only contributes 1.0, and a worker present only
     in ``initial`` is compared against the footnote-3 prior.  This returns the
     maximum of those extra terms so the vectorised loop can fold it into its

@@ -13,27 +13,28 @@ paper refreshes the model in two tiers:
 :class:`~repro.core.inference.LocationAwareInference` instance, and the whole
 update path is O(changed work), never O(stream history):
 
-* With the default ``engine="vectorized"`` the updater maintains a **live,
-  incrementally grown** :class:`~repro.core.em_kernel.AnswerTensor` spanning
-  the whole answer log plus a row-aligned live
-  :class:`~repro.core.params.ArrayParameterStore`.  Each micro-batch
-  (:meth:`IncrementalUpdater.apply`) appends its new answer rows (registering
-  workers and tasks unseen at startup on first sight — the open-world arrival
-  path) and runs localized sweeps with
-  :func:`repro.core.em_kernel.localized_sweeps` directly against the live
-  state; with a positive :attr:`IncrementalUpdater.early_exit_threshold`,
-  affected entities whose parameters stop moving drop out of the remaining
-  sweeps, so settled neighbourhoods stop burning iterations.
+* The updater maintains a **live, incrementally grown**
+  :class:`~repro.core.em_kernel.AnswerTensor` spanning the whole answer log
+  plus a row-aligned live :class:`~repro.core.params.ArrayParameterStore`.
+  Each micro-batch (:meth:`IncrementalUpdater.apply`) appends its new answer
+  rows (registering workers and tasks unseen at startup on first sight — the
+  open-world arrival path) and runs localized sweeps directly against the
+  live state: with ``early_exit_threshold == 0`` exact
+  :func:`repro.core.em_kernel.localized_sweeps` over each batch's whole
+  neighbourhood (the path the per-record oracle in
+  ``tests/oracles/incremental.py`` pins at 1e-9), with a positive threshold
+  :func:`repro.core.em_kernel.cached_sweeps` over a
+  :class:`~repro.core.em_kernel.SufficientStatCache`, where entities whose
+  parameters stop moving drop out of the remaining sweeps.
 * The periodic **full refresh** (:meth:`IncrementalUpdater.full_refresh`) runs
-  the vectorised EM *directly against the live tensor* via
+  EM *directly against the live tensor* via
   :meth:`~repro.core.inference.LocationAwareInference.fit_from_tensor` — no
   ``AnswerSet`` re-flatten, no tensor rebuild, and on warm starts not even a
   dict→array gather (the live store is handed in as the initial estimate).
   The fit's final store is adopted back as the live store, closing the loop
   without ever materialising per-entity containers on the hot path.  The
-  answer log is therefore only *required* by ``engine="reference"`` (the
-  original per-record sweep, kept for equivalence testing) and by callers
-  that re-fit the inference model behind the updater's back.
+  answer log is therefore only needed by callers that re-fit the inference
+  model behind the updater's back.
 * Publishes are **dirty-row shaped**: the updater tracks which worker/task
   rows changed since the last publish and
   :meth:`IncrementalUpdater.collect_publish_delta` emits a
@@ -60,7 +61,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from collections.abc import Callable
 
 from repro.core import em_kernel
-from repro.core.inference import LocationAwareInference, _AnswerRecord
+from repro.core.inference import LocationAwareInference
 from repro.core.params import (
     ArrayParameterStore,
     ModelParameters,
@@ -75,6 +76,10 @@ from repro.data.models import Answer, AnswerSet
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.metrics import MetricsRegistry
 
+#: Batches an entity the cached sweeps reported settled sits out of the
+#: M-step (its statistics keep folding; only the re-estimate is deferred).
+SETTLE_DEFER_BATCHES = 2
+
 
 @dataclass
 class IncrementalUpdater:
@@ -83,8 +88,8 @@ class IncrementalUpdater:
     Parameters
     ----------
     inference:
-        The underlying inference model (provides the E-step math, the distance
-        model and the task/worker registries).
+        The underlying inference model (provides the EM configuration, the
+        distance model and the task/worker registries).
     full_refresh_interval:
         Number of answer submissions after which the caller should run full EM
         again (the paper suggests every 100 submissions).
@@ -93,32 +98,24 @@ class IncrementalUpdater:
         classic incremental-EM step, a couple more tightens the estimate at
         negligible cost because only the affected entities are touched.
     early_exit_threshold:
-        Per-entity convergence early-exit for the localized sweeps: affected
-        entities whose parameters all moved at most this much in a sweep are
-        dropped from the remaining sweeps.  ``0.0`` (the default) disables the
-        exit, which keeps the vectorized sweeps bit-equivalent to the
-        reference engine's ``local_iterations`` sweeps; the serving layer
-        enables it with the EM convergence threshold, accepting drift no
-        larger than what the convergence criterion already tolerates (and
-        undone by the periodic full refreshes).
+        Per-entity convergence early-exit for the localized sweeps.  ``0.0``
+        (the default) runs exactly ``local_iterations`` sweeps over each
+        batch's whole neighbourhood.  A positive value runs the sweeps off a
+        :class:`~repro.core.em_kernel.SufficientStatCache` instead — each
+        sweep folds only the batch's own label rows into cached per-entity
+        totals, making :meth:`apply` O(batch) rather than O(entity-history) —
+        and drops affected entities whose parameters all moved at most this
+        much from the remaining sweeps; a dropped entity then skips the next
+        :data:`SETTLE_DEFER_BATCHES` M-step writes it would receive.  The
+        serving layer enables it with the EM convergence threshold,
+        accepting drift no larger than what the convergence criterion
+        already tolerates (and undone by the periodic full refreshes).
     """
 
     inference: LocationAwareInference
     full_refresh_interval: int = 100
     local_iterations: int = 2
     early_exit_threshold: float = 0.0
-    #: Run micro-batch sweeps off a :class:`~repro.core.em_kernel.SufficientStatCache`
-    #: instead of re-gathering whole entity histories: each sweep folds only
-    #: the batch's own label rows into cached per-entity totals, making
-    #: :meth:`apply` O(batch) rather than O(entity-history).  Requires a
-    #: positive :attr:`early_exit_threshold` (the cache's incremental-EM
-    #: semantics already accept convergence-threshold-sized drift; with a
-    #: zero threshold the exact reference-equivalent path is kept).
-    sufficient_stats: bool = False
-    #: After the cached sweeps report an entity settled, skip re-estimating
-    #: it for this many subsequent batches it appears in — its statistics
-    #: keep folding, only the M-step write is deferred.  ``0`` disables.
-    settle_defer_batches: int = 0
     #: Exponential forgetting factor for the answer history.  Every applied
     #: micro-batch advances one *decay epoch*; an answer whose batch is ``k``
     #: epochs old contributes ``stat_decay ** k`` of its weight to both the
@@ -127,14 +124,12 @@ class IncrementalUpdater:
     #: :func:`~repro.core.em_kernel.em_step`).  ``1.0`` (the default)
     #: disables decay and keeps every path bit-equal to the undecayed
     #: updater.  The epoch count is a pure function of the applied batch
-    #: stream, so crash-recovery replays age answers identically.  Requires
-    #: the vectorized engine.
+    #: stream, so crash-recovery replays age answers identically.
     stat_decay: float = 1.0
     #: Optional per-worker trust weight provider (``worker_id -> weight``),
     #: consulted when building full-refresh weights so distrusted workers'
     #: historical answers are down-weighted.  Returning ``1.0`` for every
-    #: worker keeps the refresh on the exact unweighted path.  Vectorized
-    #: engine only.
+    #: worker keeps the refresh on the exact unweighted path.
     trust_weight_fn: "Callable[[str], float] | None" = None
     #: Admission prior for workers first seen on the live stream.  ``None``
     #: keeps the footnote-3 trusted seed (``p_qualified = 1.0``) — the
@@ -154,8 +149,7 @@ class IncrementalUpdater:
     #: AnswerSet → tensor flattens performed so far (0 on a pure live-tensor
     #: stream; the serving benchmark pins it there).
     tensor_rebuilds: int = field(default=0, init=False)
-    # Live incremental state of the vectorized engine: the growing tensor, the
-    # row-aligned store, and the estimate object the store was last synced
+    # Live incremental state: the growing tensor, the row-aligned store, and the estimate object the store was last synced
     # with (identity-compared so an externally produced estimate — e.g. a full
     # re-fit — triggers a re-sync).
     _tensor: em_kernel.AnswerTensor | None = field(
@@ -213,22 +207,9 @@ class IncrementalUpdater:
                 f"early_exit_threshold must be non-negative, "
                 f"got {self.early_exit_threshold}"
             )
-        if self.settle_defer_batches < 0:
-            raise ValueError(
-                f"settle_defer_batches must be non-negative, "
-                f"got {self.settle_defer_batches}"
-            )
         if not 0.0 < self.stat_decay <= 1.0:
             raise ValueError(
                 f"stat_decay must be in (0, 1], got {self.stat_decay}"
-            )
-        if (
-            self.inference.config.engine == "reference"
-            and (self.stat_decay < 1.0 or self.trust_weight_fn is not None)
-        ):
-            raise ValueError(
-                "stat_decay < 1 and trust weights require the vectorized "
-                "engine; the reference engine has no weighted M-step"
             )
 
     @property
@@ -248,13 +229,17 @@ class IncrementalUpdater:
     ) -> ModelParameters:
         """Update parameters for the workers/tasks touched by ``new_answers``.
 
-        ``answers``, when provided, must already contain ``new_answers``; with
-        the vectorized engine it is only consulted to (re)build the live
-        tensor when the updater joins an existing stream or the log diverged
+        The micro-batch is appended to the incrementally maintained tensor
+        (admitting first-seen workers/tasks into the row-aligned live store)
+        and the localized sweeps run in place against the live state —
+        unaffected entities keep their current estimates.  Nothing is rebuilt
+        per batch.  ``answers``, when provided, must already contain
+        ``new_answers``; it is only consulted to (re)build the live tensor
+        when the updater joins an existing stream cold or the log diverged
         from the tensor (an external fit), so a log-free caller may pass
-        ``None`` and the live tensor is trusted outright.  The reference
-        engine gathers the affected neighbourhood through the answer set's
-        indexes and therefore requires it.  ``parameters`` may be a live
+        ``None`` and the live tensor is trusted outright.  An estimate
+        replaced outside this updater costs only an O(entities) store
+        re-gather.  ``parameters`` may be a live
         :class:`~repro.core.params.ModelParameters` estimate or an
         :class:`~repro.core.params.ArrayParameterStore` snapshot to warm-start
         from (the serving path's restore case).  Returns the updated
@@ -266,41 +251,138 @@ class IncrementalUpdater:
         if not new_answers:
             return parameters if parameters is not None else self.inference.parameters
 
-        # No defensive copy: both update paths below build a fresh
-        # ModelParameters and never mutate their input estimate.
+        # No defensive copy: the update below builds a fresh ModelParameters
+        # and never mutates its input estimate.
         params = parameters or self.inference.parameters
         self.answers_since_full_refresh += len(new_answers)
 
         affected_workers = {answer.worker_id for answer in new_answers}
         affected_tasks = {answer.task_id for answer in new_answers}
+        inference = self.inference
+        chain_intact = self._tensor is not None and self._synced_params is params
+        if self._tensor is None:
+            # ``answers`` (when given) already contains ``new_answers``; the
+            # rebuilt tensor covers them, and the append below degenerates to
+            # in-place response rewrites of their rows.
+            self._rebuild_tensor(answers)
+        self._ensure_store(params)
+        tensor = self._tensor
+        store = self._store
+        if self.stat_decay < 1.0:
+            # One epoch per applied batch, bumped before the batch's rows are
+            # stamped so they enter at age 0 — a pure function of the applied
+            # batch count, hence identical on crash-recovery replays.
+            self._decay_epoch += 1
+        result = tensor.append_answers(
+            new_answers,
+            inference._tasks,
+            inference._workers,
+            inference.distance_model,
+            store.function_set,
+        )
+        self._stamp_arrivals(tensor.num_answers - self._arrival_len)
+        self._admit_new_entities(result)
+        if self._recover_if_diverged(answers, params, chain_intact):
+            # The rebuild covers the batch, so no second append is needed.
+            tensor = self._tensor
+            store = self._store
 
-        if self.inference.config.engine == "reference":
-            if answers is None:
-                raise RuntimeError(
-                    "the reference engine gathers the affected neighbourhood "
-                    "through the answer log; pass the AnswerSet"
+        affected_w = np.asarray(
+            sorted(tensor.worker_row(w) for w in affected_workers), dtype=np.intp
+        )
+        affected_t = np.asarray(
+            sorted(tensor.task_row(t) for t in affected_tasks), dtype=np.intp
+        )
+        if self.early_exit_threshold > 0.0:
+            cache = self._stat_cache
+            if cache is None or not cache.in_sync_with(tensor, store):
+                # One full E-step pass seeds the cache; every full refresh
+                # replaces the store and so pays this once per interval.
+                # With decay, the seed weights each row by its current age so
+                # the rebuilt totals match the aged totals a surviving cache
+                # would carry.
+                cache = em_kernel.SufficientStatCache(
+                    tensor,
+                    store,
+                    decay=self.stat_decay,
+                    row_ages=(
+                        self._answer_ages() if self.stat_decay < 1.0 else None
+                    ),
                 )
-            # Answers relevant to the localized update: everything involving an
-            # affected worker (to re-estimate that worker's quality) or an
-            # affected task (to re-estimate its labels and influence),
-            # gathered through the answer set's per-worker/per-task indexes.
-            relevant = self._relevant_answers(
-                answers, affected_workers, affected_tasks
+                self._stat_cache = cache
+                self._worker_defer.clear()
+                self._task_defer.clear()
+                if self.metrics is not None:
+                    self.metrics.counter("em_statcache_rebuilds_total").inc()
+            else:
+                if self.stat_decay < 1.0:
+                    cache.decay_step()
+                cache.sync_growth()
+            est_w, est_t = self._defer_filter(affected_w, affected_t)
+            label_slots = em_kernel.label_slots_of_tasks(store.label_offsets, est_t)
+            sweep_report = em_kernel.cached_sweeps(
+                cache,
+                np.unique(result.rows),
+                est_w,
+                est_t,
+                label_slots,
+                iterations=self.local_iterations,
+                early_exit_threshold=self.early_exit_threshold,
             )
-            records = self.inference._build_records(AnswerSet(relevant))
-            for _ in range(self.local_iterations):
-                params = self._local_maximisation(
-                    records, params, affected_workers, affected_tasks
-                )
+            self._note_settled(sweep_report)
         else:
-            params = self._vectorized_update(
-                answers, new_answers, params, affected_workers, affected_tasks
+            est_w, est_t = affected_w, affected_t
+            label_slots = em_kernel.label_slots_of_tasks(store.label_offsets, est_t)
+            sweep_report = em_kernel.localized_sweeps(
+                tensor,
+                store,
+                em_kernel.gather_affected_rows(tensor, est_w, est_t),
+                est_w,
+                est_t,
+                label_slots,
+                iterations=self.local_iterations,
             )
+        if self.metrics is not None:
+            self.metrics.counter("em_localized_sweeps_total").inc(
+                sweep_report.sweeps_run
+            )
+            self.metrics.counter("em_entities_settled_total", kind="worker").inc(
+                sweep_report.workers_settled
+            )
+            self.metrics.counter("em_entities_settled_total", kind="task").inc(
+                sweep_report.tasks_settled
+            )
+        self._dirty_workers.update(int(i) for i in est_w)
+        self._dirty_tasks.update(int(j) for j in est_t)
+
+        # Copy-on-write publish: share the unaffected entities' parameter
+        # objects (nothing in the system mutates them in place) and replace
+        # only the re-estimated entries.  A deep copy here costs a full
+        # re-validation of every entity per micro-batch — it was the serving
+        # path's dominant late-stream cost, far above the EM sweep itself.
+        new_params = ModelParameters(
+            function_set=params.function_set,
+            alpha=params.alpha,
+            workers=dict(params.workers),
+            tasks=dict(params.tasks),
+        )
+        for i in est_w:
+            worker_id = tensor.worker_ids[int(i)]
+            new_params.workers[worker_id] = _trusted_worker_parameters(
+                float(store.p_qualified[i]), store.distance_weights[i].copy()
+            )
+        for j in est_t:
+            task_id = tensor.task_ids[int(j)]
+            new_params.tasks[task_id] = _trusted_task_parameters(
+                store.label_probs[store.task_label_slice(j)].copy(),
+                store.influence_weights[j].copy(),
+            )
+        self._synced_params = new_params
 
         # Publish the refreshed estimate on the inference model.
-        self.inference._parameters = params
-        self.inference._fitted = True
-        return params
+        inference._parameters = new_params
+        inference._fitted = True
+        return new_params
 
     def full_refresh(
         self,
@@ -313,87 +395,65 @@ class IncrementalUpdater:
         ``new_answers`` is the micro-batch that triggered the refresh (may be
         empty for a forced re-fit); it is appended to the live tensor first,
         then :meth:`~repro.core.inference.LocationAwareInference.fit_from_tensor`
-        runs the vectorised EM with zero ``AnswerSet`` → tensor flattens.
+        runs EM with zero ``AnswerSet`` → tensor flattens.
         ``warm=True`` starts from the current estimate (handing the live
         row-aligned store straight in); ``warm=False`` is a cold start whose
         result is identical to an offline fit on the same answer log — the
         live tensor is maintained bit-equal to a from-scratch flatten.
         ``answers``, when provided, must already contain ``new_answers`` and
         is only consulted to recover from a log/tensor divergence (an
-        external fit bypassed this updater); the reference engine requires it.
+        external fit bypassed this updater).
         Resets the refresh counter and flags the next publish as a full copy.
         """
         inference = self.inference
-        if inference.config.engine == "reference":
-            if answers is None:
-                raise RuntimeError(
-                    "reference-engine full refreshes re-fit from the answer "
-                    "log; pass the AnswerSet"
-                )
-            if self.trust_weight_fn is not None:
-                raise RuntimeError(
-                    "the reference engine has no weighted refresh; trust "
-                    "weights require the vectorized engine"
-                )
-            initial = (
-                inference.parameters if warm and inference.is_fitted else None
-            )
-            inference.fit(answers, initial=initial)
+        params = inference.parameters if inference.is_fitted else None
+        warm = warm and params is not None
+        chain_intact = self._tensor is not None and self._synced_params is params
+        if self._tensor is None:
+            self._rebuild_tensor(answers)
+        if warm:
+            self._ensure_store(params)
         else:
-            params = inference.parameters if inference.is_fitted else None
-            warm = warm and params is not None
-            chain_intact = (
-                self._tensor is not None and self._synced_params is params
+            # A cold re-fit ignores the current estimate entirely; the
+            # fitted store below replaces whatever live store existed.
+            self._store = None
+            self._synced_params = None
+        if new_answers:
+            if self.stat_decay < 1.0:
+                self._decay_epoch += 1
+            result = self._tensor.append_answers(
+                new_answers,
+                inference._tasks,
+                inference._workers,
+                inference.distance_model,
+                inference.config.function_set,
             )
-            if self._tensor is None:
-                self._rebuild_tensor(answers)
-            if warm:
-                self._ensure_store(params)
-            else:
-                # A cold re-fit ignores the current estimate entirely; the
-                # fitted store below replaces whatever live store existed.
-                self._store = None
-                self._synced_params = None
-            if new_answers:
-                if self.stat_decay < 1.0:
-                    self._decay_epoch += 1
-                result = self._tensor.append_answers(
-                    new_answers,
-                    inference._tasks,
-                    inference._workers,
-                    inference.distance_model,
-                    inference.config.function_set,
-                )
-                self._stamp_arrivals(
-                    self._tensor.num_answers - self._arrival_len
-                )
-                if self._store is not None:
-                    self._admit_new_entities(result)
-            self._recover_if_diverged(
-                answers, params if warm else None, chain_intact
+            self._stamp_arrivals(self._tensor.num_answers - self._arrival_len)
+            if self._store is not None:
+                self._admit_new_entities(result)
+        self._recover_if_diverged(answers, params if warm else None, chain_intact)
+        inference.fit_from_tensor(
+            self._tensor,
+            initial=params if warm else None,
+            initial_store=self._store if warm else None,
+            answer_weights=self._refresh_weights(),
+        )
+        # Adopt the fit's final store as the live store: it is row-aligned
+        # with the tensor by construction and freshly allocated by the EM
+        # loop, so the updater owns it outright.
+        self._store = inference.last_result.store
+        self._synced_params = inference.parameters
+        self._prune_carryover()
+        self._reset_sufficient_stats()
+        if self.metrics is not None:
+            result = inference.last_result
+            self.metrics.histogram("em_refresh_iterations").observe(
+                float(result.iterations)
             )
-            inference.fit_from_tensor(
-                self._tensor,
-                initial=params if warm else None,
-                initial_store=self._store if warm else None,
-                answer_weights=self._refresh_weights(),
-            )
-            # Adopt the fit's final store as the live store: it is row-aligned
-            # with the tensor by construction and freshly allocated by the EM
-            # loop, so the updater owns it outright.
-            self._store = inference.last_result.store
-            self._synced_params = inference.parameters
-            self._prune_carryover()
-            self._reset_sufficient_stats()
-            if self.metrics is not None:
-                result = inference.last_result
-                self.metrics.histogram("em_refresh_iterations").observe(
-                    float(result.iterations)
+            if result.convergence_trace:
+                self.metrics.histogram("em_refresh_final_delta").observe(
+                    float(result.convergence_trace[-1])
                 )
-                if result.convergence_trace:
-                    self.metrics.histogram("em_refresh_final_delta").observe(
-                        float(result.convergence_trace[-1])
-                    )
         self._publish_full = True
         self._dirty_workers.clear()
         self._dirty_tasks.clear()
@@ -425,11 +485,6 @@ class IncrementalUpdater:
         batches keep applying against it.
         """
         inference = self.inference
-        if inference.config.engine == "reference":
-            raise RuntimeError(
-                "pipelined refreshes fit from the live tensor; the reference "
-                "engine has no tensor form"
-            )
         if self._tensor is None:
             from repro.serving import LiveStateError
 
@@ -910,16 +965,13 @@ class IncrementalUpdater:
         protocol: steady-state micro-batches publish through
         :meth:`collect_publish_delta` instead.  ``answers`` is only needed to
         (re)build the live tensor when the updater has none yet or the log
-        diverged; with ``engine="reference"`` (which never maintains live
-        state) the estimate is flattened directly instead.
+        diverged.
         """
         params = parameters
         if isinstance(params, ArrayParameterStore):
             params = params.to_model()
         if params is None:
             params = self.inference.parameters
-        if self.inference.config.engine == "reference":
-            return self._flatten_params(params)
         chain_intact = self._tensor is not None and self._synced_params is params
         if self._tensor is None:
             self._rebuild_tensor(answers)
@@ -951,15 +1003,14 @@ class IncrementalUpdater:
         publish — O(changed) gathered values the snapshot layer applies onto
         the previous snapshot's immutable base.  ``None`` means the caller
         must take the :meth:`publish_store` full-copy path: first publish,
-        reference engine, a full refresh or re-sync happened, the entity
+        a full refresh or re-sync happened, the entity
         universe grew (row alignment with the base broke), or the estimate
         was replaced outside this updater.  Collecting does **not** consume
         the dirty state — call :meth:`mark_published` once the delta has
         actually been published.
         """
         if (
-            self.inference.config.engine == "reference"
-            or self._store is None
+            self._store is None
             or self._publish_full
             or self._synced_params is not self.inference.parameters
         ):
@@ -997,203 +1048,12 @@ class IncrementalUpdater:
         self._dirty_tasks.clear()
         self._publish_full = False
 
-    def _flatten_params(self, params: ModelParameters) -> ArrayParameterStore:
-        """Flatten ``params`` (plus carryover) the dict way — reference path."""
-        workers = dict(self._extra_workers)
-        workers.update(params.workers)
-        tasks = dict(self._extra_tasks)
-        tasks.update(params.tasks)
-        merged = ModelParameters(
-            function_set=params.function_set,
-            alpha=params.alpha,
-            workers=workers,
-            tasks=tasks,
-        )
-        task_ids = sorted(tasks)
-        return merged.to_array_store(
-            sorted(workers), task_ids, [tasks[task_id].num_labels for task_id in task_ids]
-        )
-
     # ------------------------------------------------------------------ internal
-    @staticmethod
-    def _relevant_answers(
-        answers: AnswerSet,
-        affected_workers: set[str],
-        affected_tasks: set[str],
-    ) -> list[Answer]:
-        """Union of the affected workers' and tasks' answers, deduplicated.
-
-        Deterministic regardless of submission order: affected workers in
-        sorted order (each worker's answers sorted by task), then the affected
-        tasks' remaining answers (sorted by worker).
-        """
-        seen: set[tuple[str, str]] = set()
-        relevant: list[Answer] = []
-        for worker_id in sorted(affected_workers):
-            for answer in answers.answers_of_worker(worker_id):
-                seen.add((answer.worker_id, answer.task_id))
-                relevant.append(answer)
-        for task_id in sorted(affected_tasks):
-            for answer in answers.answers_of_task(task_id):
-                key = (answer.worker_id, answer.task_id)
-                if key not in seen:
-                    seen.add(key)
-                    relevant.append(answer)
-        return relevant
-
-    def _vectorized_update(
-        self,
-        answers: AnswerSet | None,
-        new_answers: list[Answer],
-        params: ModelParameters,
-        affected_workers: set[str],
-        affected_tasks: set[str],
-    ) -> ModelParameters:
-        """Localized sweeps against the live tensor, masked to affected rows.
-
-        The micro-batch is appended to the incrementally maintained tensor
-        (admitting first-seen workers/tasks into the row-aligned live store),
-        the relevant answer rows are gathered through the tensor's per-entity
-        indexes, and the sweeps run
-        :func:`repro.core.em_kernel.localized_sweeps` in place — unaffected
-        entities keep their current estimates, exactly like the per-record
-        sweep that never accumulates sums for them.  Nothing is rebuilt per
-        batch; a tensor rebuild only happens when the updater joins an
-        existing stream cold or the log diverged from the tensor (an external
-        fit), and an estimate replaced outside this updater costs only an
-        O(entities) store re-gather.
-        """
-        inference = self.inference
-        chain_intact = self._tensor is not None and self._synced_params is params
-        if self._tensor is None:
-            # ``answers`` (when given) already contains ``new_answers``; the
-            # rebuilt tensor covers them, and the append below degenerates to
-            # in-place response rewrites of their rows.
-            self._rebuild_tensor(answers)
-        self._ensure_store(params)
-        tensor = self._tensor
-        store = self._store
-        if self.stat_decay < 1.0:
-            # One epoch per applied batch, bumped before the batch's rows are
-            # stamped so they enter at age 0 — a pure function of the applied
-            # batch count, hence identical on crash-recovery replays.
-            self._decay_epoch += 1
-        result = tensor.append_answers(
-            new_answers,
-            inference._tasks,
-            inference._workers,
-            inference.distance_model,
-            store.function_set,
-        )
-        self._stamp_arrivals(tensor.num_answers - self._arrival_len)
-        self._admit_new_entities(result)
-        if self._recover_if_diverged(answers, params, chain_intact):
-            # The rebuild covers the batch, so no second append is needed.
-            tensor = self._tensor
-            store = self._store
-
-        affected_w = np.asarray(
-            sorted(tensor.worker_row(w) for w in affected_workers), dtype=np.intp
-        )
-        affected_t = np.asarray(
-            sorted(tensor.task_row(t) for t in affected_tasks), dtype=np.intp
-        )
-        if self.sufficient_stats and self.early_exit_threshold > 0.0:
-            cache = self._stat_cache
-            if cache is None or not cache.in_sync_with(tensor, store):
-                # One full E-step pass seeds the cache; every full refresh
-                # replaces the store and so pays this once per interval.
-                # With decay, the seed weights each row by its current age so
-                # the rebuilt totals match the aged totals a surviving cache
-                # would carry.
-                cache = em_kernel.SufficientStatCache(
-                    tensor,
-                    store,
-                    decay=self.stat_decay,
-                    row_ages=(
-                        self._answer_ages() if self.stat_decay < 1.0 else None
-                    ),
-                )
-                self._stat_cache = cache
-                self._worker_defer.clear()
-                self._task_defer.clear()
-                if self.metrics is not None:
-                    self.metrics.counter("em_statcache_rebuilds_total").inc()
-            else:
-                if self.stat_decay < 1.0:
-                    cache.decay_step()
-                cache.sync_growth()
-            est_w, est_t = self._defer_filter(affected_w, affected_t)
-            label_slots = em_kernel.label_slots_of_tasks(store.label_offsets, est_t)
-            sweep_report = em_kernel.cached_sweeps(
-                cache,
-                np.unique(result.rows),
-                est_w,
-                est_t,
-                label_slots,
-                iterations=self.local_iterations,
-                early_exit_threshold=self.early_exit_threshold,
-            )
-            self._note_settled(sweep_report)
-        else:
-            est_w, est_t = affected_w, affected_t
-            label_slots = em_kernel.label_slots_of_tasks(store.label_offsets, est_t)
-            relevant_rows = em_kernel.gather_affected_rows(tensor, est_w, est_t)
-            sweep_report = em_kernel.localized_sweeps(
-                tensor,
-                store,
-                relevant_rows,
-                est_w,
-                est_t,
-                label_slots,
-                iterations=self.local_iterations,
-                early_exit_threshold=self.early_exit_threshold,
-            )
-        if self.metrics is not None:
-            self.metrics.counter("em_localized_sweeps_total").inc(
-                sweep_report.sweeps_run
-            )
-            self.metrics.counter("em_entities_settled_total", kind="worker").inc(
-                sweep_report.workers_settled
-            )
-            self.metrics.counter("em_entities_settled_total", kind="task").inc(
-                sweep_report.tasks_settled
-            )
-        self._dirty_workers.update(int(i) for i in est_w)
-        self._dirty_tasks.update(int(j) for j in est_t)
-
-        # Copy-on-write publish: share the unaffected entities' parameter
-        # objects (nothing in the system mutates them in place) and replace
-        # only the re-estimated entries.  A deep copy here costs a full
-        # re-validation of every entity per micro-batch — it was the serving
-        # path's dominant late-stream cost, far above the EM sweep itself.
-        new_params = ModelParameters(
-            function_set=params.function_set,
-            alpha=params.alpha,
-            workers=dict(params.workers),
-            tasks=dict(params.tasks),
-        )
-        for i in est_w:
-            worker_id = tensor.worker_ids[int(i)]
-            new_params.workers[worker_id] = _trusted_worker_parameters(
-                float(store.p_qualified[i]), store.distance_weights[i].copy()
-            )
-        for j in est_t:
-            task_id = tensor.task_ids[int(j)]
-            new_params.tasks[task_id] = _trusted_task_parameters(
-                store.label_probs[store.task_label_slice(j)].copy(),
-                store.influence_weights[j].copy(),
-            )
-        self._synced_params = new_params
-        return new_params
-
     def _defer_filter(
         self, affected_w: np.ndarray, affected_t: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Drop entities holding settle-defer credit, spending one credit each."""
-        if self.settle_defer_batches <= 0 or not (
-            self._worker_defer or self._task_defer
-        ):
+        if not (self._worker_defer or self._task_defer):
             return affected_w, affected_t
 
         def spend(rows: np.ndarray, credits: dict[int, int]) -> np.ndarray:
@@ -1220,84 +1080,9 @@ class IncrementalUpdater:
 
     def _note_settled(self, report: em_kernel.SweepReport) -> None:
         """Grant defer credit to the entities the cached sweeps settled."""
-        if self.settle_defer_batches <= 0:
-            return
         if report.settled_worker_rows is not None:
             for row in report.settled_worker_rows:
-                self._worker_defer[int(row)] = self.settle_defer_batches
+                self._worker_defer[int(row)] = SETTLE_DEFER_BATCHES
         if report.settled_task_rows is not None:
             for row in report.settled_task_rows:
-                self._task_defer[int(row)] = self.settle_defer_batches
-
-    def _local_maximisation(
-        self,
-        records: list[_AnswerRecord],
-        params: ModelParameters,
-        affected_workers: set[str],
-        affected_tasks: set[str],
-    ) -> ModelParameters:
-        """One E+M sweep restricted to the affected workers and tasks."""
-        function_count = len(self.inference.config.function_set)
-
-        z_sums: dict[str, np.ndarray] = {}
-        z_counts: dict[str, int] = {}
-        dt_sums: dict[str, np.ndarray] = {}
-        dt_counts: dict[str, int] = {}
-        i_sums: dict[str, float] = {}
-        i_counts: dict[str, int] = {}
-        dw_sums: dict[str, np.ndarray] = {}
-
-        for record in records:
-            post_z1, post_i1, post_dw, post_dt, _ = self.inference._expectation(
-                record, params
-            )
-            n_labels = record.responses.size
-
-            if record.task_id in affected_tasks:
-                if record.task_id not in z_sums:
-                    z_sums[record.task_id] = np.zeros(n_labels)
-                    z_counts[record.task_id] = 0
-                    dt_sums[record.task_id] = np.zeros(function_count)
-                    dt_counts[record.task_id] = 0
-                z_sums[record.task_id] += post_z1
-                z_counts[record.task_id] += 1
-                dt_sums[record.task_id] += post_dt.sum(axis=0)
-                dt_counts[record.task_id] += n_labels
-
-            if record.worker_id in affected_workers:
-                if record.worker_id not in i_sums:
-                    i_sums[record.worker_id] = 0.0
-                    i_counts[record.worker_id] = 0
-                    dw_sums[record.worker_id] = np.zeros(function_count)
-                i_sums[record.worker_id] += float(post_i1.sum())
-                i_counts[record.worker_id] += n_labels
-                dw_sums[record.worker_id] += post_dw.sum(axis=0)
-
-        new_params = params.copy()
-        for task_id in z_sums:
-            count = max(1, z_counts[task_id])
-            influence = dt_sums[task_id] / max(1, dt_counts[task_id])
-            total = influence.sum()
-            influence = (
-                influence / total
-                if total > 0
-                else self.inference.config.function_set.uniform_weights()
-            )
-            new_params.tasks[task_id] = TaskParameters(
-                label_probs=np.clip(z_sums[task_id] / count, 0.0, 1.0),
-                influence_weights=influence,
-            )
-        for worker_id in i_sums:
-            count = max(1, i_counts[worker_id])
-            weights = dw_sums[worker_id] / count
-            total = weights.sum()
-            weights = (
-                weights / total
-                if total > 0
-                else self.inference.config.function_set.uniform_weights()
-            )
-            new_params.workers[worker_id] = WorkerParameters(
-                p_qualified=min(1.0, max(0.0, i_sums[worker_id] / count)),
-                distance_weights=weights,
-            )
-        return new_params
+                self._task_defer[int(row)] = SETTLE_DEFER_BATCHES

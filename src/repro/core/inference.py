@@ -12,27 +12,26 @@ answer is
 
 where ``d`` is the normalised worker-to-POI distance.  Parameters are estimated
 by EM (Equations 12 and 14).  The E-step posterior factorises enough that all
-marginals needed by the M-step have closed forms of cost ``O(|F|)`` per answer,
-which is what :meth:`LocationAwareInference._expectation` computes; the overall
-cost per iteration is ``O(B · |L_t| · |F|)`` matching the paper's complexity
-analysis.
+marginals needed by the M-step have closed forms of cost ``O(|F|)`` per answer;
+the overall cost per iteration is ``O(B · |L_t| · |F|)`` matching the paper's
+complexity analysis.
 
-Two EM engines implement that iteration:
+One EM engine implements that iteration: the answer log is flattened once per
+fit into an :class:`~repro.core.em_kernel.AnswerTensor` and every iteration
+runs as batched NumPy kernels over all answers at once
+(:func:`repro.core.em_kernel.em_step`), with parameters held in a flat
+:class:`~repro.core.params.ArrayParameterStore`.  The per-iteration constant
+is a few C-level array passes rather than a Python step per answer — this is
+what makes the paper's 50k-assignment scalability runs (Figures 12–13)
+tractable.  The per-record loop that spells Equations 12 and 14 out one
+answer at a time lives in ``tests/oracles/em.py``; the equivalence suite
+(``tests/test_em_equivalence.py``) holds this engine to it at 1e-9.
 
-* ``engine="vectorized"`` (the default) flattens the answer log once per fit
-  into an :class:`~repro.core.em_kernel.AnswerTensor` and runs every iteration
-  as batched NumPy kernels over all answers at once
-  (:func:`repro.core.em_kernel.em_step`), with parameters held in a flat
-  :class:`~repro.core.params.ArrayParameterStore`.  Same asymptotics, but the
-  per-iteration constant drops from a Python interpreter step per answer to a
-  few C-level array passes — this is what makes the paper's 50k-assignment
-  scalability runs (Figures 12–13) tractable.
-* ``engine="reference"`` is the original per-record loop
-  (:meth:`LocationAwareInference._expectation` per ``(worker, task)`` pair with
-  dict-based scatter-adds in the M-step).  It is kept as the executable
-  specification the vectorised engine is equivalence-tested against
-  (``tests/test_em_equivalence.py``), and as a fallback for debugging.
-* ``engine="sparse"`` runs the same vectorised iteration but sources the
+:attr:`InferenceConfig.engine` only picks where per-answer distances come
+from:
+
+* ``engine="vectorized"`` (the default) computes exact per-pair geometry;
+* ``engine="sparse"`` runs the same iteration but sources the
   per-answer distances from a :class:`~repro.spatial.candidates.CandidateIndex`
   (the CSR candidate structure shared with the sparse AccOpt engine) instead
   of exact per-pair geometry: observed pairs within
@@ -57,19 +56,13 @@ from repro.baselines.base import LabelInferenceModel
 from repro.core.distance_functions import DistanceFunctionSet, PAPER_FUNCTION_SET
 from repro.core import em_kernel
 from repro.core.em_kernel import AnswerTensor
-from repro.core.params import (
-    ArrayParameterStore,
-    ModelParameters,
-    TaskParameters,
-    WorkerParameters,
-)
+from repro.core.params import ArrayParameterStore, ModelParameters
 from repro.data.models import AnswerSet, Task, Worker
 from repro.spatial.candidates import CandidateIndex
 from repro.spatial.distance import DistanceModel
-from repro.utils.validation import clamp_probability
 
 #: Valid values of :attr:`InferenceConfig.engine`.
-EM_ENGINES = ("vectorized", "sparse", "reference")
+EM_ENGINES = ("vectorized", "sparse")
 
 
 @dataclass
@@ -80,13 +73,11 @@ class InferenceConfig:
     ``F = {f_0.1, f_10, f_100}`` and a convergence threshold of 0.005 on the
     maximum parameter change.
 
-    ``engine`` selects the EM implementation: ``"vectorized"`` (default) runs
-    the batched array kernel of :mod:`repro.core.em_kernel`; ``"sparse"``
-    runs the same kernels but gathers per-answer distances from the CSR
+    ``engine`` selects the per-answer distance source of the batched EM
+    kernel (:mod:`repro.core.em_kernel`): ``"vectorized"`` (default) uses
+    exact per-pair geometry; ``"sparse"`` gathers distances from the CSR
     candidate structure bounded by ``candidate_radius`` (raw coordinate
-    units; required for this engine, ``inf`` keeps every pair in radius);
-    ``"reference"`` runs the original per-record loop, kept for equivalence
-    testing.
+    units; required for this engine, ``inf`` keeps every pair in radius).
     """
 
     function_set: DistanceFunctionSet = field(default_factory=lambda: PAPER_FUNCTION_SET)
@@ -133,9 +124,10 @@ class InferenceConfig:
 class InferenceResult:
     """Outcome of one EM run.
 
-    ``store`` is the vectorised engine's final row-aligned
-    :class:`~repro.core.params.ArrayParameterStore` (``None`` on the reference
-    engine).  The serving path's incremental updater adopts it as its live
+    ``store`` is the fit's final row-aligned
+    :class:`~repro.core.params.ArrayParameterStore` (``None`` when a result
+    was produced some other way).  The serving path's incremental updater
+    adopts it as its live
     store after a full refresh, so the refresh hands back array state without
     a dict round-trip.
     """
@@ -150,17 +142,6 @@ class InferenceResult:
     @property
     def final_log_likelihood(self) -> float:
         return self.log_likelihood_trace[-1] if self.log_likelihood_trace else float("nan")
-
-
-@dataclass
-class _AnswerRecord:
-    """Internal flattened view of one (worker, task) answer used by the E-step."""
-
-    worker_id: str
-    task_id: str
-    responses: np.ndarray
-    distance: float
-    f_values: np.ndarray  # the function set evaluated at `distance`
 
 
 class LocationAwareInference(LabelInferenceModel):
@@ -258,7 +239,6 @@ class LocationAwareInference(LabelInferenceModel):
         like :meth:`fit`; ``initial_store`` optionally supplies the *same*
         estimate already gathered into a store row-aligned with ``tensor``
         (the updater's live store), skipping the dict→array gather too.
-        Vectorised engine only — the reference engine has no tensor form.
         ``answer_weights`` (one weight per tensor answer row) runs a weighted
         EM — the decayed/trust-aware refresh; ``None`` is the exact kernel.
         """
@@ -280,7 +260,7 @@ class LocationAwareInference(LabelInferenceModel):
         initial_store: ArrayParameterStore | None = None,
         answer_weights: "np.ndarray | None" = None,
     ) -> InferenceResult:
-        """Run the vectorised EM loop **without mutating this model**.
+        """Run the EM loop on ``tensor`` **without mutating this model**.
 
         The pipelined serving refresh calls this from a background thread
         against a frozen :meth:`AnswerTensor.snapshot` while the ingest thread
@@ -289,7 +269,7 @@ class LocationAwareInference(LabelInferenceModel):
         safe.  The caller makes the result current later (after reconciling
         answers that arrived mid-fit) via :meth:`adopt_result`.
         """
-        return self._run_em_vectorized(
+        return self.run_em(
             None,
             initial,
             tensor=tensor,
@@ -363,47 +343,18 @@ class LocationAwareInference(LabelInferenceModel):
         the framework re-runs the model as new answers arrive; an
         :class:`~repro.core.params.ArrayParameterStore` (e.g. a serving
         snapshot restored from disk) is accepted directly and expanded through
-        the same footnote-3 priors as a live estimate.  Dispatches to the
-        engine selected by :attr:`InferenceConfig.engine`.
+        the same footnote-3 priors as a live estimate.
 
-        ``tensor`` runs the vectorised engine against a prebuilt (live)
+        ``tensor`` runs the EM loop against a prebuilt (live)
         :class:`~repro.core.em_kernel.AnswerTensor` instead of flattening
         ``answers`` — the log-free serving refresh.  ``initial_store``
         optionally provides the warm-start estimate pre-gathered into a store
         row-aligned with that tensor (it is only honoured when its row order
-        matches; results are identical either way).
+        matches; results are identical either way).  ``answer_weights`` (one
+        weight per tensor answer row) runs a weighted EM.
         """
         if isinstance(initial, ArrayParameterStore):
             initial = initial.to_model()
-        if self._config.engine == "reference":
-            if tensor is not None:
-                raise ValueError(
-                    "the reference engine runs per-record and cannot fit from "
-                    "a prebuilt tensor; pass the AnswerSet instead"
-                )
-            if answer_weights is not None:
-                raise ValueError(
-                    "the reference engine has no weighted M-step; weighted "
-                    "refreshes are vectorised-only"
-                )
-            return self._run_em_reference(answers, initial)
-        return self._run_em_vectorized(
-            answers,
-            initial,
-            tensor=tensor,
-            initial_store=initial_store,
-            answer_weights=answer_weights,
-        )
-
-    def _run_em_vectorized(
-        self,
-        answers: AnswerSet | None,
-        initial: ModelParameters | None = None,
-        tensor: AnswerTensor | None = None,
-        initial_store: ArrayParameterStore | None = None,
-        answer_weights: "np.ndarray | None" = None,
-    ) -> InferenceResult:
-        """Batched EM: build (or adopt) the answer tensor, then iterate kernels."""
         if tensor is None:
             if answers is None:
                 raise ValueError("run_em needs an AnswerSet or a prebuilt tensor")
@@ -443,8 +394,8 @@ class LocationAwareInference(LabelInferenceModel):
                 tensor, store, answer_weights=answer_weights
             )
             # The M-step emits parameters under the *config's* alpha and
-            # function set, exactly like the reference `_em_iteration`; only
-            # the first E-step sees the warm-start's own values.
+            # function set; only the first E-step sees the warm-start's own
+            # values.
             new_store.alpha = self._config.alpha
             new_store.function_set = self._config.function_set
             delta = new_store.max_difference(store)
@@ -464,37 +415,6 @@ class LocationAwareInference(LabelInferenceModel):
             convergence_trace=convergence_trace,
             log_likelihood_trace=likelihood_trace,
             store=store,
-        )
-
-    def _run_em_reference(
-        self, answers: AnswerSet, initial: ModelParameters | None = None
-    ) -> InferenceResult:
-        """The original per-record EM loop (the executable specification)."""
-        records = self._build_records(answers)
-        params = initial.copy() if initial is not None else self._initial_parameters(records)
-
-        convergence_trace: list[float] = []
-        likelihood_trace: list[float] = []
-        converged = False
-        iterations = 0
-
-        for iteration in range(self._config.max_iterations):
-            iterations = iteration + 1
-            new_params, log_likelihood = self._em_iteration(records, params)
-            delta = new_params.max_difference(params)
-            params = new_params
-            convergence_trace.append(delta)
-            likelihood_trace.append(log_likelihood)
-            if delta <= self._config.convergence_threshold:
-                converged = True
-                break
-
-        return InferenceResult(
-            parameters=params,
-            iterations=iterations,
-            converged=converged,
-            convergence_trace=convergence_trace,
-            log_likelihood_trace=likelihood_trace,
         )
 
     # ----------------------------------------------------------- EM internals
@@ -526,7 +446,7 @@ class LocationAwareInference(LabelInferenceModel):
         return pair_distances
 
     def _build_tensor(self, answers: AnswerSet) -> AnswerTensor:
-        """Flatten ``answers`` into the vectorised engine's index arrays."""
+        """Flatten ``answers`` into the EM kernel's index arrays."""
         return AnswerTensor.build(
             answers,
             self._tasks,
@@ -539,210 +459,6 @@ class LocationAwareInference(LabelInferenceModel):
                 else None
             ),
         )
-
-    def _build_records(self, answers: AnswerSet) -> list[_AnswerRecord]:
-        records: list[_AnswerRecord] = []
-        for answer in answers:
-            task = self._tasks.get(answer.task_id)
-            if task is None:
-                raise KeyError(f"answer references unknown task {answer.task_id!r}")
-            worker = self._workers.get(answer.worker_id)
-            if worker is None:
-                raise KeyError(f"answer references unknown worker {answer.worker_id!r}")
-            if answer.num_labels != task.num_labels:
-                raise ValueError(
-                    f"answer for task {task.task_id!r} has {answer.num_labels} labels, "
-                    f"task has {task.num_labels}"
-                )
-            distance = self._distance_model.worker_task_distance(
-                worker.locations, task.location
-            )
-            records.append(
-                _AnswerRecord(
-                    worker_id=answer.worker_id,
-                    task_id=answer.task_id,
-                    responses=np.asarray(answer.responses, dtype=int),
-                    distance=distance,
-                    f_values=self._config.function_set.evaluate(distance),
-                )
-            )
-        return records
-
-    def _initial_parameters(self, records: list[_AnswerRecord]) -> ModelParameters:
-        """Initialise: soft majority vote for labels, optimistic priors elsewhere."""
-        function_set = self._config.function_set
-        uniform = function_set.uniform_weights()
-
-        vote_sums: dict[str, np.ndarray] = {}
-        vote_counts: dict[str, int] = {}
-        worker_ids: set[str] = set()
-        for record in records:
-            worker_ids.add(record.worker_id)
-            if record.task_id not in vote_sums:
-                vote_sums[record.task_id] = np.zeros(record.responses.size)
-                vote_counts[record.task_id] = 0
-            vote_sums[record.task_id] += record.responses
-            vote_counts[record.task_id] += 1
-
-        tasks = {}
-        for task_id, sums in vote_sums.items():
-            count = vote_counts[task_id]
-            probs = np.clip(sums / count, 0.02, 0.98) if count else np.full(sums.size, 0.5)
-            tasks[task_id] = TaskParameters(
-                label_probs=probs, influence_weights=uniform.copy()
-            )
-
-        workers = {
-            worker_id: WorkerParameters(
-                p_qualified=self._config.initial_p_qualified,
-                distance_weights=uniform.copy(),
-            )
-            for worker_id in sorted(worker_ids)
-        }
-        return ModelParameters(
-            function_set=function_set,
-            alpha=self._config.alpha,
-            workers=workers,
-            tasks=tasks,
-        )
-
-    def _expectation(
-        self, record: _AnswerRecord, params: ModelParameters
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
-        """Closed-form E-step marginals for one answer vector.
-
-        Returns ``(post_z1, post_i1, post_dw, post_dt, log_likelihood)`` where
-        ``post_z1`` and ``post_i1`` are per-label vectors, ``post_dw`` and
-        ``post_dt`` are per-label × |F| matrices, and ``log_likelihood`` is the
-        summed log of the answer probabilities ``P(r_{w,t,k})``.
-        """
-        alpha = params.alpha
-        worker = params.worker(record.worker_id)
-        task = params.task(record.task_id, num_labels=record.responses.size)
-
-        f_values = record.f_values
-        p_qualified = clamp_probability(worker.p_qualified)
-        p_unqualified = 1.0 - p_qualified
-        dw = worker.distance_weights
-        dt = task.influence_weights
-
-        worker_quality = float(np.dot(dw, f_values))          # DQ_w at this distance
-        poi_quality = float(np.dot(dt, f_values))              # IQ_t at this distance
-        s_q = alpha * worker_quality + (1.0 - alpha) * poi_quality
-        s_q = clamp_probability(s_q)
-        # Per-function rows/columns of q(d_w, d_t) marginalised over the other
-        # variable's current weights.
-        q_row = alpha * f_values + (1.0 - alpha) * poi_quality     # varies with d_w
-        q_col = alpha * worker_quality + (1.0 - alpha) * f_values  # varies with d_t
-
-        responses = record.responses
-        pz1 = np.clip(task.label_probs, 1e-9, 1.0 - 1e-9)
-        pz_equal_r = np.where(responses == 1, pz1, 1.0 - pz1)      # P(z = r)
-        pz_not_r = 1.0 - pz_equal_r
-
-        # P(r) per label: the normaliser of the joint posterior.
-        evidence = 0.5 * p_unqualified + p_qualified * (
-            pz_equal_r * s_q + pz_not_r * (1.0 - s_q)
-        )
-        evidence = np.clip(evidence, 1e-12, None)
-
-        # P(z = 1 | r): the z=1 branch uses s_q when r=1 and (1-s_q) when r=0.
-        agree_factor = np.where(responses == 1, s_q, 1.0 - s_q)
-        post_z1 = pz1 * (0.5 * p_unqualified + p_qualified * agree_factor) / evidence
-
-        post_i1 = p_qualified * (pz_equal_r * s_q + pz_not_r * (1.0 - s_q)) / evidence
-
-        # P(d_w = a | r) per label: (labels x |F|).
-        agree_dw = pz_equal_r[:, None] * q_row[None, :] + pz_not_r[:, None] * (
-            1.0 - q_row[None, :]
-        )
-        post_dw = dw[None, :] * (0.5 * p_unqualified + p_qualified * agree_dw)
-        post_dw /= evidence[:, None]
-
-        agree_dt = pz_equal_r[:, None] * q_col[None, :] + pz_not_r[:, None] * (
-            1.0 - q_col[None, :]
-        )
-        post_dt = dt[None, :] * (0.5 * p_unqualified + p_qualified * agree_dt)
-        post_dt /= evidence[:, None]
-
-        log_likelihood = float(np.sum(np.log(evidence)))
-        return post_z1, post_i1, post_dw, post_dt, log_likelihood
-
-    def _em_iteration(
-        self, records: list[_AnswerRecord], params: ModelParameters
-    ) -> tuple[ModelParameters, float]:
-        """One combined E+M step (Equations 12 and 14)."""
-        function_count = len(self._config.function_set)
-
-        z_sums: dict[str, np.ndarray] = {}
-        z_counts: dict[str, int] = {}
-        dt_sums: dict[str, np.ndarray] = {}
-        dt_counts: dict[str, int] = {}
-        i_sums: dict[str, float] = {}
-        i_counts: dict[str, int] = {}
-        dw_sums: dict[str, np.ndarray] = {}
-
-        total_log_likelihood = 0.0
-        for record in records:
-            post_z1, post_i1, post_dw, post_dt, log_likelihood = self._expectation(
-                record, params
-            )
-            total_log_likelihood += log_likelihood
-            n_labels = record.responses.size
-
-            if record.task_id not in z_sums:
-                z_sums[record.task_id] = np.zeros(n_labels)
-                z_counts[record.task_id] = 0
-                dt_sums[record.task_id] = np.zeros(function_count)
-                dt_counts[record.task_id] = 0
-            z_sums[record.task_id] += post_z1
-            z_counts[record.task_id] += 1
-            dt_sums[record.task_id] += post_dt.sum(axis=0)
-            dt_counts[record.task_id] += n_labels
-
-            if record.worker_id not in i_sums:
-                i_sums[record.worker_id] = 0.0
-                i_counts[record.worker_id] = 0
-                dw_sums[record.worker_id] = np.zeros(function_count)
-            i_sums[record.worker_id] += float(post_i1.sum())
-            i_counts[record.worker_id] += n_labels
-            dw_sums[record.worker_id] += post_dw.sum(axis=0)
-
-        new_tasks: dict[str, TaskParameters] = {}
-        for task_id, sums in z_sums.items():
-            count = max(1, z_counts[task_id])
-            label_probs = np.clip(sums / count, 0.0, 1.0)
-            influence = dt_sums[task_id] / max(1, dt_counts[task_id])
-            influence_total = influence.sum()
-            if influence_total <= 0:
-                influence = self._config.function_set.uniform_weights()
-            else:
-                influence = influence / influence_total
-            new_tasks[task_id] = TaskParameters(
-                label_probs=label_probs, influence_weights=influence
-            )
-
-        new_workers: dict[str, WorkerParameters] = {}
-        for worker_id, total in i_sums.items():
-            count = max(1, i_counts[worker_id])
-            p_qualified = min(1.0, max(0.0, total / count))
-            weights = dw_sums[worker_id] / count
-            weights_total = weights.sum()
-            if weights_total <= 0:
-                weights = self._config.function_set.uniform_weights()
-            else:
-                weights = weights / weights_total
-            new_workers[worker_id] = WorkerParameters(
-                p_qualified=p_qualified, distance_weights=weights
-            )
-
-        new_params = ModelParameters(
-            function_set=self._config.function_set,
-            alpha=self._config.alpha,
-            workers=new_workers,
-            tasks=new_tasks,
-        )
-        return new_params, total_log_likelihood
 
     # ----------------------------------------------------------- convenience
     def answer_accuracy(self, worker_id: str, task_id: str) -> float:

@@ -272,22 +272,14 @@ def default_assigner_factories(
     worker_pool: WorkerPool,
     distance_model: DistanceModel,
     seed: SeedLike = None,
-    accopt_engine: str = "vectorized",
 ) -> dict[str, Callable[[], TaskAssigner]]:
-    """The paper's three assignment strategies, keyed by their evaluation names.
-
-    ``accopt_engine`` selects AccOpt's ΔAcc scoring path — the batched
-    :mod:`repro.core.accuracy_kernel` engine by default, ``"reference"`` for
-    the scalar oracle.
-    """
+    """The paper's three assignment strategies, keyed by their evaluation names."""
     tasks = dataset.tasks
     workers = worker_pool.workers
     return {
         "Random": lambda: RandomAssigner(tasks, workers, seed=_as_int(seed)),
         "SF": lambda: SpatialFirstAssigner(tasks, workers, distance_model),
-        "AccOpt": lambda: AccOptAssigner(
-            tasks, workers, distance_model, engine=accopt_engine
-        ),
+        "AccOpt": lambda: AccOptAssigner(tasks, workers, distance_model),
     }
 
 

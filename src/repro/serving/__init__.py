@@ -3,8 +3,9 @@
 The paper's system is *online*: workers arrive continuously, answers stream in,
 result inference is refreshed incrementally, and the next task assignment must
 be computed against the freshest parameters.  This package is that serving
-path, layered on the vectorised EM engine and the array-backed incremental
-updater of :mod:`repro.core`:
+path, layered on the batched EM engine and the array-backed incremental
+updater of :mod:`repro.core` (the only engines production runs; their
+per-record specifications live with the tests, in ``tests/oracles/``):
 
 * :mod:`repro.serving.ingest`    — accepts streams of answer events and
   micro-batches them (by count and/or simulated-time window) into
@@ -63,7 +64,7 @@ sufficient-statistic cache of :mod:`repro.core.em_kernel` — a sweep folds
 only the dirty rows' new answer slots into cached per-entity posteriors
 totals instead of re-running E-steps over whole neighbourhoods, and
 recently settled entities are deferred for
-``IngestConfig.settle_defer_batches`` batches.
+:data:`~repro.core.incremental.SETTLE_DEFER_BATCHES` batches.
 
 **Durability and crash recovery.**  By default the serving stack is purely
 in-memory; giving the service a *state directory* turns on the

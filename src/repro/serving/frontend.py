@@ -13,8 +13,9 @@ actually changed since the last request (assigners keep their own
 records its wall-clock latency so the service can report p50/p95 assignment
 latencies — the paper's Figure 14 concern, measured on the serving path.
 AccOpt requests run on the batched ΔAcc kernels
-(:mod:`repro.core.accuracy_kernel`) by default; ``engine="reference"``
-selects the scalar oracle path instead.
+(:mod:`repro.core.accuracy_kernel`), dense by default or candidate-pruned
+with ``engine="sparse"``; the scalar Algorithm 1 they are tested against
+lives in ``tests/oracles/accopt.py``.
 """
 
 from __future__ import annotations
@@ -151,11 +152,6 @@ class FrontendStats:
     #: worker's nearest unanswered task (a trust probe).
     probes: int = 0
     latencies: LatencyReservoir = field(default_factory=LatencyReservoir)
-
-    @property
-    def latencies_ms(self) -> list[float]:
-        """The retained latency samples (compatibility view of the reservoir)."""
-        return self.latencies.samples
 
     def latency_percentile(self, percentile: float) -> float:
         """Latency percentile in milliseconds.

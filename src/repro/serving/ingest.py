@@ -11,11 +11,12 @@ arriving :class:`AnswerEvent` records and closes a **micro-batch** when either
 Every model update is O(changed), never O(stream):
 
 * each closed batch is applied through the array-backed
-  :class:`~repro.core.incremental.IncrementalUpdater` — localized sweeps
-  against its live, incrementally grown answer tensor, with per-entity
-  convergence early-exit so settled neighbourhoods stop burning iterations;
-* every ``full_refresh_interval`` ingested answers the model is re-fit on the
-  vectorised engine **directly from the live tensor**
+  :class:`~repro.core.incremental.IncrementalUpdater` — sufficient-statistic
+  sweeps against its live, incrementally grown answer tensor, with
+  per-entity convergence early-exit at the inference model's EM convergence
+  threshold so settled neighbourhoods stop burning iterations;
+* every ``full_refresh_interval`` ingested answers the model is re-fit
+  **directly from the live tensor**
   (:meth:`~repro.core.incremental.IncrementalUpdater.full_refresh`): zero
   ``AnswerSet`` → tensor flattens, and warm starts hand the live row-aligned
   store straight to the EM loop.  Because of this the ingestor does not need
@@ -23,8 +24,7 @@ Every model update is O(changed), never O(stream):
   (:attr:`IngestConfig.retain_answer_log`), capping ingestor memory at the
   live tensor instead of tensor + an ever-growing duplicate log.  The log is
   retained automatically when the caller shares its own
-  :class:`~repro.data.models.AnswerSet` (the simulator/platform case) or runs
-  the per-record ``engine="reference"``, which has no tensor form;
+  :class:`~repro.data.models.AnswerSet` (the simulator/platform case);
 * after every update a new snapshot is published to the
   :class:`~repro.serving.snapshots.SnapshotStore` — the only surface the
   assignment frontend reads.  Steady-state publishes are **dirty-row
@@ -55,7 +55,7 @@ only replays the journal tail.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -104,16 +104,10 @@ class IngestConfig:
 
     ``retain_answer_log`` opts back in to keeping every ingested answer in the
     ingestor's own :class:`~repro.data.models.AnswerSet`.  The default is
-    off: the vectorised update path (incremental sweeps *and* full refreshes)
-    runs entirely from the live tensor, so retaining the log only duplicates
-    it — O(stream) memory for nothing.  Retention is forced on when the
-    caller shares an external answer set or uses the reference engine.
-
-    ``local_convergence_threshold`` is the per-entity early-exit for the
-    incremental sweeps (see
-    :attr:`~repro.core.incremental.IncrementalUpdater.early_exit_threshold`);
-    ``None`` inherits the inference model's EM convergence threshold, ``0.0``
-    disables the exit.
+    off: the update path (incremental sweeps *and* full refreshes) runs
+    entirely from the live tensor, so retaining the log only duplicates it —
+    O(stream) memory for nothing.  Retention is forced on when the caller
+    shares an external answer set.
 
     ``pipeline`` selects the pipelined serving loop: interval full refreshes
     run as background fits on a :class:`~repro.serving.pipeline.RefreshWorker`
@@ -122,8 +116,7 @@ class IngestConfig:
     after launch (``None`` resolves to
     ``max(max_batch_answers, full_refresh_interval // 4)``).  ``False`` keeps
     the serial loop — the equivalence oracle the pipelined path is tested
-    against.  The reference engine always runs serially (it has no tensor
-    form to snapshot).
+    against.
     """
 
     max_batch_answers: int = 64
@@ -131,19 +124,11 @@ class IngestConfig:
     full_refresh_interval: int = 1000
     local_iterations: int = 2
     retain_answer_log: bool = False
-    local_convergence_threshold: float | None = None
     #: Overlap interval full refreshes with ingest (see class docstring).
     pipeline: bool = True
     #: Applied answers between a background-fit launch and its integration
     #: point; ``None`` resolves from the batching/refresh config.
     pipeline_lag_answers: int | None = None
-    #: Maintain per-row sufficient statistics so incremental sweeps fold only
-    #: the batch's own rows instead of re-reading whole neighbourhoods (see
-    #: :attr:`~repro.core.incremental.IncrementalUpdater.sufficient_stats`).
-    sufficient_stats: bool = True
-    #: Batches a per-entity-converged (settled) entity sits out of the M-step
-    #: before being re-estimated (0 disables deferral).
-    settle_defer_batches: int = 2
     #: Exponential decay applied to the sufficient statistics per applied
     #: micro-batch (see
     #: :attr:`~repro.core.incremental.IncrementalUpdater.stat_decay`): an
@@ -188,14 +173,6 @@ class IngestConfig:
             raise ValueError(
                 f"local_iterations must be positive, got {self.local_iterations}"
             )
-        if (
-            self.local_convergence_threshold is not None
-            and self.local_convergence_threshold < 0
-        ):
-            raise ValueError(
-                f"local_convergence_threshold must be non-negative, "
-                f"got {self.local_convergence_threshold}"
-            )
         if self.checkpoint_interval < 0:
             raise ValueError(
                 f"checkpoint_interval must be non-negative, "
@@ -220,11 +197,6 @@ class IngestConfig:
             raise ValueError(
                 f"pipeline_lag_answers must be positive when given, "
                 f"got {self.pipeline_lag_answers}"
-            )
-        if self.settle_defer_batches < 0:
-            raise ValueError(
-                f"settle_defer_batches must be non-negative, "
-                f"got {self.settle_defer_batches}"
             )
         if self.admission_p_qualified is not None and not (
             0.0 < self.admission_p_qualified < 1.0
@@ -319,8 +291,7 @@ class AnswerIngestor:
         :class:`~repro.data.models.AnswerSet`); sharing implies retention —
         every submitted event is appended to it.  By default the ingestor is
         **log-free**: it owns an empty answer set that stays empty unless
-        :attr:`IngestConfig.retain_answer_log` is set (or the reference
-        engine, which cannot run without the log, is configured).
+        :attr:`IngestConfig.retain_answer_log` is set.
     journal:
         Optional write-ahead :class:`~repro.serving.journal.AnswerJournal`;
         accepted events are appended (and flushed) *before* they are buffered,
@@ -366,12 +337,6 @@ class AnswerIngestor:
         self._faults = faults
         self._checkpoints = checkpoints
         self._reputation = reputation
-        if reputation is not None and inference.config.engine == "reference":
-            raise ValueError(
-                "reputation tracking requires the vectorized engine: the "
-                "reference path has no per-answer weighting to down-weight "
-                "quarantined workers with"
-            )
         # A metricless tracer keeps the span/record call sites branch-free;
         # it observes nothing and costs one no-op call per micro-batch.
         self._tracer = tracer if tracer is not None else Tracer()
@@ -399,23 +364,14 @@ class AnswerIngestor:
         self._applied_seq = 0
         self._answers_at_checkpoint = 0
         self._answers_at_stat_epoch = 0
-        self._retain = (
-            self._config.retain_answer_log
-            or answers is not None
-            or inference.config.engine == "reference"
-        )
+        self._retain = self._config.retain_answer_log or answers is not None
         self._answers = answers if answers is not None else AnswerSet()
-        threshold = self._config.local_convergence_threshold
-        if threshold is None:
-            threshold = inference.config.convergence_threshold
         self._updater = IncrementalUpdater(
             inference=inference,
             full_refresh_interval=self._config.full_refresh_interval,
             local_iterations=self._config.local_iterations,
-            early_exit_threshold=threshold,
+            early_exit_threshold=inference.config.convergence_threshold,
             metrics=self._tracer.metrics,
-            sufficient_stats=self._config.sufficient_stats,
-            settle_defer_batches=self._config.settle_defer_batches,
             stat_decay=self._config.stat_decay,
             admission_p_qualified=self._config.admission_p_qualified,
         )
@@ -423,11 +379,6 @@ class AnswerIngestor:
             # Full refreshes down-weight quarantined workers' *historical*
             # answers (their new submissions are refused at intake).
             self._updater.trust_weight_fn = reputation.trust_weight
-        # Pipelined refreshes need a tensor to snapshot — the reference
-        # engine has none, so it always runs the serial loop.
-        self._pipeline = (
-            self._config.pipeline and inference.config.engine != "reference"
-        )
         lag = self._config.pipeline_lag_answers
         if lag is None:
             lag = max(
@@ -681,7 +632,7 @@ class AnswerIngestor:
         # fitted estimate to keep serving from; the first fit and the forced
         # final fit stay serial.
         launch_background = (
-            run_full and not full and self._pipeline and self._inference.is_fitted
+            run_full and not full and self._config.pipeline and self._inference.is_fitted
         )
         if run_full and not launch_background:
             source = "full_refresh"
@@ -811,7 +762,7 @@ class AnswerIngestor:
         points and remain bit-equal.
         """
         interval = self._config.checkpoint_interval
-        if interval <= 0 or not self._config.sufficient_stats:
+        if interval <= 0:
             return
         if self._pending_refresh is not None:
             return

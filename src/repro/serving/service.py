@@ -29,6 +29,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.assign import ACCOPT_ENGINES
 from repro.core.inference import InferenceConfig, LocationAwareInference
 from repro.crowd.arrival import DiurnalPattern, TimedArrivalSchedule
 from repro.crowd.platform import CrowdPlatform
@@ -168,6 +169,11 @@ class ServingConfig:
         if self.trace_capacity <= 0:
             raise ValueError(
                 f"trace_capacity must be positive, got {self.trace_capacity}"
+            )
+        if self.assigner_engine not in ACCOPT_ENGINES:
+            raise ValueError(
+                f"assigner_engine must be one of {ACCOPT_ENGINES}, "
+                f"got {self.assigner_engine!r}"
             )
         if self.assigner_engine == "sparse" and self.candidate_radius is None:
             raise ValueError(

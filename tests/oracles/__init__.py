@@ -1,0 +1,35 @@
+"""Reference implementations the production engines are tested against.
+
+Each module is the paper's math written one record, one label or one
+observation at a time — slow, but close enough to the equations to read as a
+specification.  The package lives with the tests because no production code
+path runs it: ``src/`` keeps one engine per job, and the equivalence suites
+(and the gated speed benchmarks) build one side from ``repro`` and the other
+from here.
+
+* :mod:`oracles.em` — per-record location-aware EM (Eqs. 12 and 14),
+  :class:`ReferenceInference`;
+* :mod:`oracles.incremental` — the per-record incremental update,
+  :class:`ReferenceIncrementalUpdater`;
+* :mod:`oracles.accuracy` — Section IV-B's accuracy pairs, Lemma 2's
+  recursion and its exponential enumeration;
+* :mod:`oracles.accopt` — the scalar greedy Algorithm 1,
+  :class:`ReferenceAccOptAssigner`;
+* :mod:`oracles.dawid_skene` — the per-observation Dawid–Skene baseline,
+  :class:`ReferenceDawidSkene`.
+
+Import with ``tests/`` on ``sys.path`` (pytest does this for the test suite;
+``benchmarks/conftest.py`` does it for the benchmarks).
+"""
+
+from oracles.accopt import ReferenceAccOptAssigner
+from oracles.dawid_skene import ReferenceDawidSkene
+from oracles.em import ReferenceInference
+from oracles.incremental import ReferenceIncrementalUpdater
+
+__all__ = [
+    "ReferenceAccOptAssigner",
+    "ReferenceDawidSkene",
+    "ReferenceIncrementalUpdater",
+    "ReferenceInference",
+]

@@ -1,4 +1,4 @@
-"""Accuracy estimation for (hypothetical) task assignments.
+"""Scalar accuracy estimation for (hypothetical) task assignments.
 
 Section IV-B of the paper derives how the inference accuracy of a label
 ``l_{t,k}`` changes when the task is assigned to additional workers:
@@ -16,8 +16,10 @@ Section IV-B of the paper derives how the inference accuracy of a label
 
 :class:`LabelAccuracy` is the per-label pair with its recursion;
 :class:`AccuracyEstimator` wires it to the model parameters, the answer set and
-the distance model so the assigner can ask "what do I gain by assigning task
-``t`` to worker ``w`` (given who else already has it this round)?".
+the distance model so the reference assigner can ask "what do I gain by
+assigning task ``t`` to worker ``w`` (given who else already has it this
+round)?".  This one-label-at-a-time form is the specification the batched
+kernels of :mod:`repro.core.accuracy_kernel` are tested against.
 """
 
 from __future__ import annotations

@@ -1,14 +1,15 @@
 """Equivalence tests for repro.core.accuracy_kernel vs the scalar Section IV-B math.
 
 The vectorized AccOpt engine is only trustworthy if its batched kernels
-reproduce the scalar reference exactly (within float tolerance):
+reproduce the scalar oracle of ``tests/oracles/accuracy.py`` exactly (within
+float tolerance):
 
 * the flat Lemma 2 recursion (:func:`~repro.core.accuracy_kernel.add_workers`,
   :func:`~repro.core.accuracy_kernel.add_worker`) against
-  :meth:`~repro.core.accuracy.LabelAccuracy.add_workers` and the exponential
-  :func:`~repro.core.accuracy.enumerate_expected_accuracy` definition;
+  :meth:`~oracles.accuracy.LabelAccuracy.add_workers` and the exponential
+  :func:`~oracles.accuracy.enumerate_expected_accuracy` definition;
 * the batched Equation 9 matrix against
-  :meth:`~repro.core.accuracy.AccuracyEstimator.answer_accuracy`;
+  :meth:`~oracles.accuracy.AccuracyEstimator.answer_accuracy`;
 * the closed-form marginal-gain matrix against the scalar ``gain − already``
   computation the reference greedy loop performs.
 """
@@ -20,12 +21,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import accuracy_kernel
-from repro.core.accuracy import (
+from oracles.accuracy import (
     AccuracyEstimator,
     LabelAccuracy,
     enumerate_expected_accuracy,
 )
+from repro.core import accuracy_kernel
 from repro.core.inference import LocationAwareInference
 from repro.spatial.distance import normalised_distance_matrix
 

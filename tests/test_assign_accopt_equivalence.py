@@ -1,17 +1,19 @@
-"""Vectorized vs reference AccOpt: the two engines must assign identically.
+"""Batched vs scalar AccOpt: the two must assign identically.
 
-The vectorized engine replaces the reference's per-pair scalar scoring with the
-batched kernels of :mod:`repro.core.accuracy_kernel`; both implement the exact
-greedy Algorithm 1, so on the same inputs they must produce the *same
-assignments*, not merely similar ones.  These tests pin that, from single
-batches up to a full seeded campaign where every round's assignment feeds the
-next round's inference.
+:class:`~repro.assign.accopt.AccOptAssigner` replaces the scalar per-pair
+scoring of the oracle (``tests/oracles/accopt.py``) with the batched kernels
+of :mod:`repro.core.accuracy_kernel`; both implement the exact greedy
+Algorithm 1, so on the same inputs they must produce the *same assignments*,
+not merely similar ones.  These tests pin that, from single batches up to a
+full seeded campaign where every round's assignment feeds the next round's
+inference.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from oracles import ReferenceAccOptAssigner
 from repro.assign.accopt import AccOptAssigner
 from repro.core.inference import InferenceConfig, LocationAwareInference
 from repro.core.params import ModelParameters
@@ -30,19 +32,9 @@ def fitted_parameters(small_dataset, worker_pool, distance_model, collected_answ
 
 
 def build_pair(small_dataset, worker_pool, distance_model, parameters=None):
-    vectorized = AccOptAssigner(
-        small_dataset.tasks,
-        worker_pool.workers,
-        distance_model,
-        parameters,
-        engine="vectorized",
-    )
-    reference = AccOptAssigner(
-        small_dataset.tasks,
-        worker_pool.workers,
-        distance_model,
-        parameters,
-        engine="reference",
+    vectorized, reference = (
+        cls(small_dataset.tasks, worker_pool.workers, distance_model, parameters)
+        for cls in (AccOptAssigner, ReferenceAccOptAssigner)
     )
     return vectorized, reference
 
@@ -91,11 +83,9 @@ class TestBatchEquivalence:
         ]
         tasks = small_dataset.tasks[:3]
         distance_model = DistanceModel(max_distance=small_dataset.max_distance)
-        vectorized = AccOptAssigner(
-            tasks, workers, distance_model, ModelParameters(), engine="vectorized"
-        )
-        reference = AccOptAssigner(
-            tasks, workers, distance_model, ModelParameters(), engine="reference"
+        vectorized = AccOptAssigner(tasks, workers, distance_model, ModelParameters())
+        reference = ReferenceAccOptAssigner(
+            tasks, workers, distance_model, ModelParameters()
         )
         for order in (["w2", "w1"], ["w1", "w2"]):
             assert vectorized.assign(order, 2, AnswerSet()) == reference.assign(
@@ -141,7 +131,7 @@ class TestCampaignEquivalence:
         from repro.crowd.budget import Budget
         from repro.crowd.platform import CrowdPlatform
 
-        def run(engine: str):
+        def run(assigner_cls):
             platform = CrowdPlatform(
                 dataset=small_dataset,
                 worker_pool=worker_pool,
@@ -165,11 +155,8 @@ class TestCampaignEquivalence:
                 distance_model,
                 config=config.inference,
             )
-            assigner = AccOptAssigner(
-                small_dataset.tasks,
-                worker_pool.workers,
-                distance_model,
-                engine=engine,
+            assigner = assigner_cls(
+                small_dataset.tasks, worker_pool.workers, distance_model
             )
             framework = PoiLabellingFramework(
                 platform, inference, assigner, config=config
@@ -180,8 +167,8 @@ class TestCampaignEquivalence:
             )
             return result, log
 
-        result_v, log_v = run("vectorized")
-        result_r, log_r = run("reference")
+        result_v, log_v = run(AccOptAssigner)
+        result_r, log_r = run(ReferenceAccOptAssigner)
         assert log_v == log_r
         assert result_v.assignments_spent == result_r.assignments_spent
         assert result_v.final_accuracy == pytest.approx(result_r.final_accuracy)

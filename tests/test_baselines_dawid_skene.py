@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles import ReferenceDawidSkene
 from repro.baselines.dawid_skene import DawidSkeneConfig, DawidSkeneInference
 from repro.data.models import Answer, AnswerSet
 
@@ -10,7 +11,8 @@ from repro.data.models import Answer, AnswerSet
 class TestConfig:
     def test_defaults_valid(self):
         config = DawidSkeneConfig()
-        assert config.engine == "vectorized"
+        assert (config.max_iterations, config.convergence_threshold) == (100, 1e-4)
+        assert config.smoothing == 0.1
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -19,20 +21,16 @@ class TestConfig:
             DawidSkeneConfig(convergence_threshold=-1)
         with pytest.raises(ValueError):
             DawidSkeneConfig(smoothing=-0.1)
-        with pytest.raises(ValueError):
-            DawidSkeneConfig(engine="gpu")
+        with pytest.raises(TypeError):
+            DawidSkeneConfig(engine="vectorized")  # one engine, no selector
 
 
 class TestEngineEquivalence:
     """The vectorized flat-index engine against the per-observation oracle."""
 
     def _fit_both(self, tasks, answers, **kwargs):
-        vectorized = DawidSkeneInference(
-            tasks, DawidSkeneConfig(engine="vectorized", **kwargs)
-        ).fit(answers)
-        reference = DawidSkeneInference(
-            tasks, DawidSkeneConfig(engine="reference", **kwargs)
-        ).fit(answers)
+        vectorized = DawidSkeneInference(tasks, DawidSkeneConfig(**kwargs)).fit(answers)
+        reference = ReferenceDawidSkene(tasks, DawidSkeneConfig(**kwargs)).fit(answers)
         return vectorized, reference
 
     def test_label_probabilities_match_oracle(self, small_dataset, collected_answers):

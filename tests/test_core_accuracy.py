@@ -1,9 +1,9 @@
-"""Tests for repro.core.accuracy (Equations 15-20, Lemmas 1-2)."""
+"""Tests for the scalar accuracy oracle (Equations 15-20, Lemmas 1-2)."""
 
 import numpy as np
 import pytest
 
-from repro.core.accuracy import (
+from oracles.accuracy import (
     AccuracyEstimator,
     LabelAccuracy,
     enumerate_expected_accuracy,

@@ -1,7 +1,10 @@
-"""Tests for the AccOpt assigner (Algorithm 1), on both scoring engines."""
+"""Tests for the AccOpt assigner (Algorithm 1): both production layouts and
+the scalar oracle of ``tests/oracles/accopt.py`` (the ``reference`` case)."""
 
 import pytest
 
+from oracles import ReferenceAccOptAssigner
+from oracles.accuracy import AccuracyEstimator
 from repro.assign.accopt import ACCOPT_ENGINES, AccOptAssigner
 from repro.core.inference import LocationAwareInference
 from repro.data.models import Answer, AnswerSet
@@ -16,30 +19,29 @@ def fitted_parameters(small_dataset, worker_pool, distance_model, collected_answ
     return model.parameters
 
 
-@pytest.fixture(params=ACCOPT_ENGINES)
+@pytest.fixture(params=(*ACCOPT_ENGINES, "reference"))
 def engine(request):
     return request.param
 
 
 @pytest.fixture()
 def assigner(small_dataset, worker_pool, distance_model, fitted_parameters, engine):
-    assigner = AccOptAssigner(
-        small_dataset.tasks,
-        worker_pool.workers,
-        distance_model,
-        engine=engine,
-        # The sparse engine needs a candidate radius; a Beijing-extent
-        # covering value keeps it exactly equivalent to the dense engines.
-        candidate_radius=50.0 if engine == "sparse" else None,
-    )
+    if engine == "reference":
+        assigner = ReferenceAccOptAssigner(
+            small_dataset.tasks, worker_pool.workers, distance_model
+        )
+    else:
+        assigner = AccOptAssigner(
+            small_dataset.tasks,
+            worker_pool.workers,
+            distance_model,
+            engine=engine,
+            # The sparse engine needs a candidate radius; a Beijing-extent
+            # covering value keeps it exactly equivalent to the dense engine.
+            candidate_radius=50.0 if engine == "sparse" else None,
+        )
     assigner.update_parameters(fitted_parameters)
     return assigner
-
-
-def test_legacy_import_path_still_works():
-    from repro.core.assignment import AccOptAssigner as legacy
-
-    assert legacy is AccOptAssigner
 
 
 class TestValidation:
@@ -159,7 +161,6 @@ class TestGreedyObjective:
         import numpy as np
 
         from repro.assign.random_assigner import RandomAssigner
-        from repro.core.accuracy import AccuracyEstimator
 
         workers = worker_pool.worker_ids[:4]
         accopt = AccOptAssigner(

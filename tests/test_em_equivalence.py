@@ -1,7 +1,7 @@
-"""Equivalence of the vectorized EM engine against the per-record reference.
+"""Equivalence of the batched EM engine against the per-record oracle.
 
-The vectorized engine (``engine="vectorized"``) must reproduce the reference
-per-record engine (``engine="reference"``) to within floating-point noise —
+:class:`~repro.core.inference.LocationAwareInference` must reproduce the
+per-record loop of ``tests/oracles/em.py`` to within floating-point noise —
 the tolerance enforced here is 1e-9 on every parameter and on the (relative)
 log-likelihood, across cold starts, warm starts and incremental updates, on
 both multi-label and binary corpora.
@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracles import ReferenceIncrementalUpdater, ReferenceInference
 from repro.core.incremental import IncrementalUpdater
 from repro.core.inference import InferenceConfig, LocationAwareInference
 from repro.crowd.answer_model import AnswerSimulator
@@ -59,14 +60,14 @@ def build_corpus(num_tasks=10, labels_per_task=4, num_workers=6, seed=77, answer
 
 
 def run_both(dataset, pool, distance_model, answers, initial=None, **config_kwargs):
-    results = {}
-    for engine in ("reference", "vectorized"):
-        config = InferenceConfig(engine=engine, **config_kwargs)
-        model = LocationAwareInference(
-            dataset.tasks, pool.workers, distance_model, config=config
+    config = InferenceConfig(**config_kwargs)
+    ref, vec = (
+        cls(dataset.tasks, pool.workers, distance_model, config=config).run_em(
+            answers, initial=initial
         )
-        results[engine] = model.run_em(answers, initial=initial)
-    return results["reference"], results["vectorized"]
+        for cls in (ReferenceInference, LocationAwareInference)
+    )
+    return ref, vec
 
 
 def assert_parameters_close(a, b, tol=PARAM_TOL):
@@ -147,8 +148,8 @@ class TestWarmStartEquivalence:
     def test_warm_start_under_different_alpha(self):
         """A warm start fit under another alpha: only the first E-step sees it.
 
-        The reference M-step re-emits parameters under the *config's* alpha
-        every iteration, so the vectorized engine must not keep the
+        The per-record M-step re-emits parameters under the *config's* alpha
+        every iteration, so the batched engine must not keep the
         warm-start's alpha beyond iteration one — and the returned parameters
         must carry the config's alpha for Equation 9 consumers.
         """
@@ -196,22 +197,19 @@ class TestIncrementalEquivalence:
 
         # Seed both engines with the *identical* estimate so the test isolates
         # the incremental sweep itself.
-        seed_model = LocationAwareInference(
-            dataset.tasks, pool.workers, distance_model,
-            config=InferenceConfig(engine="reference"),
-        )
+        seed_model = ReferenceInference(dataset.tasks, pool.workers, distance_model)
         seed_params = seed_model.run_em(answers).parameters
 
         updated = {}
-        for engine in ("reference", "vectorized"):
-            config = InferenceConfig(engine=engine)
-            model = LocationAwareInference(
-                dataset.tasks, pool.workers, distance_model, config=config
-            )
+        for name, updater_cls in (
+            ("reference", ReferenceIncrementalUpdater),
+            ("vectorized", IncrementalUpdater),
+        ):
+            model = LocationAwareInference(dataset.tasks, pool.workers, distance_model)
             model._parameters = seed_params.copy()
             model._fitted = True
-            updater = IncrementalUpdater(model, local_iterations=2)
-            updated[engine] = updater.apply(grown, new_answers)
+            updater = updater_cls(model, local_iterations=2)
+            updated[name] = updater.apply(grown, new_answers)
 
         assert_parameters_close(updated["reference"], updated["vectorized"])
 

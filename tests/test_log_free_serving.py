@@ -14,8 +14,10 @@ Pins the O(changed) update-path invariants:
 * **dirty-row publishes** — every delta-published snapshot materialises to
   exactly the store a full-copy publish would have produced, and published
   versions stay immutable under later publishes;
-* **per-entity early exit** — threshold 0 keeps the sweeps bit-identical to
-  the exact engine, a saturating threshold degenerates to a single sweep;
+* **per-entity early exit** — threshold 0 keeps the updater's sweeps
+  bit-identical to the plain default, and in
+  :func:`~repro.core.em_kernel.localized_sweeps` a saturating threshold
+  degenerates to a single sweep;
 * **bounded latency reservoir** — exact percentiles below the cap, bounded
   memory above it.
 """
@@ -23,9 +25,10 @@ Pins the O(changed) update-path invariants:
 import numpy as np
 import pytest
 
+from repro.core import em_kernel
 from repro.core.em_kernel import AnswerTensor
 from repro.core.incremental import IncrementalUpdater
-from repro.core.inference import InferenceConfig, LocationAwareInference
+from repro.core.inference import LocationAwareInference
 from repro.core.params import ArrayParameterStore
 from repro.crowd.answer_model import AnswerSimulator
 from repro.data.models import POI, Answer, AnswerSet, Task, Worker
@@ -446,42 +449,62 @@ class TestEarlyExit:
             results[threshold] = updater.apply(log, batch)
         assert_parameters_close(results[0.0], results[None], atol=0.0)
 
-    def test_saturating_threshold_degenerates_to_one_sweep(
-        self, small_dataset, worker_pool, distance_model, collected_answers
+    def _localized_sweeps(
+        self,
+        small_dataset,
+        worker_pool,
+        distance_model,
+        collected_answers,
+        iterations,
+        threshold,
     ):
+        """The batch's localized sweeps, run on a store of the fitted model."""
         model, log, batch = self._setup(
             small_dataset, worker_pool, distance_model, collected_answers
         )
-        eager = IncrementalUpdater(model, local_iterations=3, early_exit_threshold=1.0)
-        eager_params = eager.apply(log, batch)
-
-        model2, log2, batch2 = self._setup(
-            small_dataset, worker_pool, distance_model, collected_answers
+        tensor = AnswerTensor.build(
+            log, model._tasks, model._workers, distance_model, model.config.function_set
         )
-        single = IncrementalUpdater(model2, local_iterations=1)
-        single_params = single.apply(log2, batch2)
-        assert_parameters_close(eager_params, single_params, atol=0.0)
+        tensor.enable_row_tracking()
+        store = model.parameters.to_array_store(
+            tensor.worker_ids, tensor.task_ids, tensor.num_labels
+        )
+        rows_w = np.asarray(
+            sorted({tensor.worker_row(a.worker_id) for a in batch}), dtype=np.intp
+        )
+        rows_t = np.asarray(
+            sorted({tensor.task_row(a.task_id) for a in batch}), dtype=np.intp
+        )
+        em_kernel.localized_sweeps(
+            tensor,
+            store,
+            em_kernel.gather_affected_rows(tensor, rows_w, rows_t),
+            rows_w,
+            rows_t,
+            em_kernel.label_slots_of_tasks(store.label_offsets, rows_t),
+            iterations=iterations,
+            early_exit_threshold=threshold,
+        )
+        return store
+
+    def test_saturating_threshold_degenerates_to_one_sweep(
+        self, small_dataset, worker_pool, distance_model, collected_answers
+    ):
+        fixtures = (small_dataset, worker_pool, distance_model, collected_answers)
+        eager = self._localized_sweeps(*fixtures, iterations=3, threshold=1.0)
+        single = self._localized_sweeps(*fixtures, iterations=1, threshold=0.0)
+        assert_stores_equal(eager, single)
 
     def test_drift_stays_within_threshold_scale(
         self, small_dataset, worker_pool, distance_model, collected_answers
     ):
         threshold = 0.005
-        model, log, batch = self._setup(
-            small_dataset, worker_pool, distance_model, collected_answers
-        )
-        exact_updater = IncrementalUpdater(model, local_iterations=2)
-        exact = exact_updater.apply(log, batch)
-
-        model2, log2, batch2 = self._setup(
-            small_dataset, worker_pool, distance_model, collected_answers
-        )
-        early = IncrementalUpdater(
-            model2, local_iterations=2, early_exit_threshold=threshold
-        )
-        approx = early.apply(log2, batch2)
+        fixtures = (small_dataset, worker_pool, distance_model, collected_answers)
+        exact = self._localized_sweeps(*fixtures, iterations=2, threshold=0.0)
+        approx = self._localized_sweeps(*fixtures, iterations=2, threshold=threshold)
         # A settled entity skipped its last sweep, which by definition would
         # have moved it at most `threshold`; everything else is exact.
-        assert_parameters_close(exact, approx, atol=threshold)
+        assert exact.max_difference(approx) <= threshold
 
     def test_invalid_threshold_rejected(
         self, small_dataset, worker_pool, distance_model, collected_answers
@@ -492,8 +515,6 @@ class TestEarlyExit:
         model.fit(collected_answers)
         with pytest.raises(ValueError):
             IncrementalUpdater(model, early_exit_threshold=-0.1)
-        with pytest.raises(ValueError):
-            IngestConfig(local_convergence_threshold=-1.0)
 
 
 class TestLatencyReservoir:
@@ -524,7 +545,7 @@ class TestLatencyReservoir:
         stats = FrontendStats()
         for value in (1.0, 2.0, 3.0, 4.0):
             stats.latencies.add(value)
-        assert stats.latencies_ms == [1.0, 2.0, 3.0, 4.0]
+        assert stats.latencies.samples == [1.0, 2.0, 3.0, 4.0]
         assert stats.p50_latency_ms == pytest.approx(2.5)
 
     def test_capacity_validation(self):
@@ -555,22 +576,3 @@ class TestFitFromTensor:
         )
         offline.fit(collected_answers)
         assert_parameters_close(from_tensor, offline.parameters, atol=0.0)
-
-    def test_reference_engine_rejects_tensor_fit(
-        self, small_dataset, worker_pool, distance_model, collected_answers
-    ):
-        model = LocationAwareInference(
-            small_dataset.tasks,
-            worker_pool.workers,
-            distance_model,
-            config=InferenceConfig(engine="reference"),
-        )
-        tensor = AnswerTensor.build(
-            collected_answers,
-            model._tasks,
-            model._workers,
-            distance_model,
-            model.config.function_set,
-        )
-        with pytest.raises(ValueError, match="reference"):
-            model.fit_from_tensor(tensor)

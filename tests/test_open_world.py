@@ -8,7 +8,7 @@ Covers the PR-4 invariants:
   appends matches a full rebuild, re-answers update rows in place, and the
   live updater tensor stays equal to a rebuild after many micro-batches;
 * the incremental updater with mid-stream worker/task arrival matches the
-  per-record reference engine to <= 1e-9;
+  per-record oracle (``tests/oracles/``) to <= 1e-9;
 * open-world serving: first-sight registration through event payloads, the
   holdback serve-sim acceptance (>= 20% open-world answers with the final
   snapshot matching an offline fit on the full universe to <= 1e-6);
@@ -18,10 +18,15 @@ Covers the PR-4 invariants:
 import numpy as np
 import pytest
 
+from oracles import (
+    ReferenceAccOptAssigner,
+    ReferenceIncrementalUpdater,
+    ReferenceInference,
+)
 from repro.assign.accopt import AccOptAssigner
 from repro.core.em_kernel import AnswerTensor
 from repro.core.incremental import IncrementalUpdater
-from repro.core.inference import InferenceConfig, LocationAwareInference
+from repro.core.inference import LocationAwareInference
 from repro.core.params import ModelParameters, ArrayParameterStore
 from repro.crowd.answer_model import AnswerSimulator
 from repro.crowd.arrival import UniformRandomArrival
@@ -322,27 +327,24 @@ class TestOpenWorldUpdater:
             Answer("joined-w", "joined-t", (1, 1, 0)),
         ]
 
-        seed_model = LocationAwareInference(
-            small_dataset.tasks,
-            worker_pool.workers,
-            distance_model,
-            config=InferenceConfig(engine="reference"),
+        seed_model = ReferenceInference(
+            small_dataset.tasks, worker_pool.workers, distance_model
         )
         seed_params = seed_model.run_em(collected_answers).parameters
 
         updated = {}
-        for engine in ("reference", "vectorized"):
+        for engine, updater_cls in (
+            ("reference", ReferenceIncrementalUpdater),
+            ("vectorized", IncrementalUpdater),
+        ):
             model = LocationAwareInference(
-                small_dataset.tasks,
-                worker_pool.workers,
-                distance_model,
-                config=InferenceConfig(engine=engine),
+                small_dataset.tasks, worker_pool.workers, distance_model
             )
             model.add_worker(new_worker)
             model.add_task(new_task)
             model._parameters = seed_params.copy()
             model._fitted = True
-            updater = IncrementalUpdater(model, local_iterations=2)
+            updater = updater_cls(model, local_iterations=2)
             grown = collected_answers.copy()
             for answer in new_answers:
                 grown.add(answer)
@@ -443,39 +445,6 @@ class TestOpenWorldIngest:
         assert latest.store.num_workers == 5 + ingest.stats.workers_registered
         assert latest.store.num_tasks == 8 + ingest.stats.tasks_registered
 
-    def test_reference_engine_publishes_without_live_tensor(
-        self, small_dataset, worker_pool, distance_model
-    ):
-        """The reference oracle path flattens directly — no per-publish sync."""
-        inference = LocationAwareInference(
-            small_dataset.tasks,
-            worker_pool.workers,
-            distance_model,
-            config=InferenceConfig(engine="reference"),
-        )
-        snapshots = SnapshotStore(max_snapshots=32)
-        config = IngestConfig(
-            max_batch_answers=4, max_batch_delay=100.0, full_refresh_interval=8
-        )
-        ingest = AnswerIngestor(inference, snapshots, config=config)
-        simulator = AnswerSimulator(distance_model, noise=0.0)
-        index = 0
-        for profile in worker_pool:
-            for task in small_dataset.tasks[:3]:
-                ingest.submit(
-                    AnswerEvent(
-                        simulator.sample_answer(profile, task, seed=300 + index),
-                        time=0.1 * index,
-                    )
-                )
-                index += 1
-        ingest.flush()
-        assert ingest.stats.incremental_updates > 0
-        assert ingest._updater.live_tensor is None  # never built on this path
-        latest = snapshots.latest()
-        assert latest is not None
-        assert latest.store.num_tasks == 3
-
     def test_unknown_entity_without_payload_is_rejected(
         self, small_dataset, worker_pool, distance_model
     ):
@@ -573,12 +542,12 @@ class TestDynamicAssigners:
         late_workers = worker_pool.workers[5:]
 
         assignments = {}
-        for engine in ("vectorized", "reference"):
-            assigner = AccOptAssigner(
-                list(startup_tasks),
-                list(startup_workers),
-                distance_model,
-                engine=engine,
+        for engine, assigner_cls in (
+            ("vectorized", AccOptAssigner),
+            ("reference", ReferenceAccOptAssigner),
+        ):
+            assigner = assigner_cls(
+                list(startup_tasks), list(startup_workers), distance_model
             )
             assigner.update_parameters(model.parameters)
             # Warm the distance cache on the startup universe, then grow.

@@ -128,32 +128,6 @@ class TestPipelinedEquivalence:
         assert ingest.stats.answers_reconciled == 0
         assert ingest.stats.refresh_wait_seconds == 0.0
 
-    def test_reference_engine_falls_back_to_serial(
-        self, small_dataset, worker_pool, distance_model
-    ):
-        """The reference engine has no tensor form to snapshot, so the
-        pipeline flag silently degrades to the blocking loop."""
-        from repro.core.inference import InferenceConfig
-
-        inference = LocationAwareInference(
-            small_dataset.tasks,
-            worker_pool.workers,
-            distance_model,
-            config=InferenceConfig(engine="reference"),
-        )
-        ingest = AnswerIngestor(
-            inference,
-            SnapshotStore(),
-            config=IngestConfig(
-                max_batch_answers=4, max_batch_delay=100.0, full_refresh_interval=8
-            ),
-        )
-        for event in make_events(small_dataset, worker_pool, distance_model, 12):
-            ingest.submit(event)
-        assert ingest._refresh_worker.launches == 0
-        assert ingest.stats.refreshes_overlapped == 0
-        ingest.close()
-
 
 class TestRefreshWorker:
     def test_launch_wait_roundtrip(self):

@@ -7,7 +7,8 @@ These target the mathematical guts of the paper:
 * Lemma 1 (order independence) and Lemma 2 (recursion == enumeration) hold for
   arbitrary inputs;
 * the accuracy metric stays in [0, 1] and equals 1 only for exact predictions;
-* the EM E-step marginals of the inference model are always valid probabilities;
+* the per-record EM E-step marginals (``tests/oracles/em.py``) are always
+  valid probabilities;
 * the binning helpers never lose observations.
 """
 
@@ -18,7 +19,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.accuracy import LabelAccuracy, enumerate_expected_accuracy
+from oracles.accuracy import LabelAccuracy, enumerate_expected_accuracy
+from oracles.em import AnswerRecord, expectation
 from repro.core.distance_functions import BellShapedFunction, DistanceFunctionSet
 from repro.utils.binning import bin_edges, bin_index, histogram_percentages
 from repro.utils.validation import normalise
@@ -181,7 +183,6 @@ class TestEMPosteriorProperties:
         import numpy as np
 
         from repro.core.distance_functions import PAPER_FUNCTION_SET
-        from repro.core.inference import _AnswerRecord
         from repro.core.params import (
             ModelParameters,
             TaskParameters,
@@ -199,7 +200,7 @@ class TestEMPosteriorProperties:
         params.tasks["t"] = TaskParameters(
             np.asarray(priors), PAPER_FUNCTION_SET.uniform_weights()
         )
-        record = _AnswerRecord(
+        record = AnswerRecord(
             worker_id="w",
             task_id="t",
             responses=np.asarray(responses, dtype=int),
@@ -207,9 +208,7 @@ class TestEMPosteriorProperties:
             f_values=PAPER_FUNCTION_SET.evaluate(d),
         )
 
-        # _expectation is an internal method; calling it directly here is the
-        # cleanest way to property-test the E-step math in isolation.
-        post_z1, post_i1, post_dw, post_dt, log_likelihood = self._call_expectation(
+        post_z1, post_i1, post_dw, post_dt, log_likelihood = expectation(
             record, params
         )
         assert np.all(post_z1 >= -1e-9) and np.all(post_z1 <= 1.0 + 1e-9)
@@ -217,23 +216,3 @@ class TestEMPosteriorProperties:
         assert np.allclose(post_dw.sum(axis=1), 1.0, atol=1e-6)
         assert np.allclose(post_dt.sum(axis=1), 1.0, atol=1e-6)
         assert np.isfinite(log_likelihood)
-
-    @staticmethod
-    def _call_expectation(record, params):
-        """Build a minimal inference instance bound to the record's task/worker."""
-        from repro.core.inference import LocationAwareInference
-        from repro.data.models import POI, Task, Worker
-        from repro.spatial.distance import DistanceModel
-        from repro.spatial.geometry import GeoPoint
-
-        task = Task(
-            task_id="t",
-            poi=POI("p", "P", GeoPoint(0.0, 0.0)),
-            labels=tuple(f"l{i}" for i in range(record.responses.size)),
-            truth=tuple(int(v) for v in record.responses),
-        )
-        worker = Worker("w", (GeoPoint(0.0, 0.0),))
-        model = LocationAwareInference(
-            [task], [worker], DistanceModel(max_distance=1.0)
-        )
-        return model._expectation(record, params)

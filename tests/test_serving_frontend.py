@@ -116,8 +116,8 @@ class TestStats:
         stats = frontend.stats
         assert stats.requests == 4
         assert stats.tasks_assigned == 8
-        assert len(stats.latencies_ms) == 4
-        assert all(latency >= 0.0 for latency in stats.latencies_ms)
+        assert len(stats.latencies.samples) == 4
+        assert all(latency >= 0.0 for latency in stats.latencies.samples)
         assert stats.p50_latency_ms <= stats.p95_latency_ms
 
     def test_empty_percentiles_are_zero(
