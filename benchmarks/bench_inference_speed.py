@@ -3,11 +3,14 @@
 Times the production EM engine and the per-record reference loop of
 ``tests/oracles/em.py`` on the same 20k-answer corpus (the `bench_fig13`
 quick profile scale referenced by the paper's Figures 12-13), with a fixed
-iteration budget so the comparison is per-iteration cost, and writes
-``benchmarks/results/BENCH_inference_speed.json`` — speedup plus
-per-iteration milliseconds — so future changes can track the trajectory.  The
-run fails if the batched engine falls below ``INFERENCE_MIN_SPEEDUP`` (10x,
-defined in ``check_gates.py``) over the per-record loop.
+iteration budget, and writes ``benchmarks/results/BENCH_inference_speed.json``.
+Each side's one-off flatten of the answer log — ``AnswerTensor.build`` and
+the oracle's ``build_records`` — is timed on its own
+(``vectorized_build_ms``, ``reference_build_ms``); the EM loop then runs on
+those prebuilt inputs, and only the loop enters ``*_total_s``,
+``*_per_iteration_ms`` and ``speedup``.  The run fails if the batched loop
+falls below ``INFERENCE_MIN_SPEEDUP`` (defined in ``check_gates.py``) over
+the per-record loop.
 """
 
 from __future__ import annotations
@@ -18,7 +21,9 @@ import time
 from bench_common import RESULTS_DIR, build_inference_corpus
 from check_gates import INFERENCE_MIN_SPEEDUP
 from oracles import ReferenceInference
+from oracles.em import build_records
 
+from repro.core.em_kernel import AnswerTensor
 from repro.core.inference import InferenceConfig, LocationAwareInference
 
 #: Fixed workload: answers in the corpus and EM iterations per run.
@@ -26,32 +31,50 @@ CORPUS_ANSWERS = 20_000
 EM_ITERATIONS = 3
 
 
-def _time_fit(model_cls, corpus) -> tuple[float, int]:
-    dataset, pool, distance_model, answers = corpus
-    config = InferenceConfig(max_iterations=EM_ITERATIONS, convergence_threshold=0.0)
-    model = model_cls(dataset.tasks, pool.workers, distance_model, config=config)
+def _timed(fn):
     started = time.perf_counter()
-    result = model.run_em(answers)
-    return time.perf_counter() - started, result.iterations
+    result = fn()
+    return time.perf_counter() - started, result
 
 
 def test_inference_speed_regression(benchmark):
-    corpus = build_inference_corpus(CORPUS_ANSWERS)
-    # Order matters for the per-record loop only through the distance cache,
-    # which the batched run does not populate; time the batched engine first
-    # so the per-record run cannot warm anything up for it.
-    vectorized_s, vectorized_iters = _time_fit(LocationAwareInference, corpus)
-    reference_s, reference_iters = _time_fit(ReferenceInference, corpus)
-    assert vectorized_iters == reference_iters == EM_ITERATIONS
+    dataset, pool, distance_model, answers = build_inference_corpus(CORPUS_ANSWERS)
+    config = InferenceConfig(max_iterations=EM_ITERATIONS, convergence_threshold=0.0)
+    vectorized, reference = (
+        cls(dataset.tasks, pool.workers, distance_model, config=config)
+        for cls in (LocationAwareInference, ReferenceInference)
+    )
+    # Order matters for the per-record flatten only through the distance
+    # cache, which the batched build does not populate; run the batched
+    # engine first so the per-record side cannot warm anything up for it.
+    vectorized_build_s, tensor = _timed(
+        lambda: AnswerTensor.build(
+            answers,
+            {task.task_id: task for task in dataset.tasks},
+            {worker.worker_id: worker for worker in pool.workers},
+            distance_model,
+            config.function_set,
+        )
+    )
+    vectorized_s, vectorized_result = _timed(
+        lambda: vectorized.run_em(None, tensor=tensor)
+    )
+    reference_build_s, records = _timed(lambda: build_records(reference, answers))
+    reference_s, reference_result = _timed(
+        lambda: reference.run_em_on_records(records)
+    )
+    assert vectorized_result.iterations == reference_result.iterations == EM_ITERATIONS
 
-    reference_ms = 1000.0 * reference_s / reference_iters
-    vectorized_ms = 1000.0 * vectorized_s / vectorized_iters
+    reference_ms = 1000.0 * reference_s / EM_ITERATIONS
+    vectorized_ms = 1000.0 * vectorized_s / EM_ITERATIONS
     speedup = reference_ms / vectorized_ms
 
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     payload = {
         "answers": CORPUS_ANSWERS,
         "iterations": EM_ITERATIONS,
+        "reference_build_ms": round(1000.0 * reference_build_s, 3),
+        "vectorized_build_ms": round(1000.0 * vectorized_build_s, 3),
         "reference_total_s": round(reference_s, 4),
         "vectorized_total_s": round(vectorized_s, 4),
         "reference_per_iteration_ms": round(reference_ms, 3),
@@ -63,17 +86,10 @@ def test_inference_speed_regression(benchmark):
     path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     print(f"\n=== inference_speed ===\n{json.dumps(payload, indent=2)}\n")
 
-    # The timed unit for pytest-benchmark: one batched EM run.
-    dataset, pool, distance_model, answers = corpus
-    model = LocationAwareInference(
-        dataset.tasks,
-        pool.workers,
-        distance_model,
-        config=InferenceConfig(
-            max_iterations=EM_ITERATIONS, convergence_threshold=0.0
-        ),
+    # The timed unit for pytest-benchmark: one batched EM loop.
+    benchmark.pedantic(
+        lambda: vectorized.run_em(None, tensor=tensor), rounds=1, iterations=1
     )
-    benchmark.pedantic(lambda: model.run_em(answers), rounds=1, iterations=1)
 
     assert speedup >= INFERENCE_MIN_SPEEDUP, (
         f"batched EM is only {speedup:.1f}x faster than the per-record "

@@ -18,7 +18,8 @@ online serving subsystem (:mod:`repro.serving`) and writes
   ``MIN_FULL_STREAM_ANSWERS_PER_SEC`` (ratcheted to 2x the PR 4 gate when the
   log-free hot path landed, then again when the pipelined loop moved the
   periodic full re-fits onto a background thread and the sufficient-stat
-  cache made micro-batch applies O(changed rows));
+  cache made micro-batch applies O(changed rows), and once more when the
+  per-answer E-step made every refresh fit ~4x cheaper);
 * **the stall gate** — the longest single ingest stall (one ``flush`` call,
   including any wait at a background-refresh integration point) and the
   longest gap between consecutive snapshot publishes are recorded, and the

@@ -19,16 +19,22 @@ flatten below happens once per *stream*, not once per refresh.  Per full
 iteration:
 
 * the E-step posteriors of *all* answers are computed as array expressions
-  mirroring the per-record ``expectation`` term by term, and
+  mirroring the per-record ``expectation`` — the label and quality marginals
+  per label response, the distance/influence-profile marginals already
+  summed per answer (:func:`_estep_posteriors`), and
 * the M-step scatter-adds (``z_sums``, ``dt_sums``, ``i_sums``, ``dw_sums``)
   become segment sums via ``np.bincount`` over the index arrays.
 
-Per-bin accumulation order under ``np.bincount`` equals the answer-log order
-the per-record loop uses, so the two engines agree to floating-point noise
-(well below the ``1e-9`` tolerance the equivalence tests enforce).  Cost per
-iteration is still the paper's ``O(B · |L_t| · |F|)`` — only the constant
-factor changes, from a Python interpreter step per answer to a handful of
-C-level passes over contiguous arrays.
+For the label and quality sums, per-bin accumulation order under
+``np.bincount`` equals the answer-log order the per-record loop uses; the
+profile sums add each answer's responses first, so there the two engines
+differ in summation order only.  They agree to floating-point noise (well
+below the ``1e-9`` tolerance the equivalence tests enforce).  Cost per
+iteration is ``O(B · (|L_t| + |F|))``, below the paper's
+``O(B · |L_t| · |F|)``: a profile posterior is a per-answer ``|F|``-vector
+scaled by per-response scalars, so the ``|L_t|`` scalars are summed before
+the ``|F|``-wide product.  Each term is a C-level pass over contiguous
+arrays rather than a Python interpreter step per answer.
 
 Parameters live in an :class:`~repro.core.params.ArrayParameterStore`; the id
 oriented :class:`~repro.core.params.ModelParameters` view is materialised only
@@ -694,20 +700,25 @@ def _estep_posteriors(
     f_values: np.ndarray,
     expand: np.ndarray,
     pz1: np.ndarray,
-    observed_one: np.ndarray,
+    responses: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Closed-form E-step marginals for a batch of answers.
 
     ``p_qualified`` (already clipped), ``dw``, ``dt`` and ``f_values`` are
     per-answer arrays (``n`` rows); ``expand`` maps each label response to its
     owning position in those arrays; ``pz1`` (already clipped) and
-    ``observed_one`` are per label response.  Returns
-    ``(post_z1, post_i1, post_dw, post_dt, evidence)`` — the array mirror of
-    the per-record E-step, shared by the full
-    :func:`em_step` and the localized :func:`em_step_localized`.
+    ``responses`` (the observed 0/1 ticks, as floats) are per label
+    response.  Returns
+    ``(post_z1, post_i1, post_dw, post_dt, evidence)``: ``post_z1``,
+    ``post_i1`` and ``evidence`` per label response (``M`` rows), while
+    ``post_dw`` and ``post_dt`` come already summed over each answer's label
+    responses (``(n, |F|)``) — the M-step only ever adds them up per worker or
+    per task, so the per-response ``(M, |F|)`` blocks of the per-record E-step
+    (kept in ``tests/oracles/em.py``) are never materialised.  Shared by the
+    full :func:`em_step`, the localized :func:`em_step_localized` and
+    :class:`SufficientStatCache`.
     """
     floor = PROBABILITY_FLOOR
-    p_unqualified = 1.0 - p_qualified
     worker_quality = np.einsum("nf,nf->n", dw, f_values)  # DQ_w per answer
     poi_quality = np.einsum("nf,nf->n", dt, f_values)  # IQ_t per answer
     s_q = np.clip(
@@ -720,31 +731,44 @@ def _estep_posteriors(
 
     # ---- per-label-response quantities (M,) --------------------------------
     pq_m = p_qualified[expand]
-    pu_m = p_unqualified[expand]
     sq_m = s_q[expand]
-    pz_equal_r = np.where(observed_one, pz1, 1.0 - pz1)  # P(z = r)
+    # |1 - r - x| is x where r = 1 and 1 - x where r = 0, exactly — a select
+    # without np.where's per-element branch.
+    one_minus_r = 1.0 - responses
+    pz_equal_r = np.abs(one_minus_r - pz1)  # P(z = r)
     pz_not_r = 1.0 - pz_equal_r
+    unqualified_half = 0.5 * (1.0 - pq_m)  # P(i = 0) · P(r | i = 0)
 
-    # P(r) per label response: the normaliser of the joint posterior.
-    evidence = 0.5 * pu_m + pq_m * (pz_equal_r * sq_m + pz_not_r * (1.0 - sq_m))
-    evidence = np.clip(evidence, 1e-12, None)
+    # P(r | i = 1) and P(r), the normaliser of the joint posterior.
+    p_r_qualified = pz_equal_r * sq_m + pz_not_r * (1.0 - sq_m)
+    evidence = np.clip(unqualified_half + pq_m * p_r_qualified, 1e-12, None)
+    inv_evidence = 1.0 / evidence
 
     # P(z = 1 | r): the z=1 branch uses s_q when r=1 and (1-s_q) when r=0.
-    agree_factor = np.where(observed_one, sq_m, 1.0 - sq_m)
-    post_z1 = pz1 * (0.5 * pu_m + pq_m * agree_factor) / evidence
-    post_i1 = pq_m * (pz_equal_r * sq_m + pz_not_r * (1.0 - sq_m)) / evidence
+    # Both marginals divide by P(r) so they stay bit-equal to the per-record
+    # E-step: near p_qualified ≈ 1 a streamed fit amplifies last-bit changes
+    # here to ~1e-9 in the label estimates.
+    agree_factor = np.abs(one_minus_r - sq_m)
+    post_z1 = pz1 * (unqualified_half + pq_m * agree_factor) / evidence
+    post_i1 = pq_m * p_r_qualified / evidence
 
-    # P(d_w = a | r) and P(d_t = a | r) per label response: (M, |F|).
-    q_row_m = q_row[expand]
-    agree_dw = pz_equal_r[:, None] * q_row_m + pz_not_r[:, None] * (1.0 - q_row_m)
-    post_dw = (
-        dw[expand] * (0.5 * pu_m[:, None] + pq_m[:, None] * agree_dw)
-    ) / evidence[:, None]
-    q_col_m = q_col[expand]
-    agree_dt = pz_equal_r[:, None] * q_col_m + pz_not_r[:, None] * (1.0 - q_col_m)
-    post_dt = (
-        dt[expand] * (0.5 * pu_m[:, None] + pq_m[:, None] * agree_dt)
-    ) / evidence[:, None]
+    # ---- per-answer profile posteriors (n, |F|) -----------------------------
+    # For response m of answer a,
+    #   P(d_w = f | r_m) = dw[a,f] · (½(1 - pq_a) + pq_a · (P(z=r_m) · q_row[a,f]
+    #                                 + P(z≠r_m) · (1 - q_row[a,f]))) / P(r_m),
+    # so the answer's sum over its responses needs only three per-answer sums
+    # of per-response scalars (likewise d_t with q_col).  The three terms
+    # stay separate because each is non-negative: folding them into
+    # A + B · q_row cancels catastrophically when P(z=r) ≪ P(z≠r) and q → 1.
+    n = dw.shape[0]
+    sum_inv = np.bincount(expand, weights=inv_evidence, minlength=n)
+    sum_equal = np.bincount(expand, weights=pz_equal_r * inv_evidence, minlength=n)
+    sum_not = np.bincount(expand, weights=pz_not_r * inv_evidence, minlength=n)
+    base = (0.5 * (1.0 - p_qualified) * sum_inv)[:, None]
+    agree_w = (p_qualified * sum_equal)[:, None]
+    disagree_w = (p_qualified * sum_not)[:, None]
+    post_dw = dw * (base + agree_w * q_row + disagree_w * (1.0 - q_row))
+    post_dt = dt * (base + agree_w * q_col + disagree_w * (1.0 - q_col))
     return post_z1, post_i1, post_dw, post_dt, evidence
 
 
@@ -757,19 +781,20 @@ def em_step(
 
     Returns the new parameter store and the total log-likelihood of the
     observed answers under the *input* parameters.  Mirrors the per-record
-    E+M step (``tests/oracles/em.py``) exactly, with every per-record
-    quantity promoted to an array over the N answers / M label responses.
+    E+M step (``tests/oracles/em.py``) up to summation order, with every
+    per-record quantity promoted to an array over the N answers / M label
+    responses.
 
     ``answer_weights`` (one non-negative weight per answer row) turns the
     M-step into a *weighted* maximisation: each answer contributes its weight
     to both the posterior sums and the count denominators.  This is how
     exponential decay (old answers fade) and trust-aware down-weighting
     (quarantined workers count less) enter the full refresh.  ``None`` takes
-    the exact unweighted code path — bit-identical to the historical kernel.
+    the unweighted path.
     """
     floor = PROBABILITY_FLOOR
     p_qualified = np.clip(store.p_qualified[tensor.a_worker], floor, 1.0 - floor)
-    pz1 = np.clip(store.label_probs[tensor.r_label], 1e-9, 1.0 - 1e-9)
+    pz1 = np.clip(store.label_probs, 1e-9, 1.0 - 1e-9)[tensor.r_label]
     post_z1, post_i1, post_dw, post_dt, evidence = _estep_posteriors(
         alpha=store.alpha,
         p_qualified=p_qualified,
@@ -778,7 +803,7 @@ def em_step(
         f_values=tensor.f_values,
         expand=tensor.r_answer,
         pz1=pz1,
-        observed_one=tensor.responses == 1,
+        responses=tensor.responses,
     )
 
     # ---- M-step: segment sums then per-entity renormalisation ---------------
@@ -797,13 +822,13 @@ def em_step(
         )
 
         labels_per_task = np.bincount(tensor.r_task, minlength=num_tasks)
-        dt_sums = _segment_sum_columns(post_dt, tensor.r_task, num_tasks)
+        dt_sums = _segment_sum_columns(post_dt, tensor.a_task, num_tasks)
         new_influence = _normalise_rows(dt_sums, labels_per_task, uniform)
 
         labels_per_worker = np.bincount(tensor.r_worker, minlength=num_workers)
         i_sums = np.bincount(tensor.r_worker, weights=post_i1, minlength=num_workers)
         new_p_qualified = np.clip(i_sums / np.maximum(1, labels_per_worker), 0.0, 1.0)
-        dw_sums = _segment_sum_columns(post_dw, tensor.r_worker, num_workers)
+        dw_sums = _segment_sum_columns(post_dw, tensor.a_worker, num_workers)
         new_distance_weights = _normalise_rows(dw_sums, labels_per_worker, uniform)
     else:
         weights = np.asarray(answer_weights, dtype=float)
@@ -831,7 +856,9 @@ def em_step(
         )
 
         labels_per_task = np.bincount(tensor.r_task, weights=w_m, minlength=num_tasks)
-        dt_sums = _segment_sum_columns(post_dt * w_m[:, None], tensor.r_task, num_tasks)
+        dt_sums = _segment_sum_columns(
+            post_dt * weights[:, None], tensor.a_task, num_tasks
+        )
         new_influence = _normalise_rows(dt_sums, labels_per_task, uniform)
 
         labels_per_worker = np.bincount(
@@ -844,7 +871,7 @@ def em_step(
             i_sums / np.maximum(denom_floor, labels_per_worker), 0.0, 1.0
         )
         dw_sums = _segment_sum_columns(
-            post_dw * w_m[:, None], tensor.r_worker, num_workers
+            post_dw * weights[:, None], tensor.a_worker, num_workers
         )
         new_distance_weights = _normalise_rows(dw_sums, labels_per_worker, uniform)
 
@@ -881,7 +908,7 @@ def em_step_localized(
     accumulates sums for unaffected entities.
 
     This is the incremental updater's inner kernel: cost is
-    ``O(R · |L_t| · |F|)`` array work over the ``R`` selected rows plus
+    ``O(R · (|L_t| + |F|))`` array work over the ``R`` selected rows plus
     O(global sizes) zero-filled segment-sum allocations — no tensor or store
     is ever rebuilt.
     """
@@ -915,7 +942,7 @@ def em_step_localized(
         f_values=f_values,
         expand=expand,
         pz1=pz1,
-        observed_one=responses == 1,
+        responses=responses,
     )
 
     # ---- M-step restricted to the affected entities -------------------------
@@ -931,7 +958,7 @@ def em_step_localized(
     )
 
     labels_per_task = np.bincount(r_task, minlength=num_tasks)
-    dt_sums = _segment_sum_columns(post_dt, r_task, num_tasks)
+    dt_sums = _segment_sum_columns(post_dt, at, num_tasks)
     store.influence_weights[affected_tasks] = _normalise_rows(
         dt_sums[affected_tasks], labels_per_task[affected_tasks], uniform
     )
@@ -944,7 +971,7 @@ def em_step_localized(
         0.0,
         1.0,
     )
-    dw_sums = _segment_sum_columns(post_dw, r_worker, num_workers)
+    dw_sums = _segment_sum_columns(post_dw, aw, num_workers)
     store.distance_weights[affected_workers] = _normalise_rows(
         dw_sums[affected_workers], labels_per_worker[affected_workers], uniform
     )
@@ -1094,8 +1121,9 @@ class SufficientStatCache:
     micro-batch sweep O(entity-history) and is exactly the cost that grows
     with the stream.  This cache keeps the M-step sums themselves:
 
-    * per label row, the posterior contributions of that row as last
-      computed (``z1``, ``i1`` and the (M, |F|) ``dw``/``dt`` blocks);
+    * the posterior contributions as last computed: ``z1`` and ``i1`` per
+      label row, and the ``dw``/``dt`` profile posteriors per answer row,
+      already summed over its label rows (``(N, |F|)`` blocks);
     * per entity, the running totals those rows sum into (``slot_z`` per
       label slot, ``i``/``dw`` per worker, ``dt`` per task) plus the pure
       count denominators (labels per worker/task, answers per task).
@@ -1116,13 +1144,14 @@ class SufficientStatCache:
     **Exponential decay** (``decay`` < 1): the cache additionally tracks an
     integer *epoch*.  :meth:`decay_step` multiplies every running total *and*
     every count denominator by ``decay`` and advances the epoch — O(W+T+S),
-    touching no rows.  Each label row remembers the epoch it arrived at
-    (``row_epoch``; pre-existing rows may be back-dated via ``row_ages``), so
-    its live contribution to the totals is ``decay^(epoch - row_epoch) ×
-    posterior``.  A fold therefore adds ``scale · (new − cached)`` with
-    ``scale = decay^(epoch - row_epoch)`` — re-aging costs O(changed rows),
-    the row's numerator stays consistent with its decayed denominator, and a
-    row that is never re-folded fades at exactly the same rate as its count.
+    touching no rows.  Each answer row remembers the epoch it arrived at
+    (its label rows arrive with it; pre-existing rows may be back-dated via
+    ``row_ages``), so its live contribution to the totals is
+    ``decay^(epoch - arrival epoch) × posterior``.  A fold therefore adds
+    ``scale · (new − cached)`` with ``scale = decay^(epoch - arrival epoch)``
+    — re-aging costs O(changed rows), the row's numerator stays consistent
+    with its decayed denominator, and a row that is never re-folded fades at
+    exactly the same rate as its count.
     ``decay == 1.0`` skips every weighting (all scales are 1) and is
     bit-identical to the undecayed cache.
     """
@@ -1145,7 +1174,7 @@ class SufficientStatCache:
         self._denom_floor = 1.0 if decay == 1.0 else 1e-9
         floor = PROBABILITY_FLOOR
         p_qualified = np.clip(store.p_qualified[tensor.a_worker], floor, 1.0 - floor)
-        pz1 = np.clip(store.label_probs[tensor.r_label], 1e-9, 1.0 - 1e-9)
+        pz1 = np.clip(store.label_probs, 1e-9, 1.0 - 1e-9)[tensor.r_label]
         post_z1, post_i1, post_dw, post_dt, _ = _estep_posteriors(
             alpha=store.alpha,
             p_qualified=p_qualified,
@@ -1154,17 +1183,17 @@ class SufficientStatCache:
             f_values=tensor.f_values,
             expand=tensor.r_answer,
             pz1=pz1,
-            observed_one=tensor.responses == 1,
+            responses=tensor.responses,
         )
         num_workers = store.num_workers
         num_tasks = store.num_tasks
         num_slots = store.num_label_slots
         self._row_z1 = post_z1
         self._row_i1 = post_i1
-        self._row_dw = post_dw
-        self._row_dt = post_dt
+        self._answer_dw = post_dw
+        self._answer_dt = post_dt
         if decay == 1.0:
-            self._row_epoch = None
+            self._answer_epoch = None
             self._slot_z = np.bincount(
                 tensor.r_label, weights=post_z1, minlength=num_slots
             )
@@ -1172,9 +1201,9 @@ class SufficientStatCache:
                 tensor.r_worker, weights=post_i1, minlength=num_workers
             )
             self._worker_dw = _segment_sum_columns(
-                post_dw, tensor.r_worker, num_workers
+                post_dw, tensor.a_worker, num_workers
             )
-            self._task_dt = _segment_sum_columns(post_dt, tensor.r_task, num_tasks)
+            self._task_dt = _segment_sum_columns(post_dt, tensor.a_task, num_tasks)
             self._worker_labels = np.bincount(
                 tensor.r_worker, minlength=num_workers
             ).astype(float)
@@ -1196,9 +1225,10 @@ class SufficientStatCache:
                     )
             answer_w = self._decay**ages
             w_m = answer_w[tensor.r_answer]
-            # A row's arrival epoch relative to epoch 0 is minus its age, so
-            # decay^(epoch - row_epoch) reproduces its weight at any epoch.
-            self._row_epoch = -ages[tensor.r_answer]
+            # An answer's arrival epoch relative to epoch 0 is minus its age,
+            # so decay^(epoch - answer_epoch) reproduces its weight at any
+            # epoch.
+            self._answer_epoch = -ages
             self._slot_z = np.bincount(
                 tensor.r_label, weights=post_z1 * w_m, minlength=num_slots
             )
@@ -1206,10 +1236,10 @@ class SufficientStatCache:
                 tensor.r_worker, weights=post_i1 * w_m, minlength=num_workers
             )
             self._worker_dw = _segment_sum_columns(
-                post_dw * w_m[:, None], tensor.r_worker, num_workers
+                post_dw * answer_w[:, None], tensor.a_worker, num_workers
             )
             self._task_dt = _segment_sum_columns(
-                post_dt * w_m[:, None], tensor.r_task, num_tasks
+                post_dt * answer_w[:, None], tensor.a_task, num_tasks
             )
             self._worker_labels = np.bincount(
                 tensor.r_worker, weights=w_m, minlength=num_workers
@@ -1260,8 +1290,9 @@ class SufficientStatCache:
     def sync_growth(self) -> None:
         """Absorb rows and entities appended to the tensor since the last fold.
 
-        New label rows start with a zero cached contribution (their first fold
-        adds the full posterior); new entities start with zero totals; the
+        New answer and label rows start with a zero cached contribution
+        (their first fold adds the full posterior) and arrive at the current
+        epoch; new entities start with zero totals; the
         count denominators are advanced by the fresh answer rows.  Re-answers
         rewrite existing rows in place and are recomputed by the fold itself,
         so only genuinely new rows matter here.
@@ -1272,15 +1303,8 @@ class SufficientStatCache:
             old = self._synced_label_rows
             self._row_z1 = _grown_buffer(self._row_z1, num_rows)
             self._row_i1 = _grown_buffer(self._row_i1, num_rows)
-            self._row_dw = _grown_buffer(self._row_dw, num_rows)
-            self._row_dt = _grown_buffer(self._row_dt, num_rows)
             self._row_z1[old:num_rows] = 0.0
             self._row_i1[old:num_rows] = 0.0
-            self._row_dw[old:num_rows] = 0.0
-            self._row_dt[old:num_rows] = 0.0
-            if self._row_epoch is not None:
-                self._row_epoch = _grown_buffer(self._row_epoch, num_rows)
-                self._row_epoch[old:num_rows] = float(self._epoch)
             self._synced_label_rows = num_rows
         num_workers = tensor.num_workers
         if num_workers > self._num_workers:
@@ -1311,6 +1335,13 @@ class SufficientStatCache:
         num_answers = tensor.num_answers
         if num_answers > self._synced_answers:
             fresh = slice(self._synced_answers, num_answers)
+            self._answer_dw = _grown_buffer(self._answer_dw, num_answers)
+            self._answer_dt = _grown_buffer(self._answer_dt, num_answers)
+            self._answer_dw[fresh] = 0.0
+            self._answer_dt[fresh] = 0.0
+            if self._answer_epoch is not None:
+                self._answer_epoch = _grown_buffer(self._answer_epoch, num_answers)
+                self._answer_epoch[fresh] = float(self._epoch)
             aw = tensor.a_worker[fresh]
             at = tensor.a_task[fresh]
             counts = tensor.num_labels[at].astype(float)
@@ -1328,9 +1359,10 @@ class SufficientStatCache:
     def fold(self, answer_rows: np.ndarray) -> int:
         """Recompute the posteriors of ``answer_rows`` and fold the deltas in.
 
-        Returns the number of label rows recomputed.  Cost is O(batch label
-        rows · |F|) plus O(W + T + S) for the zero-filled segment sums —
-        independent of how much history the touched entities have.
+        ``answer_rows`` must not repeat a row.  Returns the number of label
+        rows recomputed.  Cost is O(batch label rows + batch answers · |F|)
+        plus O(W + T + S) for the zero-filled segment sums — independent of
+        how much history the touched entities have.
         """
         tensor = self.tensor
         store = self.store
@@ -1351,7 +1383,6 @@ class SufficientStatCache:
         r_label = tensor.r_label[label_rows]
         responses = tensor.responses[label_rows]
         r_worker = aw[expand]
-        r_task = at[expand]
 
         p_qualified = np.clip(store.p_qualified[aw], floor, 1.0 - floor)
         pz1 = np.clip(store.label_probs[r_label], 1e-9, 1.0 - 1e-9)
@@ -1363,22 +1394,23 @@ class SufficientStatCache:
             f_values=f_values,
             expand=expand,
             pz1=pz1,
-            observed_one=responses == 1,
+            responses=responses,
         )
-        if self._row_epoch is None:
+        if self._answer_epoch is None:
             delta_z1 = post_z1 - self._row_z1[label_rows]
             delta_i1 = post_i1 - self._row_i1[label_rows]
-            delta_dw = post_dw - self._row_dw[label_rows]
-            delta_dt = post_dt - self._row_dt[label_rows]
+            delta_dw = post_dw - self._answer_dw[answer_rows]
+            delta_dt = post_dt - self._answer_dt[answer_rows]
         else:
             # Re-aging O(changed rows): the row's live weight in the totals is
             # decay^(epoch - arrival epoch), applied to old and new posterior
             # alike so numerator and (globally decayed) denominator agree.
-            scale = self._decay ** (self._epoch - self._row_epoch[label_rows])
-            delta_z1 = scale * (post_z1 - self._row_z1[label_rows])
-            delta_i1 = scale * (post_i1 - self._row_i1[label_rows])
-            delta_dw = scale[:, None] * (post_dw - self._row_dw[label_rows])
-            delta_dt = scale[:, None] * (post_dt - self._row_dt[label_rows])
+            scale = self._decay ** (self._epoch - self._answer_epoch[answer_rows])
+            scale_m = scale[expand]
+            delta_z1 = scale_m * (post_z1 - self._row_z1[label_rows])
+            delta_i1 = scale_m * (post_i1 - self._row_i1[label_rows])
+            delta_dw = scale[:, None] * (post_dw - self._answer_dw[answer_rows])
+            delta_dt = scale[:, None] * (post_dt - self._answer_dt[answer_rows])
         self._slot_z[: self._num_slots] += np.bincount(
             r_label,
             weights=delta_z1,
@@ -1390,15 +1422,15 @@ class SufficientStatCache:
             minlength=self._num_workers,
         )
         self._worker_dw[: self._num_workers] += _segment_sum_columns(
-            delta_dw, r_worker, self._num_workers
+            delta_dw, aw, self._num_workers
         )
         self._task_dt[: self._num_tasks] += _segment_sum_columns(
-            delta_dt, r_task, self._num_tasks
+            delta_dt, at, self._num_tasks
         )
         self._row_z1[label_rows] = post_z1
         self._row_i1[label_rows] = post_i1
-        self._row_dw[label_rows] = post_dw
-        self._row_dt[label_rows] = post_dt
+        self._answer_dw[answer_rows] = post_dw
+        self._answer_dt[answer_rows] = post_dt
         return total
 
     def estimate(

@@ -12,9 +12,11 @@ answer is
 
 where ``d`` is the normalised worker-to-POI distance.  Parameters are estimated
 by EM (Equations 12 and 14).  The E-step posterior factorises enough that all
-marginals needed by the M-step have closed forms of cost ``O(|F|)`` per answer;
-the overall cost per iteration is ``O(B · |L_t| · |F|)`` matching the paper's
-complexity analysis.
+marginals needed by the M-step have closed forms.  The paper's complexity
+analysis counts ``O(B · |L_t| · |F|)`` per iteration; this engine pays
+``O(B · (|L_t| + |F|))``, because an answer's distance-profile posteriors
+depend on its label responses only through per-response scalars, which are
+summed before the ``|F|``-wide product.
 
 One EM engine implements that iteration: the answer log is flattened once per
 fit into an :class:`~repro.core.em_kernel.AnswerTensor` and every iteration

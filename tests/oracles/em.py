@@ -4,8 +4,12 @@ The executable specification the batched engine of
 :mod:`repro.core.em_kernel` is equivalence-tested against: every answer is
 one :class:`AnswerRecord`, the E-step computes its closed-form marginals one
 record at a time (:func:`expectation`), and the M-step accumulates them with
-dict-based scatter-adds (:func:`em_iteration`).  Same asymptotics as the
-production engine, a Python interpreter step per answer.
+dict-based scatter-adds (:func:`em_iteration`): the paper's
+``O(B · |L_t| · |F|)`` per iteration, a Python interpreter step per answer.
+
+:func:`per_response_posteriors` is the same E-step over a batch as arrays,
+one row per label response; the kernel's per-answer E-step is tested against
+it summed per answer.
 
 :class:`ReferenceInference` is a drop-in
 :class:`~repro.core.inference.LocationAwareInference` whose
@@ -30,7 +34,7 @@ from repro.core.params import (
     WorkerParameters,
 )
 from repro.data.models import AnswerSet
-from repro.utils.validation import clamp_probability
+from repro.utils.validation import PROBABILITY_FLOOR, clamp_probability
 
 
 @dataclass
@@ -54,7 +58,12 @@ class ReferenceInference(LocationAwareInference):
     ) -> InferenceResult:
         if isinstance(initial, ArrayParameterStore):
             initial = initial.to_model()
-        records = build_records(self, answers)
+        return self.run_em_on_records(build_records(self, answers), initial)
+
+    def run_em_on_records(
+        self, records: list[AnswerRecord], initial: ModelParameters | None = None
+    ) -> InferenceResult:
+        """The EM loop of :meth:`run_em` on answers already flattened."""
         params = (
             initial.copy()
             if initial is not None
@@ -220,6 +229,60 @@ def expectation(
 
     log_likelihood = float(np.sum(np.log(evidence)))
     return post_z1, post_i1, post_dw, post_dt, log_likelihood
+
+
+def per_response_posteriors(
+    alpha: float,
+    p_qualified: np.ndarray,
+    dw: np.ndarray,
+    dt: np.ndarray,
+    f_values: np.ndarray,
+    expand: np.ndarray,
+    pz1: np.ndarray,
+    observed_one: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`expectation` for a batch, one row per label response.
+
+    Takes the arguments of ``repro.core.em_kernel._estep_posteriors`` (with
+    the 0/1 ticks as a boolean ``observed_one``) and returns
+    ``(post_z1, post_i1, post_dw, post_dt, evidence)`` with ``post_dw`` and
+    ``post_dt`` as ``(M, |F|)`` blocks — the posterior of every label
+    response, before the kernel's per-answer sum.
+    """
+    floor = PROBABILITY_FLOOR
+    p_unqualified = 1.0 - p_qualified
+    worker_quality = np.einsum("nf,nf->n", dw, f_values)
+    poi_quality = np.einsum("nf,nf->n", dt, f_values)
+    s_q = np.clip(
+        alpha * worker_quality + (1.0 - alpha) * poi_quality, floor, 1.0 - floor
+    )
+    q_row = alpha * f_values + (1.0 - alpha) * poi_quality[:, None]
+    q_col = alpha * worker_quality[:, None] + (1.0 - alpha) * f_values
+
+    pq_m = p_qualified[expand]
+    pu_m = p_unqualified[expand]
+    sq_m = s_q[expand]
+    pz_equal_r = np.where(observed_one, pz1, 1.0 - pz1)
+    pz_not_r = 1.0 - pz_equal_r
+
+    evidence = 0.5 * pu_m + pq_m * (pz_equal_r * sq_m + pz_not_r * (1.0 - sq_m))
+    evidence = np.clip(evidence, 1e-12, None)
+
+    agree_factor = np.where(observed_one, sq_m, 1.0 - sq_m)
+    post_z1 = pz1 * (0.5 * pu_m + pq_m * agree_factor) / evidence
+    post_i1 = pq_m * (pz_equal_r * sq_m + pz_not_r * (1.0 - sq_m)) / evidence
+
+    q_row_m = q_row[expand]
+    agree_dw = pz_equal_r[:, None] * q_row_m + pz_not_r[:, None] * (1.0 - q_row_m)
+    post_dw = (
+        dw[expand] * (0.5 * pu_m[:, None] + pq_m[:, None] * agree_dw)
+    ) / evidence[:, None]
+    q_col_m = q_col[expand]
+    agree_dt = pz_equal_r[:, None] * q_col_m + pz_not_r[:, None] * (1.0 - q_col_m)
+    post_dt = (
+        dt[expand] * (0.5 * pu_m[:, None] + pq_m[:, None] * agree_dt)
+    ) / evidence[:, None]
+    return post_z1, post_i1, post_dw, post_dt, evidence
 
 
 def em_iteration(

@@ -5,14 +5,25 @@ per-record loop of ``tests/oracles/em.py`` to within floating-point noise —
 the tolerance enforced here is 1e-9 on every parameter and on the (relative)
 log-likelihood, across cold starts, warm starts and incremental updates, on
 both multi-label and binary corpora.
+
+Below the fit level, the kernel's per-answer E-step must match the
+per-response reference summed per answer at 1e-12 relative (only the
+summation order differs), and the E-step paths that serving reaches —
+:class:`~repro.core.em_kernel.SufficientStatCache` and weighted
+:func:`~repro.core.em_kernel.em_step` — must match the plain full step.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 import pytest
 
 from oracles import ReferenceIncrementalUpdater, ReferenceInference
+from oracles.em import per_response_posteriors
+from repro.core import em_kernel
+from repro.core.em_kernel import AnswerTensor, SufficientStatCache
 from repro.core.incremental import IncrementalUpdater
 from repro.core.inference import InferenceConfig, LocationAwareInference
 from repro.crowd.answer_model import AnswerSimulator
@@ -24,8 +35,11 @@ from repro.data.generators import DatasetSpec, generate_dataset
 from repro.data.models import AnswerSet
 from repro.spatial.bbox import BEIJING_BBOX, BoundingBox
 from repro.spatial.distance import DistanceModel
+from repro.utils.validation import PROBABILITY_FLOOR
 
 PARAM_TOL = 1e-9
+#: Kernel-vs-reference tolerance where only the summation order differs.
+REORDER_RTOL = 1e-12
 
 
 def build_corpus(num_tasks=10, labels_per_task=4, num_workers=6, seed=77, answers_per_task=3):
@@ -212,6 +226,220 @@ class TestIncrementalEquivalence:
             updated[name] = updater.apply(grown, new_answers)
 
         assert_parameters_close(updated["reference"], updated["vectorized"])
+
+
+def corpus_tensor(dataset, pool, distance_model, answers, distance_scale=1.0):
+    """The answer tensor a default-config fit would build for ``answers``.
+
+    ``distance_scale`` < 1 moves every worker that much closer to the POIs
+    it answered, so ``q(d_w, d_t)`` approaches 1.
+    """
+    build = functools.partial(
+        AnswerTensor.build,
+        answers,
+        {task.task_id: task for task in dataset.tasks},
+        {worker.worker_id: worker for worker in pool.workers},
+        distance_model,
+        InferenceConfig().function_set,
+    )
+    tensor = build()
+    if distance_scale == 1.0:
+        return tensor
+    return build(pair_distance_fn=lambda _w, _t: tensor.distances * distance_scale)
+
+
+def random_store(tensor, seed):
+    """A store row-aligned with ``tensor`` holding arbitrary valid parameters."""
+    config = InferenceConfig()
+    store = em_kernel.initial_store(
+        tensor, config.function_set, config.alpha, config.initial_p_qualified
+    )
+    rng = np.random.default_rng(seed)
+    num_functions = len(config.function_set)
+    store.p_qualified[:] = rng.uniform(0.05, 0.95, store.num_workers)
+    store.distance_weights[:] = rng.dirichlet(np.ones(num_functions), store.num_workers)
+    store.influence_weights[:] = rng.dirichlet(np.ones(num_functions), store.num_tasks)
+    store.label_probs[:] = rng.uniform(0.0, 1.0, store.num_label_slots)
+    return store
+
+
+def saturated_store(tensor, seed):
+    """Fully trusted workers and confidently estimated labels.
+
+    The regime after many EM iterations on clean data, where a response
+    that contradicts its label is nearly impossible under the model.
+    """
+    store = random_store(tensor, seed)
+    store.p_qualified[:] = 1.0
+    rng = np.random.default_rng(seed + 1)
+    store.label_probs[:] = rng.integers(0, 2, store.num_label_slots)
+    return store
+
+
+def kernel_inputs(tensor, store):
+    """The arguments ``em_step`` passes to the E-step, for the whole tensor."""
+    floor = PROBABILITY_FLOOR
+    return dict(
+        alpha=store.alpha,
+        p_qualified=np.clip(store.p_qualified[tensor.a_worker], floor, 1.0 - floor),
+        dw=store.distance_weights[tensor.a_worker],
+        dt=store.influence_weights[tensor.a_task],
+        f_values=tensor.f_values,
+        expand=tensor.r_answer,
+        pz1=np.clip(store.label_probs[tensor.r_label], 1e-9, 1.0 - 1e-9),
+    )
+
+
+CORPORA = [
+    pytest.param(dict(labels_per_task=4), id="multi-label"),
+    pytest.param(dict(labels_per_task=1, seed=101), id="binary"),
+]
+
+
+class TestPerAnswerEStep:
+    """The kernel's E-step against the per-response reference, summed per answer."""
+
+    @pytest.mark.parametrize("corpus_kwargs", CORPORA)
+    @pytest.mark.parametrize("make_store", [random_store, saturated_store])
+    @pytest.mark.parametrize("store_seed", [0, 1, 2])
+    @pytest.mark.parametrize("distance_scale", [1.0, 0.01])
+    def test_matches_per_response_reference(
+        self, corpus_kwargs, make_store, store_seed, distance_scale
+    ):
+        # A saturated store with near-zero distances is where a two-term
+        # per-answer split (constant + slope · q) loses ~1e-10 to cancellation.
+        tensor = corpus_tensor(
+            *build_corpus(**corpus_kwargs), distance_scale=distance_scale
+        )
+        inputs = kernel_inputs(tensor, make_store(tensor, store_seed))
+        z1, i1, dw, dt, evidence = em_kernel._estep_posteriors(
+            **inputs, responses=tensor.responses
+        )
+        ref_z1, ref_i1, ref_dw, ref_dt, ref_evidence = per_response_posteriors(
+            **inputs, observed_one=tensor.responses == 1
+        )
+        assert dw.shape == dt.shape == (tensor.num_answers, ref_dw.shape[1])
+        for got, want in ((z1, ref_z1), (i1, ref_i1), (evidence, ref_evidence)):
+            np.testing.assert_allclose(got, want, rtol=REORDER_RTOL, atol=0.0)
+        for got, per_response in ((dw, ref_dw), (dt, ref_dt)):
+            want = np.zeros_like(got)
+            np.add.at(want, tensor.r_answer, per_response)
+            np.testing.assert_allclose(got, want, rtol=REORDER_RTOL, atol=0.0)
+
+
+def _all_entities(store):
+    return (
+        np.arange(store.num_workers, dtype=np.intp),
+        np.arange(store.num_tasks, dtype=np.intp),
+        np.arange(store.num_label_slots, dtype=np.intp),
+    )
+
+
+def _cache_totals(cache):
+    return {
+        name: getattr(cache, name).copy()
+        for name in (
+            "_slot_z",
+            "_worker_i",
+            "_worker_dw",
+            "_task_dt",
+            "_worker_labels",
+            "_task_labels",
+            "_task_answers",
+        )
+    }
+
+
+def _repeat_answers(tensor, repeats):
+    """``tensor`` with answer row ``a`` repeated ``repeats[a]`` times."""
+    rows = np.repeat(np.arange(tensor.num_answers), repeats)
+    counts = tensor.num_labels[tensor.a_task[rows]]
+    label_rows = np.concatenate(
+        [
+            np.arange(start, start + count)
+            for start, count in zip(tensor.a_label_start[rows], counts)
+        ]
+    )
+    return AnswerTensor(
+        worker_ids=tensor.worker_ids,
+        task_ids=tensor.task_ids,
+        num_labels=tensor.num_labels,
+        label_offsets=tensor.label_offsets,
+        a_worker=tensor.a_worker[rows],
+        a_task=tensor.a_task[rows],
+        distances=tensor.distances[rows],
+        f_values=tensor.f_values[rows],
+        r_answer=np.repeat(np.arange(rows.size), counts),
+        r_worker=tensor.r_worker[label_rows],
+        r_task=tensor.r_task[label_rows],
+        r_label=tensor.r_label[label_rows],
+        responses=tensor.responses[label_rows],
+        task_of_label=tensor.task_of_label,
+    )
+
+
+class TestSufficientStatsAndWeights:
+    """The cached and weighted E-step paths against the plain full step."""
+
+    @pytest.mark.parametrize("corpus_kwargs", CORPORA)
+    def test_fresh_cache_estimate_equals_em_step(self, corpus_kwargs):
+        tensor = corpus_tensor(*build_corpus(**corpus_kwargs))
+        store = random_store(tensor, seed=3)
+        expected, _ = em_kernel.em_step(tensor, store)
+        estimated = store.copy()
+        SufficientStatCache(tensor, estimated).estimate(*_all_entities(estimated))
+        assert expected.max_difference(estimated) == 0.0
+
+    @pytest.mark.parametrize("corpus_kwargs", CORPORA)
+    def test_decayed_cache_estimate_equals_weighted_em_step(self, corpus_kwargs):
+        tensor = corpus_tensor(*build_corpus(**corpus_kwargs))
+        store = random_store(tensor, seed=4)
+        gamma = 0.9
+        ages = np.random.default_rng(5).integers(0, 12, tensor.num_answers)
+        expected, _ = em_kernel.em_step(
+            tensor, store, answer_weights=gamma ** ages.astype(float)
+        )
+        estimated = store.copy()
+        SufficientStatCache(tensor, estimated, decay=gamma, row_ages=ages).estimate(
+            *_all_entities(estimated)
+        )
+        assert expected.max_difference(estimated) == 0.0
+
+    @pytest.mark.parametrize("corpus_kwargs", CORPORA)
+    def test_decay_steps_and_folds_match_backdated_rebuild(self, corpus_kwargs):
+        tensor = corpus_tensor(*build_corpus(**corpus_kwargs))
+        store = random_store(tensor, seed=6)
+        gamma, rounds = 0.8, 5
+        rng = np.random.default_rng(7)
+        ages = rng.integers(0, 6, tensor.num_answers).astype(float)
+        cache = SufficientStatCache(tensor, store, decay=gamma, row_ages=ages)
+        for _ in range(rounds):
+            cache.decay_step()
+            cache.fold(
+                np.sort(rng.choice(tensor.num_answers, size=7, replace=False))
+            )
+        rebuilt = SufficientStatCache(
+            tensor, store, decay=gamma, row_ages=ages + rounds
+        )
+        got, want = _cache_totals(cache), _cache_totals(rebuilt)
+        for name in want:
+            np.testing.assert_allclose(
+                got[name], want[name], rtol=REORDER_RTOL, err_msg=name
+            )
+
+    @pytest.mark.parametrize("corpus_kwargs", CORPORA)
+    def test_integer_weights_equal_repeated_answers(self, corpus_kwargs):
+        tensor = corpus_tensor(*build_corpus(**corpus_kwargs))
+        store = random_store(tensor, seed=8)
+        repeats = np.random.default_rng(9).integers(1, 4, tensor.num_answers)
+        weighted, weighted_ll = em_kernel.em_step(
+            tensor, store, answer_weights=repeats.astype(float)
+        )
+        repeated, repeated_ll = em_kernel.em_step(
+            _repeat_answers(tensor, repeats), store
+        )
+        assert weighted.max_difference(repeated) <= 1e-12
+        assert abs(weighted_ll - repeated_ll) <= 1e-12 * abs(repeated_ll)
 
 
 @pytest.mark.slow
