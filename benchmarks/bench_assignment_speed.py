@@ -14,9 +14,16 @@ writes ``benchmarks/results/BENCH_assignment_speed.json``:
 * **serving latency** — p50/p95 of live per-worker assignment requests served
   by :class:`repro.serving.frontend.AssignmentFrontend` against a published
   snapshot of the fitted parameters, tracking the serving-side ratchet
-  (target: p50 under ``FRONTEND_P50_TARGET_MS`` at this scale).
+  (target: p50 under ``FRONTEND_P50_TARGET_MS`` at this scale).  Each is a
+  worker's first request, with trust probes off, against one snapshot;
+* **probing and refresh latency** — the two request paths those never run,
+  on a frontend that probes on every request (``probe_interval=1``): p50/p95
+  of warm requests (distance rows and parameters already cached), gated at
+  ``PROBING_P50_TARGET_MS``, and of the first request after each of
+  ``FRESH_PUBLISHES`` fresh snapshot publishes (each one a new parameter
+  version for the assigner), gated at ``AFTER_PUBLISH_P50_TARGET_MS``.
 
-Both thresholds are defined in ``check_gates.py``.
+Every threshold is defined in ``check_gates.py``.
 """
 
 from __future__ import annotations
@@ -24,8 +31,14 @@ from __future__ import annotations
 import json
 import time
 
+import numpy as np
 from bench_common import RESULTS_DIR, build_inference_corpus
-from check_gates import ASSIGNMENT_MIN_SPEEDUP, FRONTEND_P50_TARGET_MS
+from check_gates import (
+    AFTER_PUBLISH_P50_TARGET_MS,
+    ASSIGNMENT_MIN_SPEEDUP,
+    FRONTEND_P50_TARGET_MS,
+    PROBING_P50_TARGET_MS,
+)
 from oracles import ReferenceAccOptAssigner
 
 from repro.assign.accopt import AccOptAssigner
@@ -42,8 +55,12 @@ TASKS_PER_WORKER = 2
 #: EM iterations used to produce realistic (fitted) parameters for scoring.
 FIT_ITERATIONS = 5
 
-#: Serving-latency requests measured against the published snapshot.
+#: Serving-latency requests measured against the published snapshot; also
+#: the warm requests timed on the probing frontend.
 FRONTEND_REQUESTS = 30
+
+#: Fresh snapshot publishes, each followed by one timed request.
+FRESH_PUBLISHES = 24
 
 
 def _time_assign(assigner_cls, corpus, parameters, available):
@@ -85,11 +102,9 @@ def test_assignment_speed_regression(benchmark):
     # p50/p95 numbers the serving-latency ratchet tracks.
     task_ids = [task.task_id for task in dataset.tasks]
     num_labels = [task.num_labels for task in dataset.tasks]
+    store = parameters.to_array_store(pool.worker_ids, task_ids, num_labels)
     snapshots = SnapshotStore()
-    snapshots.publish(
-        parameters.to_array_store(pool.worker_ids, task_ids, num_labels),
-        copy=False,
-    )
+    snapshots.publish(store)
     frontend = AssignmentFrontend(
         dataset.tasks,
         pool.workers,
@@ -100,6 +115,34 @@ def test_assignment_speed_regression(benchmark):
     for worker_id in pool.worker_ids[:FRONTEND_REQUESTS]:
         frontend.assign(worker_id, TASKS_PER_WORKER, answers)
     stats = frontend.stats
+
+    # A probing frontend: warm requests (after one untimed request per
+    # worker), then one request after each fresh publish — a frozen copy of
+    # the same estimate, so every version has equal but new id tuples.
+    probing = AssignmentFrontend(
+        dataset.tasks,
+        pool.workers,
+        distance_model,
+        snapshots,
+        strategy="accopt",
+        probe_interval=1,
+    )
+    warm_workers = pool.worker_ids[:FRONTEND_REQUESTS]
+    for worker_id in warm_workers:
+        probing.assign(worker_id, TASKS_PER_WORKER, answers)
+    warm_ms = [
+        probing.assign(worker_id, TASKS_PER_WORKER, answers).latency_ms
+        for worker_id in warm_workers
+    ]
+    after_publish_ms = []
+    for index in range(FRESH_PUBLISHES):
+        snapshots.publish(store)
+        worker_id = warm_workers[index % len(warm_workers)]
+        after_publish_ms.append(
+            probing.assign(worker_id, TASKS_PER_WORKER, answers).latency_ms
+        )
+    assert probing.stats.parameter_refreshes == FRESH_PUBLISHES + 1
+    assert probing.stats.probes > 0
 
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     payload = {
@@ -116,6 +159,14 @@ def test_assignment_speed_regression(benchmark):
         "frontend_p50_ms": round(stats.p50_latency_ms, 3),
         "frontend_p95_ms": round(stats.p95_latency_ms, 3),
         "frontend_p50_target_ms": FRONTEND_P50_TARGET_MS,
+        "probing_requests": len(warm_ms),
+        "probing_warm_p50_ms": round(float(np.percentile(warm_ms, 50)), 3),
+        "probing_warm_p95_ms": round(float(np.percentile(warm_ms, 95)), 3),
+        "probing_warm_p50_target_ms": PROBING_P50_TARGET_MS,
+        "fresh_publishes": len(after_publish_ms),
+        "after_publish_p50_ms": round(float(np.percentile(after_publish_ms, 50)), 3),
+        "after_publish_p95_ms": round(float(np.percentile(after_publish_ms, 95)), 3),
+        "after_publish_p50_target_ms": AFTER_PUBLISH_P50_TARGET_MS,
     }
     path = RESULTS_DIR / "BENCH_assignment_speed.json"
     path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")

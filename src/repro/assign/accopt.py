@@ -36,7 +36,7 @@ dense one's at a covering radius (``tests/test_sparse_kernels.py``).
 from __future__ import annotations
 
 import heapq
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
@@ -57,10 +57,14 @@ ACCOPT_ENGINES = ("vectorized", "sparse")
 class AccOptAssigner(TaskAssigner):
     """The paper's greedy accuracy-optimal assigner (Algorithm 1).
 
-    The assigner consumes the latest :class:`~repro.core.params.ModelParameters`
-    (worker qualities, POI influences, label probabilities) via
-    :meth:`update_parameters` and greedily maximises the expected accuracy
-    improvement of the batch.
+    The assigner consumes the latest estimate (worker qualities, POI
+    influences, label probabilities) via :meth:`update_parameters` — a
+    :class:`~repro.core.params.ModelParameters` or an
+    :class:`~repro.core.params.ArrayParameterStore` such as a snapshot's
+    frozen store — and greedily maximises the expected accuracy improvement
+    of the batch.  The first request after an update aligns the estimate's
+    rows to the assigner's task and worker order in NumPy (entities it lacks
+    get the footnote-3 priors); every request then slices the aligned arrays.
 
     Complexity matches the paper — ``O(|W|·|T|·|L| + h·|W|²·|L|)`` per batch:
     the initial scoring of every (worker, task) pair dominates, and each greedy
@@ -77,7 +81,7 @@ class AccOptAssigner(TaskAssigner):
         tasks: list[Task],
         workers: list[Worker],
         distance_model: DistanceModel,
-        parameters: ModelParameters | None = None,
+        parameters: ModelParameters | ArrayParameterStore | None = None,
         engine: str = "vectorized",
         candidate_radius: float | None = None,
         metrics: "MetricsRegistry | None" = None,
@@ -93,7 +97,6 @@ class AccOptAssigner(TaskAssigner):
                 "units; use inf to keep every pair a candidate)"
             )
         self._distance_model = distance_model
-        self._parameters = parameters or ModelParameters()
         self._engine = engine
         self._candidate_radius = candidate_radius
         self._metrics = metrics
@@ -111,8 +114,12 @@ class AccOptAssigner(TaskAssigner):
         # the serving frontend's one-worker-per-request pattern; rows are
         # extended in place when tasks arrive after the row was cached.
         self._distance_rows: dict[str, np.ndarray] = {}
-        # Task-side parameter gather, invalidated on update_parameters.
-        self._task_arrays: tuple[np.ndarray, np.ndarray] | None = None
+        # Worker rows of the aligned arrays: construction, then arrival order.
+        self._worker_row = {wid: i for i, wid in enumerate(self._workers)}
+        # Index maps from the estimate's rows to the assigner's, kept while
+        # the estimate's id tuples stay equal and the universe stays put.
+        self._alignment: tuple | None = None
+        self.update_parameters(parameters or ModelParameters())
 
     def _on_task_added(self, task: Task) -> None:
         """Extend the task-side structures for a task posted after startup."""
@@ -120,21 +127,46 @@ class AccOptAssigner(TaskAssigner):
         self._task_ids.append(task.task_id)
         self._task_locations.append(task.location)
         self._task_layout = None
-        self._task_arrays = None
+        self._alignment = self._aligned = None
         if self._candidate_index is not None:
             self._candidate_index.add_task(task)
 
+    def _on_worker_added(self, worker: Worker) -> None:
+        """Give a worker who joined after startup an aligned parameter row."""
+        self._worker_row[worker.worker_id] = len(self._worker_row)
+        self._alignment = self._aligned = None
+
     @property
     def parameters(self) -> ModelParameters:
+        """The estimate in force, as given — a store is converted once, lazily."""
+        if self._parameters is None:
+            self._parameters = self._estimate.to_model()
         return self._parameters
 
     @property
     def engine(self) -> str:
         return self._engine
 
-    def update_parameters(self, parameters: ModelParameters) -> None:
-        self._parameters = parameters
-        self._task_arrays = None
+    def update_parameters(
+        self, parameters: ModelParameters | ArrayParameterStore
+    ) -> None:
+        if isinstance(parameters, ArrayParameterStore):
+            self._parameters, self._store = None, parameters
+        else:
+            self._parameters, self._store = parameters, None
+        self._aligned: tuple[np.ndarray, ...] | None = None
+
+    @property
+    def _estimate(self) -> ArrayParameterStore:
+        """The estimate as arrays over its own ids (a model is flattened once)."""
+        if self._store is None:
+            model = self._parameters
+            self._store = model.to_array_store(
+                list(model.workers),
+                list(model.tasks),
+                [task.num_labels for task in model.tasks.values()],
+            )
+        return self._store
 
     def _ensure_task_layout(self) -> tuple[np.ndarray, np.ndarray]:
         """``(num_labels, label_offsets)`` over the current task ordering."""
@@ -167,31 +199,46 @@ class AccOptAssigner(TaskAssigner):
             assignment.setdefault(worker_id, [])
         return assignment
 
-    # ------------------------------------------------------- vectorized engine
-    def _task_parameter_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Flat ``label_probs`` and ``influence_weights`` over the task order.
+    # ---------------------------------------------------- parameter alignment
+    def _aligned_parameters(self) -> tuple[np.ndarray, ...]:
+        """``(label_probs, influence_weights, p_qualified, distance_weights)``.
 
-        Gathered through :meth:`ModelParameters.task` so unseen tasks receive
-        the footnote-3 priors.
+        Flat label slots and task rows over the task order, worker rows over
+        the worker order.
         """
-        if self._task_arrays is None:
+        if self._aligned is None:
+            estimate = self._estimate
             num_labels, label_offsets = self._ensure_task_layout()
-            function_count = len(self._parameters.function_set)
-            label_probs = np.empty(int(label_offsets[-1]), dtype=float)
-            influence_weights = np.empty(
-                (len(self._task_ids), function_count), dtype=float
-            )
-            for j, task_id in enumerate(self._task_ids):
-                params = self._parameters.task(
-                    task_id, num_labels=int(num_labels[j])
+            ids = (estimate.task_ids, estimate.worker_ids)
+            if self._alignment is None or self._alignment[0] != ids:
+                tasks, task_rows = _rows_in(estimate.task_ids, self._task_ids)
+                counts = np.diff(estimate.label_offsets)[task_rows]
+                if np.any(counts != num_labels[tasks]):
+                    raise ValueError("estimated label counts differ from the tasks'")
+                # Each mapped task's run of label slots, in both layouts.
+                starts = np.cumsum(counts) - counts
+                within = np.arange(counts.sum()) - np.repeat(starts, counts)
+                slots = np.repeat(label_offsets[tasks], counts) + within
+                sources = np.repeat(estimate.label_offsets[task_rows], counts) + within
+                workers, worker_rows = _rows_in(estimate.worker_ids, self._worker_row)
+                self._alignment = (
+                    ids, slots, sources, tasks, task_rows, workers, worker_rows
                 )
-                label_probs[
-                    label_offsets[j] : label_offsets[j + 1]
-                ] = params.label_probs
-                influence_weights[j] = params.influence_weights
-            self._task_arrays = (label_probs, influence_weights)
-        return self._task_arrays
+            _, slots, sources, tasks, task_rows, workers, worker_rows = self._alignment
+            prior = estimate.function_set.best_quality_weights()
+            num_slots, num_tasks = int(label_offsets[-1]), len(self._task_ids)
+            num_workers = len(self._worker_row)
+            self._aligned = (
+                _gather(estimate.label_probs, slots, sources, num_slots, 0.5),
+                _gather(estimate.influence_weights, tasks, task_rows, num_tasks, prior),
+                _gather(estimate.p_qualified, workers, worker_rows, num_workers, 1.0),
+                _gather(
+                    estimate.distance_weights, workers, worker_rows, num_workers, prior
+                ),
+            )
+        return self._aligned
 
+    # ------------------------------------------------------- vectorized engine
     def _distance_row(self, worker_id: str) -> np.ndarray:
         """Normalised distances from one worker to every task (cached).
 
@@ -228,11 +275,10 @@ class AccOptAssigner(TaskAssigner):
         num_tasks = len(self._task_ids)
 
         store, _, label_offsets = self._build_store(worker_list)
-        label_probs, _ = self._task_parameter_arrays()
         distances = np.stack([self._distance_row(w) for w in worker_list])
         accuracies = accuracy_kernel.answer_accuracy_matrix(store, distances)
         state = accuracy_kernel.baseline_state(
-            label_probs,
+            store.label_probs,
             label_offsets,
             [answers.answer_count_of_task(tid) for tid in self._task_ids],
         )
@@ -286,23 +332,19 @@ class AccOptAssigner(TaskAssigner):
         self, worker_list: Sequence[str]
     ) -> tuple[ArrayParameterStore, np.ndarray, np.ndarray]:
         """ArrayParameterStore plus the task layout over sorted workers."""
-        function_count = len(self._parameters.function_set)
         num_labels, label_offsets = self._ensure_task_layout()
-        label_probs, influence_weights = self._task_parameter_arrays()
-        p_qualified = np.empty(len(worker_list), dtype=float)
-        distance_weights = np.empty((len(worker_list), function_count), dtype=float)
-        for i, worker_id in enumerate(worker_list):
-            worker = self._parameters.worker(worker_id)
-            p_qualified[i] = worker.p_qualified
-            distance_weights[i] = worker.distance_weights
+        label_probs, influence_weights, p_qualified, distance_weights = (
+            self._aligned_parameters()
+        )
+        rows = [self._worker_row[worker_id] for worker_id in worker_list]
         store = ArrayParameterStore(
-            function_set=self._parameters.function_set,
-            alpha=self._parameters.alpha,
+            function_set=self._estimate.function_set,
+            alpha=self._estimate.alpha,
             worker_ids=tuple(worker_list),
-            task_ids=tuple(self._task_ids),
+            task_ids=self._task_ids,
             label_offsets=label_offsets,
-            p_qualified=p_qualified,
-            distance_weights=distance_weights,
+            p_qualified=p_qualified[rows],
+            distance_weights=distance_weights[rows],
             influence_weights=influence_weights,
             label_probs=label_probs,
         )
@@ -328,7 +370,6 @@ class AccOptAssigner(TaskAssigner):
         num_tasks = len(self._task_ids)
 
         store, _, label_offsets = self._build_store(worker_list)
-        label_probs, _ = self._task_parameter_arrays()
         candidate_index = self._ensure_candidate_index()
         indptr, indices, data = candidate_index.rows_for(
             [self._workers[w] for w in worker_list]
@@ -336,7 +377,7 @@ class AccOptAssigner(TaskAssigner):
         nnz = int(indptr[-1])
         accuracies = accuracy_kernel.answer_accuracy_csr(store, indptr, indices, data)
         state = accuracy_kernel.baseline_state(
-            label_probs,
+            store.label_probs,
             label_offsets,
             [answers.answer_count_of_task(tid) for tid in self._task_ids],
         )
@@ -481,3 +522,26 @@ class AccOptAssigner(TaskAssigner):
                 if other != i:
                     refresh_row(other)
         return assignment
+
+
+def _rows_in(ids: Sequence[str], order: Iterable[str]) -> tuple[np.ndarray, np.ndarray]:
+    """``(positions, rows)``: each id of ``order`` that ``ids`` holds, as its
+    position in ``order`` and its row in ``ids``."""
+    index = {entity_id: row for row, entity_id in enumerate(ids)}
+    found = np.fromiter((index.get(entity_id, -1) for entity_id in order), np.intp)
+    positions = np.flatnonzero(found >= 0)
+    return positions, found[positions]
+
+
+def _gather(
+    source: np.ndarray,
+    positions: np.ndarray,
+    rows: np.ndarray,
+    count: int,
+    prior: float | np.ndarray,
+) -> np.ndarray:
+    """``count`` rows of ``prior``, with ``source[rows]`` written at ``positions``."""
+    out = np.empty((count,) + source.shape[1:])
+    out[...] = prior
+    out[positions] = source[rows]
+    return out

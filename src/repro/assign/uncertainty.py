@@ -19,7 +19,7 @@ import math
 from typing import Sequence
 
 from repro.core.assignment import TaskAssigner
-from repro.core.params import ModelParameters
+from repro.core.params import ArrayParameterStore, ModelParameters
 from repro.data.models import AnswerSet, Task, Worker
 
 
@@ -46,7 +46,11 @@ class UncertaintyFirstAssigner(TaskAssigner):
     def parameters(self) -> ModelParameters:
         return self._parameters
 
-    def update_parameters(self, parameters: ModelParameters) -> None:
+    def update_parameters(
+        self, parameters: ModelParameters | ArrayParameterStore
+    ) -> None:
+        if isinstance(parameters, ArrayParameterStore):
+            parameters = parameters.to_model()
         self._parameters = parameters
 
     def task_uncertainty(self, task_id: str) -> float:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Sequence
 
-from repro.core.params import ModelParameters
+from repro.core.params import ArrayParameterStore, ModelParameters
 from repro.data.models import AnswerSet, Task, Worker
 
 
@@ -71,12 +71,19 @@ class TaskAssigner(ABC):
     def _on_worker_added(self, worker: Worker) -> None:
         """Hook for strategies with worker-side caches; default no-op."""
 
-    def update_parameters(self, parameters: ModelParameters) -> None:
+    def update_parameters(
+        self, parameters: ModelParameters | ArrayParameterStore
+    ) -> None:
         """Receive the latest inference parameters.
 
-        The default is a no-op; quality-aware assigners (AccOpt) override it.
-        The framework calls this after every inference update so the assigner
-        always works with fresh worker qualities and POI influences.
+        ``parameters`` is the id-keyed
+        :class:`~repro.core.params.ModelParameters` (the framework passes the
+        inference's) or an :class:`~repro.core.params.ArrayParameterStore`
+        (the serving frontend passes each published snapshot's frozen store);
+        entities it lacks get the footnote-3 priors.  The default is a no-op;
+        parameter-aware assigners (AccOpt, uncertainty-first) override it.
+        It is called after every inference update so the assigner always
+        works with fresh worker qualities and POI influences.
         """
 
     # -------------------------------------------------------- trust exclusion

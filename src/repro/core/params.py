@@ -586,24 +586,31 @@ class ArrayParameterStore:
             )
         label_offsets = np.concatenate(([0], np.cumsum(counts)))
 
-        p_qualified = np.empty(worker_count, dtype=float)
-        distance_weights = np.empty((worker_count, function_count), dtype=float)
-        for i, worker_id in enumerate(worker_ids):
-            worker = params.worker(worker_id)
-            p_qualified[i] = worker.p_qualified
-            distance_weights[i] = worker.distance_weights
+        workers = [params.worker(worker_id) for worker_id in worker_ids]
+        p_qualified = np.fromiter(
+            (worker.p_qualified for worker in workers), dtype=float, count=worker_count
+        )
+        distance_weights = np.array(
+            [worker.distance_weights for worker in workers], dtype=float
+        ).reshape(worker_count, function_count)
 
-        influence_weights = np.empty((task_count, function_count), dtype=float)
-        label_probs = np.empty(int(label_offsets[-1]), dtype=float)
-        for j, task_id in enumerate(task_ids):
-            task = params.task(task_id, num_labels=int(counts[j]))
-            if task.num_labels != counts[j]:
-                raise ValueError(
-                    f"task {task_id!r} has {task.num_labels} estimated labels, "
-                    f"expected {int(counts[j])}"
-                )
-            influence_weights[j] = task.influence_weights
-            label_probs[label_offsets[j] : label_offsets[j + 1]] = task.label_probs
+        tasks = [
+            params.task(task_id, num_labels=int(count))
+            for task_id, count in zip(task_ids, counts)
+        ]
+        sizes = np.fromiter(
+            (task.label_probs.size for task in tasks), dtype=np.intp, count=task_count
+        )
+        if np.any(sizes != counts):
+            j = int(np.flatnonzero(sizes != counts)[0])
+            raise ValueError(
+                f"task {task_ids[j]!r} has {int(sizes[j])} estimated labels, "
+                f"expected {int(counts[j])}"
+            )
+        influence_weights = np.array(
+            [task.influence_weights for task in tasks], dtype=float
+        ).reshape(task_count, function_count)
+        label_probs = np.concatenate([np.empty(0)] + [t.label_probs for t in tasks])
 
         return cls(
             function_set=params.function_set,

@@ -8,14 +8,15 @@ ingestion layer may be mid-update at any moment, and snapshots are the
 read-side boundary that makes that safe.
 
 Parameters are pushed into the assigner only when the snapshot version
-actually changed since the last request (assigners keep their own
-:class:`~repro.core.params.ModelParameters` reference), and every request
-records its wall-clock latency so the service can report p50/p95 assignment
-latencies — the paper's Figure 14 concern, measured on the serving path.
-AccOpt requests run on the batched ΔAcc kernels
-(:mod:`repro.core.accuracy_kernel`), dense by default or candidate-pruned
-with ``engine="sparse"``; the scalar Algorithm 1 they are tested against
-lives in ``tests/oracles/accopt.py``.
+actually changed since the last request, as the snapshot's frozen
+:class:`~repro.core.params.ArrayParameterStore` (AccOpt aligns its arrays to
+its own worker and task order in NumPy; the other strategies convert it as
+they need), and every request records its wall-clock latency so the service
+can report p50/p95 assignment latencies — the paper's Figure 14 concern,
+measured on the serving path.  AccOpt requests run on the batched ΔAcc
+kernels (:mod:`repro.core.accuracy_kernel`), dense by default or
+candidate-pruned with ``engine="sparse"``; the scalar Algorithm 1 they are
+tested against lives in ``tests/oracles/accopt.py``.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ from repro.data.models import AnswerSet, Task, Worker
 from repro.obs.metrics import Histogram
 from repro.obs.trace import Tracer
 from repro.serving.snapshots import SnapshotStore
-from repro.spatial.distance import DistanceModel
+from repro.spatial.distance import DistanceModel, normalised_distance_rows
+from repro.spatial.geometry import points_to_arrays
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.serving.guard import ReputationTracker
@@ -210,8 +212,16 @@ class AssignmentFrontend:
         # optimiser alone can starve a worker of near tasks indefinitely.
         self._probe_interval = probe_interval
         self._distance_model = distance_model
-        self._probe_tasks: dict[str, Task] = {t.task_id: t for t in tasks}
-        self._probe_workers: dict[str, Worker] = {w.worker_id: w for w in workers}
+        if probe_interval > 0:
+            # Task order is construction order, then arrival order; the
+            # coordinates feed one batched distance row per probe.
+            probe_tasks = {t.task_id: t for t in tasks}
+            self._probe_task_ids: list[str] = list(probe_tasks)
+            self._probe_column = {tid: j for j, tid in enumerate(self._probe_task_ids)}
+            self._probe_x, self._probe_y = points_to_arrays(
+                [t.location for t in probe_tasks.values()]
+            )
+            self._probe_workers: dict[str, Worker] = {w.worker_id: w for w in workers}
         # Tracker version whose quarantine set was last pushed into the
         # assigner's exclusion list; synced lazily per request.
         self._seen_reputation_version: int | None = None
@@ -258,14 +268,17 @@ class AssignmentFrontend:
         catches up, the new task scores with its footnote-3 prior.
         """
         admitted = self._assigner.add_task(task)
-        if admitted:
-            self._probe_tasks[task.task_id] = task
+        if admitted and self._probe_interval > 0:
+            self._probe_column[task.task_id] = len(self._probe_task_ids)
+            self._probe_task_ids.append(task.task_id)
+            self._probe_x = np.append(self._probe_x, task.location.x)
+            self._probe_y = np.append(self._probe_y, task.location.y)
         return admitted
 
     def add_worker(self, worker: Worker) -> bool:
         """Admit a worker who joined after startup into the assignment universe."""
         admitted = self._assigner.add_worker(worker)
-        if admitted:
+        if admitted and self._probe_interval > 0:
             self._probe_workers[worker.worker_id] = worker
         return admitted
 
@@ -279,6 +292,11 @@ class AssignmentFrontend:
         pure function of the worker's *answered-task* total (``len(answered)
         // h``), not in-memory request counters — a recovered session derives
         the identical probe schedule from the replayed answer log.
+
+        The pick is the ``argmin`` of one batched row of normalised distances
+        (:func:`~repro.spatial.distance.normalised_distance_rows`, AccOpt's
+        row kernel) with answered tasks at ``inf``: ties go to the first task
+        in order; with every task answered there is no swap.
         """
         answered = answers.tasks_of_worker(worker_id)
         if (len(answered) // max(h, 1)) % self._probe_interval != 0:
@@ -286,17 +304,16 @@ class AssignmentFrontend:
         worker = self._probe_workers.get(worker_id)
         if worker is None:
             return task_ids
-        best_id: str | None = None
-        best_distance = float("inf")
-        for task_id, task in self._probe_tasks.items():
-            if task_id in answered:
-                continue
-            distance = self._distance_model.worker_task_distance(
-                worker.locations, task.location
-            )
-            if distance < best_distance:
-                best_id, best_distance = task_id, distance
-        if best_id is None or best_id in task_ids:
+        distances = normalised_distance_rows(
+            [worker.locations], self._probe_x, self._probe_y, self._distance_model
+        )[0]
+        columns = self._probe_column
+        distances[[columns[t] for t in answered if t in columns]] = np.inf
+        nearest = int(np.argmin(distances))
+        if distances[nearest] == np.inf:
+            return task_ids
+        best_id = self._probe_task_ids[nearest]
+        if best_id in task_ids:
             return task_ids
         self._stats.probes += 1
         return task_ids[:-1] + (best_id,)
@@ -340,7 +357,7 @@ class AssignmentFrontend:
         if snapshot is not None:
             version = snapshot.version
             if snapshot.version != self._seen_version:
-                self._assigner.update_parameters(snapshot.as_model())
+                self._assigner.update_parameters(snapshot.store)
                 self._seen_version = snapshot.version
                 self._stats.parameter_refreshes += 1
         assignment = self._assigner.assign([worker_id], h, answers)

@@ -64,10 +64,10 @@ class ParameterSnapshot:
     on top of a base snapshot; accessing :attr:`store` materialises a delta
     snapshot on first read by applying the delta chain onto the nearest
     materialised ancestor.  Either way the arrays handed out are frozen
-    (read-only).  Consumers that need the id-oriented
-    :class:`~repro.core.params.ModelParameters` view (the task assigners) call
-    :meth:`as_model`, which converts lazily and caches — the same snapshot is
-    typically read by many assignment requests.
+    (read-only).  The assignment frontend hands :attr:`store` itself to its
+    task assigner.  Consumers that need the id-oriented
+    :class:`~repro.core.params.ModelParameters` view (accuracy read-outs,
+    offline tools) call :meth:`as_model`, which converts lazily and caches.
     """
 
     __slots__ = (

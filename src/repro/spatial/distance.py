@@ -247,10 +247,26 @@ def normalised_distance_matrix(
     ``np.minimum.reduceat``, bounding peak memory at
     O(chunk_size · max_locations · len(tasks)).
     """
+    task_x, task_y = points_to_arrays(task_locations)
+    return normalised_distance_rows(worker_locations, task_x, task_y, model, chunk_size)
+
+
+def normalised_distance_rows(
+    worker_locations: Sequence[Sequence[GeoPoint]],
+    task_x: np.ndarray,
+    task_y: np.ndarray,
+    model: DistanceModel,
+    chunk_size: int = 1024,
+) -> np.ndarray:
+    """:func:`normalised_distance_matrix` over task coordinate arrays.
+
+    ``task_x``/``task_y`` come from :func:`~repro.spatial.geometry.points_to_arrays`,
+    so a caller that keeps its tasks' coordinates converts no points per call.
+    """
     if chunk_size <= 0:
         raise ValueError(f"chunk_size must be positive, got {chunk_size}")
     num_workers = len(worker_locations)
-    num_tasks = len(task_locations)
+    num_tasks = len(task_x)
     if num_workers == 0 or num_tasks == 0:
         return np.empty((num_workers, num_tasks), dtype=float)
 
@@ -264,7 +280,6 @@ def normalised_distance_matrix(
         flat_locations.extend(materialised)
 
     wx, wy = points_to_arrays(flat_locations)
-    tx, ty = points_to_arrays(task_locations)
     distance_fn = _ARRAY_METRICS[model.metric]
     starts = np.cumsum(counts) - counts  # first flat row of each worker
     matrix = np.empty((num_workers, num_tasks), dtype=float)
@@ -275,8 +290,8 @@ def normalised_distance_matrix(
         raw = distance_fn(
             wx[row_start:row_stop, None],
             wy[row_start:row_stop, None],
-            tx[None, :],
-            ty[None, :],
+            task_x[None, :],
+            task_y[None, :],
         )
         matrix[block_start:block_stop] = np.minimum.reduceat(
             raw, starts[block_start:block_stop] - row_start, axis=0

@@ -7,15 +7,20 @@ configurations are exercised by the benchmark harness instead.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
+import numpy as np
 import pytest
 
+from repro.core.inference import LocationAwareInference
 from repro.crowd.answer_model import AnswerSimulator
 from repro.crowd.arrival import UniformRandomArrival
 from repro.crowd.budget import Budget
 from repro.crowd.platform import CrowdPlatform
 from repro.crowd.worker_pool import WorkerPool, WorkerPoolSpec
 from repro.data.generators import DatasetSpec, generate_dataset
-from repro.data.models import Dataset
+from repro.data.models import POI, Dataset, Task, Worker
+from repro.serving.snapshots import SnapshotStore
 from repro.spatial.bbox import BEIJING_BBOX, BoundingBox
 from repro.spatial.distance import DistanceModel
 
@@ -65,3 +70,108 @@ def platform(small_dataset: Dataset, worker_pool: WorkerPool, distance_model: Di
 def collected_answers(platform: CrowdPlatform):
     """A Deployment-1 style corpus: every task answered by three workers."""
     return platform.collect_batch_answers(answers_per_task=3, seed=21)
+
+
+@dataclass
+class ParameterFeed:
+    """Published estimates to feed to assigners, one by store, one by model.
+
+    ``steps`` is a list of ``(arrivals, snapshot)``: the tasks and workers
+    the assigners admit first, then the snapshot they are fed (``None``
+    keeps the last one).
+    """
+
+    steps: list
+    worker_ids: list
+
+    def fed_pairs(self, make_assigner):
+        """Yield ``(by_store, by_model, worker_ids)`` after every step.
+
+        ``by_store`` is one assigner that lives through every step, fed each
+        snapshot's frozen ``store``; ``by_model`` is built afresh at each step
+        over the same universe and fed the snapshot's ``as_model()`` view, so
+        it shares no state with the steps before.  ``worker_ids`` lists every
+        admitted worker.
+        """
+        by_store = make_assigner()
+        admitted, worker_ids, snapshot = [], list(self.worker_ids), None
+        for arrivals, fed in self.steps:
+            for entity in arrivals:
+                admitted.append(entity)
+                if isinstance(entity, Worker):
+                    assert by_store.add_worker(entity)
+                    worker_ids.append(entity.worker_id)
+                else:
+                    assert by_store.add_task(entity)
+            if fed is not None:
+                snapshot = fed
+                by_store.update_parameters(snapshot.store)
+            by_model = make_assigner()
+            for entity in admitted:
+                if isinstance(entity, Worker):
+                    by_model.add_worker(entity)
+                else:
+                    by_model.add_task(entity)
+            by_model.update_parameters(snapshot.as_model())
+            yield by_store, by_model, worker_ids
+
+
+@pytest.fixture(params=["shuffled", "missing", "grown", "equal_ids"])
+def parameter_feed(
+    request, small_dataset, worker_pool, distance_model, collected_answers
+) -> ParameterFeed:
+    """One fitted estimate, published as snapshots of four shapes.
+
+    * ``shuffled``: worker and task rows in an order unlike any assigner's;
+    * ``missing``: every third worker and task absent (they get the priors);
+    * ``grown``: the assigners admit a task and a worker that the snapshot
+      lacks; then a snapshot arrives that holds them and one more task and
+      worker, which the assigners admit next, one step each;
+    * ``equal_ids``: two versions whose id tuples are equal but not
+      identical, with different values.
+    """
+    model = LocationAwareInference(
+        small_dataset.tasks, worker_pool.workers, distance_model
+    )
+    model.fit(collected_answers)
+    rng = np.random.default_rng(5)
+    worker_ids = list(worker_pool.worker_ids)
+    tasks = list(small_dataset.tasks)
+    if request.param == "shuffled":
+        rng.shuffle(worker_ids)
+        rng.shuffle(tasks)
+    elif request.param == "missing":
+        worker_ids = [w for i, w in enumerate(worker_ids) if i % 3]
+        tasks = [t for i, t in enumerate(tasks) if i % 3]
+    store = model.parameters.to_array_store(
+        worker_ids, [t.task_id for t in tasks], [t.num_labels for t in tasks]
+    )
+    snapshots = SnapshotStore()
+    steps = [((), snapshots.publish(store))]
+    if request.param == "grown":
+        arrivals = []
+        uniform = store.function_set.uniform_weights()
+        for k, template in enumerate(small_dataset.tasks[:2]):
+            location = template.location
+            task = Task(
+                task_id=f"late-task-{k}",
+                poi=POI(poi_id=f"late-poi-{k}", name="late", location=location),
+                labels=("a", "b"),
+                truth=(1, 0),
+            )
+            worker = Worker(f"late-worker-{k}", (location,))
+            store.add_task(task.task_id, 2, np.array([0.9, 0.2]), uniform)
+            store.add_worker(worker.worker_id, 0.3, uniform)
+            arrivals.append((task, worker))
+        steps.append((arrivals[0], None))
+        steps.append(((), snapshots.publish(store)))
+        steps.extend(((entity,), None) for entity in arrivals[1])
+    elif request.param == "equal_ids":
+        store.p_qualified[::2] = 1.0 - store.p_qualified[::2]
+        store.label_probs[::3] = 0.5
+        steps.append(((), snapshots.publish(store)))
+        first, second = steps[0][1].store, steps[1][1].store
+        assert first.task_ids == second.task_ids and first.task_ids is not second.task_ids
+        assert first.worker_ids == second.worker_ids
+        assert first.worker_ids is not second.worker_ids
+    return ParameterFeed(steps=steps, worker_ids=list(worker_pool.worker_ids))

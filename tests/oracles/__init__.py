@@ -16,7 +16,9 @@ from here.
 * :mod:`oracles.accopt` — the scalar greedy Algorithm 1,
   :class:`ReferenceAccOptAssigner`;
 * :mod:`oracles.dawid_skene` — the per-observation Dawid–Skene baseline,
-  :class:`ReferenceDawidSkene`.
+  :class:`ReferenceDawidSkene`;
+* :mod:`oracles.probe` — the serving frontend's trust-probe pick, one
+  scalar distance per task, :func:`nearest_unanswered_task`.
 
 Import with ``tests/`` on ``sys.path`` (pytest does this for the test suite;
 ``benchmarks/conftest.py`` does it for the benchmarks).
@@ -26,10 +28,12 @@ from oracles.accopt import ReferenceAccOptAssigner
 from oracles.dawid_skene import ReferenceDawidSkene
 from oracles.em import ReferenceInference
 from oracles.incremental import ReferenceIncrementalUpdater
+from oracles.probe import nearest_unanswered_task
 
 __all__ = [
     "ReferenceAccOptAssigner",
     "ReferenceDawidSkene",
     "ReferenceIncrementalUpdater",
     "ReferenceInference",
+    "nearest_unanswered_task",
 ]

@@ -94,6 +94,18 @@ class TestUncertaintyFirstAssigner:
         assignment = assigner.assign([worker_id], 1, AnswerSet())
         assert assignment[worker_id] == [small_dataset.tasks[0].task_id]
 
+    def test_store_feed_ranks_like_model_feed(
+        self, small_dataset, worker_pool, collected_answers, parameter_feed
+    ):
+        pairs = parameter_feed.fed_pairs(
+            lambda: UncertaintyFirstAssigner(small_dataset.tasks, worker_pool.workers)
+        )
+        for by_store, by_model, workers in pairs:
+            everything = len(by_store.tasks)
+            assert by_store.assign(
+                workers, everything, collected_answers
+            ) == by_model.assign(workers, everything, collected_answers)
+
     def test_validation(self, small_dataset, worker_pool):
         assigner = UncertaintyFirstAssigner(small_dataset.tasks, worker_pool.workers)
         with pytest.raises(ValueError):

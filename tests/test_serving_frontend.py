@@ -1,11 +1,18 @@
 """Tests for repro.serving.frontend (live assignment against snapshots)."""
 
+from types import SimpleNamespace
+
 import pytest
 
+from oracles import nearest_unanswered_task
 from repro.core.inference import LocationAwareInference
-from repro.data.models import AnswerSet
+from repro.data.models import POI, AnswerSet, Task, Worker
+from repro.framework.scenarios import SCENARIO_NAMES, build_scenario
 from repro.serving.frontend import NO_SNAPSHOT, AssignmentFrontend
-from repro.serving.snapshots import SnapshotStore
+from repro.serving.service import OnlineServingService
+from repro.serving.snapshots import ParameterSnapshot, SnapshotStore
+from repro.spatial.distance import DistanceModel
+from repro.spatial.geometry import GeoPoint
 
 
 @pytest.fixture()
@@ -89,6 +96,27 @@ class TestSnapshotTracking:
         frontend.assign(worker_pool.worker_ids[3], 1, AnswerSet())
         assert frontend.stats.parameter_refreshes == 2
         assert frontend.seen_version == 1
+
+    def test_version_change_never_converts_the_snapshot(
+        self, small_dataset, worker_pool, distance_model, snapshot_setup,
+        monkeypatch,
+    ):
+        """AccOpt is fed the snapshot's store; no request builds the
+        dict-of-dataclasses view."""
+        snapshots, store = snapshot_setup
+
+        def refuse(snapshot):
+            raise AssertionError("ParameterSnapshot.as_model on the request path")
+
+        monkeypatch.setattr(ParameterSnapshot, "as_model", refuse)
+        frontend = make_frontend(
+            small_dataset, worker_pool, distance_model, snapshots,
+            probe_interval=1,
+        )
+        for worker_id in worker_pool.worker_ids[:3]:
+            snapshots.publish(store)
+            assert frontend.assign(worker_id, 2, AnswerSet()).task_ids
+        assert frontend.stats.parameter_refreshes == 3
 
     def test_strategies_all_serve(self, small_dataset, worker_pool, distance_model, snapshot_setup):
         snapshots, store = snapshot_setup
@@ -237,16 +265,34 @@ class TestLatencyReservoir:
 
 
 # ------------------------------------------------------------ trust probes
-def nearest_unanswered_task(small_dataset, worker_pool, distance_model, worker_id, answered=()):
-    worker = next(w for w in worker_pool.workers if w.worker_id == worker_id)
-    best_id, best_distance = None, float("inf")
-    for task in small_dataset.tasks:
-        if task.task_id in answered:
-            continue
-        distance = distance_model.worker_task_distance(worker.locations, task.location)
-        if distance < best_distance:
-            best_id, best_distance = task.task_id, distance
-    return best_id
+#: A task id no universe holds: a probe that fires replaces it.
+UNPICKED = ("not-a-task",)
+
+
+def probe_pick(frontend, worker_id, answered):
+    """The frontend's probe pick for ``answered`` (None: no swap)."""
+    answers = SimpleNamespace(tasks_of_worker=lambda _: frozenset(answered))
+    picked = frontend._maybe_probe(worker_id, 1, UNPICKED, answers)
+    return None if picked == UNPICKED else picked[-1]
+
+
+def make_task(task_id, x, y):
+    return Task(
+        task_id=task_id,
+        poi=POI(poi_id=f"poi-{task_id}", name=task_id, location=GeoPoint(x, y)),
+        labels=("a", "b"),
+        truth=(1, 0),
+    )
+
+
+def probing_frontend(tasks, workers):
+    return AssignmentFrontend(
+        tasks,
+        workers,
+        DistanceModel(max_distance=20.0),
+        SnapshotStore(),
+        probe_interval=1,
+    )
 
 
 class TestTrustProbes:
@@ -257,11 +303,9 @@ class TestTrustProbes:
             small_dataset, worker_pool, distance_model, SnapshotStore(),
             probe_interval=1,
         )
-        worker_id = worker_pool.worker_ids[0]
-        response = frontend.assign(worker_id, 2, AnswerSet())
-        nearest = nearest_unanswered_task(
-            small_dataset, worker_pool, distance_model, worker_id
-        )
+        worker = worker_pool.workers[0]
+        response = frontend.assign(worker.worker_id, 2, AnswerSet())
+        nearest = nearest_unanswered_task(small_dataset.tasks, worker, distance_model)
         assert nearest in response.task_ids
 
     def test_probe_swap_and_cadence(
@@ -273,11 +317,10 @@ class TestTrustProbes:
             small_dataset, worker_pool, distance_model, SnapshotStore(),
             probe_interval=2,
         )
-        profile = next(iter(worker_pool))
-        worker_id = profile.worker_id
-        nearest = nearest_unanswered_task(
-            small_dataset, worker_pool, distance_model, worker_id
-        )
+        worker = worker_pool.workers[0]
+        worker_id = worker.worker_id
+        profile = worker_pool.profile(worker_id)
+        nearest = nearest_unanswered_task(small_dataset.tasks, worker, distance_model)
         decoys = tuple(
             t.task_id for t in small_dataset.tasks if t.task_id != nearest
         )[:2]
@@ -309,6 +352,94 @@ class TestTrustProbes:
         )
         frontend.assign(worker_pool.worker_ids[0], 2, AnswerSet())
         assert frontend.stats.probes == 0
+
+    @pytest.mark.parametrize("seed", [3, 17, 29])
+    @pytest.mark.parametrize("scenario", SCENARIO_NAMES)
+    def test_pick_matches_scalar_oracle_on_a_served_campaign(
+        self, scenario, seed, monkeypatch
+    ):
+        """Every answered set a served campaign probed at gives the oracle's
+        pick, on every scenario preset (haversine distances)."""
+        built = build_scenario(
+            scenario, num_tasks=30, num_workers=12, budget=120, seed=seed
+        )
+        platform = built.platform
+        service = OnlineServingService(platform, built.config)
+        probed = service.frontend._maybe_probe
+        recorded = []
+
+        def record(worker_id, h, task_ids, answers):
+            recorded.append((worker_id, answers.tasks_of_worker(worker_id)))
+            return probed(worker_id, h, task_ids, answers)
+
+        monkeypatch.setattr(service.frontend, "_maybe_probe", record)
+        service.run()
+        service.close()
+        assert len(recorded) >= 20
+        assert any(answered for _, answered in recorded)
+
+        tasks, workers = platform.dataset.tasks, platform.worker_pool.workers
+        frontend = AssignmentFrontend(
+            tasks, workers, platform.distance_model, SnapshotStore(),
+            probe_interval=1,
+        )
+        by_id = {worker.worker_id: worker for worker in workers}
+        for worker_id, answered in recorded:
+            assert probe_pick(frontend, worker_id, answered) == nearest_unanswered_task(
+                tasks, by_id[worker_id], platform.distance_model, answered
+            )
+
+    def test_every_task_answered_means_no_swap(self):
+        tasks = [make_task("t0", 1.0, 1.0), make_task("t1", 2.0, 2.0)]
+        worker = Worker("w", (GeoPoint(0.0, 0.0),))
+        frontend = probing_frontend(tasks, [worker])
+        assert probe_pick(frontend, "w", {"t0", "t1"}) is None
+        assert frontend.stats.probes == 0
+        assert nearest_unanswered_task(
+            tasks, worker, DistanceModel(max_distance=20.0), {"t0", "t1"}
+        ) is None
+
+    def test_task_added_after_the_first_probe(self):
+        tasks = [make_task("far", 5.0, 5.0), make_task("near", 1.2, 0.0)]
+        worker = Worker("w", (GeoPoint(0.0, 0.0),))
+        frontend = probing_frontend(tasks, [worker])
+        assert probe_pick(frontend, "w", ()) == "near"
+        late = make_task("late", 0.2, 1.0)
+        assert frontend.add_task(late)
+        grown = tasks + [late]
+        model = DistanceModel(max_distance=20.0)
+        for answered in ((), {"late"}, {"late", "near"}):
+            expected = nearest_unanswered_task(grown, worker, model, answered)
+            assert probe_pick(frontend, "w", answered) == expected
+        assert probe_pick(frontend, "w", ()) == "late"
+        assert probe_pick(frontend, "w", {"late", "near", "far"}) is None
+
+    @pytest.mark.parametrize("order", [("far", "b", "a"), ("far", "a", "b")])
+    def test_co_located_tasks_go_to_the_first_in_order(self, order):
+        place = {"far": (5.0, 5.0), "a": (1.0, 1.0), "b": (1.0, 1.0)}
+        tasks = [make_task(task_id, *place[task_id]) for task_id in order]
+        worker = Worker("w", (GeoPoint(0.0, 0.0),))
+        frontend = probing_frontend(tasks, [worker])
+        assert probe_pick(frontend, "w", ()) == order[1]
+        assert nearest_unanswered_task(
+            tasks, worker, DistanceModel(max_distance=20.0)
+        ) == order[1]
+        assert probe_pick(frontend, "w", {order[1]}) == order[2]
+
+    def test_worker_with_two_locations(self):
+        tasks = [
+            make_task("by-first", 3.0, 0.0),
+            make_task("by-second", 9.0, 9.0),
+            make_task("between", 4.0, 4.0),
+        ]
+        worker = Worker("w", (GeoPoint(0.0, 0.0), GeoPoint(10.0, 10.0)))
+        frontend = probing_frontend(tasks, [worker])
+        model = DistanceModel(max_distance=20.0)
+        for answered in ((), {"by-second"}, {"by-second", "by-first"}):
+            expected = nearest_unanswered_task(tasks, worker, model, answered)
+            assert probe_pick(frontend, "w", answered) == expected
+        assert probe_pick(frontend, "w", ()) == "by-second"
+        assert probe_pick(frontend, "w", {"by-second"}) == "by-first"
 
 
 class TestReputationAtTheFrontend:

@@ -293,6 +293,35 @@ class TestSparseAccOptEquivalence:
             workers, 2, AnswerSet()
         )
 
+    def test_store_feed_assigns_like_model_feed(
+        self, small_dataset, worker_pool, distance_model, collected_answers,
+        parameter_feed,
+    ):
+        pairs = parameter_feed.fed_pairs(
+            lambda: AccOptAssigner(
+                small_dataset.tasks,
+                worker_pool.workers,
+                distance_model,
+                engine="sparse",
+                candidate_radius=COVERING_RADIUS,
+            )
+        )
+        for by_store, by_model, workers in pairs:
+            # The arrays AccOpt scores from equal the accessor-built flatten
+            # of the model view, footnote-3 priors included.
+            scored = by_store._build_store(sorted(workers))[0]
+            expected = by_model.parameters.to_array_store(
+                scored.worker_ids, scored.task_ids, np.diff(scored.label_offsets)
+            )
+            for name in ("p_qualified", "distance_weights", "influence_weights", "label_probs"):
+                np.testing.assert_array_equal(
+                    getattr(scored, name), getattr(expected, name)
+                )
+            for h in (1, 2, 3):
+                assert by_store.assign(
+                    workers, h, collected_answers
+                ) == by_model.assign(workers, h, collected_answers)
+
 
 class TestSparseAccOptDegenerate:
     def test_all_far_workers_still_fill_capacity(
