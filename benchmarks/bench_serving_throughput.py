@@ -38,6 +38,13 @@ online serving subsystem (:mod:`repro.serving`) and writes
   write-ahead answer journal enabled (crash-safe serving) must sustain at
   least ``MIN_JOURNALED_ANSWERS_PER_SEC`` (70% of the throughput ratchet):
   durability may not cost more than 30% of the log-free hot path;
+* **the checkpoint gate** — one more full-stream replay with the journal
+  *and* a checkpoint every ``CHECKPOINT_INTERVAL`` answers (the perfbench
+  ``stream`` cadence) records each save's wall time, the checkpoints' total
+  bytes and the ``recover_ingestor`` time from the newest checkpoint; the
+  bytes written per checkpointed answer row must stay under
+  ``MAX_CHECKPOINT_BYTES_PER_ANSWER`` (the answers are persisted as
+  columns, not as per-answer text);
 * **the phase breakdown** — the full-stream replay runs with the telemetry
   tracer attached (:mod:`repro.obs`): per-quarter shares of wall time spent
   in apply/refresh/publish land in the artifact (diagnosing throughput decay
@@ -66,6 +73,7 @@ from bench_common import (
     build_open_world_stream,
 )
 from check_gates import (
+    MAX_CHECKPOINT_BYTES_PER_ANSWER,
     MAX_FULL_STREAM_LOG_FLATTENS,
     MAX_INGEST_STALL_MS,
     MIN_ATTRIBUTED_WALL_FRACTION,
@@ -82,8 +90,8 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import PhaseTimeline, Tracer
 from repro.serving.frontend import AssignmentFrontend
 from repro.serving.ingest import AnswerIngestor, IngestConfig
-from repro.serving.journal import AnswerJournal
-from repro.serving.snapshots import SnapshotStore
+from repro.serving.journal import AnswerJournal, recover_ingestor
+from repro.serving.snapshots import CheckpointManager, SnapshotStore
 
 #: Micro-batch policy of the gated configuration.
 MICRO_BATCH_ANSWERS = 64
@@ -110,6 +118,10 @@ FULL_REFRESH_MAX_ITERATIONS = 25
 #: cadence: ~20 segment files over the 20k stream).
 JOURNAL_SEGMENT_RECORDS = 1024
 
+#: Applied answers between checkpoints in the durable replay (the perfbench
+#: ``stream`` workload's cadence).
+CHECKPOINT_INTERVAL = 4000
+
 #: Prefix replayed under tracemalloc for the peak-memory report (kept off the
 #: timed replays — allocation tracking itself costs wall-clock).
 MEMORY_PREFIX_ANSWERS = 4000
@@ -123,8 +135,43 @@ OPEN_WORLD_HOLDBACK_WORKERS = 0.25
 OPEN_WORLD_HOLDBACK_TASKS = 0.10
 
 
+class _MeteredCheckpoints(CheckpointManager):
+    """A checkpoint manager that records each save's seconds, bytes and rows."""
+
+    def __init__(self, directory: Path) -> None:
+        super().__init__(directory)
+        self.save_seconds: list[float] = []
+        self.save_bytes: list[int] = []
+        self.save_rows: list[int] = []
+
+    def save(self, state):
+        started = time.perf_counter()
+        path = super().save(state)
+        self.save_seconds.append(time.perf_counter() - started)
+        sidecar = path.with_suffix(".npz.crc")
+        self.save_bytes.append(path.stat().st_size + sidecar.stat().st_size)
+        self.save_rows.append(state.columns.num_answers)
+        return path
+
+
+def _inference(dataset, pool, distance_model) -> LocationAwareInference:
+    return LocationAwareInference(
+        dataset.tasks,
+        pool.workers,
+        distance_model,
+        config=InferenceConfig(max_iterations=FULL_REFRESH_MAX_ITERATIONS),
+    )
+
+
 def _replay(
-    dataset, pool, distance_model, events, ingest_config, journal=None, tracer=None
+    dataset,
+    pool,
+    distance_model,
+    events,
+    ingest_config,
+    journal=None,
+    tracer=None,
+    checkpoints=None,
 ):
     """Stream ``events`` through a fresh ingestor.
 
@@ -137,15 +184,14 @@ def _replay(
     consecutive snapshot publishes — the freshness counterpart of the stall
     gate.
     """
-    inference = LocationAwareInference(
-        dataset.tasks,
-        pool.workers,
-        distance_model,
-        config=InferenceConfig(max_iterations=FULL_REFRESH_MAX_ITERATIONS),
-    )
     snapshots = SnapshotStore()
     ingestor = AnswerIngestor(
-        inference, snapshots, config=ingest_config, journal=journal, tracer=tracer
+        _inference(dataset, pool, distance_model),
+        snapshots,
+        config=ingest_config,
+        journal=journal,
+        tracer=tracer,
+        checkpoints=checkpoints,
     )
     timeline = PhaseTimeline(tracer) if tracer is not None else None
     quarter = max(1, len(events) // 4)
@@ -274,6 +320,46 @@ def test_serving_throughput_gate(benchmark):
     assert journaled_ingestor.stats.answers == len(events)
     journaled_rate = len(events) / journaled_seconds
 
+    # Checkpoint gate: the journaled stream again, now also checkpointed at
+    # the perfbench cadence, then a recovery from the newest checkpoint.
+    durable_config = _micro_batched_config()
+    durable_config.checkpoint_interval = CHECKPOINT_INTERVAL
+    durable_dir = Path(tempfile.mkdtemp(prefix="bench-durable-"))
+    try:
+        journal = AnswerJournal(
+            durable_dir / "journal", max_segment_records=JOURNAL_SEGMENT_RECORDS
+        )
+        checkpoints = _MeteredCheckpoints(durable_dir / "checkpoints")
+        durable_ingestor, _, durable_seconds, _, _, _ = _replay(
+            dataset,
+            pool,
+            distance_model,
+            events,
+            durable_config,
+            journal=journal,
+            checkpoints=checkpoints,
+        )
+        journal.close()
+        recover_started = time.perf_counter()
+        recovered, recovery = recover_ingestor(
+            durable_dir,
+            inference=_inference(dataset, pool, distance_model),
+            snapshots=SnapshotStore(),
+            ingest_config=durable_config,
+            journal_segment_records=JOURNAL_SEGMENT_RECORDS,
+        )
+        recover_seconds = time.perf_counter() - recover_started
+        recovered.close()
+        recovered.journal.close()
+    finally:
+        shutil.rmtree(durable_dir, ignore_errors=True)
+    assert durable_ingestor.stats.checkpoint_failures == 0
+    assert checkpoints.save_rows, "the durable replay wrote no checkpoint"
+    assert recovery.checkpoint_answers == checkpoints.save_rows[-1]
+    save_ms = sorted(1000.0 * seconds for seconds in checkpoints.save_seconds)
+    checkpoint_bytes = sum(checkpoints.save_bytes)
+    bytes_per_answer = checkpoint_bytes / sum(checkpoints.save_rows)
+
     # Gate: identical prefix, micro-batched vs refresh-per-answer.
     prefix = events[:GATE_PREFIX_ANSWERS]
     _, _, micro_seconds, _, _, _ = _replay(
@@ -389,6 +475,18 @@ def test_serving_throughput_gate(benchmark):
         "assignment_requests": stats.requests,
         "assignment_p50_ms": round(stats.p50_latency_ms, 3),
         "assignment_p95_ms": round(stats.p95_latency_ms, 3),
+        "checkpoint_interval": CHECKPOINT_INTERVAL,
+        "durable_answers_per_sec": round(len(events) / durable_seconds, 1),
+        "checkpoints_written": len(checkpoints.save_rows),
+        "checkpoint_rows": checkpoints.save_rows,
+        "checkpoint_save_ms_median": round(save_ms[len(save_ms) // 2], 2),
+        "checkpoint_save_ms_max": round(save_ms[-1], 2),
+        "checkpoint_bytes_total": checkpoint_bytes,
+        "checkpoint_bytes_per_answer": round(bytes_per_answer, 1),
+        "max_checkpoint_bytes_per_answer": MAX_CHECKPOINT_BYTES_PER_ANSWER,
+        "recover_seconds": round(recover_seconds, 3),
+        "recover_checkpoint_answers": recovery.checkpoint_answers,
+        "recover_replayed_events": recovery.replayed_events,
         "open_world_stream_answers": len(ow_events),
         "open_world_fraction": round(ow_fraction, 3),
         "min_open_world_fraction": MIN_OPEN_WORLD_FRACTION,
@@ -459,6 +557,10 @@ def test_serving_throughput_gate(benchmark):
         f"{MIN_JOURNALED_ANSWERS_PER_SEC / MIN_FULL_STREAM_ANSWERS_PER_SEC:.0%} "
         f"of the throughput ratchet) — the "
         f"write-ahead journal costs too much; see {path}"
+    )
+    assert bytes_per_answer <= MAX_CHECKPOINT_BYTES_PER_ANSWER, (
+        f"checkpoints wrote {bytes_per_answer:.0f} bytes per checkpointed "
+        f"answer (ceiling: {MAX_CHECKPOINT_BYTES_PER_ANSWER:.0f}); see {path}"
     )
     assert ow_fraction >= MIN_OPEN_WORLD_FRACTION, (
         f"open-world stream only draws {ow_fraction:.0%} of its events from "

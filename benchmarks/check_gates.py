@@ -103,6 +103,15 @@ MIN_OPEN_WORLD_FRACTION = 0.2
 #: with the throughput ratchet (measured 7376-8706 over four runs).
 MIN_JOURNALED_ANSWERS_PER_SEC = 3150.0
 
+#: Checkpoint-size gate: bytes (archive + CRC sidecar) written per answer
+#: row the checkpoints hold, over the durable replay with a checkpoint every
+#: 4000 answers.  Near-deterministic: only the counters JSON varies by a few
+#: bytes.  While each checkpoint carried the answer log as JSON inside a
+#: UCS-4 string (and the task metadata the same way) it read 1184.8; with
+#: the answers persisted as columns and the metadata as UTF-8 it reads
+#: 298.1, most of it the O(tasks) metadata and store, so the ceiling is 400.
+MAX_CHECKPOINT_BYTES_PER_ANSWER = 400.0
+
 #: Attribution-coverage gate: pipeline spans must explain at least this
 #: fraction of the full-stream replay's wall clock.
 MIN_ATTRIBUTED_WALL_FRACTION = 0.9
@@ -213,6 +222,13 @@ GATES = [
         "min_journaled_answers_per_sec",
         ">=",
         MIN_JOURNALED_ANSWERS_PER_SEC,
+    ),
+    (
+        "BENCH_serving_throughput.json",
+        "checkpoint_bytes_per_answer",
+        "max_checkpoint_bytes_per_answer",
+        "<=",
+        MAX_CHECKPOINT_BYTES_PER_ANSWER,
     ),
     (
         "BENCH_serving_throughput.json",

@@ -216,7 +216,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="applied answers between checkpoints "
                             "(0 disables; requires --state-dir)")
     serve.add_argument("--journal-fsync", action="store_true",
-                       help="fsync every journal append (power-loss safe, slower)")
+                       help="fsync every journal append and checkpoint "
+                            "(power-loss safe, slower)")
     serve.add_argument("--guard", action="store_true",
                        help="validate events at intake and quarantine malformed "
                             "ones instead of failing the stream")

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -68,6 +68,128 @@ class TensorAppendResult:
     rows: np.ndarray  # tensor row of every appended or replaced answer
     new_worker_ids: tuple[str, ...]  # workers first seen in this batch, admit order
     new_task_ids: tuple[str, ...]  # tasks first seen in this batch, admit order
+
+
+@dataclass(frozen=True)
+class AnswerColumns:
+    """An answer log as the columns an :class:`AnswerTensor` is built from.
+
+    ``worker_ids`` / ``task_ids`` are the id tables in registration order and
+    ``num_labels`` each task's label count.  Row ``i`` is one answer: worker
+    ``worker_ids[a_worker[i]]`` on task ``task_ids[a_task[i]]``, whose 0/1
+    ticks sit contiguously in ``responses`` (rows in order, so an answer's
+    first tick is the running sum of the label counts before it).
+    """
+
+    worker_ids: tuple[str, ...]
+    task_ids: tuple[str, ...]
+    num_labels: np.ndarray
+    a_worker: np.ndarray
+    a_task: np.ndarray
+    responses: np.ndarray
+
+    @property
+    def num_answers(self) -> int:
+        return int(self.a_worker.size)
+
+    @classmethod
+    def gather(
+        cls,
+        answers: AnswerSet,
+        tasks: dict[str, Task],
+        workers: dict[str, Worker],
+    ) -> "AnswerColumns":
+        """Index ``answers`` against the task/worker registries.
+
+        Ids are registered in first-appearance order.  Unknown ids raise
+        ``KeyError``, label-count mismatches raise ``ValueError``.
+        """
+        worker_index: dict[str, int] = {}
+        task_index: dict[str, int] = {}
+        task_num_labels: list[int] = []
+        a_worker: list[int] = []
+        a_task: list[int] = []
+        responses: list[int] = []
+        for answer in answers:
+            task = tasks.get(answer.task_id)
+            if task is None:
+                raise KeyError(f"answer references unknown task {answer.task_id!r}")
+            if answer.worker_id not in workers:
+                raise KeyError(f"answer references unknown worker {answer.worker_id!r}")
+            if answer.num_labels != task.num_labels:
+                raise ValueError(
+                    f"answer for task {task.task_id!r} has {answer.num_labels} labels, "
+                    f"task has {task.num_labels}"
+                )
+            a_worker.append(worker_index.setdefault(answer.worker_id, len(worker_index)))
+            tidx = task_index.setdefault(answer.task_id, len(task_index))
+            if tidx == len(task_num_labels):
+                task_num_labels.append(task.num_labels)
+            a_task.append(tidx)
+            responses.extend(answer.responses)
+        return cls(
+            worker_ids=tuple(worker_index),
+            task_ids=tuple(task_index),
+            num_labels=np.asarray(task_num_labels, dtype=np.intp),
+            a_worker=np.asarray(a_worker, dtype=np.intp),
+            a_task=np.asarray(a_task, dtype=np.intp),
+            responses=np.asarray(responses, dtype=np.int8),
+        )
+
+    def validate(self) -> "AnswerColumns":
+        """Structural integrity check; raises ``ValueError`` on any violation.
+
+        Used when columns re-enter the process from disk: unique ids, one
+        positive label count per task, in-range row indices, at most one row
+        per ``(worker, task)`` pair, 0/1 ticks and exactly as many of them as
+        the rows' tasks have labels.  Returns ``self`` so it chains.
+        """
+        num_workers, num_tasks = len(self.worker_ids), len(self.task_ids)
+        if len(set(self.worker_ids)) != num_workers:
+            raise ValueError("duplicate worker ids in the id table")
+        if len(set(self.task_ids)) != num_tasks:
+            raise ValueError("duplicate task ids in the id table")
+        if self.num_labels.shape != (num_tasks,) or np.any(self.num_labels <= 0):
+            raise ValueError(
+                f"num_labels must hold one positive count per task ({num_tasks})"
+            )
+        if self.a_task.shape != self.a_worker.shape:
+            raise ValueError(
+                f"a_worker has shape {self.a_worker.shape}, a_task "
+                f"{self.a_task.shape}"
+            )
+        for name, index, size in (
+            ("a_worker", self.a_worker, num_workers),
+            ("a_task", self.a_task, num_tasks),
+        ):
+            if index.size and (index.min() < 0 or index.max() >= size):
+                raise ValueError(f"{name} indexes outside its {size}-entry id table")
+        pairs = self.a_worker * num_tasks + self.a_task
+        if np.unique(pairs).size != pairs.size:
+            raise ValueError("two rows answer the same (worker, task) pair")
+        if np.any((self.responses != 0) & (self.responses != 1)):
+            raise ValueError("responses must be 0/1")
+        expected = int(self.num_labels[self.a_task].sum())
+        if self.responses.shape != (expected,):
+            raise ValueError(
+                f"responses has shape {self.responses.shape}, the rows' tasks "
+                f"have {expected} labels"
+            )
+        return self
+
+    def answers(self) -> Iterator[Answer]:
+        """The rows as :class:`~repro.data.models.Answer` objects, in order."""
+        counts = self.num_labels[self.a_task]
+        ends = np.cumsum(counts).tolist()
+        ticks = self.responses.tolist()
+        for widx, tidx, end, count in zip(
+            self.a_worker.tolist(), self.a_task.tolist(), ends, counts.tolist()
+        ):
+            yield Answer(
+                worker_id=self.worker_ids[widx],
+                task_id=self.task_ids[tidx],
+                responses=tuple(ticks[end - count : end]),
+            )
 
 
 class AnswerTensor:
@@ -320,37 +442,22 @@ class AnswerTensor:
             task_of_label=self.task_of_label.copy(),
         )
 
-    def export_answers(self) -> list[Answer]:
-        """Reconstruct the answer log from the tensor, in row order.
+    def columns(self) -> "AnswerColumns":
+        """The logical prefix as :class:`AnswerColumns`, the durable form.
 
-        The inverse of :meth:`build` / :meth:`append_answers`: row order is
-        insertion order with re-answers rewritten in place, i.e. exactly the
-        iteration order of the :class:`~repro.data.models.AnswerSet` the
-        tensor was grown from.  Consequently ``AnswerTensor.build`` over an
-        ``AnswerSet`` of the exported answers reproduces this tensor bit for
-        bit, including worker/task registration order — the crash-recovery
-        checkpoint path relies on this equivalence.
+        The index columns are views of the live buffers (valid until the
+        next append); ``responses`` is an ``int8`` copy.
+        :meth:`from_columns` over the result rebuilds this tensor array for
+        array — the checkpoint path persists exactly these columns.
         """
-        answers: list[Answer] = []
-        a_worker = self._a_worker
-        a_task = self._a_task
-        starts = self._a_label_start
-        num_labels = self._num_labels
-        responses = self._responses
-        for row in range(self._num_answers):
-            tidx = int(a_task[row])
-            start = int(starts[row])
-            count = int(num_labels[tidx])
-            answers.append(
-                Answer(
-                    worker_id=self._worker_ids[int(a_worker[row])],
-                    task_id=self._task_ids[tidx],
-                    responses=tuple(
-                        int(v) for v in responses[start : start + count]
-                    ),
-                )
-            )
-        return answers
+        return AnswerColumns(
+            worker_ids=self.worker_ids,
+            task_ids=self.task_ids,
+            num_labels=self.num_labels,
+            a_worker=self.a_worker,
+            a_task=self.a_task,
+            responses=self.responses.astype(np.int8),
+        )
 
     # ------------------------------------------------------- open-world growth
     def _register_worker(self, worker_id: str) -> int:
@@ -535,8 +642,33 @@ class AnswerTensor:
     ) -> "AnswerTensor":
         """Index ``answers`` against the task/worker registries.
 
-        Validation: unknown ids raise ``KeyError``, label-count mismatches
-        raise ``ValueError``.
+        :meth:`AnswerColumns.gather` (unknown ids raise ``KeyError``,
+        label-count mismatches ``ValueError``) followed by
+        :meth:`from_columns`.
+        """
+        return cls.from_columns(
+            AnswerColumns.gather(answers, tasks, workers),
+            tasks,
+            workers,
+            distance_model,
+            function_set,
+            pair_distance_fn=pair_distance_fn,
+        )
+
+    @classmethod
+    def from_columns(
+        cls,
+        columns: AnswerColumns,
+        tasks: dict[str, Task],
+        workers: dict[str, Worker],
+        distance_model: DistanceModel,
+        function_set: DistanceFunctionSet,
+        pair_distance_fn: "PairDistanceFn | None" = None,
+    ) -> "AnswerTensor":
+        """Build the tensor of ``columns`` over the task/worker registries.
+
+        Every id must be registered (``KeyError`` otherwise) and each task's
+        label count must match its registry entry (``ValueError``).
         Distances are computed with the batched
         :meth:`~repro.spatial.distance.DistanceModel.worker_task_distances`
         instead of N scalar cache lookups.  ``pair_distance_fn`` overrides
@@ -547,84 +679,60 @@ class AnswerTensor:
         reuse the O(nnz) candidate structure (far pairs fall back to the
         maximal distance 1.0) and the fit never touches dense W×T geometry.
         """
-        worker_index: dict[str, int] = {}
-        task_index: dict[str, int] = {}
-        task_num_labels: list[int] = []
-        a_worker: list[int] = []
-        a_task: list[int] = []
-        pair_worker_ids: list[str] = []
-        pair_task_ids: list[str] = []
-        worker_location_seq = []
-        task_location_seq = []
-        response_rows: list[np.ndarray] = []
-
-        for answer in answers:
-            task = tasks.get(answer.task_id)
-            if task is None:
-                raise KeyError(f"answer references unknown task {answer.task_id!r}")
-            worker = workers.get(answer.worker_id)
-            if worker is None:
-                raise KeyError(f"answer references unknown worker {answer.worker_id!r}")
-            if answer.num_labels != task.num_labels:
+        task_entries = [tasks[task_id] for task_id in columns.task_ids]
+        worker_entries = [workers[worker_id] for worker_id in columns.worker_ids]
+        num_labels = np.asarray(columns.num_labels, dtype=np.intp)
+        for task, count in zip(task_entries, num_labels.tolist()):
+            if task.num_labels != count:
                 raise ValueError(
-                    f"answer for task {task.task_id!r} has {answer.num_labels} labels, "
+                    f"columns give task {task.task_id!r} {count} labels, "
                     f"task has {task.num_labels}"
                 )
-            widx = worker_index.setdefault(answer.worker_id, len(worker_index))
-            tidx = task_index.setdefault(answer.task_id, len(task_index))
-            if tidx == len(task_num_labels):
-                task_num_labels.append(task.num_labels)
-            a_worker.append(widx)
-            a_task.append(tidx)
-            pair_worker_ids.append(answer.worker_id)
-            pair_task_ids.append(answer.task_id)
-            worker_location_seq.append(worker.locations)
-            task_location_seq.append(task.location)
-            response_rows.append(np.asarray(answer.responses, dtype=float))
-
-        num_answers = len(a_worker)
-        a_worker_arr = np.asarray(a_worker, dtype=np.intp)
-        a_task_arr = np.asarray(a_task, dtype=np.intp)
-        num_labels = np.asarray(task_num_labels, dtype=np.intp)
-        label_offsets = np.concatenate(([0], np.cumsum(num_labels)))
-        task_of_label = np.repeat(np.arange(num_labels.size, dtype=np.intp), num_labels)
-
+        a_worker = np.asarray(columns.a_worker, dtype=np.intp)
+        a_task = np.asarray(columns.a_task, dtype=np.intp)
+        rows_w = a_worker.tolist()
+        rows_t = a_task.tolist()
         if pair_distance_fn is not None:
+            worker_ids, task_ids = columns.worker_ids, columns.task_ids
             distances = np.asarray(
-                pair_distance_fn(pair_worker_ids, pair_task_ids), dtype=float
+                pair_distance_fn(
+                    [worker_ids[i] for i in rows_w], [task_ids[j] for j in rows_t]
+                ),
+                dtype=float,
             )
         else:
+            worker_locations = [worker.locations for worker in worker_entries]
+            task_locations = [task.location for task in task_entries]
             distances = distance_model.worker_task_distances(
-                worker_location_seq, task_location_seq
+                [worker_locations[i] for i in rows_w],
+                [task_locations[j] for j in rows_t],
             )
         f_values = function_set.evaluate_many(distances)
 
-        counts = (
-            num_labels[a_task_arr] if num_answers else np.empty(0, dtype=np.intp)
-        )
+        num_answers = a_worker.size
+        label_offsets = np.concatenate(([0], np.cumsum(num_labels)))
+        task_of_label = np.repeat(np.arange(num_labels.size, dtype=np.intp), num_labels)
+        counts = num_labels[a_task] if num_answers else np.empty(0, dtype=np.intp)
         r_answer = np.repeat(np.arange(num_answers, dtype=np.intp), counts)
         starts = np.cumsum(counts) - counts  # first flat slot of each answer
         within = np.arange(r_answer.size, dtype=np.intp) - np.repeat(starts, counts)
-        r_task = a_task_arr[r_answer]
+        r_task = a_task[r_answer]
         r_label = label_offsets[r_task] + within
-        responses = (
-            np.concatenate(response_rows) if response_rows else np.empty(0, dtype=float)
-        )
 
         return cls(
-            worker_ids=tuple(worker_index),
-            task_ids=tuple(task_index),
+            worker_ids=columns.worker_ids,
+            task_ids=columns.task_ids,
             num_labels=num_labels,
             label_offsets=label_offsets,
-            a_worker=a_worker_arr,
-            a_task=a_task_arr,
+            a_worker=a_worker,
+            a_task=a_task,
             distances=distances,
             f_values=f_values,
             r_answer=r_answer,
-            r_worker=a_worker_arr[r_answer],
+            r_worker=a_worker[r_answer],
             r_task=r_task,
             r_label=r_label,
-            responses=responses,
+            responses=np.asarray(columns.responses, dtype=float),
             task_of_label=task_of_label,
         )
 

@@ -279,6 +279,7 @@ class IncrementalUpdater:
             inference._workers,
             inference.distance_model,
             store.function_set,
+            pair_distance_fn=inference._engine_pair_distances(),
         )
         self._stamp_arrivals(tensor.num_answers - self._arrival_len)
         self._admit_new_entities(result)
@@ -427,6 +428,7 @@ class IncrementalUpdater:
                 inference._workers,
                 inference.distance_model,
                 inference.config.function_set,
+                pair_distance_fn=inference._engine_pair_distances(),
             )
             self._stamp_arrivals(self._tensor.num_answers - self._arrival_len)
             if self._store is not None:
@@ -684,9 +686,10 @@ class IncrementalUpdater:
     def export_decay_state(self) -> tuple[int, np.ndarray]:
         """The decay epoch and per-answer arrival epochs (checkpoint form).
 
-        The arrival stamps are row-aligned with :meth:`export_answers`, so a
-        checkpoint carrying both restores the exact aging the crashed run
-        had via :meth:`restore_decay_state`.
+        The arrival stamps are row-aligned with the live tensor's
+        :meth:`~repro.core.em_kernel.AnswerTensor.columns`, so a checkpoint
+        carrying both restores the exact aging the crashed run had via
+        :meth:`restore_decay_state`.
         """
         count = self._tensor.num_answers if self._tensor is not None else 0
         if self._arrival_epochs is None or count == 0:
@@ -773,37 +776,27 @@ class IncrementalUpdater:
         # restores exact ages afterwards via restore_decay_state.
         self._reset_arrival_epochs()
 
-    def export_answers(self) -> list[Answer]:
-        """The live tensor's answer log in row order (empty before any sync).
-
-        Row order equals the stream's insertion order with re-answers
-        rewritten in place, so rebuilding a tensor from these answers
-        reproduces the live tensor bit for bit — the checkpoint path's
-        durable form of the answer history.
-        """
-        if self._tensor is None:
-            return []
-        return self._tensor.export_answers()
-
     def restore_live_state(
         self,
-        answers: AnswerSet,
+        columns: em_kernel.AnswerColumns,
         answers_since_full_refresh: int = 0,
     ) -> None:
-        """Rebuild the live tensor/store from a checkpointed answer log.
+        """Rebuild the live tensor/store from a checkpoint's answer columns.
 
-        The crash-recovery path: ``answers`` is the log a checkpoint exported
-        (via :meth:`export_answers`) and the inference model has already been
-        re-fitted/warm-started to the checkpointed estimate.  The tensor is
-        rebuilt in the same row order the crashed run maintained (bit-equal
-        per the export contract), the live store is force-gathered from the
-        current estimate over that universe, and the refresh counter resumes
-        where the crashed run left it.  Unlike :meth:`_rebuild_tensor` this
-        does **not** count toward :attr:`tensor_rebuilds` — recovery is a
+        The crash-recovery path: ``columns`` are the live tensor's
+        :meth:`~repro.core.em_kernel.AnswerTensor.columns` as a checkpoint
+        persisted them, and the inference model has already been
+        warm-started to the checkpointed estimate with every checkpointed
+        entity registered.  :meth:`~repro.core.em_kernel.AnswerTensor.from_columns`
+        rebuilds the crashed run's tensor array for array (same id tables,
+        same row order), the live store is force-gathered from the current
+        estimate over that universe, and the refresh counter resumes where
+        the crashed run left it.  Unlike :meth:`_rebuild_tensor` this does
+        **not** count toward :attr:`tensor_rebuilds` — recovery is a
         restart, not a serving-path log flatten (the throughput gate pins
         steady-state flattens at zero).
         """
-        tensor = self.inference._build_tensor(answers)
+        tensor = self.inference._tensor_from_columns(columns)
         tensor.enable_row_tracking()
         self._tensor = tensor
         self._store = None

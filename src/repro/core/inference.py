@@ -57,7 +57,7 @@ import numpy as np
 from repro.baselines.base import LabelInferenceModel
 from repro.core.distance_functions import DistanceFunctionSet, PAPER_FUNCTION_SET
 from repro.core import em_kernel
-from repro.core.em_kernel import AnswerTensor
+from repro.core.em_kernel import AnswerColumns, AnswerTensor
 from repro.core.params import ArrayParameterStore, ModelParameters
 from repro.data.models import AnswerSet, Task, Worker
 from repro.spatial.candidates import CandidateIndex
@@ -455,12 +455,23 @@ class LocationAwareInference(LabelInferenceModel):
             self._workers,
             self._distance_model,
             self._config.function_set,
-            pair_distance_fn=(
-                self._pair_distance_fn()
-                if self._config.engine == "sparse"
-                else None
-            ),
+            pair_distance_fn=self._engine_pair_distances(),
         )
+
+    def _tensor_from_columns(self, columns: AnswerColumns) -> AnswerTensor:
+        """The EM kernel's index arrays of already-gathered ``columns``."""
+        return AnswerTensor.from_columns(
+            columns,
+            self._tasks,
+            self._workers,
+            self._distance_model,
+            self._config.function_set,
+            pair_distance_fn=self._engine_pair_distances(),
+        )
+
+    def _engine_pair_distances(self) -> em_kernel.PairDistanceFn | None:
+        """The tensor's distance override: the sparse engine's, else none."""
+        return self._pair_distance_fn() if self._config.engine == "sparse" else None
 
     # ----------------------------------------------------------- convenience
     def answer_accuracy(self, worker_id: str, task_id: str) -> float:

@@ -170,18 +170,3 @@ def workers_from_dict(payload: dict[str, Any]) -> list[Worker]:
         raise ValueError(f"unsupported worker format version: {version!r}")
     return [worker_from_entry(entry) for entry in payload["workers"]]
 
-
-def tasks_to_dict(tasks: list[Task]) -> dict[str, Any]:
-    """Convert a bare task list (no dataset envelope) into a JSON dictionary."""
-    return {
-        "format_version": FORMAT_VERSION,
-        "tasks": [task_to_entry(task) for task in tasks],
-    }
-
-
-def tasks_from_dict(payload: dict[str, Any]) -> list[Task]:
-    """Rebuild a task list from :func:`tasks_to_dict` output."""
-    version = payload.get("format_version")
-    if version != FORMAT_VERSION:
-        raise ValueError(f"unsupported task format version: {version!r}")
-    return [task_from_entry(entry) for entry in payload["tasks"]]

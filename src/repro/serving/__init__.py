@@ -78,17 +78,23 @@ journal → checkpoint → replay → degraded-mode lifecycle:
 2. **Checkpoint.**  Every ``IngestConfig.checkpoint_interval`` applied
    answers, the ingestor persists a
    :class:`~repro.serving.snapshots.CheckpointManager` checkpoint: the latest
-   published parameter store, the reconstructed answer log, the entity
-   metadata of every registered worker/task, and the update counters —
-   everything needed to rebuild the live
+   published parameter store, the live answer tensor's columns (id tables,
+   per-task label counts, per-answer worker/task indices, ``int8``
+   responses) and decay arrival epochs as arrays, the entity metadata of
+   every registered worker/task, and the update counters — everything
+   needed to rebuild the live
    :class:`~repro.core.incremental.IncrementalUpdater` state.  Journal
-   segments wholly covered by the checkpoint are truncated.
+   segments wholly covered by the checkpoint are truncated (with
+   ``journal_fsync`` on, only after the checkpoint is fsync'd).
 3. **Replay (recovery).**  :func:`~repro.serving.journal.recover_ingestor`
    loads the newest *valid* checkpoint (corrupt ones are skipped with a
    diagnostic, falling back to older checkpoints or a cold start), rebuilds
-   the inference model and the live tensor/store, then replays the journal
-   tail through the exact same micro-batching code path — so the recovered
-   live store matches the uncrashed run to ≤1e-9, including batch boundaries.
+   the inference model and adopts the checkpoint's answer columns as the
+   live tensor, then replays the journal tail through the exact same
+   micro-batching code path — so the recovered live store matches the
+   uncrashed run to ≤1e-9, including batch boundaries.  If the journal was
+   truncated past every checkpoint that still loads, recovery raises
+   :class:`JournalCorruptionError` instead of replaying what is left.
    ``repro-poi serve-sim --state-dir DIR --resume`` drives this end to end.
 4. **Degraded mode.**  Model refreshes and snapshot publishes run under a
    supervisor with bounded retries and exponential backoff; when an update
@@ -104,7 +110,7 @@ journal → checkpoint → replay → degraded-mode lifecycle:
 live serving state raises a :class:`ServingStateError` subclass with an
 actionable message: :class:`JournalCorruptionError` (a checksummed journal
 record failed validation away from the tail), :class:`CheckpointCorruptionError`
-(a checkpoint failed its CRC or shape validation),
+(a checkpoint failed its CRC, format or column validation),
 :class:`SnapshotIntegrityError` (a persisted snapshot or a delta chain failed
 row-count/shape validation), and :class:`LiveStateError` (the in-memory
 tensor/store lifecycle was violated, e.g. an externally fitted model with no
@@ -256,11 +262,13 @@ class JournalCorruptionError(ServingStateError):
     A *torn tail* (the final record of the final segment cut short by a
     crash) is expected and silently dropped; corruption anywhere else means
     the journal cannot be trusted and replay refuses to continue past it.
+    Recovery also raises it when the journal's oldest record lies past the
+    newest checkpoint that still loads: the records in between are gone.
     """
 
 
 class CheckpointCorruptionError(ServingStateError):
-    """A persisted checkpoint failed its CRC or its shape validation.
+    """A persisted checkpoint failed its CRC, format or column validation.
 
     Recovery skips corrupt checkpoints and falls back to the next older one
     (or a cold start + full journal replay); loading one directly raises.

@@ -1038,11 +1038,10 @@ class AnswerIngestor:
         counters: dict[str, float] = {
             name: getattr(self._stats, name) for name in self._CHECKPOINTED_COUNTERS
         }
-        extra: dict = {}
-        if self._config.stat_decay < 1.0 and self._updater.live_tensor is not None:
+        decay_epoch, arrival_epochs = 0, None
+        if self._config.stat_decay < 1.0:
             decay_epoch, arrival_epochs = self._updater.export_decay_state()
-            extra["decay_epoch"] = decay_epoch
-            extra["arrival_epochs"] = arrival_epochs.tolist()
+        extra: dict = {}
         if self._guard is not None and self._guard.stats.reasons:
             # Quarantined events are never journaled; replay cannot recount
             # them, so the per-reason totals travel with the checkpoint.
@@ -1054,11 +1053,13 @@ class AnswerIngestor:
             journal_seq=self._applied_seq,
             snapshot_version=snapshot.version,
             published_at=snapshot.published_at,
-            answers=self._updater.export_answers(),
+            columns=self._updater.live_tensor.columns(),
             workers=list(self._inference._workers.values()),
             tasks=list(self._inference._tasks.values()),
             answers_since_full_refresh=self._updater.answers_since_full_refresh,
             counters=counters,
+            decay_epoch=decay_epoch,
+            arrival_epochs=arrival_epochs,
             extra=extra,
         )
         self._checkpoints.save(state)
@@ -1076,17 +1077,23 @@ class AnswerIngestor:
         The caller (:func:`~repro.serving.journal.recover_ingestor`) has
         already re-registered the checkpointed entities and warm-started the
         inference model from the checkpointed store; this restores the
-        ingestor's side: the live answer tensor/store (bit-equal, via
+        ingestor's side: the live answer tensor/store, adopted from the
+        checkpoint's answer columns (bit-equal, via
         :meth:`~repro.core.incremental.IncrementalUpdater.restore_live_state`),
-        the carried-over counters, the guard's duplicate history, and the
-        journal cursor.
+        the decay ages, the carried-over counters, the guard's duplicate
+        history and retained log (the only consumers that need the rows as
+        :class:`~repro.data.models.Answer` objects), and the journal cursor.
         """
         self._updater.restore_live_state(
-            AnswerSet(state.answers), state.answers_since_full_refresh
+            state.columns, state.answers_since_full_refresh
         )
-        if self._retain:
-            for answer in state.answers:
-                self._answers.add(answer)
+        if self._retain or self._guard is not None:
+            answers = list(state.columns.answers())
+            if self._retain:
+                for answer in answers:
+                    self._answers.add(answer)
+            if self._guard is not None:
+                self._guard.seed_history(answers)
         for name in self._CHECKPOINTED_COUNTERS:
             if name in state.counters:
                 value = state.counters[name]
@@ -1096,14 +1103,9 @@ class AnswerIngestor:
                     float(value) if name == "update_seconds" else int(value),
                 )
         self._stats.log_flattens = self._updater.tensor_rebuilds
-        if self._guard is not None:
-            self._guard.seed_history(state.answers)
+        if state.arrival_epochs is not None:
+            self._updater.restore_decay_state(state.decay_epoch, state.arrival_epochs)
         extra = state.extra
-        if "decay_epoch" in extra:
-            self._updater.restore_decay_state(
-                int(extra["decay_epoch"]),
-                np.asarray(extra.get("arrival_epochs", []), dtype=np.int64),
-            )
         if self._guard is not None and extra.get("guard_reasons"):
             self._guard.restore_quarantine_stats(extra["guard_reasons"])
         if self._reputation is not None and "reputation" in extra:

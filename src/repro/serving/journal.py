@@ -181,6 +181,12 @@ class AnswerJournal:
         """Sequence number of the newest durable record (0 when empty)."""
         return self._last_seq
 
+    @property
+    def first_seq(self) -> int:
+        """First sequence number of the oldest retained segment (0 when none)."""
+        segments = self.segment_paths()
+        return self._segment_first_seq(segments[0]) if segments else 0
+
     def bind_metrics(self, metrics: "MetricsRegistry") -> None:
         """Record per-append durability time (flush + fsync) and rotations.
 
@@ -351,7 +357,7 @@ class RecoveryReport:
     checkpoint_seq: int = 0
     #: Snapshot version restored from the checkpoint (None on a cold start).
     checkpoint_version: int | None = None
-    #: Answers restored from the checkpointed answer log.
+    #: Answer rows restored from the checkpoint's answer columns.
     checkpoint_answers: int = 0
     #: Corrupt checkpoint files skipped while searching for a valid one.
     corrupt_checkpoints_skipped: int = 0
@@ -404,19 +410,42 @@ def recover_ingestor(
 
     Recovery sequence: newest valid checkpoint (corrupt ones are skipped) →
     re-register checkpointed entities → warm-start the estimate from the
-    checkpointed store → rebuild the live tensor/store from the checkpointed
-    answer log (bit-equal to the crashed run's) → replay the journal tail
-    through the ordinary micro-batch path.  The resulting live store matches
-    an uncrashed run over the same event stream to ≤1e-9.
+    checkpointed store → adopt the checkpoint's answer columns as the live
+    tensor (bit-equal to the crashed run's) and gather the live store →
+    replay the journal tail through the ordinary micro-batch path.  The
+    resulting live store matches an uncrashed run over the same event stream
+    to ≤1e-9.
+
+    Raises :class:`~repro.serving.JournalCorruptionError` when the journal's
+    oldest retained record is past the restored checkpoint's seq + 1: the
+    segments in between were truncated behind checkpoints that no longer
+    load, so replay would silently drop acknowledged answers.
+    ``journal_fsync`` applies to the journal and the checkpoints alike.
     """
+    from repro.serving import JournalCorruptionError
     from repro.serving.ingest import AnswerIngestor
     from repro.serving.snapshots import CheckpointManager, ParameterSnapshot
 
     state_dir = Path(state_dir)
     report = RecoveryReport()
-    checkpoints = CheckpointManager(state_dir / "checkpoints")
+    checkpoints = CheckpointManager(state_dir / "checkpoints", fsync=journal_fsync)
     state, skipped = checkpoints.load_latest()
     report.corrupt_checkpoints_skipped = skipped
+    covered = state.journal_seq if state is not None else 0
+    journal = AnswerJournal(
+        state_dir / "journal",
+        max_segment_records=journal_segment_records,
+        fsync=journal_fsync,
+    )
+    if journal.first_seq > covered + 1:
+        journal.close()
+        raise JournalCorruptionError(
+            f"the journal starts at seq {journal.first_seq}, but the newest "
+            f"usable checkpoint covers seq {covered} ({skipped} corrupt "
+            "checkpoints skipped): the records in between were truncated "
+            "behind checkpoints that no longer load. Restore a checkpoint or "
+            "the missing journal segments from a replica."
+        )
 
     if state is not None:
         for worker in state.workers:
@@ -434,15 +463,10 @@ def recover_ingestor(
         )
         report.checkpoint_seq = state.journal_seq
         report.checkpoint_version = state.snapshot_version
-        report.checkpoint_answers = len(state.answers)
+        report.checkpoint_answers = state.columns.num_answers
     else:
         report.cold_start = True
 
-    journal = AnswerJournal(
-        state_dir / "journal",
-        max_segment_records=journal_segment_records,
-        fsync=journal_fsync,
-    )
     ingestor = AnswerIngestor(
         inference,
         snapshots,

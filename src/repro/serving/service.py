@@ -100,7 +100,8 @@ class ServingConfig:
     state_dir: str | Path | None = None
     #: Recover from ``state_dir`` before serving (requires ``state_dir``).
     resume: bool = False
-    #: fsync every journal append (safest, slowest; the default trusts the OS
+    #: fsync every journal append and every checkpoint before the journal
+    #: is truncated behind it (safest, slowest; the default trusts the OS
     #: page cache, which survives process crashes but not power loss).
     journal_fsync: bool = False
     #: Records per journal segment before rotating to a new file.
@@ -445,7 +446,9 @@ class OnlineServingService:
                     max_segment_records=self._config.journal_segment_records,
                     fsync=self._config.journal_fsync,
                 )
-                checkpoints = CheckpointManager(state_dir / "checkpoints")
+                checkpoints = CheckpointManager(
+                    state_dir / "checkpoints", fsync=self._config.journal_fsync
+                )
             self._ingestor = AnswerIngestor(
                 self._inference,
                 self._snapshots,

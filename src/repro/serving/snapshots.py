@@ -31,26 +31,27 @@ copy-on-write publish protocol:
 
 from __future__ import annotations
 
+import io
 import json
+import os
 import threading
 import time
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
+from repro.core.em_kernel import AnswerColumns
 from repro.core.params import ArrayParameterStore, ModelParameters, StoreDelta
 from repro.data.io import (
-    answers_from_dict,
-    answers_to_dict,
-    tasks_from_dict,
-    tasks_to_dict,
-    workers_from_dict,
-    workers_to_dict,
+    task_from_entry,
+    task_to_entry,
+    worker_from_entry,
+    worker_to_entry,
 )
-from repro.data.models import Answer, Task, Worker
+from repro.data.models import Task, Worker
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.metrics import MetricsRegistry
@@ -456,49 +457,163 @@ class CheckpointState:
     """Everything a checkpoint persists to rebuild the live serving state.
 
     ``store`` is the latest *published* snapshot's parameter store (live rows
-    plus carried-over entities), ``answers`` is the live tensor's answer log
-    exported in row order (rebuilding a tensor from it is bit-equal to the
-    crashed run's — see
-    :meth:`~repro.core.em_kernel.AnswerTensor.export_answers`), and
+    plus carried-over entities), ``columns`` are the live tensor's
+    :meth:`~repro.core.em_kernel.AnswerTensor.columns` (rebuilding a tensor
+    from them is array-for-array equal to the crashed run's), and
     ``workers``/``tasks`` carry the metadata of every entity registered in the
     inference model, so a resumed session can re-register mid-stream arrivals
     the startup universe never knew.  ``journal_seq`` is the newest journal
     record reflected in this state; recovery replays strictly after it.
+    ``arrival_epochs`` (row-aligned with ``columns``) and ``decay_epoch`` are
+    the decayed-statistic ages, ``None`` when decay is off.
     """
 
     store: ArrayParameterStore
     journal_seq: int
     snapshot_version: int
     published_at: float
-    answers: list[Answer] = field(default_factory=list)
+    columns: AnswerColumns
     workers: list[Worker] = field(default_factory=list)
     tasks: list[Task] = field(default_factory=list)
     answers_since_full_refresh: int = 0
     counters: dict = field(default_factory=dict)
+    decay_epoch: int = 0
+    arrival_epochs: np.ndarray | None = None
     #: Free-form JSON-serializable state carried by optional subsystems
-    #: (decayed-statistic epochs, reputation tiers, guard quarantine totals).
-    #: Absent from checkpoints written before these subsystems existed —
-    #: loading such a file yields an empty dict.
+    #: (reputation tiers, guard quarantine totals).
     extra: dict = field(default_factory=dict)
+
+
+#: Version of the checkpoint archive layout; :meth:`CheckpointManager.load`
+#: refuses any other.
+CHECKPOINT_FORMAT = 2
+
+#: Archive key of each answer column, and the dtype it is stored as.
+_COLUMN_KEYS = {
+    "worker_ids": ("answers_worker_ids", np.str_),
+    "task_ids": ("answers_task_ids", np.str_),
+    "num_labels": ("answers_num_labels", np.int64),
+    "a_worker": ("answers_a_worker", np.int64),
+    "a_task": ("answers_a_task", np.int64),
+    "responses": ("answers_responses", np.int8),
+}
+
+
+#: Compact JSON for checkpoint text; the encoded values are plain trees.
+_JSON = json.JSONEncoder(separators=(",", ":"), check_circular=False)
+
+
+def _json_bytes(value: object) -> np.ndarray:
+    """``value`` as compact JSON text in a ``uint8`` array (1 byte per char)."""
+    return np.frombuffer(_JSON.encode(value).encode("utf-8"), dtype=np.uint8)
+
+
+def _json_list_bytes(items: Sequence, to_entry: Callable[[object], dict]) -> np.ndarray:
+    """The JSON list of ``to_entry(item)`` over ``items``, 128 entries at a time.
+
+    Only one chunk of entries is alive at once, so encoding thousands of
+    them never promotes their short-lived containers into the garbage
+    collector's oldest generation (whose full collection, triggered inside
+    a save, cost more than the encoding itself).
+    """
+    chunks = (
+        _JSON.encode([to_entry(item) for item in items[start : start + 128]])[1:-1]
+        for start in range(0, len(items), 128)
+    )
+    text = "[" + ",".join(chunks) + "]"
+    return np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
+
+
+def _array(data: "np.lib.npyio.NpzFile", key: str, dtype, ndim: int = 1) -> np.ndarray:
+    """Archive member ``key``, refused unless it has ``dtype`` and ``ndim``."""
+    if key not in data.files:
+        raise ValueError(f"missing array {key!r}")
+    array = data[key]
+    kind_ok = (
+        array.dtype.kind == "U" if dtype is np.str_ else array.dtype == np.dtype(dtype)
+    )
+    if not kind_ok or array.ndim != ndim:
+        raise ValueError(
+            f"array {key!r} is {array.dtype} with shape {array.shape}, expected "
+            f"{np.dtype(dtype)} with {ndim} dimension(s)"
+        )
+    return array
+
+
+def _json_array(data: "np.lib.npyio.NpzFile", key: str) -> object:
+    return json.loads(_array(data, key, np.uint8).tobytes().decode("utf-8"))
+
+
+def _scalar(data: "np.lib.npyio.NpzFile", key: str, dtype) -> np.ndarray:
+    return _array(data, key, dtype, ndim=0)[()]
+
+
+def _load_columns(data: "np.lib.npyio.NpzFile") -> AnswerColumns:
+    arrays = {
+        name: _array(data, key, dtype) for name, (key, dtype) in _COLUMN_KEYS.items()
+    }
+    return AnswerColumns(
+        worker_ids=tuple(arrays.pop("worker_ids").tolist()),
+        task_ids=tuple(arrays.pop("task_ids").tolist()),
+        **arrays,
+    ).validate()
+
+
+def _check_columns(state: CheckpointState) -> None:
+    """Cross-check the columns against the checkpoint's own metadata."""
+    columns = state.columns
+    labels = {task.task_id: task.num_labels for task in state.tasks}
+    for task_id, count in zip(columns.task_ids, columns.num_labels.tolist()):
+        if labels.get(task_id) != count:
+            raise ValueError(
+                f"tensor task {task_id!r} has {count} labels, its metadata "
+                f"{labels.get(task_id)}"
+            )
+    known = {worker.worker_id for worker in state.workers}
+    unknown = [worker_id for worker_id in columns.worker_ids if worker_id not in known]
+    if unknown:
+        raise ValueError(f"tensor worker {unknown[0]!r} has no metadata")
+    if state.arrival_epochs is not None and state.arrival_epochs.shape != (
+        columns.num_answers,
+    ):
+        raise ValueError(
+            f"arrival_epochs has shape {state.arrival_epochs.shape}, the "
+            f"columns {columns.num_answers} rows"
+        )
 
 
 class CheckpointManager:
     """Durable, CRC-guarded checkpoints with bounded retention.
 
-    One checkpoint is a single ``.npz`` archive (the parameter store's arrays
-    plus JSON strings for the answer log, entity metadata and counters) and a
-    ``.crc`` sidecar holding the CRC32 of the archive bytes.  :meth:`save`
-    writes archive-then-sidecar, so a crash mid-checkpoint leaves a file that
-    fails its CRC (or has none) and is skipped by :meth:`load_latest` —
-    falling back to the previous checkpoint rather than restoring garbage.
+    One checkpoint is a single ``.npz`` archive and a ``.crc`` sidecar holding
+    the CRC32 of the archive bytes.  The archive holds the parameter store's
+    arrays, the live tensor's answer columns (id tables, per-task label
+    counts, per-answer worker/task indices, ``int8`` responses), the decay
+    arrival epochs, scalars, and UTF-8 JSON bytes for the entity metadata
+    (the journal's entry codec) and the small counter/extra dicts; nothing
+    in it is per-answer text.  :meth:`save` encodes the archive in memory,
+    takes its CRC from those bytes and writes archive-then-sidecar, so a
+    crash mid-checkpoint leaves a file that fails its CRC (or has none) and
+    is skipped by :meth:`load_latest` — falling back to the previous
+    checkpoint rather than restoring garbage.  :meth:`load` also refuses
+    archives of another :data:`CHECKPOINT_FORMAT` and columns that fail
+    validation.
+
+    ``fsync=True`` (the journal's fsync policy) makes each save durable
+    against OS crashes: archive, sidecar and directory are fsync'd before
+    older checkpoints are pruned, and so before the ingestor truncates the
+    journal segments the new checkpoint covers.
     """
 
-    def __init__(self, directory: str | Path, keep: int = 3) -> None:
+    def __init__(
+        self, directory: str | Path, keep: int = 3, fsync: bool = False
+    ) -> None:
         if keep <= 0:
             raise ValueError(f"keep must be positive, got {keep}")
         self._directory = Path(directory)
         self._directory.mkdir(parents=True, exist_ok=True)
         self._keep = keep
+        self._fsync = fsync
         self.saves = 0
 
     @property
@@ -528,6 +643,7 @@ class CheckpointManager:
         """Persist ``state`` as ``ckpt-<journal_seq>.npz`` (+ CRC sidecar)."""
         path = self._directory / f"ckpt-{state.journal_seq:010d}.npz"
         payload = state.store.to_npz_dict()
+        payload["format"] = np.asarray(CHECKPOINT_FORMAT, dtype=np.int64)
         payload["journal_seq"] = np.asarray(state.journal_seq, dtype=np.int64)
         payload["snapshot_version"] = np.asarray(
             state.snapshot_version, dtype=np.int64
@@ -536,33 +652,42 @@ class CheckpointManager:
         payload["answers_since_full_refresh"] = np.asarray(
             state.answers_since_full_refresh, dtype=np.int64
         )
-        from repro.data.models import AnswerSet as _AnswerSet
-
-        payload["answers_json"] = np.asarray(
-            json.dumps(answers_to_dict(_AnswerSet(state.answers))), dtype=np.str_
-        )
-        payload["workers_json"] = np.asarray(
-            json.dumps(workers_to_dict(state.workers)), dtype=np.str_
-        )
-        payload["tasks_json"] = np.asarray(
-            json.dumps(tasks_to_dict(state.tasks)), dtype=np.str_
-        )
-        payload["counters_json"] = np.asarray(
-            json.dumps(state.counters), dtype=np.str_
-        )
-        payload["extra_json"] = np.asarray(
-            json.dumps(state.extra), dtype=np.str_
-        )
-        with open(path, "wb") as handle:
-            np.savez(handle, **payload)
-        crc = zlib.crc32(path.read_bytes())
-        path.with_suffix(".npz.crc").write_text(f"{crc:08x}\n", encoding="utf-8")
+        for name, (key, dtype) in _COLUMN_KEYS.items():
+            payload[key] = np.asarray(getattr(state.columns, name), dtype=dtype)
+        if state.arrival_epochs is not None:
+            payload["decay_epoch"] = np.asarray(state.decay_epoch, dtype=np.int64)
+            payload["arrival_epochs"] = np.asarray(
+                state.arrival_epochs, dtype=np.int64
+            )
+        payload["workers_json"] = _json_list_bytes(state.workers, worker_to_entry)
+        payload["tasks_json"] = _json_list_bytes(state.tasks, task_to_entry)
+        payload["counters_json"] = _json_bytes(state.counters)
+        payload["extra_json"] = _json_bytes(state.extra)
+        archive = io.BytesIO()
+        np.savez(archive, **payload)
+        data = archive.getbuffer()
+        sidecar = path.with_suffix(".npz.crc")
+        self._write(path, data)
+        self._write(sidecar, f"{zlib.crc32(data):08x}\n".encode("ascii"))
+        if self._fsync:
+            descriptor = os.open(self._directory, os.O_RDONLY)
+            try:
+                os.fsync(descriptor)
+            finally:
+                os.close(descriptor)
         self.saves += 1
         self._prune()
         return path
 
+    def _write(self, path: Path, data: bytes | memoryview) -> None:
+        with open(path, "wb") as handle:
+            handle.write(data)
+            if self._fsync:
+                handle.flush()
+                os.fsync(handle.fileno())
+
     def load(self, path: str | Path) -> CheckpointState:
-        """Load one checkpoint, raising on any CRC or content violation."""
+        """Load one checkpoint, raising on any CRC, format or content violation."""
         from repro.serving import CheckpointCorruptionError
 
         path = Path(path)
@@ -579,7 +704,8 @@ class CheckpointManager:
             raise CheckpointCorruptionError(
                 f"checkpoint {path.name} has an unreadable CRC sidecar: {error}"
             ) from error
-        actual = zlib.crc32(path.read_bytes())
+        raw = path.read_bytes()
+        actual = zlib.crc32(raw)
         if actual != expected:
             raise CheckpointCorruptionError(
                 f"checkpoint {path.name} fails its CRC "
@@ -587,47 +713,51 @@ class CheckpointManager:
                 "rotten; recovery falls back to the previous checkpoint."
             )
         try:
-            with np.load(path, allow_pickle=False) as data:
-                store = ArrayParameterStore.from_npz_dict(data).validate()
-                journal_seq = int(np.asarray(data["journal_seq"]))
-                snapshot_version = int(np.asarray(data["snapshot_version"]))
-                published_at = float(np.asarray(data["published_at"]))
-                since_refresh = int(np.asarray(data["answers_since_full_refresh"]))
-                answers = list(
-                    answers_from_dict(json.loads(str(np.asarray(data["answers_json"]))))
+            with np.load(io.BytesIO(raw), allow_pickle=False) as data:
+                version = (
+                    int(_scalar(data, "format", np.int64))
+                    if "format" in data.files
+                    else None
                 )
-                workers = workers_from_dict(
-                    json.loads(str(np.asarray(data["workers_json"])))
+                if version != CHECKPOINT_FORMAT:
+                    raise CheckpointCorruptionError(
+                        f"checkpoint {path.name} has format {version}, this "
+                        f"build reads format {CHECKPOINT_FORMAT} only; "
+                        "recovery falls back to an older checkpoint or a "
+                        "full journal replay."
+                    )
+                state = CheckpointState(
+                    store=ArrayParameterStore.from_npz_dict(data).validate(),
+                    journal_seq=int(_scalar(data, "journal_seq", np.int64)),
+                    snapshot_version=int(_scalar(data, "snapshot_version", np.int64)),
+                    published_at=float(_scalar(data, "published_at", np.float64)),
+                    columns=_load_columns(data),
+                    workers=[
+                        worker_from_entry(entry)
+                        for entry in _json_array(data, "workers_json")
+                    ],
+                    tasks=[
+                        task_from_entry(entry) for entry in _json_array(data, "tasks_json")
+                    ],
+                    answers_since_full_refresh=int(
+                        _scalar(data, "answers_since_full_refresh", np.int64)
+                    ),
+                    counters=_json_array(data, "counters_json"),
+                    extra=_json_array(data, "extra_json"),
                 )
-                tasks = tasks_from_dict(
-                    json.loads(str(np.asarray(data["tasks_json"])))
-                )
-                counters = json.loads(str(np.asarray(data["counters_json"])))
-                extra = (
-                    json.loads(str(np.asarray(data["extra_json"])))
-                    if "extra_json" in data.files
-                    else {}
-                )
+                if "arrival_epochs" in data.files:
+                    state.decay_epoch = int(_scalar(data, "decay_epoch", np.int64))
+                    state.arrival_epochs = _array(data, "arrival_epochs", np.int64)
+            _check_columns(state)
         except CheckpointCorruptionError:
             raise
         except Exception as error:
             raise CheckpointCorruptionError(
-                f"checkpoint {path.name} passed its CRC but cannot be decoded "
-                f"({error}) — the format is damaged or from an incompatible "
-                "version; recovery falls back to the previous checkpoint."
+                f"checkpoint {path.name} passed its CRC but fails validation "
+                f"({error}) — the content is damaged; recovery falls back to "
+                "the previous checkpoint."
             ) from error
-        return CheckpointState(
-            store=store,
-            journal_seq=journal_seq,
-            snapshot_version=snapshot_version,
-            published_at=published_at,
-            answers=answers,
-            workers=workers,
-            tasks=tasks,
-            answers_since_full_refresh=since_refresh,
-            counters=counters,
-            extra=extra,
-        )
+        return state
 
     def load_latest(self) -> tuple[CheckpointState | None, int]:
         """The newest loadable checkpoint, skipping corrupt ones.

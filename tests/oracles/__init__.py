@@ -18,7 +18,9 @@ from here.
 * :mod:`oracles.dawid_skene` — the per-observation Dawid–Skene baseline,
   :class:`ReferenceDawidSkene`;
 * :mod:`oracles.probe` — the serving frontend's trust-probe pick, one
-  scalar distance per task, :func:`nearest_unanswered_task`.
+  scalar distance per task, :func:`nearest_unanswered_task`;
+* :mod:`oracles.tensor` — the answer log read back out of a tensor one row
+  at a time, :func:`export_answers`.
 
 Import with ``tests/`` on ``sys.path`` (pytest does this for the test suite;
 ``benchmarks/conftest.py`` does it for the benchmarks).
@@ -29,11 +31,13 @@ from oracles.dawid_skene import ReferenceDawidSkene
 from oracles.em import ReferenceInference
 from oracles.incremental import ReferenceIncrementalUpdater
 from oracles.probe import nearest_unanswered_task
+from oracles.tensor import export_answers
 
 __all__ = [
     "ReferenceAccOptAssigner",
     "ReferenceDawidSkene",
     "ReferenceIncrementalUpdater",
     "ReferenceInference",
+    "export_answers",
     "nearest_unanswered_task",
 ]

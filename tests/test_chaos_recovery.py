@@ -687,3 +687,135 @@ class TestDecayedStatsRecovery:
         )
         assert diff <= 1e-9
         assert recovered.stats.full_refreshes == reference.stats.full_refreshes
+
+
+class TestTruncatedJournalRecovery:
+    """The journal is truncated behind the oldest retained checkpoint, so
+    when no retained checkpoint loads, the acknowledged answers before the
+    journal's first record exist nowhere: recovery must refuse, not
+    cold-start from what is left."""
+
+    CONFIG = dict(CHAOS_CONFIG, checkpoint_interval=200)
+
+    @pytest.fixture(scope="class")
+    def long_stream(self, small_dataset, worker_pool, distance_model):
+        """800 events cycling over the 96 pairs (later cycles re-answer)."""
+        simulator = AnswerSimulator(distance_model, noise=0.1)
+        profiles = list(worker_pool)
+        tasks = small_dataset.tasks
+        return [
+            AnswerEvent(
+                simulator.sample_answer(
+                    profiles[index % len(profiles)],
+                    tasks[(index // len(profiles)) % len(tasks)],
+                    seed=5000 + index,
+                ),
+                time=float(index),
+            )
+            for index in range(800)
+        ]
+
+    def _inference(self, small_dataset, worker_pool, distance_model):
+        return LocationAwareInference(
+            small_dataset.tasks, worker_pool.workers, distance_model
+        )
+
+    def _durable_run(self, tmp_path, small_dataset, worker_pool, distance_model,
+                     long_stream):
+        journal = AnswerJournal(tmp_path / "journal", max_segment_records=50)
+        ingestor = AnswerIngestor(
+            self._inference(small_dataset, worker_pool, distance_model),
+            SnapshotStore(),
+            config=IngestConfig(**self.CONFIG),
+            journal=journal,
+            checkpoints=CheckpointManager(tmp_path / "checkpoints"),
+        )
+        for event in long_stream:
+            ingestor.submit(event)
+        ingestor.flush()
+        ingestor.close()
+        journal.close()
+        checkpoints = sorted((tmp_path / "checkpoints").glob("ckpt-*.npz"))
+        assert len(checkpoints) == 3
+        first_seq = AnswerJournal(tmp_path / "journal").first_seq
+        assert first_seq > 1  # segments behind the oldest checkpoint are gone
+        return ingestor, checkpoints
+
+    def _recover(self, tmp_path, small_dataset, worker_pool, distance_model):
+        return recover_ingestor(
+            tmp_path,
+            inference=self._inference(small_dataset, worker_pool, distance_model),
+            snapshots=SnapshotStore(),
+            ingest_config=IngestConfig(**self.CONFIG),
+        )
+
+    def test_every_retained_checkpoint_corrupt_refuses_to_recover(
+        self, tmp_path, small_dataset, worker_pool, distance_model, long_stream
+    ):
+        from repro.serving import JournalCorruptionError
+        from repro.serving.faults import corrupt_file
+
+        _, checkpoints = self._durable_run(
+            tmp_path, small_dataset, worker_pool, distance_model, long_stream
+        )
+        for path in checkpoints:
+            corrupt_file(path)
+        first_seq = AnswerJournal(tmp_path / "journal").first_seq
+        with pytest.raises(JournalCorruptionError) as raised:
+            self._recover(tmp_path, small_dataset, worker_pool, distance_model)
+        message = str(raised.value)
+        assert f"seq {first_seq}" in message and "seq 0" in message
+        assert "3 corrupt checkpoints skipped" in message
+
+    def test_a_single_missing_record_is_refused(
+        self, tmp_path, small_dataset, worker_pool, distance_model, long_stream
+    ):
+        from repro.serving import JournalCorruptionError
+
+        journal = AnswerJournal(tmp_path / "journal", max_segment_records=1)
+        for event in long_stream[:3]:
+            journal.append(event)
+        journal.close()
+        (tmp_path / "journal" / "segment-0000000001.wal").unlink()
+        with pytest.raises(JournalCorruptionError, match="starts at seq 2"):
+            self._recover(tmp_path, small_dataset, worker_pool, distance_model)
+
+    def test_newest_checkpoint_corrupt_still_falls_back_bit_equal(
+        self, tmp_path, small_dataset, worker_pool, distance_model, long_stream
+    ):
+        from repro.serving.faults import corrupt_file
+
+        reference = AnswerIngestor(
+            self._inference(small_dataset, worker_pool, distance_model),
+            SnapshotStore(),
+            config=IngestConfig(**self.CONFIG),
+        )
+        for event in long_stream:
+            reference.submit(event)
+        reference.flush()
+        reference.close()
+
+        _, checkpoints = self._durable_run(
+            tmp_path, small_dataset, worker_pool, distance_model, long_stream
+        )
+        corrupt_file(checkpoints[-1])
+        recovered, report = self._recover(
+            tmp_path, small_dataset, worker_pool, distance_model
+        )
+        recovered.flush()
+        recovered.close()
+        recovered.journal.close()
+        assert report.corrupt_checkpoints_skipped == 1
+        assert report.checkpoint_seq == int(checkpoints[-2].stem.split("-")[1])
+        assert report.replayed_events == len(long_stream) - report.checkpoint_seq
+        np.testing.assert_array_equal(
+            reference._updater.live_store.p_qualified,
+            recovered._updater.live_store.p_qualified,
+        )
+        np.testing.assert_array_equal(
+            reference._updater.live_store.label_probs,
+            recovered._updater.live_store.label_probs,
+        )
+        assert reference._updater.live_store.max_difference(
+            recovered._updater.live_store
+        ) <= 1e-9

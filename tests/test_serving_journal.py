@@ -1,23 +1,37 @@
 """Tests for repro.serving.journal (write-ahead log) and the checkpoint store."""
 
+import io
+import json
+import os
+import tempfile
 import zlib
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import export_answers
 
-from repro.core.inference import LocationAwareInference
+from repro.core.em_kernel import AnswerColumns
+from repro.core.inference import InferenceConfig, LocationAwareInference
 from repro.crowd.answer_model import AnswerSimulator
+from repro.data.models import AnswerSet
 from repro.serving import (
     AnswerEvent,
+    AnswerIngestor,
     AnswerJournal,
     CheckpointCorruptionError,
     CheckpointManager,
     CheckpointState,
+    IngestConfig,
     JournalCorruptionError,
     LiveStateError,
     RecoveryReport,
     ServingStateError,
     SnapshotIntegrityError,
+    recover_ingestor,
 )
 from repro.serving.snapshots import SnapshotStore
 
@@ -211,7 +225,9 @@ class TestCheckpointManager:
             journal_seq=seq,
             snapshot_version=3,
             published_at=12.5,
-            answers=answers,
+            columns=AnswerColumns.gather(
+                AnswerSet(answers), inference.tasks, inference.workers
+            ),
             workers=list(inference.workers.values()),
             tasks=list(inference.tasks.values()),
             answers_since_full_refresh=5,
@@ -231,7 +247,12 @@ class TestCheckpointManager:
         assert loaded.journal_seq == 7
         assert loaded.snapshot_version == 3
         assert loaded.published_at == 12.5
-        assert loaded.answers == state.answers
+        assert loaded.columns.worker_ids == state.columns.worker_ids
+        assert loaded.columns.task_ids == state.columns.task_ids
+        for name in ("num_labels", "a_worker", "a_task", "responses"):
+            np.testing.assert_array_equal(
+                getattr(loaded.columns, name), getattr(state.columns, name)
+            )
         assert loaded.workers == state.workers
         assert loaded.tasks == state.tasks
         assert loaded.answers_since_full_refresh == 5
@@ -239,6 +260,114 @@ class TestCheckpointManager:
         assert loaded.counters["update_seconds"] == pytest.approx(0.25)
         assert state.store.max_difference(loaded.store) == 0.0
         np.testing.assert_array_equal(state.store.p_qualified, loaded.store.p_qualified)
+
+    @pytest.mark.parametrize("engine", ["vectorized", "sparse"])
+    @settings(max_examples=12, deadline=None)
+    @given(
+        picks=st.lists(
+            st.tuples(
+                st.integers(0, 7), st.integers(0, 11), st.integers(0, 2**16)
+            ),
+            min_size=1,
+            max_size=48,
+        ),
+        open_world=st.booleans(),
+        decay=st.booleans(),
+    )
+    def test_live_tensor_round_trip(
+        self, small_dataset, worker_pool, distance_model, engine, picks,
+        open_world, decay,
+    ):
+        """Columns saved from a live tensor rebuild it array for array.
+
+        Random streams re-answer pairs (rewritten in place), may register
+        held-back workers/tasks on first sight, may age answers with decay,
+        and run on either distance source; the checkpoint's columns must
+        rebuild the live tensor exactly (row lists and pair map included),
+        match ``AnswerTensor.build`` over the oracle's exported answers, and
+        restore it — with its arrival epochs — through ``recover_ingestor``.
+        """
+        profiles = list(worker_pool)
+        tasks = small_dataset.tasks
+
+        def inference():
+            startup_tasks = tasks[:8] if open_world else tasks
+            startup_workers = [p.worker for p in profiles[: 5 if open_world else 8]]
+            config = (
+                InferenceConfig(
+                    engine="sparse",
+                    candidate_radius=0.3 * small_dataset.max_distance,
+                )
+                if engine == "sparse"
+                else InferenceConfig()
+            )
+            return LocationAwareInference(
+                startup_tasks, startup_workers, distance_model, config=config
+            )
+
+        config = IngestConfig(
+            max_batch_answers=4,
+            full_refresh_interval=1000,
+            checkpoint_interval=1,
+            pipeline=False,
+            stat_decay=0.9 if decay else 1.0,
+        )
+        simulator = AnswerSimulator(distance_model, noise=0.2)
+        with tempfile.TemporaryDirectory() as state_dir:
+            state_dir = Path(state_dir)
+            live = inference()
+            ingestor = AnswerIngestor(
+                live,
+                SnapshotStore(),
+                config=config,
+                journal=AnswerJournal(state_dir / "journal"),
+                checkpoints=CheckpointManager(state_dir / "checkpoints"),
+            )
+            for index, (w, t, seed) in enumerate(picks):
+                ingestor.submit(
+                    AnswerEvent(
+                        simulator.sample_answer(profiles[w], tasks[t], seed=seed),
+                        time=float(index),
+                        worker=profiles[w].worker,
+                        task=tasks[t],
+                    )
+                )
+            ingestor.flush()
+            ingestor.journal.close()
+            tensor = ingestor._updater.live_tensor
+            decay_epoch, arrivals = ingestor._updater.export_decay_state()
+
+            loaded, skipped = CheckpointManager(state_dir / "checkpoints").load_latest()
+            assert skipped == 0 and loaded.journal_seq == len(picks)
+            columns = loaded.columns
+            assert list(columns.answers()) == export_answers(tensor)
+            assert_tensors_identical(
+                live._tensor_from_columns(columns).enable_row_tracking(), tensor
+            )
+            assert_tensors_identical(
+                live._build_tensor(AnswerSet(export_answers(tensor))), tensor,
+                rows=False,
+            )
+            if decay:
+                assert loaded.decay_epoch == decay_epoch
+                np.testing.assert_array_equal(loaded.arrival_epochs, arrivals)
+            else:
+                assert loaded.arrival_epochs is None
+
+            recovered, report = recover_ingestor(
+                state_dir,
+                inference=inference(),
+                snapshots=SnapshotStore(),
+                ingest_config=config,
+            )
+            recovered.journal.close()
+            assert report.checkpoint_answers == tensor.num_answers
+            assert report.replayed_events == 0
+            assert_tensors_identical(recovered._updater.live_tensor, tensor)
+            restored_epoch, restored_arrivals = recovered._updater.export_decay_state()
+            if decay:
+                assert restored_epoch == decay_epoch
+                np.testing.assert_array_equal(restored_arrivals, arrivals)
 
     def test_corrupt_checkpoint_is_skipped_for_an_older_one(
         self, tmp_path, small_dataset, worker_pool, distance_model
@@ -286,6 +415,249 @@ class TestCheckpointManager:
     def test_empty_directory_is_a_cold_start(self, tmp_path):
         loaded, skipped = CheckpointManager(tmp_path / "none").load_latest()
         assert loaded is None and skipped == 0
+
+
+def assert_tensors_identical(a, b, rows=True):
+    """Two answer tensors hold equal arrays (and, with ``rows``, row indexes)."""
+    assert a.worker_ids == b.worker_ids
+    assert a.task_ids == b.task_ids
+    for name in (
+        "num_labels", "label_offsets", "a_worker", "a_task", "distances",
+        "f_values", "a_label_start", "r_answer", "r_worker", "r_task",
+        "r_label", "responses", "task_of_label",
+    ):
+        left, right = getattr(a, name), getattr(b, name)
+        assert left.dtype == right.dtype, name
+        np.testing.assert_array_equal(left, right, err_msg=name)
+    if rows:
+        for index in range(a.num_workers):
+            assert a.rows_of_worker(index) == b.rows_of_worker(index)
+        for index in range(a.num_tasks):
+            assert a.rows_of_task(index) == b.rows_of_task(index)
+        assert a._pair_row == b._pair_row
+
+
+def _rewrite_archive(path, mutate):
+    """Apply ``mutate`` to a checkpoint's arrays and re-seal it with a valid CRC."""
+    with np.load(path, allow_pickle=False) as data:
+        arrays = {key: data[key] for key in data.files}
+    mutate(arrays)
+    buffer = io.BytesIO()
+    np.savez(buffer, **arrays)
+    raw = buffer.getvalue()
+    path.write_bytes(raw)
+    path.with_suffix(".npz.crc").write_text(f"{zlib.crc32(raw):08x}\n")
+
+
+def _set(key, value):
+    def mutate(arrays):
+        arrays[key] = value(arrays[key]) if callable(value) else value
+    return mutate
+
+
+def _first_task_gains_a_label(arrays):
+    tasks = json.loads(arrays["tasks_json"].tobytes())
+    task_id = str(arrays["answers_task_ids"][0])
+    for entry in tasks:
+        if entry["task_id"] == task_id:
+            entry["labels"].append("extra")
+            entry["truth"].append(0)
+    arrays["tasks_json"] = np.frombuffer(json.dumps(tasks).encode(), dtype=np.uint8)
+
+
+def _edit(key, edit):
+    def mutate(arrays):
+        array = arrays[key].copy()
+        edit(array)
+        arrays[key] = array
+    return mutate
+
+
+#: One defect per case (each leaves the CRC valid) and the refusal it draws.
+ARCHIVE_DEFECTS = {
+    "missing-array": (
+        lambda arrays: arrays.pop("answers_a_task"),
+        "missing array 'answers_a_task'",
+    ),
+    "missing-metadata": (
+        lambda arrays: arrays.pop("tasks_json"),
+        "missing array 'tasks_json'",
+    ),
+    "float-indices": (
+        _set("answers_a_worker", lambda a: a.astype(float)),
+        "'answers_a_worker' is float64",
+    ),
+    "wide-responses": (
+        _set("answers_responses", lambda a: a.astype(np.int64)),
+        "'answers_responses' is int64",
+    ),
+    "text-metadata": (
+        _set("tasks_json", lambda a: np.asarray(a.tobytes().decode(), dtype=np.str_)),
+        "'tasks_json' is <U",
+    ),
+    "two-dim-indices": (
+        _set("answers_a_task", lambda a: a.reshape(-1, 1)),
+        r"'answers_a_task' is int64 with shape \(\d+, 1\)",
+    ),
+    "short-num-labels": (
+        _set("answers_num_labels", lambda a: a[:-1]),
+        "one positive count per task",
+    ),
+    "worker-out-of-range": (
+        _edit("answers_a_worker", lambda a: a.__setitem__(0, a.max() + 1)),
+        "a_worker indexes outside",
+    ),
+    "negative-task": (
+        _edit("answers_a_task", lambda a: a.__setitem__(0, -1)),
+        "a_task indexes outside",
+    ),
+    "response-outside-0-1": (
+        _edit("answers_responses", lambda a: a.__setitem__(0, 2)),
+        "responses must be 0/1",
+    ),
+    "responses-too-short": (
+        _set("answers_responses", lambda a: a[:-1]),
+        "the rows' tasks have",
+    ),
+    "label-count-vs-metadata": (
+        _first_task_gains_a_label,
+        "has 4 labels, its metadata 5",
+    ),
+    "duplicate-pair": (
+        _edit("answers_a_task", lambda a: a.__setitem__(1, a[0])),
+        "same \\(worker, task\\) pair",
+    ),
+    "arrival-epochs-misaligned": (
+        _set("arrival_epochs", lambda a: a[:-1]),
+        "arrival_epochs has shape",
+    ),
+    "unknown-format": (
+        _set("format", np.asarray(1, dtype=np.int64)),
+        "has format 1, this build reads format 2",
+    ),
+    "no-format": (
+        lambda arrays: arrays.pop("format"),
+        "has format None",
+    ),
+}
+
+
+class TestCheckpointBoundary:
+    """A checkpoint file is outside input: ``load`` validates every column."""
+
+    @pytest.mark.parametrize("defect", sorted(ARCHIVE_DEFECTS))
+    def test_defective_archive_falls_back_to_the_older_one(
+        self, tmp_path, small_dataset, worker_pool, distance_model, defect
+    ):
+        state = TestCheckpointManager()._state(
+            small_dataset, worker_pool, distance_model
+        )
+        # Rows 0 and 1 share a worker, so "duplicate-pair" repeats a pair
+        # (and every task has as many labels, so only that check can fire).
+        assert state.columns.a_worker[0] == state.columns.a_worker[1]
+        assert len(set(state.columns.num_labels.tolist())) == 1
+        state = replace(
+            state,
+            decay_epoch=4,
+            arrival_epochs=np.arange(state.columns.num_answers, dtype=np.int64),
+        )
+        manager = CheckpointManager(tmp_path)
+        manager.save(replace(state, journal_seq=5))
+        newest = manager.save(replace(state, journal_seq=9))
+        assert manager.load(newest).journal_seq == 9
+
+        mutate, refusal = ARCHIVE_DEFECTS[defect]
+        _rewrite_archive(newest, mutate)
+        with pytest.raises(CheckpointCorruptionError, match=refusal):
+            manager.load(newest)
+        loaded, skipped = manager.load_latest()
+        assert skipped == 1
+        assert loaded.journal_seq == 5
+
+
+class TestCheckpointDurability:
+    """With the fsync policy on, a checkpoint is durable before anything
+    it makes redundant (older checkpoints, journal segments) is unlinked."""
+
+    def _run(self, tmp_path, small_dataset, worker_pool, distance_model, monkeypatch,
+             fsync):
+        """Drive a checkpointing ingestor; log every fsync and unlink in order.
+
+        An fsync is logged as the synced file's identity (inode, size,
+        mtime) and whether it is a directory; an unlink as the newest
+        checkpoint's archive and sidecar identities at that moment.
+        """
+        checkpoint_dir = tmp_path / "checkpoints"
+        log = []
+        real_fsync, real_unlink = os.fsync, Path.unlink
+
+        def identity(path_or_stat):
+            st = path_or_stat if isinstance(path_or_stat, os.stat_result) else (
+                path_or_stat.stat()
+            )
+            return st.st_ino, st.st_size, st.st_mtime_ns
+
+        def logged_fsync(descriptor):
+            real_fsync(descriptor)
+            st = os.fstat(descriptor)
+            log.append(("fsync", identity(st), st.st_ino == checkpoint_dir.stat().st_ino))
+
+        def logged_unlink(path, missing_ok=False):
+            newest = max(checkpoint_dir.glob("ckpt-*.npz"))
+            log.append(
+                ("unlink", identity(newest), identity(newest.with_suffix(".npz.crc")))
+            )
+            real_unlink(path, missing_ok=missing_ok)
+
+        monkeypatch.setattr(os, "fsync", logged_fsync)
+        monkeypatch.setattr(Path, "unlink", logged_unlink)
+        journal = AnswerJournal(tmp_path / "journal", max_segment_records=4)
+        ingestor = AnswerIngestor(
+            LocationAwareInference(
+                small_dataset.tasks, worker_pool.workers, distance_model
+            ),
+            SnapshotStore(),
+            config=IngestConfig(
+                max_batch_answers=4, checkpoint_interval=8, pipeline=False
+            ),
+            journal=journal,
+            checkpoints=CheckpointManager(checkpoint_dir, keep=1, fsync=fsync),
+        )
+        for event in make_events(small_dataset, worker_pool, distance_model, 40):
+            ingestor.submit(event)
+        ingestor.flush()
+        journal.close()
+        assert ingestor.stats.checkpoints_written >= 3
+        assert journal.stats.segments_truncated > 0
+        return log
+
+    def test_fsyncs_precede_every_unlink(
+        self, tmp_path, small_dataset, worker_pool, distance_model, monkeypatch
+    ):
+        log = self._run(
+            tmp_path, small_dataset, worker_pool, distance_model, monkeypatch, True
+        )
+        unlinks = [index for index, entry in enumerate(log) if entry[0] == "unlink"]
+        assert unlinks
+        for index in unlinks:
+            _, archive, sidecar = log[index]
+            synced = [entry for entry in log[:index] if entry[0] == "fsync"]
+            files = [entry[1] for entry in synced]
+            # The newest archive, then its sidecar, then the directory, were
+            # all fsync'd before this unlink.
+            assert archive in files and sidecar in files
+            after_sidecar = synced[files.index(sidecar) + 1 :]
+            assert files.index(archive) < files.index(sidecar)
+            assert any(is_directory for _, _, is_directory in after_sidecar)
+
+    def test_policy_off_never_fsyncs(
+        self, tmp_path, small_dataset, worker_pool, distance_model, monkeypatch
+    ):
+        log = self._run(
+            tmp_path, small_dataset, worker_pool, distance_model, monkeypatch, False
+        )
+        assert [entry for entry in log if entry[0] == "fsync"] == []
+        assert any(entry[0] == "unlink" for entry in log)
 
 
 class TestRecoveryReport:
