@@ -6,24 +6,27 @@ twin of the per-record E/M specification in ``tests/oracles/em.py``.  The
 whole answer log is flattened **once** per fit into an :class:`AnswerTensor`
 — integer worker/task/label index arrays, a precomputed ``(N, |F|)`` matrix
 of the distance-function set evaluated at every answer's distance, and a
-flat 0/1 response vector — after which one EM iteration is a fixed number of
-NumPy kernels.  The tensor is also the serving
-path's **live** structure: it grows in place (:meth:`AnswerTensor.append_answers`,
-capacity-doubling buffers, per-entity row indexes),
-:func:`localized_sweeps` runs the incremental updater's masked sweeps against
-it without any per-batch rebuild (with per-entity convergence early-exit so
-settled neighbourhoods drop out of later sweeps), and a full re-fit can run
-straight off it via
-:meth:`repro.core.inference.LocationAwareInference.fit_from_tensor` — the
-flatten below happens once per *stream*, not once per refresh.  Per full
-iteration:
+flat 0/1 response vector.  The tensor is also the serving path's **live**
+structure: it grows in place (:meth:`AnswerTensor.append_answers`,
+capacity-doubling buffers, per-entity row indexes), so the incremental
+updater's sweeps and a full re-fit
+(:meth:`repro.core.inference.LocationAwareInference.fit_from_tensor`) both
+run straight off it — the flatten happens once per *stream*, not once per
+refresh.
 
-* the E-step posteriors of *all* answers are computed as array expressions
-  mirroring the per-record ``expectation`` — the label and quality marginals
-  per label response, the distance/influence-profile marginals already
-  summed per answer (:func:`_estep_posteriors`), and
-* the M-step scatter-adds (``z_sums``, ``dt_sums``, ``i_sums``, ``dw_sums``)
-  become segment sums via ``np.bincount`` over the index arrays.
+Every EM step is the same three stages over a set of answer rows: the
+E-step posteriors (:func:`_estep_posteriors`, array expressions mirroring
+the per-record ``expectation``), their per-entity totals with the count
+denominators (:func:`_totals`, optionally weighted per answer — the
+sufficient statistics of Equation 14), and the closed-form M-step of the
+chosen entities from those totals (:func:`_m_step`).  The callers differ
+only in which rows they sum and which entities they re-estimate:
+:func:`em_step` every row and entity; :func:`localized_sweeps` a
+micro-batch's neighbourhood and the entities it touched;
+:class:`SufficientStatCache` keeps the totals between batches and folds in
+only the batch's rows (:func:`cached_sweeps`, Neal & Hinton's incremental
+EM).  A full step, a localized step over every row and a fresh cache
+therefore give bit-equal estimates.
 
 For the label and quality sums, per-bin accumulation order under
 ``np.bincount`` equals the answer-log order the per-record loop uses; the
@@ -33,8 +36,7 @@ below the ``1e-9`` tolerance the equivalence tests enforce).  Cost per
 iteration is ``O(B · (|L_t| + |F|))``, below the paper's
 ``O(B · |L_t| · |F|)``: a profile posterior is a per-answer ``|F|``-vector
 scaled by per-response scalars, so the ``|L_t|`` scalars are summed before
-the ``|F|``-wide product.  Each term is a C-level pass over contiguous
-arrays rather than a Python interpreter step per answer.
+the ``|F|``-wide product.
 
 Parameters live in an :class:`~repro.core.params.ArrayParameterStore`; the id
 oriented :class:`~repro.core.params.ModelParameters` view is materialised only
@@ -43,9 +45,10 @@ at the fit boundary.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -822,9 +825,8 @@ def _estep_posteriors(
     ``post_dw`` and ``post_dt`` come already summed over each answer's label
     responses (``(n, |F|)``) — the M-step only ever adds them up per worker or
     per task, so the per-response ``(M, |F|)`` blocks of the per-record E-step
-    (kept in ``tests/oracles/em.py``) are never materialised.  Shared by the
-    full :func:`em_step`, the localized :func:`em_step_localized` and
-    :class:`SufficientStatCache`.
+    (kept in ``tests/oracles/em.py``) are never materialised.  Every E-step
+    of this module runs through it, via :func:`_row_posteriors`.
     """
     floor = PROBABILITY_FLOOR
     worker_quality = np.einsum("nf,nf->n", dw, f_values)  # DQ_w per answer
@@ -880,6 +882,214 @@ def _estep_posteriors(
     return post_z1, post_i1, post_dw, post_dt, evidence
 
 
+class _Rows(NamedTuple):
+    """A set of answer rows with their label rows, as the E- and M-steps read it.
+
+    Per answer: ``a_worker``, ``a_task``, ``f_values``.  Per label response:
+    ``expand`` (the owning answer's position in this set), ``r_label``,
+    ``r_worker``, ``r_task`` and the observed ``responses``.
+    """
+
+    a_worker: np.ndarray
+    a_task: np.ndarray
+    f_values: np.ndarray
+    expand: np.ndarray
+    r_label: np.ndarray
+    r_worker: np.ndarray
+    r_task: np.ndarray
+    responses: np.ndarray
+
+
+def _all_rows(tensor: AnswerTensor) -> _Rows:
+    """Every row of ``tensor``, as views of its own arrays."""
+    return _Rows(
+        a_worker=tensor.a_worker,
+        a_task=tensor.a_task,
+        f_values=tensor.f_values,
+        expand=tensor.r_answer,
+        r_label=tensor.r_label,
+        r_worker=tensor.r_worker,
+        r_task=tensor.r_task,
+        responses=tensor.responses,
+    )
+
+
+def _gather_rows(
+    tensor: AnswerTensor, answer_rows: np.ndarray
+) -> tuple[_Rows, np.ndarray]:
+    """The answers ``answer_rows`` with their label rows, in the given order.
+
+    Also returns the tensor label row of every gathered label response (an
+    answer's label rows are contiguous from its ``a_label_start``).
+    """
+    aw = tensor.a_worker[answer_rows]
+    at = tensor.a_task[answer_rows]
+    counts = tensor.num_labels[at]
+    expand = np.repeat(np.arange(answer_rows.size, dtype=np.intp), counts)
+    batch_starts = np.cumsum(counts) - counts
+    label_rows = (
+        np.arange(int(counts.sum()), dtype=np.intp)
+        - np.repeat(batch_starts, counts)
+        + np.repeat(tensor.a_label_start[answer_rows], counts)
+    )
+    rows = _Rows(
+        a_worker=aw,
+        a_task=at,
+        f_values=tensor.f_values[answer_rows],
+        expand=expand,
+        r_label=tensor.r_label[label_rows],
+        r_worker=aw[expand],
+        r_task=at[expand],
+        responses=tensor.responses[label_rows],
+    )
+    return rows, label_rows
+
+
+def _row_posteriors(
+    store: ArrayParameterStore, rows: _Rows
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_estep_posteriors` of ``rows`` under the estimate in ``store``."""
+    floor = PROBABILITY_FLOOR
+    # Fancy indexing returns fresh arrays, so they are clipped in place.
+    p_qualified = store.p_qualified[rows.a_worker]
+    pz1 = store.label_probs[rows.r_label]
+    return _estep_posteriors(
+        alpha=store.alpha,
+        p_qualified=np.clip(p_qualified, floor, 1.0 - floor, out=p_qualified),
+        dw=store.distance_weights[rows.a_worker],
+        dt=store.influence_weights[rows.a_task],
+        f_values=rows.f_values,
+        expand=rows.expand,
+        pz1=np.clip(pz1, 1e-9, 1.0 - 1e-9, out=pz1),
+        responses=rows.responses,
+    )
+
+
+@dataclass
+class _Totals:
+    """Per-entity sufficient statistics of the closed-form M-step (Equation 14).
+
+    The posterior sums — ``P(z = 1 | r)`` per label slot, ``P(i = 1 | r)``
+    and the ``(W, |F|)`` d_w profile per worker, the ``(T, |F|)`` d_t
+    profile per task — and the count denominators: label responses per
+    worker and per task, answers per task.
+    """
+
+    slot_z: np.ndarray
+    worker_i: np.ndarray
+    worker_dw: np.ndarray
+    task_dt: np.ndarray
+    worker_labels: np.ndarray | None = None
+    task_labels: np.ndarray | None = None
+    task_answers: np.ndarray | None = None
+
+
+def _totals(
+    rows: _Rows,
+    posteriors: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+    sizes: tuple[int, int, int],
+    weights: np.ndarray | None = None,
+    counts: bool = True,
+) -> _Totals:
+    """Sum a row set's posteriors, and with ``counts`` its counts, per entity.
+
+    ``posteriors`` is ``(z1, i1, dw, dt)`` over ``rows`` as
+    :func:`_estep_posteriors` returns them, ``sizes`` the ``(label slots,
+    workers, tasks)`` the sums span.  ``weights`` (one per answer of
+    ``rows``) scales each answer's contribution to every sum and count;
+    ``None`` skips the multiply (and leaves the counts integer).  Every sum
+    runs in row order, so equal row sets give bit-equal totals whichever
+    path asks.
+    """
+    num_slots, num_workers, num_tasks = sizes
+    z1, i1, dw, dt = posteriors
+    w_m = None
+    if weights is not None:
+        w_m = weights[rows.expand]  # per label response
+        z1, i1 = z1 * w_m, i1 * w_m
+        dw, dt = dw * weights[:, None], dt * weights[:, None]
+    totals = _Totals(
+        slot_z=np.bincount(rows.r_label, weights=z1, minlength=num_slots),
+        worker_i=np.bincount(rows.r_worker, weights=i1, minlength=num_workers),
+        worker_dw=_segment_sum_columns(dw, rows.a_worker, num_workers),
+        task_dt=_segment_sum_columns(dt, rows.a_task, num_tasks),
+    )
+    if counts:
+        totals.worker_labels = np.bincount(
+            rows.r_worker, weights=w_m, minlength=num_workers
+        )
+        totals.task_labels = np.bincount(rows.r_task, weights=w_m, minlength=num_tasks)
+        totals.task_answers = np.bincount(
+            rows.a_task, weights=weights, minlength=num_tasks
+        )
+    return totals
+
+
+#: Floor of the label and qualification denominators.  An entity without
+#: (weighted) rows divides its zero sums by it; on integer counts it equals
+#: the per-record M-step's ``max(1, count)``, while the fractional counts of
+#: decayed or down-weighted rows stay exact.
+_DENOM_FLOOR = 1e-9
+
+
+def _m_step(
+    tensor: AnswerTensor,
+    totals: _Totals,
+    uniform: np.ndarray,
+    workers: np.ndarray | slice,
+    tasks: np.ndarray | slice,
+    label_slots: np.ndarray | slice,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The closed-form M-step: the new estimate of the chosen rows from ``totals``.
+
+    Returns ``(p_qualified, distance_weights, influence_weights,
+    label_probs)`` of the chosen ``workers`` / ``tasks`` rows and flat
+    ``label_slots`` (index arrays, or ``slice(None)`` for all).  An empty
+    selection comes back as its empty totals, skipped outright: settled and
+    deferred entities leave one often, and the array calls would cost their
+    fixed overhead for nothing.
+    """
+    label_probs = totals.slot_z[label_slots]
+    if label_probs.size:
+        answers = totals.task_answers[tensor.task_of_label[label_slots]]
+        label_probs = np.clip(
+            label_probs / np.maximum(_DENOM_FLOOR, answers), 0.0, 1.0
+        )
+    influence_weights = totals.task_dt[tasks]
+    if influence_weights.size:
+        influence_weights = _normalise_rows(
+            influence_weights, totals.task_labels[tasks], uniform
+        )
+    p_qualified = totals.worker_i[workers]
+    distance_weights = totals.worker_dw[workers]
+    if p_qualified.size:
+        worker_labels = totals.worker_labels[workers]
+        p_qualified = np.clip(
+            p_qualified / np.maximum(_DENOM_FLOOR, worker_labels), 0.0, 1.0
+        )
+        distance_weights = _normalise_rows(distance_weights, worker_labels, uniform)
+    return p_qualified, distance_weights, influence_weights, label_probs
+
+
+def _m_step_into(
+    tensor: AnswerTensor,
+    store: ArrayParameterStore,
+    totals: _Totals,
+    workers: np.ndarray,
+    tasks: np.ndarray,
+    label_slots: np.ndarray,
+) -> None:
+    """:func:`_m_step` of the chosen rows, written into ``store`` in place."""
+    uniform = store.function_set.uniform_weights()
+    p_qualified, distance_weights, influence_weights, label_probs = _m_step(
+        tensor, totals, uniform, workers, tasks, label_slots
+    )
+    store.p_qualified[workers] = p_qualified
+    store.distance_weights[workers] = distance_weights
+    store.influence_weights[tasks] = influence_weights
+    store.label_probs[label_slots] = label_probs
+
+
 def em_step(
     tensor: AnswerTensor,
     store: ArrayParameterStore,
@@ -897,102 +1107,39 @@ def em_step(
     M-step into a *weighted* maximisation: each answer contributes its weight
     to both the posterior sums and the count denominators.  This is how
     exponential decay (old answers fade) and trust-aware down-weighting
-    (quarantined workers count less) enter the full refresh.  ``None`` takes
-    the unweighted path.
+    (quarantined workers count less) enter the full refresh.
     """
-    floor = PROBABILITY_FLOOR
-    p_qualified = np.clip(store.p_qualified[tensor.a_worker], floor, 1.0 - floor)
-    pz1 = np.clip(store.label_probs, 1e-9, 1.0 - 1e-9)[tensor.r_label]
-    post_z1, post_i1, post_dw, post_dt, evidence = _estep_posteriors(
-        alpha=store.alpha,
-        p_qualified=p_qualified,
-        dw=store.distance_weights[tensor.a_worker],
-        dt=store.influence_weights[tensor.a_task],
-        f_values=tensor.f_values,
-        expand=tensor.r_answer,
-        pz1=pz1,
-        responses=tensor.responses,
-    )
-
-    # ---- M-step: segment sums then per-entity renormalisation ---------------
-    num_workers = tensor.num_workers
-    num_tasks = tensor.num_tasks
-    uniform = store.function_set.uniform_weights()
-
-    if answer_weights is None:
-        log_likelihood = float(np.sum(np.log(evidence)))
-        z_sums = np.bincount(
-            tensor.r_label, weights=post_z1, minlength=tensor.label_offsets[-1]
-        )
-        answers_per_task = np.bincount(tensor.a_task, minlength=num_tasks)
-        new_label_probs = np.clip(
-            z_sums / np.maximum(1, answers_per_task)[tensor.task_of_label], 0.0, 1.0
-        )
-
-        labels_per_task = np.bincount(tensor.r_task, minlength=num_tasks)
-        dt_sums = _segment_sum_columns(post_dt, tensor.a_task, num_tasks)
-        new_influence = _normalise_rows(dt_sums, labels_per_task, uniform)
-
-        labels_per_worker = np.bincount(tensor.r_worker, minlength=num_workers)
-        i_sums = np.bincount(tensor.r_worker, weights=post_i1, minlength=num_workers)
-        new_p_qualified = np.clip(i_sums / np.maximum(1, labels_per_worker), 0.0, 1.0)
-        dw_sums = _segment_sum_columns(post_dw, tensor.a_worker, num_workers)
-        new_distance_weights = _normalise_rows(dw_sums, labels_per_worker, uniform)
-    else:
+    weights = None
+    if answer_weights is not None:
         weights = np.asarray(answer_weights, dtype=float)
         if weights.shape != (tensor.num_answers,):
             raise ValueError(
                 f"answer_weights must have shape ({tensor.num_answers},), got "
                 f"{weights.shape}"
             )
-        w_m = weights[tensor.r_answer]  # per label response
-        log_likelihood = float(np.sum(w_m * np.log(evidence)))
-        # A zero-weight task/worker divides 0 by the floor below — identical
-        # to the unweighted kernel's max(1, count) treatment of empty rows,
-        # while genuinely fractional denominators stay exact.
-        denom_floor = 1e-9
-        z_sums = np.bincount(
-            tensor.r_label, weights=post_z1 * w_m, minlength=tensor.label_offsets[-1]
-        )
-        answers_per_task = np.bincount(
-            tensor.a_task, weights=weights, minlength=num_tasks
-        )
-        new_label_probs = np.clip(
-            z_sums / np.maximum(denom_floor, answers_per_task)[tensor.task_of_label],
-            0.0,
-            1.0,
-        )
-
-        labels_per_task = np.bincount(tensor.r_task, weights=w_m, minlength=num_tasks)
-        dt_sums = _segment_sum_columns(
-            post_dt * weights[:, None], tensor.a_task, num_tasks
-        )
-        new_influence = _normalise_rows(dt_sums, labels_per_task, uniform)
-
-        labels_per_worker = np.bincount(
-            tensor.r_worker, weights=w_m, minlength=num_workers
-        )
-        i_sums = np.bincount(
-            tensor.r_worker, weights=post_i1 * w_m, minlength=num_workers
-        )
-        new_p_qualified = np.clip(
-            i_sums / np.maximum(denom_floor, labels_per_worker), 0.0, 1.0
-        )
-        dw_sums = _segment_sum_columns(
-            post_dw * weights[:, None], tensor.a_worker, num_workers
-        )
-        new_distance_weights = _normalise_rows(dw_sums, labels_per_worker, uniform)
-
+    rows = _all_rows(tensor)
+    *posteriors, evidence = _row_posteriors(store, rows)
+    log_evidence = np.log(evidence)
+    if weights is not None:
+        log_evidence *= weights[rows.expand]
+    log_likelihood = float(np.sum(log_evidence))
+    del evidence, log_evidence  # M-sized; the M-step below allocates its own
+    sizes = (store.num_label_slots, store.num_workers, store.num_tasks)
+    totals = _totals(rows, posteriors, sizes, weights)
+    every = slice(None)
+    p_qualified, distance_weights, influence_weights, label_probs = _m_step(
+        tensor, totals, store.function_set.uniform_weights(), every, every, every
+    )
     new_store = ArrayParameterStore(
         function_set=store.function_set,
         alpha=store.alpha,
         worker_ids=store.worker_ids,
         task_ids=store.task_ids,
         label_offsets=store.label_offsets,
-        p_qualified=new_p_qualified,
-        distance_weights=new_distance_weights,
-        influence_weights=new_influence,
-        label_probs=new_label_probs,
+        p_qualified=p_qualified,
+        distance_weights=distance_weights,
+        influence_weights=influence_weights,
+        label_probs=label_probs,
     )
     return new_store, log_likelihood
 
@@ -1008,81 +1155,18 @@ def em_step_localized(
     """One localized E+M sweep against the **live** tensor and store, in place.
 
     ``answer_rows`` selects the relevant neighbourhood (every answer of every
-    affected worker/task — so the restricted M-step denominators equal the
-    global ones for the affected entities), ``affected_workers`` /
-    ``affected_tasks`` are the store rows to re-estimate and ``label_slots``
-    the flat label slots those tasks own.  Everything else keeps its current
-    estimate, exactly like the per-record localized sweep that never
-    accumulates sums for unaffected entities.
-
-    This is the incremental updater's inner kernel: cost is
-    ``O(R · (|L_t| + |F|))`` array work over the ``R`` selected rows plus
-    O(global sizes) zero-filled segment-sum allocations — no tensor or store
-    is ever rebuilt.
+    affected worker/task — so the totals of the affected entities equal the
+    full step's), ``affected_workers`` / ``affected_tasks`` are the store
+    rows to re-estimate and ``label_slots`` the flat label slots those tasks
+    own.  Everything else keeps its current estimate.  Cost is
+    ``O(R · (|L_t| + |F|))`` over the ``R`` selected rows plus O(global
+    sizes) zero-filled segment sums — no tensor or store is rebuilt.
     """
-    floor = PROBABILITY_FLOOR
-    aw = tensor.a_worker[answer_rows]
-    at = tensor.a_task[answer_rows]
-    f_values = tensor.f_values[answer_rows]
-    counts = tensor.num_labels[at]
-    starts = tensor.a_label_start[answer_rows]
-    total = int(counts.sum())
-    # Label rows of the selected answers (contiguous per answer).
-    expand = np.repeat(np.arange(answer_rows.size, dtype=np.intp), counts)
-    batch_starts = np.cumsum(counts) - counts
-    label_rows = (
-        np.arange(total, dtype=np.intp)
-        - np.repeat(batch_starts, counts)
-        + np.repeat(starts, counts)
-    )
-    r_label = tensor.r_label[label_rows]
-    responses = tensor.responses[label_rows]
-    r_worker = aw[expand]
-    r_task = at[expand]
-
-    p_qualified = np.clip(store.p_qualified[aw], floor, 1.0 - floor)
-    pz1 = np.clip(store.label_probs[r_label], 1e-9, 1.0 - 1e-9)
-    post_z1, post_i1, post_dw, post_dt, _ = _estep_posteriors(
-        alpha=store.alpha,
-        p_qualified=p_qualified,
-        dw=store.distance_weights[aw],
-        dt=store.influence_weights[at],
-        f_values=f_values,
-        expand=expand,
-        pz1=pz1,
-        responses=responses,
-    )
-
-    # ---- M-step restricted to the affected entities -------------------------
-    num_workers = store.num_workers
-    num_tasks = store.num_tasks
-    uniform = store.function_set.uniform_weights()
-
-    z_sums = np.bincount(r_label, weights=post_z1, minlength=store.num_label_slots)
-    answers_per_task = np.bincount(at, minlength=num_tasks)
-    denominators = np.maximum(1, answers_per_task)[tensor.task_of_label[label_slots]]
-    store.label_probs[label_slots] = np.clip(
-        z_sums[label_slots] / denominators, 0.0, 1.0
-    )
-
-    labels_per_task = np.bincount(r_task, minlength=num_tasks)
-    dt_sums = _segment_sum_columns(post_dt, at, num_tasks)
-    store.influence_weights[affected_tasks] = _normalise_rows(
-        dt_sums[affected_tasks], labels_per_task[affected_tasks], uniform
-    )
-
-    labels_per_worker = np.bincount(r_worker, minlength=num_workers)
-    i_sums = np.bincount(r_worker, weights=post_i1, minlength=num_workers)
-    store.p_qualified[affected_workers] = np.clip(
-        i_sums[affected_workers]
-        / np.maximum(1, labels_per_worker[affected_workers]),
-        0.0,
-        1.0,
-    )
-    dw_sums = _segment_sum_columns(post_dw, aw, num_workers)
-    store.distance_weights[affected_workers] = _normalise_rows(
-        dw_sums[affected_workers], labels_per_worker[affected_workers], uniform
-    )
+    rows, _ = _gather_rows(tensor, answer_rows)
+    posteriors = _row_posteriors(store, rows)[:4]
+    sizes = (store.num_label_slots, store.num_workers, store.num_tasks)
+    totals = _totals(rows, posteriors, sizes)
+    _m_step_into(tensor, store, totals, affected_workers, affected_tasks, label_slots)
 
 
 def gather_affected_rows(
@@ -1123,7 +1207,7 @@ def label_slots_of_tasks(
 
 @dataclass(frozen=True)
 class SweepReport:
-    """Work accounting of one :func:`localized_sweeps` invocation."""
+    """Work accounting of one :func:`localized_sweeps` or :func:`cached_sweeps`."""
 
     #: Localized E/M sweeps actually executed (≤ the requested iterations).
     sweeps_run: int = 0
@@ -1131,10 +1215,112 @@ class SweepReport:
     workers_settled: int = 0
     #: Affected tasks dropped from later sweeps by the convergence exit.
     tasks_settled: int = 0
-    #: Store rows of the workers that settled (cached sweeps only, else None).
+    #: Store rows of the workers that settled.
     settled_worker_rows: np.ndarray | None = None
-    #: Store rows of the tasks that settled (cached sweeps only, else None).
+    #: Store rows of the tasks that settled.
     settled_task_rows: np.ndarray | None = None
+
+
+def _moving(
+    store: ArrayParameterStore,
+    workers: np.ndarray,
+    tasks: np.ndarray,
+    label_slots: np.ndarray,
+    before: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+    threshold: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The per-entity settle test: masks of the entities still moving.
+
+    A worker moves by the largest change of its qualification or distance
+    weights since ``before``, a task by that of its influence weights or any
+    of its label slots (``label_slots`` concatenates the tasks' slot ranges
+    in ``tasks`` order).  An entity moving at most ``threshold`` settled.
+    """
+    prev_pq, prev_dw, prev_iw, prev_lp = before
+    w_delta = np.maximum(
+        np.abs(store.p_qualified[workers] - prev_pq),
+        np.abs(store.distance_weights[workers] - prev_dw).max(axis=1),
+    )
+    moving_w = w_delta > threshold
+    moving_t = np.zeros(0, dtype=bool)
+    if tasks.size:  # reduceat needs at least one segment
+        t_delta = np.abs(store.influence_weights[tasks] - prev_iw).max(axis=1)
+        offsets = store.label_offsets
+        counts = np.asarray(offsets[tasks + 1] - offsets[tasks], dtype=np.intp)
+        starts = np.cumsum(counts) - counts
+        # Per-task max over the task's label slots (each task owns >= 1).
+        slot_delta = np.abs(store.label_probs[label_slots] - prev_lp)
+        t_delta = np.maximum(t_delta, np.maximum.reduceat(slot_delta, starts))
+        moving_t = t_delta > threshold
+    return moving_w, moving_t
+
+
+def _settling_sweeps(
+    store: ArrayParameterStore,
+    rows: np.ndarray,
+    workers: np.ndarray,
+    tasks: np.ndarray,
+    label_slots: np.ndarray,
+    iterations: int,
+    threshold: float,
+    sweep: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], None],
+    shrink: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
+) -> SweepReport:
+    """Up to ``iterations`` calls of ``sweep(rows, workers, tasks, label_slots)``.
+
+    With ``threshold > 0`` every sweep but the last is followed by the
+    per-entity settle test: settled entities drop out of the remaining
+    sweeps and ``shrink(rows, workers, tasks)`` narrows the row set to the
+    entities still moving.  The loop stops once every entity has settled or
+    no row is left.
+    """
+    offsets = store.label_offsets
+    sweeps_run = 0
+    settled_w: list[np.ndarray] = []
+    settled_t: list[np.ndarray] = []
+    for index in range(iterations):
+        track = threshold > 0.0 and index + 1 < iterations
+        if track:
+            # Fancy indexing already returns fresh copies — safe snapshots.
+            before = (
+                store.p_qualified[workers],
+                store.distance_weights[workers],
+                store.influence_weights[tasks],
+                store.label_probs[label_slots],
+            )
+        sweep(rows, workers, tasks, label_slots)
+        sweeps_run += 1
+        if not track:
+            continue
+        moving_w, moving_t = _moving(
+            store, workers, tasks, label_slots, before, threshold
+        )
+        keep_w = workers[moving_w]
+        keep_t = tasks[moving_t]
+        if keep_w.size < workers.size:
+            settled_w.append(workers[~moving_w])
+        if keep_t.size < tasks.size:
+            settled_t.append(tasks[~moving_t])
+        if keep_w.size == 0 and keep_t.size == 0:
+            break
+        if keep_w.size == workers.size and keep_t.size == tasks.size:
+            continue  # nothing settled; the rows and slots stay valid
+        workers = keep_w
+        tasks = keep_t
+        label_slots = label_slots_of_tasks(offsets, tasks)
+        rows = shrink(rows, workers, tasks)
+        if rows.size == 0:
+            break
+    empty = np.empty(0, dtype=np.intp)
+    settled_worker_rows = np.concatenate(settled_w) if settled_w else empty
+    settled_task_rows = np.concatenate(settled_t) if settled_t else empty
+    return SweepReport(
+        sweeps_run=sweeps_run,
+        workers_settled=int(settled_worker_rows.size),
+        tasks_settled=int(settled_task_rows.size),
+        settled_worker_rows=settled_worker_rows,
+        settled_task_rows=settled_task_rows,
+    )
 
 
 def localized_sweeps(
@@ -1149,119 +1335,74 @@ def localized_sweeps(
 ) -> SweepReport:
     """Run up to ``iterations`` localized sweeps with per-entity early exit.
 
-    With ``early_exit_threshold > 0``, entities whose parameters all moved at
-    most that much in a sweep are considered settled and dropped from the
-    remaining sweeps (the relevant row set shrinks with them); once every
-    affected entity has settled the loop stops outright.  Settled
-    neighbourhoods therefore stop burning iterations — late in a long stream
-    most affected entities are already well-estimated and one sweep barely
-    moves them.  ``early_exit_threshold == 0`` runs every sweep over the full
-    affected sets, which is what the per-record oracle equivalence pins.
-    ``label_slots`` must be the concatenation of the affected tasks' slot
-    ranges in ``affected_tasks`` order (as :func:`label_slots_of_tasks`
-    builds them).
+    Each sweep is one :func:`em_step_localized` over the affected entities'
+    whole neighbourhood.  With ``early_exit_threshold > 0``, entities whose
+    parameters all moved at most that much in a sweep are considered settled
+    and dropped from the remaining sweeps (the neighbourhood is re-gathered
+    around the rest); once every affected entity has settled the loop stops
+    outright.  Settled neighbourhoods therefore stop burning iterations —
+    late in a long stream most affected entities are already well-estimated
+    and one sweep barely moves them.  ``early_exit_threshold == 0`` runs
+    every sweep over the full affected sets, which is what the per-record
+    oracle equivalence pins.  ``label_slots`` must be the concatenation of
+    the affected tasks' slot ranges in ``affected_tasks`` order (as
+    :func:`label_slots_of_tasks` builds them).
     """
-    active_w = affected_workers
-    active_t = affected_tasks
-    rows = answer_rows
-    slots = label_slots
-    offsets = store.label_offsets
-    sweeps_run = 0
-    workers_settled = 0
-    tasks_settled = 0
-    for sweep in range(iterations):
-        track = early_exit_threshold > 0.0 and sweep + 1 < iterations
-        if track:
-            # Fancy indexing already returns fresh copies — safe snapshots.
-            prev_pq = store.p_qualified[active_w]
-            prev_dw = store.distance_weights[active_w]
-            prev_iw = store.influence_weights[active_t]
-            prev_lp = store.label_probs[slots]
-        em_step_localized(tensor, store, rows, active_w, active_t, slots)
-        sweeps_run += 1
-        if not track:
-            continue
-        if active_w.size:
-            w_delta = np.maximum(
-                np.abs(store.p_qualified[active_w] - prev_pq),
-                np.abs(store.distance_weights[active_w] - prev_dw).max(axis=1),
-            )
-            keep_w = active_w[w_delta > early_exit_threshold]
-        else:
-            keep_w = active_w
-        if active_t.size:
-            t_delta = np.abs(store.influence_weights[active_t] - prev_iw).max(axis=1)
-            counts = np.asarray(
-                offsets[active_t + 1] - offsets[active_t], dtype=np.intp
-            )
-            starts = np.cumsum(counts) - counts
-            # Per-task max over the task's label slots (each task owns >= 1).
-            t_delta = np.maximum(
-                t_delta,
-                np.maximum.reduceat(np.abs(store.label_probs[slots] - prev_lp), starts),
-            )
-            keep_t = active_t[t_delta > early_exit_threshold]
-        else:
-            keep_t = active_t
-        workers_settled += active_w.size - keep_w.size
-        tasks_settled += active_t.size - keep_t.size
-        if keep_w.size == 0 and keep_t.size == 0:
-            break
-        if keep_w.size == active_w.size and keep_t.size == active_t.size:
-            continue  # nothing settled; the gathered rows/slots stay valid
-        active_w = keep_w
-        active_t = keep_t
-        slots = label_slots_of_tasks(offsets, active_t)
-        rows = gather_affected_rows(tensor, active_w, active_t)
-    return SweepReport(
-        sweeps_run=sweeps_run,
-        workers_settled=workers_settled,
-        tasks_settled=tasks_settled,
+    return _settling_sweeps(
+        store,
+        answer_rows,
+        affected_workers,
+        affected_tasks,
+        label_slots,
+        iterations,
+        early_exit_threshold,
+        sweep=functools.partial(em_step_localized, tensor, store),
+        shrink=lambda _rows, workers, tasks: gather_affected_rows(
+            tensor, workers, tasks
+        ),
     )
 
 
 class SufficientStatCache:
     """Incremental-EM sufficient statistics over a live tensor/store pair.
 
-    :func:`em_step_localized` is only O(changed) in its E-step — the
-    restricted M-step re-gathers *every* answer of every affected entity so
-    its denominators and sums span the entity's whole history, which makes a
-    micro-batch sweep O(entity-history) and is exactly the cost that grows
-    with the stream.  This cache keeps the M-step sums themselves:
+    The M-step is a function of per-entity totals however they were
+    accumulated (Neal & Hinton, "A view of the EM algorithm that justifies
+    incremental, sparse, and other variants").  :func:`em_step_localized`
+    re-sums the totals of every affected entity from its whole history each
+    sweep, which makes a micro-batch sweep O(entity-history) — the cost that
+    grows with the stream.  This cache keeps the totals instead:
 
     * the posterior contributions as last computed: ``z1`` and ``i1`` per
       label row, and the ``dw``/``dt`` profile posteriors per answer row,
       already summed over its label rows (``(N, |F|)`` blocks);
-    * per entity, the running totals those rows sum into (``slot_z`` per
-      label slot, ``i``/``dw`` per worker, ``dt`` per task) plus the pure
-      count denominators (labels per worker/task, answers per task).
+    * the running totals those rows sum into, plus the count denominators
+      (labels per worker/task, answers per task) — the same totals
+      :func:`em_step` sums, so a fresh cache estimates exactly what the full
+      step does.
 
-    A batch sweep then *folds* only the batch's label rows: it recomputes
-    their posteriors under the current parameters, adds the difference
-    against the cached values into the totals, and runs the closed-form
+    A batch sweep then *folds* only the batch's rows: it recomputes their
+    posteriors under the current parameters, adds the difference against
+    the cached values into the totals, and runs the shared closed-form
     M-step straight off the totals.  Rows outside the batch keep the
-    contribution from whenever they were last computed — the classic
-    incremental-EM scheme (Neal & Hinton), which converges to the same
-    stationary points as full sweeps and coincides with them whenever the
-    cache is rebuilt (every full refresh replaces the store, invalidating
-    the cache, so drift never survives a refresh interval).
+    contribution from whenever they were last computed — the incremental
+    scheme, which converges to the same stationary points as full sweeps.
+    Every full refresh replaces the store, invalidating the cache, so that
+    drift never survives a refresh interval.
 
     The cache is bound to one ``(tensor, store)`` object pair; check
     :meth:`in_sync_with` before reuse and rebuild when either was replaced.
 
     **Exponential decay** (``decay`` < 1): the cache additionally tracks an
-    integer *epoch*.  :meth:`decay_step` multiplies every running total *and*
-    every count denominator by ``decay`` and advances the epoch — O(W+T+S),
-    touching no rows.  Each answer row remembers the epoch it arrived at
-    (its label rows arrive with it; pre-existing rows may be back-dated via
-    ``row_ages``), so its live contribution to the totals is
-    ``decay^(epoch - arrival epoch) × posterior``.  A fold therefore adds
-    ``scale · (new − cached)`` with ``scale = decay^(epoch - arrival epoch)``
-    — re-aging costs O(changed rows), the row's numerator stays consistent
-    with its decayed denominator, and a row that is never re-folded fades at
-    exactly the same rate as its count.
-    ``decay == 1.0`` skips every weighting (all scales are 1) and is
-    bit-identical to the undecayed cache.
+    integer *epoch*.  :meth:`decay_step` multiplies every total by ``decay``
+    and advances the epoch — O(W+T+S), touching no rows.  Each answer row
+    remembers the epoch it arrived at (its label rows arrive with it;
+    pre-existing rows may be back-dated via ``row_ages``), so its live
+    weight in the totals is ``decay^(epoch - arrival epoch)``: the totals
+    are built with those weights, and a fold weights its differences by them
+    — re-aging costs O(changed rows), and a row that is never re-folded
+    fades at exactly the same rate as its count.  ``decay == 1.0`` takes no
+    weights at all.
     """
 
     def __init__(
@@ -1277,51 +1418,9 @@ class SufficientStatCache:
         self.store = store
         self._decay = float(decay)
         self._epoch = 0
-        # Empty-entity denominators divide 0 by this floor; the decayed path
-        # needs a tiny floor because legitimately faded counts sit below 1.
-        self._denom_floor = 1.0 if decay == 1.0 else 1e-9
-        floor = PROBABILITY_FLOOR
-        p_qualified = np.clip(store.p_qualified[tensor.a_worker], floor, 1.0 - floor)
-        pz1 = np.clip(store.label_probs, 1e-9, 1.0 - 1e-9)[tensor.r_label]
-        post_z1, post_i1, post_dw, post_dt, _ = _estep_posteriors(
-            alpha=store.alpha,
-            p_qualified=p_qualified,
-            dw=store.distance_weights[tensor.a_worker],
-            dt=store.influence_weights[tensor.a_task],
-            f_values=tensor.f_values,
-            expand=tensor.r_answer,
-            pz1=pz1,
-            responses=tensor.responses,
-        )
-        num_workers = store.num_workers
-        num_tasks = store.num_tasks
-        num_slots = store.num_label_slots
-        self._row_z1 = post_z1
-        self._row_i1 = post_i1
-        self._answer_dw = post_dw
-        self._answer_dt = post_dt
-        if decay == 1.0:
-            self._answer_epoch = None
-            self._slot_z = np.bincount(
-                tensor.r_label, weights=post_z1, minlength=num_slots
-            )
-            self._worker_i = np.bincount(
-                tensor.r_worker, weights=post_i1, minlength=num_workers
-            )
-            self._worker_dw = _segment_sum_columns(
-                post_dw, tensor.a_worker, num_workers
-            )
-            self._task_dt = _segment_sum_columns(post_dt, tensor.a_task, num_tasks)
-            self._worker_labels = np.bincount(
-                tensor.r_worker, minlength=num_workers
-            ).astype(float)
-            self._task_labels = np.bincount(tensor.r_task, minlength=num_tasks).astype(
-                float
-            )
-            self._task_answers = np.bincount(
-                tensor.a_task, minlength=num_tasks
-            ).astype(float)
-        else:
+        self._answer_epoch = None
+        weights = None
+        if decay < 1.0:
             if row_ages is None:
                 ages = np.zeros(tensor.num_answers, dtype=float)
             else:
@@ -1331,36 +1430,21 @@ class SufficientStatCache:
                         f"row_ages must have shape ({tensor.num_answers},), got "
                         f"{ages.shape}"
                     )
-            answer_w = self._decay**ages
-            w_m = answer_w[tensor.r_answer]
+            weights = self._decay**ages
             # An answer's arrival epoch relative to epoch 0 is minus its age,
             # so decay^(epoch - answer_epoch) reproduces its weight at any
             # epoch.
             self._answer_epoch = -ages
-            self._slot_z = np.bincount(
-                tensor.r_label, weights=post_z1 * w_m, minlength=num_slots
-            )
-            self._worker_i = np.bincount(
-                tensor.r_worker, weights=post_i1 * w_m, minlength=num_workers
-            )
-            self._worker_dw = _segment_sum_columns(
-                post_dw * answer_w[:, None], tensor.a_worker, num_workers
-            )
-            self._task_dt = _segment_sum_columns(
-                post_dt * answer_w[:, None], tensor.a_task, num_tasks
-            )
-            self._worker_labels = np.bincount(
-                tensor.r_worker, weights=w_m, minlength=num_workers
-            )
-            self._task_labels = np.bincount(
-                tensor.r_task, weights=w_m, minlength=num_tasks
-            )
-            self._task_answers = np.bincount(
-                tensor.a_task, weights=answer_w, minlength=num_tasks
-            )
-        self._num_workers = num_workers
-        self._num_tasks = num_tasks
-        self._num_slots = num_slots
+        rows = _all_rows(tensor)
+        posteriors = _row_posteriors(store, rows)[:4]
+        self._row_z1, self._row_i1, self._answer_dw, self._answer_dt = posteriors
+        sizes = (store.num_label_slots, store.num_workers, store.num_tasks)
+        totals = _totals(rows, posteriors, sizes, weights)
+        # Decay steps and growth update the counts in place, as floats.
+        for name in ("worker_labels", "task_labels", "task_answers"):
+            setattr(totals, name, getattr(totals, name).astype(float, copy=False))
+        self._totals = totals
+        self._num_slots, self._num_workers, self._num_tasks = sizes
         self._synced_answers = tensor.num_answers
         self._synced_label_rows = tensor.num_label_responses
 
@@ -1381,14 +1465,8 @@ class SufficientStatCache:
         """
         if self._decay == 1.0:
             return
-        gamma = self._decay
-        self._slot_z *= gamma
-        self._worker_i *= gamma
-        self._worker_dw *= gamma
-        self._task_dt *= gamma
-        self._worker_labels *= gamma
-        self._task_labels *= gamma
-        self._task_answers *= gamma
+        for total in vars(self._totals).values():
+            total *= self._decay
         self._epoch += 1
 
     def in_sync_with(self, tensor: AnswerTensor, store: ArrayParameterStore) -> bool:
@@ -1406,60 +1484,50 @@ class SufficientStatCache:
         so only genuinely new rows matter here.
         """
         tensor = self.tensor
+        totals = self._totals
         num_rows = tensor.num_label_responses
         if num_rows > self._synced_label_rows:
             old = self._synced_label_rows
-            self._row_z1 = _grown_buffer(self._row_z1, num_rows)
-            self._row_i1 = _grown_buffer(self._row_i1, num_rows)
-            self._row_z1[old:num_rows] = 0.0
-            self._row_i1[old:num_rows] = 0.0
+            self._row_z1 = _zero_grown(self._row_z1, old, num_rows)
+            self._row_i1 = _zero_grown(self._row_i1, old, num_rows)
             self._synced_label_rows = num_rows
         num_workers = tensor.num_workers
         if num_workers > self._num_workers:
             old = self._num_workers
-            self._worker_i = _grown_buffer(self._worker_i, num_workers)
-            self._worker_dw = _grown_buffer(self._worker_dw, num_workers)
-            self._worker_labels = _grown_buffer(self._worker_labels, num_workers)
-            self._worker_i[old:num_workers] = 0.0
-            self._worker_dw[old:num_workers] = 0.0
-            self._worker_labels[old:num_workers] = 0.0
+            totals.worker_i = _zero_grown(totals.worker_i, old, num_workers)
+            totals.worker_dw = _zero_grown(totals.worker_dw, old, num_workers)
+            totals.worker_labels = _zero_grown(totals.worker_labels, old, num_workers)
             self._num_workers = num_workers
         num_tasks = tensor.num_tasks
         if num_tasks > self._num_tasks:
             old = self._num_tasks
-            self._task_dt = _grown_buffer(self._task_dt, num_tasks)
-            self._task_labels = _grown_buffer(self._task_labels, num_tasks)
-            self._task_answers = _grown_buffer(self._task_answers, num_tasks)
-            self._task_dt[old:num_tasks] = 0.0
-            self._task_labels[old:num_tasks] = 0.0
-            self._task_answers[old:num_tasks] = 0.0
+            totals.task_dt = _zero_grown(totals.task_dt, old, num_tasks)
+            totals.task_labels = _zero_grown(totals.task_labels, old, num_tasks)
+            totals.task_answers = _zero_grown(totals.task_answers, old, num_tasks)
             self._num_tasks = num_tasks
         num_slots = int(tensor.label_offsets[-1])
         if num_slots > self._num_slots:
-            old = self._num_slots
-            self._slot_z = _grown_buffer(self._slot_z, num_slots)
-            self._slot_z[old:num_slots] = 0.0
+            totals.slot_z = _zero_grown(totals.slot_z, self._num_slots, num_slots)
             self._num_slots = num_slots
         num_answers = tensor.num_answers
         if num_answers > self._synced_answers:
-            fresh = slice(self._synced_answers, num_answers)
-            self._answer_dw = _grown_buffer(self._answer_dw, num_answers)
-            self._answer_dt = _grown_buffer(self._answer_dt, num_answers)
-            self._answer_dw[fresh] = 0.0
-            self._answer_dt[fresh] = 0.0
+            old = self._synced_answers
+            fresh = slice(old, num_answers)
+            self._answer_dw = _zero_grown(self._answer_dw, old, num_answers)
+            self._answer_dt = _zero_grown(self._answer_dt, old, num_answers)
             if self._answer_epoch is not None:
                 self._answer_epoch = _grown_buffer(self._answer_epoch, num_answers)
                 self._answer_epoch[fresh] = float(self._epoch)
             aw = tensor.a_worker[fresh]
             at = tensor.a_task[fresh]
             counts = tensor.num_labels[at].astype(float)
-            self._worker_labels[: self._num_workers] += np.bincount(
+            totals.worker_labels[: self._num_workers] += np.bincount(
                 aw, weights=counts, minlength=self._num_workers
             )
-            self._task_labels[: self._num_tasks] += np.bincount(
+            totals.task_labels[: self._num_tasks] += np.bincount(
                 at, weights=counts, minlength=self._num_tasks
             )
-            self._task_answers[: self._num_tasks] += np.bincount(
+            totals.task_answers[: self._num_tasks] += np.bincount(
                 at, minlength=self._num_tasks
             )
             self._synced_answers = num_answers
@@ -1472,74 +1540,32 @@ class SufficientStatCache:
         plus O(W + T + S) for the zero-filled segment sums — independent of
         how much history the touched entities have.
         """
-        tensor = self.tensor
-        store = self.store
-        floor = PROBABILITY_FLOOR
-        aw = tensor.a_worker[answer_rows]
-        at = tensor.a_task[answer_rows]
-        f_values = tensor.f_values[answer_rows]
-        counts = tensor.num_labels[at]
-        starts = tensor.a_label_start[answer_rows]
-        total = int(counts.sum())
-        expand = np.repeat(np.arange(answer_rows.size, dtype=np.intp), counts)
-        batch_starts = np.cumsum(counts) - counts
-        label_rows = (
-            np.arange(total, dtype=np.intp)
-            - np.repeat(batch_starts, counts)
-            + np.repeat(starts, counts)
-        )
-        r_label = tensor.r_label[label_rows]
-        responses = tensor.responses[label_rows]
-        r_worker = aw[expand]
-
-        p_qualified = np.clip(store.p_qualified[aw], floor, 1.0 - floor)
-        pz1 = np.clip(store.label_probs[r_label], 1e-9, 1.0 - 1e-9)
-        post_z1, post_i1, post_dw, post_dt, _ = _estep_posteriors(
-            alpha=store.alpha,
-            p_qualified=p_qualified,
-            dw=store.distance_weights[aw],
-            dt=store.influence_weights[at],
-            f_values=f_values,
-            expand=expand,
-            pz1=pz1,
-            responses=responses,
-        )
-        if self._answer_epoch is None:
-            delta_z1 = post_z1 - self._row_z1[label_rows]
-            delta_i1 = post_i1 - self._row_i1[label_rows]
-            delta_dw = post_dw - self._answer_dw[answer_rows]
-            delta_dt = post_dt - self._answer_dt[answer_rows]
-        else:
+        rows, label_rows = _gather_rows(self.tensor, answer_rows)
+        post_z1, post_i1, post_dw, post_dt, _ = _row_posteriors(self.store, rows)
+        scale = None
+        if self._answer_epoch is not None:
             # Re-aging O(changed rows): the row's live weight in the totals is
             # decay^(epoch - arrival epoch), applied to old and new posterior
             # alike so numerator and (globally decayed) denominator agree.
             scale = self._decay ** (self._epoch - self._answer_epoch[answer_rows])
-            scale_m = scale[expand]
-            delta_z1 = scale_m * (post_z1 - self._row_z1[label_rows])
-            delta_i1 = scale_m * (post_i1 - self._row_i1[label_rows])
-            delta_dw = scale[:, None] * (post_dw - self._answer_dw[answer_rows])
-            delta_dt = scale[:, None] * (post_dt - self._answer_dt[answer_rows])
-        self._slot_z[: self._num_slots] += np.bincount(
-            r_label,
-            weights=delta_z1,
-            minlength=self._num_slots,
+        deltas = (
+            post_z1 - self._row_z1[label_rows],
+            post_i1 - self._row_i1[label_rows],
+            post_dw - self._answer_dw[answer_rows],
+            post_dt - self._answer_dt[answer_rows],
         )
-        self._worker_i[: self._num_workers] += np.bincount(
-            r_worker,
-            weights=delta_i1,
-            minlength=self._num_workers,
-        )
-        self._worker_dw[: self._num_workers] += _segment_sum_columns(
-            delta_dw, aw, self._num_workers
-        )
-        self._task_dt[: self._num_tasks] += _segment_sum_columns(
-            delta_dt, at, self._num_tasks
-        )
+        sizes = (self._num_slots, self._num_workers, self._num_tasks)
+        delta = _totals(rows, deltas, sizes, weights=scale, counts=False)
+        totals = self._totals
+        totals.slot_z[: self._num_slots] += delta.slot_z
+        totals.worker_i[: self._num_workers] += delta.worker_i
+        totals.worker_dw[: self._num_workers] += delta.worker_dw
+        totals.task_dt[: self._num_tasks] += delta.task_dt
         self._row_z1[label_rows] = post_z1
         self._row_i1[label_rows] = post_i1
         self._answer_dw[answer_rows] = post_dw
         self._answer_dt[answer_rows] = post_dt
-        return total
+        return int(label_rows.size)
 
     def estimate(
         self,
@@ -1547,40 +1573,22 @@ class SufficientStatCache:
         affected_tasks: np.ndarray,
         label_slots: np.ndarray,
     ) -> None:
-        """Closed-form M-step for the affected entities, straight off totals.
+        """The closed-form M-step for the affected entities, off the totals."""
+        _m_step_into(
+            self.tensor,
+            self.store,
+            self._totals,
+            affected_workers,
+            affected_tasks,
+            label_slots,
+        )
 
-        Identical formulas to :func:`em_step_localized`'s restricted M-step —
-        the totals equal what a full per-entity re-gather would sum, so the
-        only difference is which E-step parameters old rows were computed at.
-        """
-        store = self.store
-        uniform = store.function_set.uniform_weights()
-        if label_slots.size:
-            denominators = np.maximum(
-                self._denom_floor,
-                self._task_answers[self.tensor.task_of_label[label_slots]],
-            )
-            store.label_probs[label_slots] = np.clip(
-                self._slot_z[label_slots] / denominators, 0.0, 1.0
-            )
-        if affected_tasks.size:
-            store.influence_weights[affected_tasks] = _normalise_rows(
-                self._task_dt[affected_tasks],
-                self._task_labels[affected_tasks],
-                uniform,
-            )
-        if affected_workers.size:
-            store.p_qualified[affected_workers] = np.clip(
-                self._worker_i[affected_workers]
-                / np.maximum(self._denom_floor, self._worker_labels[affected_workers]),
-                0.0,
-                1.0,
-            )
-            store.distance_weights[affected_workers] = _normalise_rows(
-                self._worker_dw[affected_workers],
-                self._worker_labels[affected_workers],
-                uniform,
-            )
+
+def _zero_grown(buffer: np.ndarray, old: int, size: int) -> np.ndarray:
+    """``buffer`` grown to ``size`` rows, with rows ``old:size`` zeroed."""
+    grown = _grown_buffer(buffer, size)
+    grown[old:size] = 0.0
+    return grown
 
 
 def cached_sweeps(
@@ -1594,86 +1602,37 @@ def cached_sweeps(
 ) -> SweepReport:
     """Run up to ``iterations`` O(changed) sweeps off the sufficient stats.
 
-    The cached twin of :func:`localized_sweeps`: each sweep folds only the
-    batch's own label rows (new answer slots) and re-estimates the affected
-    entities from the running totals, instead of re-gathering whole entity
-    histories.  The per-entity convergence exit mirrors the exact path, but
-    settled entities additionally *shrink the fold set* to the rows still
-    touching an active entity, and the report carries the settled store rows
-    so the caller can defer them across future batches.
+    Each sweep folds only the batch's own rows into the cache's totals
+    (:meth:`SufficientStatCache.fold`) and re-estimates the affected
+    entities from them (:meth:`SufficientStatCache.estimate`), instead of
+    re-summing whole entity histories as :func:`localized_sweeps` does.  The
+    settle exit is the same per-entity test; settled entities shrink the
+    fold set to the batch rows still touching an active entity, and the
+    report's settled store rows let the caller defer them across future
+    batches.
     """
     tensor = cache.tensor
-    store = cache.store
-    offsets = store.label_offsets
-    active_w = affected_workers
-    active_t = affected_tasks
-    rows = batch_rows
-    slots = label_slots
-    sweeps_run = 0
-    settled_w: list[np.ndarray] = []
-    settled_t: list[np.ndarray] = []
-    for sweep in range(iterations):
-        track = early_exit_threshold > 0.0 and sweep + 1 < iterations
-        if track:
-            prev_pq = store.p_qualified[active_w]
-            prev_dw = store.distance_weights[active_w]
-            prev_iw = store.influence_weights[active_t]
-            prev_lp = store.label_probs[slots]
+
+    def sweep(rows, workers, tasks, slots):
         cache.fold(rows)
-        cache.estimate(active_w, active_t, slots)
-        sweeps_run += 1
-        if not track:
-            continue
-        if active_w.size:
-            w_delta = np.maximum(
-                np.abs(store.p_qualified[active_w] - prev_pq),
-                np.abs(store.distance_weights[active_w] - prev_dw).max(axis=1),
-            )
-            keep_w = active_w[w_delta > early_exit_threshold]
-            if keep_w.size < active_w.size:
-                settled_w.append(active_w[w_delta <= early_exit_threshold])
-        else:
-            keep_w = active_w
-        if active_t.size:
-            t_delta = np.abs(store.influence_weights[active_t] - prev_iw).max(axis=1)
-            counts = np.asarray(
-                offsets[active_t + 1] - offsets[active_t], dtype=np.intp
-            )
-            starts = np.cumsum(counts) - counts
-            t_delta = np.maximum(
-                t_delta,
-                np.maximum.reduceat(np.abs(store.label_probs[slots] - prev_lp), starts),
-            )
-            keep_t = active_t[t_delta > early_exit_threshold]
-            if keep_t.size < active_t.size:
-                settled_t.append(active_t[t_delta <= early_exit_threshold])
-        else:
-            keep_t = active_t
-        if keep_w.size == 0 and keep_t.size == 0:
-            break
-        if keep_w.size == active_w.size and keep_t.size == active_t.size:
-            continue
-        active_w = keep_w
-        active_t = keep_t
-        slots = label_slots_of_tasks(offsets, active_t)
-        keep_rows = np.isin(tensor.a_worker[rows], active_w) | np.isin(
-            tensor.a_task[rows], active_t
+        cache.estimate(workers, tasks, slots)
+
+    def shrink(rows, workers, tasks):
+        touching = np.isin(tensor.a_worker[rows], workers) | np.isin(
+            tensor.a_task[rows], tasks
         )
-        rows = rows[keep_rows]
-        if rows.size == 0:
-            break
-    settled_worker_rows = (
-        np.concatenate(settled_w) if settled_w else np.empty(0, dtype=np.intp)
-    )
-    settled_task_rows = (
-        np.concatenate(settled_t) if settled_t else np.empty(0, dtype=np.intp)
-    )
-    return SweepReport(
-        sweeps_run=sweeps_run,
-        workers_settled=int(settled_worker_rows.size),
-        tasks_settled=int(settled_task_rows.size),
-        settled_worker_rows=settled_worker_rows,
-        settled_task_rows=settled_task_rows,
+        return rows[touching]
+
+    return _settling_sweeps(
+        cache.store,
+        batch_rows,
+        affected_workers,
+        affected_tasks,
+        label_slots,
+        iterations,
+        early_exit_threshold,
+        sweep=sweep,
+        shrink=shrink,
     )
 
 

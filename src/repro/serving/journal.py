@@ -226,6 +226,22 @@ class AnswerJournal:
         self._stats.appends += 1
         return seq
 
+    def continue_after(self, seq: int) -> None:
+        """Number the next record ``seq + 1``, in a fresh segment.
+
+        For a journal restarted behind a checkpoint covering ``seq``, whose
+        records would otherwise never replay.  A journal never renumbers
+        backwards: ``seq`` below :attr:`last_seq` raises ``ValueError``.
+        """
+        if seq < self._last_seq:
+            raise ValueError(
+                f"cannot renumber the journal backwards: it holds seq "
+                f"{self._last_seq}, asked to continue after {seq}"
+            )
+        if seq > self._last_seq:
+            self.close()  # the next append opens a segment named by its seq
+            self._last_seq = seq
+
     def truncate_covered(self, seq: int) -> int:
         """Delete closed segments whose every record has ``seq`` ≤ the cover.
 
@@ -419,7 +435,9 @@ def recover_ingestor(
     Raises :class:`~repro.serving.JournalCorruptionError` when the journal's
     oldest retained record is past the restored checkpoint's seq + 1: the
     segments in between were truncated behind checkpoints that no longer
-    load, so replay would silently drop acknowledged answers.
+    load, so replay would silently drop acknowledged answers.  A journal
+    that ends before the checkpoint's seq (its directory was deleted, as
+    those errors advise) continues numbering after the checkpoint.
     ``journal_fsync`` applies to the journal and the checkpoints alike.
     """
     from repro.serving import JournalCorruptionError
@@ -446,6 +464,10 @@ def recover_ingestor(
             "behind checkpoints that no longer load. Restore a checkpoint or "
             "the missing journal segments from a replica."
         )
+    if journal.last_seq < covered:
+        # The journal restarted behind the checkpoint: new records must not
+        # reuse the seqs it covers, or the next recovery would skip them.
+        journal.continue_after(covered)
 
     if state is not None:
         for worker in state.workers:

@@ -13,6 +13,7 @@ central claims:
 """
 
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -779,6 +780,65 @@ class TestTruncatedJournalRecovery:
         (tmp_path / "journal" / "segment-0000000001.wal").unlink()
         with pytest.raises(JournalCorruptionError, match="starts at seq 2"):
             self._recover(tmp_path, small_dataset, worker_pool, distance_model)
+
+    def test_restart_after_deleting_the_journal_keeps_later_answers(
+        self, tmp_path, small_dataset, worker_pool, distance_model, long_stream
+    ):
+        # The corruption errors advise deleting the journal directory to
+        # restart from the newest checkpoint; the answers acknowledged after
+        # that restart must survive the next recovery.
+        journal = AnswerJournal(tmp_path / "journal", max_segment_records=50)
+        first = AnswerIngestor(
+            self._inference(small_dataset, worker_pool, distance_model),
+            SnapshotStore(),
+            config=IngestConfig(**self.CONFIG),
+            journal=journal,
+            checkpoints=CheckpointManager(tmp_path / "checkpoints"),
+        )
+        for event in long_stream[:500]:
+            first.submit(event)
+        first.flush()
+        first.close()
+        journal.close()
+        shutil.rmtree(tmp_path / "journal")
+        written = {
+            path: path.read_bytes()
+            for path in (tmp_path / "checkpoints").glob("ckpt-*.npz")
+        }
+
+        restarted, report = self._recover(
+            tmp_path, small_dataset, worker_pool, distance_model
+        )
+        assert report.replayed_events == 0
+        covered = report.checkpoint_seq
+        for event in long_stream[500:]:
+            restarted.submit(event)
+        restarted.flush()
+        restarted.close()
+        restarted.journal.close()
+
+        recovered, second = self._recover(
+            tmp_path, small_dataset, worker_pool, distance_model
+        )
+        recovered.flush()
+        recovered.close()
+        recovered.journal.close()
+        want = restarted._updater.live_tensor.columns()
+        got = recovered._updater.live_tensor.columns()
+        assert got.worker_ids == want.worker_ids
+        assert got.task_ids == want.task_ids
+        for name in ("a_worker", "a_task", "responses"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+        np.testing.assert_array_equal(
+            recovered._updater.live_store.label_probs,
+            restarted._updater.live_store.label_probs,
+        )
+        for path, data in written.items():
+            assert not path.exists() or path.read_bytes() == data, path.name
+        assert second.checkpoint_seq > covered
+        assert second.checkpoint_seq + second.replayed_events == (
+            covered + len(long_stream) - 500
+        )
 
     def test_newest_checkpoint_corrupt_still_falls_back_bit_equal(
         self, tmp_path, small_dataset, worker_pool, distance_model, long_stream

@@ -8,9 +8,10 @@ both multi-label and binary corpora.
 
 Below the fit level, the kernel's per-answer E-step must match the
 per-response reference summed per answer at 1e-12 relative (only the
-summation order differs), and the E-step paths that serving reaches —
-:class:`~repro.core.em_kernel.SufficientStatCache` and weighted
-:func:`~repro.core.em_kernel.em_step` — must match the plain full step.
+summation order differs), and the paths that serving reaches —
+:class:`~repro.core.em_kernel.SufficientStatCache`, the localized step and
+weighted :func:`~repro.core.em_kernel.em_step` — must match the plain full
+step.
 """
 
 from __future__ import annotations
@@ -336,18 +337,12 @@ def _all_entities(store):
 
 
 def _cache_totals(cache):
-    return {
-        name: getattr(cache, name).copy()
-        for name in (
-            "_slot_z",
-            "_worker_i",
-            "_worker_dw",
-            "_task_dt",
-            "_worker_labels",
-            "_task_labels",
-            "_task_answers",
-        )
-    }
+    return {name: total.copy() for name, total in vars(cache._totals).items()}
+
+
+def _assert_stores_equal(got, want):
+    for name in ("p_qualified", "distance_weights", "influence_weights", "label_probs"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 def _repeat_answers(tensor, repeats):
@@ -379,7 +374,7 @@ def _repeat_answers(tensor, repeats):
 
 
 class TestSufficientStatsAndWeights:
-    """The cached and weighted E-step paths against the plain full step."""
+    """The cached, localized and weighted paths against the plain full step."""
 
     @pytest.mark.parametrize("corpus_kwargs", CORPORA)
     def test_fresh_cache_estimate_equals_em_step(self, corpus_kwargs):
@@ -404,6 +399,47 @@ class TestSufficientStatsAndWeights:
             *_all_entities(estimated)
         )
         assert expected.max_difference(estimated) == 0.0
+
+    @pytest.mark.parametrize("corpus_kwargs", CORPORA)
+    def test_unit_weights_equal_unweighted_em_step(self, corpus_kwargs):
+        tensor = corpus_tensor(*build_corpus(**corpus_kwargs))
+        store = random_store(tensor, seed=10)
+        plain, plain_ll = em_kernel.em_step(tensor, store)
+        weighted, weighted_ll = em_kernel.em_step(
+            tensor, store, answer_weights=np.ones(tensor.num_answers)
+        )
+        _assert_stores_equal(weighted, plain)
+        assert weighted_ll == plain_ll
+
+    @pytest.mark.parametrize("corpus_kwargs", CORPORA)
+    def test_localized_step_over_everything_equals_em_step(self, corpus_kwargs):
+        tensor = corpus_tensor(*build_corpus(**corpus_kwargs))
+        store = random_store(tensor, seed=11)
+        expected, _ = em_kernel.em_step(tensor, store)
+        estimated = store.copy()
+        em_kernel.em_step_localized(
+            tensor,
+            estimated,
+            np.arange(tensor.num_answers, dtype=np.intp),
+            *_all_entities(estimated),
+        )
+        _assert_stores_equal(estimated, expected)
+
+    @pytest.mark.parametrize("corpus_kwargs", CORPORA)
+    def test_one_localized_sweep_over_everything_equals_em_step(self, corpus_kwargs):
+        tensor = corpus_tensor(*build_corpus(**corpus_kwargs))
+        store = random_store(tensor, seed=12)
+        expected, _ = em_kernel.em_step(tensor, store)
+        estimated = store.copy()
+        report = em_kernel.localized_sweeps(
+            tensor,
+            estimated,
+            np.arange(tensor.num_answers, dtype=np.intp),
+            *_all_entities(estimated),
+            iterations=1,
+        )
+        assert report.sweeps_run == 1
+        _assert_stores_equal(estimated, expected)
 
     @pytest.mark.parametrize("corpus_kwargs", CORPORA)
     def test_decay_steps_and_folds_match_backdated_rebuild(self, corpus_kwargs):
@@ -442,7 +478,6 @@ class TestSufficientStatsAndWeights:
         assert abs(weighted_ll - repeated_ll) <= 1e-12 * abs(repeated_ll)
 
 
-@pytest.mark.slow
 class TestScalabilitySizedEquivalence:
     def test_larger_seeded_corpus(self):
         """A few hundred answers over many tasks, capped iterations."""

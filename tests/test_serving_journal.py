@@ -116,6 +116,24 @@ class TestAppendReplay:
         assert len(list(reopened.replay())) == 6
         reopened.close()
 
+    def test_continue_after_skips_ahead_but_never_back(
+        self, tmp_path, small_dataset, worker_pool, distance_model
+    ):
+        events = make_events(small_dataset, worker_pool, distance_model, 2)
+        journal = AnswerJournal(tmp_path)
+        journal.append(events[0])
+        journal.continue_after(40)
+        assert journal.append(events[1]) == 41
+        with pytest.raises(ValueError, match="backwards"):
+            journal.continue_after(7)
+        journal.close()
+
+        reopened = AnswerJournal(tmp_path)
+        assert reopened.last_seq == 41
+        assert [seq for seq, _ in reopened.replay()] == [1, 41]
+        assert reopened.segment_paths()[-1].name == "segment-0000000041.wal"
+        reopened.close()
+
 
 class TestSegments:
     def test_rotation_and_truncate_covered(

@@ -140,7 +140,6 @@ class TestRestart:
         assert service.save_latest_snapshot(tmp_path / "snap.npz") is None
 
 
-@pytest.mark.slow
 class TestStreamReplay:
     """Replay a multi-hundred-answer stream and check serving tracks full EM."""
 
