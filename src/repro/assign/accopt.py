@@ -9,7 +9,20 @@ the largest marginal ΔAcc, update the affected task's hypothetical accuracy via
 Lemma 2's recursion, and stop when every worker has ``h`` tasks.
 
 :class:`AccOptAssigner` implements Algorithm 1 on the batched ΔAcc kernels of
-:mod:`repro.core.accuracy_kernel`, in one of two layouts:
+:mod:`repro.core.accuracy_kernel`.  A request's inputs that change less often
+than requests arrive are kept across requests, so a warm request's Python work
+scales with the requesting workers (and the tasks they answered) and with the
+answers that arrived since the last request, not with |T|:
+
+* the estimate's arrays, aligned to the assigner's task and worker order, and
+  the Equation 15 baseline of its label probabilities — built once per
+  parameter version; each request's greedy pass borrows the baseline and
+  undoes its picks on exit (:func:`~repro.core.accuracy_kernel.greedy_state`);
+* ``|W(t)|`` per task — counted in full once per answer set, then advanced
+  by the (worker, task) pairs the log gained since
+  (:meth:`~repro.data.models.AnswerSet.pair_tasks_since`).
+
+The greedy loop runs in one of two layouts:
 
 * ``engine="vectorized"`` (the default) scores every candidate pair: one
   ``(|W|, |T|)`` Equation 9 matrix over the
@@ -64,7 +77,11 @@ class AccOptAssigner(TaskAssigner):
     frozen store — and greedily maximises the expected accuracy improvement
     of the batch.  The first request after an update aligns the estimate's
     rows to the assigner's task and worker order in NumPy (entities it lacks
-    get the footnote-3 priors); every request then slices the aligned arrays.
+    get the footnote-3 priors) and builds that version's one Equation 15
+    baseline; every request then slices the aligned arrays and runs its
+    greedy pass on the baseline.  ``|W(t)|`` is counted in full once per
+    answer set (and again after :meth:`add_task`), then advanced by the pairs
+    the log gains between requests.
 
     Complexity matches the paper — ``O(|W|·|T|·|L| + h·|W|²·|L|)`` per batch:
     the initial scoring of every (worker, task) pair dominates, and each greedy
@@ -119,6 +136,11 @@ class AccOptAssigner(TaskAssigner):
         # Index maps from the estimate's rows to the assigner's, kept while
         # the estimate's id tuples stay equal and the universe stays put.
         self._alignment: tuple | None = None
+        # |W(t)| over the task order, as of the first ``_counted_pairs``
+        # pairs of ``_counted`` (held by reference, compared with ``is``).
+        self._counts: np.ndarray | None = None
+        self._counted: AnswerSet | None = None
+        self._counted_pairs = 0
         self.update_parameters(parameters or ModelParameters())
 
     def _on_task_added(self, task: Task) -> None:
@@ -127,7 +149,7 @@ class AccOptAssigner(TaskAssigner):
         self._task_ids.append(task.task_id)
         self._task_locations.append(task.location)
         self._task_layout = None
-        self._alignment = self._aligned = None
+        self._alignment = self._aligned = self._counts = None
         if self._candidate_index is not None:
             self._candidate_index.add_task(task)
 
@@ -154,7 +176,7 @@ class AccOptAssigner(TaskAssigner):
             self._parameters, self._store = None, parameters
         else:
             self._parameters, self._store = parameters, None
-        self._aligned: tuple[np.ndarray, ...] | None = None
+        self._aligned: tuple | None = None
 
     @property
     def _estimate(self) -> ArrayParameterStore:
@@ -191,20 +213,29 @@ class AccOptAssigner(TaskAssigner):
         workers = self._assignable_workers(available_workers)
         if not workers:
             return {w: [] for w in available_workers}
-        if self._engine == "sparse":
-            assignment = self._assign_sparse(workers, h, answers)
-        else:
-            assignment = self._assign_vectorized(workers, h, answers)
+        # Sorted worker rows so that argmax's row-major tie-break (first row
+        # wins) matches a heap's lexicographic (worker, task) ordering on
+        # exactly tied gains, independent of the caller's order.
+        worker_list = sorted(workers)
+        store, baseline = self._build_store(worker_list)
+        engine = (
+            self._assign_sparse if self._engine == "sparse" else self._assign_vectorized
+        )
+        counts = self._answer_counts(answers)
+        with accuracy_kernel.greedy_state(baseline, counts) as state:
+            assignment = engine(worker_list, h, answers, store, state)
         for worker_id in available_workers:
             assignment.setdefault(worker_id, [])
         return assignment
 
-    # ---------------------------------------------------- parameter alignment
-    def _aligned_parameters(self) -> tuple[np.ndarray, ...]:
-        """``(label_probs, influence_weights, p_qualified, distance_weights)``.
+    # ------------------------------------------- parameter alignment, counts
+    def _aligned_parameters(self) -> tuple:
+        """``(baseline, influence_weights, p_qualified, distance_weights)``.
 
-        Flat label slots and task rows over the task order, worker rows over
-        the worker order.
+        Task rows over the task order, worker rows over the worker order, and
+        the Equation 15 baseline of the label probabilities over the flat
+        label slots (its ``p_z1``; ``m_t = 0``, each request supplies the
+        counts).
         """
         if self._aligned is None:
             estimate = self._estimate
@@ -229,7 +260,11 @@ class AccOptAssigner(TaskAssigner):
             num_slots, num_tasks = int(label_offsets[-1]), len(self._task_ids)
             num_workers = len(self._worker_row)
             self._aligned = (
-                _gather(estimate.label_probs, slots, sources, num_slots, 0.5),
+                accuracy_kernel.baseline_state(
+                    _gather(estimate.label_probs, slots, sources, num_slots, 0.5),
+                    label_offsets,
+                    np.zeros(num_tasks),
+                ),
                 _gather(estimate.influence_weights, tasks, task_rows, num_tasks, prior),
                 _gather(estimate.p_qualified, workers, worker_rows, num_workers, 1.0),
                 _gather(
@@ -237,6 +272,28 @@ class AccOptAssigner(TaskAssigner):
                 ),
             )
         return self._aligned
+
+    def _answer_counts(self, answers: AnswerSet) -> np.ndarray:
+        """``|W(t)|`` over the task order, as a float array.
+
+        Counted in full for an answer set other than the one counted last, or
+        after the universe grew; otherwise the counts advance by the pairs
+        ``answers`` gained since (re-answers add none).
+        """
+        if answers is not self._counted or self._counts is None:
+            self._counts = np.array(
+                [answers.answer_count_of_task(tid) for tid in self._task_ids],
+                dtype=float,
+            )
+            self._counted = answers
+        else:
+            counts, columns = self._counts, self._task_column
+            for task_id in answers.pair_tasks_since(self._counted_pairs):
+                column = columns.get(task_id)
+                if column is not None:
+                    counts[column] += 1.0
+        self._counted_pairs = len(answers)
+        return self._counts
 
     # ------------------------------------------------------- vectorized engine
     def _distance_row(self, worker_id: str) -> np.ndarray:
@@ -265,23 +322,18 @@ class AccOptAssigner(TaskAssigner):
         return row
 
     def _assign_vectorized(
-        self, available_workers: Sequence[str], h: int, answers: AnswerSet
+        self,
+        worker_list: Sequence[str],
+        h: int,
+        answers: AnswerSet,
+        store: ArrayParameterStore,
+        state: accuracy_kernel.BatchAccuracyState,
     ) -> dict[str, list[str]]:
-        # Sorted worker rows so that argmax's row-major tie-break (first row
-        # wins) matches a heap's lexicographic (worker, task) ordering on
-        # exactly tied gains, independent of the caller's order.
-        worker_list = sorted(available_workers)
         num_workers = len(worker_list)
         num_tasks = len(self._task_ids)
 
-        store, _, label_offsets = self._build_store(worker_list)
         distances = np.stack([self._distance_row(w) for w in worker_list])
         accuracies = accuracy_kernel.answer_accuracy_matrix(store, distances)
-        state = accuracy_kernel.baseline_state(
-            store.label_probs,
-            label_offsets,
-            [answers.answer_count_of_task(tid) for tid in self._task_ids],
-        )
         gains = accuracy_kernel.marginal_gains(state, accuracies)
 
         eligible = np.ones((num_workers, num_tasks), dtype=bool)
@@ -330,10 +382,9 @@ class AccOptAssigner(TaskAssigner):
 
     def _build_store(
         self, worker_list: Sequence[str]
-    ) -> tuple[ArrayParameterStore, np.ndarray, np.ndarray]:
-        """ArrayParameterStore plus the task layout over sorted workers."""
-        num_labels, label_offsets = self._ensure_task_layout()
-        label_probs, influence_weights, p_qualified, distance_weights = (
+    ) -> tuple[ArrayParameterStore, accuracy_kernel.BatchAccuracyState]:
+        """ArrayParameterStore over sorted workers, plus the version's baseline."""
+        baseline, influence_weights, p_qualified, distance_weights = (
             self._aligned_parameters()
         )
         rows = [self._worker_row[worker_id] for worker_id in worker_list]
@@ -342,16 +393,21 @@ class AccOptAssigner(TaskAssigner):
             alpha=self._estimate.alpha,
             worker_ids=tuple(worker_list),
             task_ids=self._task_ids,
-            label_offsets=label_offsets,
+            label_offsets=baseline.label_offsets,
             p_qualified=p_qualified[rows],
             distance_weights=distance_weights[rows],
             influence_weights=influence_weights,
-            label_probs=label_probs,
+            label_probs=baseline.p_z1,
         )
-        return store, num_labels, label_offsets
+        return store, baseline
 
     def _assign_sparse(
-        self, available_workers: Sequence[str], h: int, answers: AnswerSet
+        self,
+        worker_list: Sequence[str],
+        h: int,
+        answers: AnswerSet,
+        store: ArrayParameterStore,
+        state: accuracy_kernel.BatchAccuracyState,
     ) -> dict[str, list[str]]:
         """Algorithm 1 over candidate pairs only (plus a far-field heap).
 
@@ -365,22 +421,15 @@ class AccOptAssigner(TaskAssigner):
         candidate — exact ties go to the candidate.  A pick re-scores one
         CSR column (O(nnz in column)) and one far-gain slot (O(1)).
         """
-        worker_list = sorted(available_workers)
         num_workers = len(worker_list)
         num_tasks = len(self._task_ids)
 
-        store, _, label_offsets = self._build_store(worker_list)
         candidate_index = self._ensure_candidate_index()
         indptr, indices, data = candidate_index.rows_for(
             [self._workers[w] for w in worker_list]
         )
         nnz = int(indptr[-1])
         accuracies = accuracy_kernel.answer_accuracy_csr(store, indptr, indices, data)
-        state = accuracy_kernel.baseline_state(
-            store.label_probs,
-            label_offsets,
-            [answers.answer_count_of_task(tid) for tid in self._task_ids],
-        )
         scores = accuracy_kernel.marginal_gains_csr(state, indices, accuracies)
         rows = np.repeat(np.arange(num_workers, dtype=np.intp), np.diff(indptr))
 

@@ -18,7 +18,9 @@ is tested against (``LabelAccuracy``, ``AccuracyEstimator``) lives in
   accuracy pairs per task;
 * :func:`marginal_gains` scores the marginal ΔAcc of every candidate pair in
   one ``(|W|, |T|)`` array operation, and :func:`add_worker` commits a greedy
-  pick by re-scoring only the chosen task (Algorithm 1's incremental update).
+  pick by re-scoring only the chosen task (Algorithm 1's incremental update);
+* :func:`greedy_state` runs one greedy pass on a baseline built once per
+  parameter version, undoing the pass's picks on exit.
 
 The closed form behind :func:`marginal_gains`: Lemma 2's recursion
 
@@ -36,8 +38,9 @@ new tentative worker.  That is what turns the initial scoring into one fused
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -224,6 +227,40 @@ def baseline_state(
     )
 
 
+@contextmanager
+def greedy_state(
+    baseline: BatchAccuracyState, answer_counts: np.ndarray
+) -> Iterator[BatchAccuracyState]:
+    """``baseline`` with ``answer_counts`` as ``m_t``, for one greedy pass.
+
+    The Equation 15 baseline depends only on ``P(z = 1)``, so one serves
+    every pass over a parameter version.  A pass gets its own ``m_t`` and
+    ``E_t`` (O(|T|) copies) and borrows the baseline's per-slot accuracy
+    pairs: :func:`add_worker` writes only the picked tasks' slots, and on
+    exit those slots return to ``P(z = 1)`` and ``1 − P(z = 1)``, the values
+    :func:`baseline_state` gave them.  One pass per baseline at a time.
+    """
+    counts = np.asarray(answer_counts, dtype=float)
+    if counts.shape != baseline.effective_answers.shape:
+        raise ValueError(
+            f"answer_counts must align with tasks: {counts.shape} vs "
+            f"{baseline.effective_answers.shape}"
+        )
+    state = replace(
+        baseline,
+        effective_answers=counts.copy(),
+        expected_sum=baseline.expected_sum.copy(),
+    )
+    try:
+        yield state
+    finally:
+        # add_worker moves m_t before it writes a task's slots.
+        for task_index in np.flatnonzero(state.effective_answers != counts).tolist():
+            sl = state.task_slice(task_index)
+            state.acc_correct[sl] = state.p_z1[sl]
+            state.acc_incorrect[sl] = 1.0 - state.p_z1[sl]
+
+
 def _agreement_mass(answer_accuracy: np.ndarray | float) -> np.ndarray | float:
     """``s = p_e² + (1 − p_e)²`` — the only way ``p_e`` enters the recursion."""
     return answer_accuracy * answer_accuracy + (1.0 - answer_accuracy) * (
@@ -309,9 +346,10 @@ def add_worker(
     sl = state.task_slice(task_index)
     m = state.effective_answers[task_index]
     s = _agreement_mass(float(answer_accuracy))
+    # m_t moves first: greedy_state restores the slots of every moved task.
+    state.effective_answers[task_index] = m + 1.0
     state.acc_correct[sl] = (m * state.acc_correct[sl] + s) / (m + 1.0)
     state.acc_incorrect[sl] = (m * state.acc_incorrect[sl] + s) / (m + 1.0)
-    state.effective_answers[task_index] = m + 1.0
     p = state.p_z1[sl]
     state.expected_sum[task_index] = float(
         np.sum(p * state.acc_correct[sl] + (1.0 - p) * state.acc_incorrect[sl])

@@ -775,6 +775,18 @@ def initial_store(
     )
 
 
+def _clip_into(
+    values: np.ndarray, low: float, high: float | None = None
+) -> np.ndarray:
+    """``np.clip(values, low, high, out=values)`` without ``np.clip``'s
+    Python dispatch (several µs a call in NumPy 2.x, felt by a streaming
+    sweep's small arrays); only a ``-0.0`` at a ``0.0`` floor reads ``0.0``."""
+    np.maximum(values, low, out=values)
+    if high is not None:
+        np.minimum(values, high, out=values)
+    return values
+
+
 def _segment_sum_columns(
     values: np.ndarray, index: np.ndarray, size: int
 ) -> np.ndarray:
@@ -831,7 +843,7 @@ def _estep_posteriors(
     floor = PROBABILITY_FLOOR
     worker_quality = np.einsum("nf,nf->n", dw, f_values)  # DQ_w per answer
     poi_quality = np.einsum("nf,nf->n", dt, f_values)  # IQ_t per answer
-    s_q = np.clip(
+    s_q = _clip_into(
         alpha * worker_quality + (1.0 - alpha) * poi_quality, floor, 1.0 - floor
     )
     # Per-function rows/columns of q(d_w, d_t) marginalised over the other
@@ -851,7 +863,7 @@ def _estep_posteriors(
 
     # P(r | i = 1) and P(r), the normaliser of the joint posterior.
     p_r_qualified = pz_equal_r * sq_m + pz_not_r * (1.0 - sq_m)
-    evidence = np.clip(unqualified_half + pq_m * p_r_qualified, 1e-12, None)
+    evidence = _clip_into(unqualified_half + pq_m * p_r_qualified, 1e-12)
     inv_evidence = 1.0 / evidence
 
     # P(z = 1 | r): the z=1 branch uses s_q when r=1 and (1-s_q) when r=0.
@@ -955,12 +967,12 @@ def _row_posteriors(
     pz1 = store.label_probs[rows.r_label]
     return _estep_posteriors(
         alpha=store.alpha,
-        p_qualified=np.clip(p_qualified, floor, 1.0 - floor, out=p_qualified),
+        p_qualified=_clip_into(p_qualified, floor, 1.0 - floor),
         dw=store.distance_weights[rows.a_worker],
         dt=store.influence_weights[rows.a_task],
         f_values=rows.f_values,
         expand=rows.expand,
-        pz1=np.clip(pz1, 1e-9, 1.0 - 1e-9, out=pz1),
+        pz1=_clip_into(pz1, 1e-9, 1.0 - 1e-9),
         responses=rows.responses,
     )
 
@@ -1052,7 +1064,7 @@ def _m_step(
     label_probs = totals.slot_z[label_slots]
     if label_probs.size:
         answers = totals.task_answers[tensor.task_of_label[label_slots]]
-        label_probs = np.clip(
+        label_probs = _clip_into(
             label_probs / np.maximum(_DENOM_FLOOR, answers), 0.0, 1.0
         )
     influence_weights = totals.task_dt[tasks]
@@ -1064,7 +1076,7 @@ def _m_step(
     distance_weights = totals.worker_dw[workers]
     if p_qualified.size:
         worker_labels = totals.worker_labels[workers]
-        p_qualified = np.clip(
+        p_qualified = _clip_into(
             p_qualified / np.maximum(_DENOM_FLOOR, worker_labels), 0.0, 1.0
         )
         distance_weights = _normalise_rows(distance_weights, worker_labels, uniform)

@@ -148,12 +148,20 @@ class AnswerSet:
     Maintains ``W(t)`` (workers who answered task ``t``) and ``T(w)`` (tasks
     answered by worker ``w``) incrementally so both the EM inference and the
     assignment algorithms can consult them in O(1).
+
+    (worker, task) pairs only ever append, in first-answer order: a
+    re-answer replaces the pair's answer but adds no pair, and nothing is
+    removed.  So ``len(answers)`` counts the pairs, and
+    :meth:`pair_tasks_since` lets a reader that counted the first ``n``
+    pairs catch up on the rest alone.
     """
 
     def __init__(self, answers: Iterable[Answer] = ()) -> None:
         self._answers: dict[tuple[str, str], Answer] = {}
         self._workers_by_task: dict[str, set[str]] = {}
         self._tasks_by_worker: dict[str, set[str]] = {}
+        # The task of each pair, in first-answer order.
+        self._pair_tasks: list[str] = []
         for answer in answers:
             self.add(answer)
 
@@ -169,6 +177,8 @@ class AnswerSet:
     def add(self, answer: Answer) -> None:
         """Record ``answer``; re-answering the same (worker, task) pair replaces it."""
         key = (answer.worker_id, answer.task_id)
+        if key not in self._answers:
+            self._pair_tasks.append(answer.task_id)
         self._answers[key] = answer
         self._workers_by_task.setdefault(answer.task_id, set()).add(answer.worker_id)
         self._tasks_by_worker.setdefault(answer.worker_id, set()).add(answer.task_id)
@@ -204,6 +214,15 @@ class AnswerSet:
 
     def answer_count_of_task(self, task_id: str) -> int:
         return len(self._workers_by_task.get(task_id, ()))
+
+    def pair_tasks_since(self, position: int) -> list[str]:
+        """The task of every (worker, task) pair after the first ``position``.
+
+        In first-answer order, one entry per pair: adding 1 to ``|W(t)|``
+        for each entry moves counts taken at ``len(answers) == position`` to
+        the current log.
+        """
+        return self._pair_tasks[position:]
 
     def copy(self) -> "AnswerSet":
         return AnswerSet(self._answers.values())

@@ -18,7 +18,7 @@ from oracles import ReferenceAccOptAssigner
 from repro.assign.accopt import AccOptAssigner
 from repro.core.inference import InferenceConfig, LocationAwareInference
 from repro.core.params import ModelParameters
-from repro.data.models import AnswerSet
+from repro.data.models import Answer, AnswerSet
 from repro.framework.config import FrameworkConfig
 from repro.framework.framework import PoiLabellingFramework
 
@@ -203,3 +203,163 @@ class TestCampaignEquivalence:
         assert log_v == log_r
         assert result_v.assignments_spent == result_r.assignments_spent
         assert result_v.final_accuracy == pytest.approx(result_r.final_accuracy)
+
+
+#: Assigner options per engine; the sparse engine at a radius that covers the
+#: test universe, as in ``tests/test_sparse_kernels.py``.
+ENGINE_OPTIONS = {
+    "vectorized": {},
+    "sparse": {"engine": "sparse", "candidate_radius": 50.0},
+}
+
+
+@pytest.fixture(params=sorted(ENGINE_OPTIONS))
+def engine_options(request):
+    return ENGINE_OPTIONS[request.param]
+
+
+class TestStateAcrossRequests:
+    """One assigner serves many requests: its ``|W(t)|`` counts advance from
+    the log's new pairs and its Equation 15 baseline is built once per
+    parameter version, yet every request assigns as the scalar oracle does
+    from scratch."""
+
+    @staticmethod
+    def build(tasks, worker_pool, distance_model, parameters, engine_options):
+        return (
+            AccOptAssigner(
+                tasks, worker_pool.workers, distance_model, parameters, **engine_options
+            ),
+            ReferenceAccOptAssigner(
+                tasks, worker_pool.workers, distance_model, parameters
+            ),
+        )
+
+    @staticmethod
+    def check(assigner, reference, workers, answers):
+        for h in (1, 2):
+            assert assigner.assign(workers, h, answers) == reference.assign(
+                workers, h, answers
+            )
+        counts = assigner._answer_counts(answers)
+        expected = [answers.answer_count_of_task(t) for t in assigner._task_ids]
+        np.testing.assert_array_equal(counts, expected)
+
+    @staticmethod
+    def answer_assignment(answers, assignment, tasks_by_id, value=1):
+        for worker_id, task_ids in assignment.items():
+            for task_id in task_ids:
+                labels = tasks_by_id[task_id].num_labels
+                answers.add(Answer(worker_id, task_id, tuple([value] * labels)))
+
+    def test_alternating_answer_sets(
+        self, small_dataset, worker_pool, distance_model, fitted_parameters,
+        collected_answers, engine_options,
+    ):
+        assigner, reference = self.build(
+            small_dataset.tasks, worker_pool, distance_model, fitted_parameters,
+            engine_options,
+        )
+        first = collected_answers.copy()
+        second = AnswerSet(list(collected_answers)[::2])
+        workers = worker_pool.worker_ids
+        for answers in (first, second, first, second, first):
+            self.check(assigner, reference, workers, answers)
+            # Both logs grow while the other one is being served.
+            assignment = assigner.assign(workers[:2], 1, answers)
+            self.answer_assignment(answers, assignment, small_dataset.task_index)
+
+    def test_answers_and_re_answers_between_requests(
+        self, small_dataset, worker_pool, distance_model, fitted_parameters,
+        collected_answers, engine_options,
+    ):
+        assigner, reference = self.build(
+            small_dataset.tasks, worker_pool, distance_model, fitted_parameters,
+            engine_options,
+        )
+        answers = collected_answers.copy()
+        workers = worker_pool.worker_ids
+        self.check(assigner, reference, workers, answers)
+        for round_index in range(4):
+            assignment = assigner.assign(workers[round_index : round_index + 3], 2, answers)
+            self.answer_assignment(answers, assignment, small_dataset.task_index)
+            # A re-answer replaces the pair's answer and leaves |W(t)| alone.
+            earlier = list(answers)[round_index]
+            pairs = len(answers)
+            answers.add(
+                Answer(
+                    earlier.worker_id,
+                    earlier.task_id,
+                    tuple(1 - r for r in earlier.responses),
+                )
+            )
+            assert len(answers) == pairs
+            self.check(assigner, reference, workers, answers)
+
+    def test_task_added_after_counting_with_answers_in_the_log(
+        self, small_dataset, worker_pool, distance_model, fitted_parameters,
+        collected_answers, engine_options,
+    ):
+        *early, late = small_dataset.tasks
+        assigner, reference = self.build(
+            early, worker_pool, distance_model, fitted_parameters, engine_options
+        )
+        answers = collected_answers.copy()
+        assert answers.answer_count_of_task(late.task_id) > 0
+        workers = worker_pool.worker_ids
+        self.check(assigner, reference, workers, answers)
+        assert assigner.add_task(late) and reference.add_task(late)
+        newcomer = next(
+            w for w in workers if w not in answers.workers_of_task(late.task_id)
+        )
+        answers.add(Answer(newcomer, late.task_id, tuple(late.truth)))
+        self.check(assigner, reference, workers, answers)
+
+    def test_parameter_updates_between_requests(
+        self, small_dataset, worker_pool, distance_model, fitted_parameters,
+        collected_answers, engine_options,
+    ):
+        assigner, reference = self.build(
+            small_dataset.tasks, worker_pool, distance_model, ModelParameters(),
+            engine_options,
+        )
+        answers = collected_answers.copy()
+        workers = worker_pool.worker_ids
+        self.check(assigner, reference, workers, answers)
+        for parameters in (fitted_parameters, ModelParameters(), fitted_parameters):
+            assigner.update_parameters(parameters)
+            reference.update_parameters(parameters)
+            self.check(assigner, reference, workers, answers)
+            assignment = assigner.assign(workers[:3], 2, answers)
+            self.answer_assignment(answers, assignment, small_dataset.task_index, 0)
+            self.check(assigner, reference, workers, answers)
+
+    def test_growing_log_is_counted_once(
+        self, monkeypatch, small_dataset, worker_pool, distance_model,
+        fitted_parameters, collected_answers, engine_options,
+    ):
+        """After the first request on a log, later requests on the same
+        growing log read only its new pairs, never ``answer_count_of_task``."""
+        assigner = AccOptAssigner(
+            small_dataset.tasks, worker_pool.workers, distance_model,
+            fitted_parameters, **engine_options,
+        )
+        answers = collected_answers.copy()
+        calls = []
+        count_of_task = AnswerSet.answer_count_of_task
+
+        def counted(self, task_id):
+            calls.append(task_id)
+            return count_of_task(self, task_id)
+
+        monkeypatch.setattr(AnswerSet, "answer_count_of_task", counted)
+        workers = worker_pool.worker_ids
+        self.answer_assignment(
+            answers, assigner.assign(workers[:3], 2, answers), small_dataset.task_index
+        )
+        assert len(calls) == len(small_dataset.tasks)
+        calls.clear()
+        for round_index in range(4):
+            assignment = assigner.assign(workers[round_index:], 2, answers)
+            self.answer_assignment(answers, assignment, small_dataset.task_index)
+        assert calls == []

@@ -142,6 +142,21 @@ class TestAnswerSet:
         assert answers.worker_ids() == ["w1", "w2"]
         assert answers.task_ids() == ["t3", "t9"]
 
+    def test_pair_tasks_since_lists_new_pairs_in_first_answer_order(self):
+        answers = AnswerSet([Answer("w2", "t9", (1,)), Answer("w1", "t3", (0,))])
+        assert answers.pair_tasks_since(0) == ["t9", "t3"]
+        position = len(answers)
+        answers.add(Answer("w1", "t9", (0,)))
+        answers.add(Answer("w2", "t9", (0,)))  # a re-answer adds no pair
+        answers.add(Answer("w3", "t3", (1,)))
+        assert answers.get("w2", "t9").responses == (0,)
+        assert answers.pair_tasks_since(position) == ["t9", "t3"]
+        assert len(answers) == position + 2
+        assert answers.pair_tasks_since(len(answers)) == []
+        # Counting each listed task once reproduces |W(t)|.
+        assert answers.pair_tasks_since(0).count("t9") == answers.answer_count_of_task("t9")
+        assert answers.copy().pair_tasks_since(0) == answers.pair_tasks_since(0)
+
 
 class TestDataset:
     def test_counts(self):
