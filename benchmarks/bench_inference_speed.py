@@ -11,18 +11,34 @@ those prebuilt inputs, and only the loop enters ``*_total_s``,
 ``*_per_iteration_ms`` and ``speedup``.  The run fails if the batched loop
 falls below ``INFERENCE_MIN_SPEEDUP`` (defined in ``check_gates.py``) over
 the per-record loop.
+
+It also records the tracemalloc peak, above what was allocated before the
+call, of one ``em_step`` from the fit's cold start (``em_step_peak_mib``)
+and of two ``localized_sweeps`` over every entity of the same tensor
+(``localized_sweeps_peak_mib``).  Both are deterministic for a NumPy
+version and gated by ceilings in ``check_gates.py``: they show that the
+E-step's temporaries stay block-sized rather than growing with the answer
+log.
 """
 
 from __future__ import annotations
 
 import json
 import time
+import tracemalloc
+
+import numpy as np
 
 from bench_common import RESULTS_DIR, build_inference_corpus
-from check_gates import INFERENCE_MIN_SPEEDUP
+from check_gates import (
+    INFERENCE_MIN_SPEEDUP,
+    MAX_EM_STEP_PEAK_MIB,
+    MAX_LOCALIZED_SWEEPS_PEAK_MIB,
+)
 from oracles import ReferenceInference
 from oracles.em import build_records
 
+from repro.core import em_kernel
 from repro.core.em_kernel import AnswerTensor
 from repro.core.inference import InferenceConfig, LocationAwareInference
 
@@ -35,6 +51,40 @@ def _timed(fn):
     started = time.perf_counter()
     result = fn()
     return time.perf_counter() - started, result
+
+
+def _peak_mib(fn) -> float:
+    """tracemalloc peak of ``fn()`` above what was allocated before it, in MiB."""
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return (peak - before) / 2**20
+
+
+def _memory_peaks(tensor, config) -> tuple[float, float]:
+    """Peaks of one ``em_step`` and of two sweeps over every entity."""
+    store = em_kernel.initial_store(
+        tensor, config.function_set, config.alpha, config.initial_p_qualified
+    )
+    em_step_mib = _peak_mib(lambda: em_kernel.em_step(tensor, store))
+    swept = store.copy()
+    every_task = np.arange(swept.num_tasks, dtype=np.intp)
+    sweeps_mib = _peak_mib(
+        lambda: em_kernel.localized_sweeps(
+            tensor,
+            swept,
+            np.arange(tensor.num_answers, dtype=np.intp),
+            np.arange(swept.num_workers, dtype=np.intp),
+            every_task,
+            em_kernel.label_slots_of_tasks(swept.label_offsets, every_task),
+            iterations=2,
+        )
+    )
+    return em_step_mib, sweeps_mib
 
 
 def test_inference_speed_regression(benchmark):
@@ -68,6 +118,7 @@ def test_inference_speed_regression(benchmark):
     reference_ms = 1000.0 * reference_s / EM_ITERATIONS
     vectorized_ms = 1000.0 * vectorized_s / EM_ITERATIONS
     speedup = reference_ms / vectorized_ms
+    em_step_mib, sweeps_mib = _memory_peaks(tensor, config)
 
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     payload = {
@@ -81,6 +132,10 @@ def test_inference_speed_regression(benchmark):
         "vectorized_per_iteration_ms": round(vectorized_ms, 3),
         "speedup": round(speedup, 2),
         "min_required_speedup": INFERENCE_MIN_SPEEDUP,
+        "em_step_peak_mib": round(em_step_mib, 2),
+        "max_em_step_peak_mib": MAX_EM_STEP_PEAK_MIB,
+        "localized_sweeps_peak_mib": round(sweeps_mib, 2),
+        "max_localized_sweeps_peak_mib": MAX_LOCALIZED_SWEEPS_PEAK_MIB,
     }
     path = RESULTS_DIR / "BENCH_inference_speed.json"
     path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
@@ -94,4 +149,12 @@ def test_inference_speed_regression(benchmark):
     assert speedup >= INFERENCE_MIN_SPEEDUP, (
         f"batched EM is only {speedup:.1f}x faster than the per-record "
         f"oracle (required: {INFERENCE_MIN_SPEEDUP}x); see {path}"
+    )
+    assert em_step_mib <= MAX_EM_STEP_PEAK_MIB, (
+        f"one em_step peaked at {em_step_mib:.2f} MiB "
+        f"(ceiling: {MAX_EM_STEP_PEAK_MIB} MiB); see {path}"
+    )
+    assert sweeps_mib <= MAX_LOCALIZED_SWEEPS_PEAK_MIB, (
+        f"two localized sweeps peaked at {sweeps_mib:.2f} MiB "
+        f"(ceiling: {MAX_LOCALIZED_SWEEPS_PEAK_MIB} MiB); see {path}"
     )

@@ -35,6 +35,18 @@ RESULTS_DIR = Path(__file__).parent / "results"
 #: previous kernel: 18.5-19.7x).
 INFERENCE_MIN_SPEEDUP = 25.0
 
+#: ``bench_inference_speed.py``: tracemalloc peak (MiB, above the memory
+#: allocated before the call) of one ``em_step`` and of two
+#: ``localized_sweeps`` over every entity, on the 20k-answer tensor
+#: (200k label responses).  While the E-step ran each pass over all label
+#: responses at once they read 25.1 and 35.5 MiB; with the label rows in
+#: answer-aligned blocks of ~16k they read 9.1 and 19.5 MiB (the sweeps'
+#: remainder is the gathered row index arrays).  Deterministic for a NumPy
+#: version, so each ceiling sits ~1.3-1.5x above its reading and well
+#: below the unblocked one.
+MAX_EM_STEP_PEAK_MIB = 14.0
+MAX_LOCALIZED_SWEEPS_PEAK_MIB = 26.0
+
 #: ``bench_assignment_speed.py``: batched AccOpt scoring over the scalar
 #: oracle on one batch, and p50 ceilings for three frontend request paths at
 #: 4000 tasks: a worker's first request with probes off, a warm request that
@@ -153,6 +165,20 @@ GATES = [
         "min_required_speedup",
         ">=",
         INFERENCE_MIN_SPEEDUP,
+    ),
+    (
+        "BENCH_inference_speed.json",
+        "em_step_peak_mib",
+        "max_em_step_peak_mib",
+        "<=",
+        MAX_EM_STEP_PEAK_MIB,
+    ),
+    (
+        "BENCH_inference_speed.json",
+        "localized_sweeps_peak_mib",
+        "max_localized_sweeps_peak_mib",
+        "<=",
+        MAX_LOCALIZED_SWEEPS_PEAK_MIB,
     ),
     (
         "BENCH_assignment_speed.json",

@@ -38,6 +38,19 @@ iteration is ``O(B · (|L_t| + |F|))``, below the paper's
 scaled by per-response scalars, so the ``|L_t|`` scalars are summed before
 the ``|F|``-wide product.
 
+The E-step walks its label responses in **blocks** of whole answers, about
+:data:`ESTEP_BLOCK_ROWS` label rows each (:func:`_answer_blocks`).  Its
+per-response temporaries — some twenty arrays — are then block-sized and
+stay in cache, and only the outputs the totals sum span every response:
+a full step over 200k label responses peaks at about a third of the memory
+of whole-length passes, and runs faster.  Blocking changes no value.  Every
+per-response quantity is elementwise, and each per-answer sum reads label
+rows that one block holds whole (an answer's label rows are contiguous),
+adding them in the same order.  The per-entity totals and the
+log-likelihood are then summed over the assembled full-length outputs in
+unchanged row order.  Any block size therefore gives bit-equal estimates,
+traces and tie-breaks.
+
 Parameters live in an :class:`~repro.core.params.ArrayParameterStore`; the id
 oriented :class:`~repro.core.params.ModelParameters` view is materialised only
 at the fit boundary.
@@ -815,6 +828,34 @@ def _normalise_rows(
     return weights
 
 
+#: Label rows per E-step block, about: a block ends on an answer boundary
+#: (:func:`_answer_blocks`).  Each block's temporaries — some twenty
+#: float64 arrays of this length — then stay cache-sized (128 KiB each)
+#: instead of spanning every label response of a fit or a sweep.  On the
+#: serving benchmark 8192 rows read like 16384, which makes half the calls
+#: per step; 32768 held 2-3 MiB more peak memory.
+ESTEP_BLOCK_ROWS = 16384
+
+
+def _answer_blocks(expand: np.ndarray, n: int) -> list[tuple[int, int, int, int]]:
+    """``(a0, a1, l0, l1)`` of the E-step's blocks over ``n`` answers.
+
+    ``expand`` maps each label response to its owning answer; it must be
+    non-decreasing, so each answer's label rows are contiguous.  Block ``k``
+    holds answers ``a0:a1`` and exactly their label rows ``l0:l1``: it
+    starts at the answer that owns label row ``k · ESTEP_BLOCK_ROWS``.
+    """
+    m = expand.size
+    if m <= ESTEP_BLOCK_ROWS:
+        return [(0, n, 0, m)]
+    answer_cuts = np.unique(expand[ESTEP_BLOCK_ROWS::ESTEP_BLOCK_ROWS])
+    label_cuts = np.searchsorted(expand, answer_cuts)
+    inner = label_cuts > 0  # an answer longer than a block starts at row 0
+    answers = [0, *answer_cuts[inner].tolist(), n]
+    labels = [0, *label_cuts[inner].tolist(), m]
+    return list(zip(answers[:-1], answers[1:], labels[:-1], labels[1:]))
+
+
 def _estep_posteriors(
     alpha: float,
     p_qualified: np.ndarray,
@@ -822,16 +863,18 @@ def _estep_posteriors(
     dt: np.ndarray,
     f_values: np.ndarray,
     expand: np.ndarray,
-    pz1: np.ndarray,
+    label_probs: np.ndarray,
+    r_label: np.ndarray,
     responses: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Closed-form E-step marginals for a batch of answers.
 
     ``p_qualified`` (already clipped), ``dw``, ``dt`` and ``f_values`` are
     per-answer arrays (``n`` rows); ``expand`` maps each label response to its
-    owning position in those arrays; ``pz1`` (already clipped) and
-    ``responses`` (the observed 0/1 ticks, as floats) are per label
-    response.  Returns
+    owning position in those arrays and must be non-decreasing (each
+    answer's label rows contiguous); ``r_label`` (the label slot, read from
+    ``label_probs`` and clipped) and ``responses`` (the observed 0/1 ticks,
+    as floats) are per label response.  Returns
     ``(post_z1, post_i1, post_dw, post_dt, evidence)``: ``post_z1``,
     ``post_i1`` and ``evidence`` per label response (``M`` rows), while
     ``post_dw`` and ``post_dt`` come already summed over each answer's label
@@ -839,6 +882,13 @@ def _estep_posteriors(
     per task, so the per-response ``(M, |F|)`` blocks of the per-record E-step
     (kept in ``tests/oracles/em.py``) are never materialised.  Every E-step
     of this module runs through it, via :func:`_row_posteriors`.
+
+    The per-answer terms are computed once over all ``n`` answers; the
+    per-label-response work runs over the blocks of :func:`_answer_blocks`,
+    so its temporaries are block-sized and only the outputs span ``M``.
+    Every operation is elementwise, or a per-answer sum over label rows that
+    a block holds whole and adds in row order, so any blocking gives
+    bit-equal outputs.
     """
     floor = PROBABILITY_FLOOR
     worker_quality = np.einsum("nf,nf->n", dw, f_values)  # DQ_w per answer
@@ -846,24 +896,72 @@ def _estep_posteriors(
     s_q = _clip_into(
         alpha * worker_quality + (1.0 - alpha) * poi_quality, floor, 1.0 - floor
     )
-    # Per-function rows/columns of q(d_w, d_t) marginalised over the other
-    # variable's current weights.
-    q_row = alpha * f_values + (1.0 - alpha) * poi_quality[:, None]
-    q_col = alpha * worker_quality[:, None] + (1.0 - alpha) * f_values
 
-    # ---- per-label-response quantities (M,) --------------------------------
-    pq_m = p_qualified[expand]
-    sq_m = s_q[expand]
+    n, m = dw.shape[0], expand.size
+    post_z1, post_i1, evidence = np.empty(m), np.empty(m), np.empty(m)
+    sums = np.empty((3, n))
+    for a0, a1, l0, l1 in _answer_blocks(expand, n):
+        owner = expand[l0:l1]
+        _label_block(
+            p_qualified[owner],
+            s_q[owner],
+            _clip_into(label_probs[r_label[l0:l1]], 1e-9, 1.0 - 1e-9),
+            responses[l0:l1],
+            owner - a0,
+            out=(post_z1[l0:l1], post_i1[l0:l1], evidence[l0:l1], sums[:, a0:a1]),
+        )
+
+    # ---- per-answer profile posteriors (n, |F|) -----------------------------
+    # For response m of answer a,
+    #   P(d_w = f | r_m) = dw[a,f] · (½(1 - pq_a) + pq_a · (P(z=r_m) · q_row[a,f]
+    #                                 + P(z≠r_m) · (1 - q_row[a,f]))) / P(r_m),
+    # so the answer's sum over its responses needs only the three per-answer
+    # sums of per-response scalars (likewise d_t with q_col).  The three
+    # terms stay separate because each is non-negative: folding them into
+    # A + B · q_row cancels catastrophically when P(z=r) ≪ P(z≠r) and q → 1.
+    # q_row/q_col are the per-function rows/columns of q(d_w, d_t)
+    # marginalised over the other variable's current weights.
+    terms = (
+        (0.5 * (1.0 - p_qualified) * sums[0])[:, None],
+        (p_qualified * sums[1])[:, None],
+        (p_qualified * sums[2])[:, None],
+    )
+    q_row = alpha * f_values + (1.0 - alpha) * poi_quality[:, None]
+    post_dw = _profile_sums(dw, q_row, *terms)
+    q_col = alpha * worker_quality[:, None] + (1.0 - alpha) * f_values
+    post_dt = _profile_sums(dt, q_col, *terms)
+    return post_z1, post_i1, post_dw, post_dt, evidence
+
+
+def _label_block(
+    pq_m: np.ndarray,
+    sq_m: np.ndarray,
+    pz1: np.ndarray,
+    responses: np.ndarray,
+    local: np.ndarray,
+    out: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+) -> None:
+    """The per-label-response E-step of one block of whole answers.
+
+    Per label response of the block: the owning answer's ``p_qualified``
+    and ``s_q``, the clipped ``P(z = 1)``, the observed tick and ``local``,
+    the owning answer's position in the block.
+    ``out`` holds the block's views of ``P(z = 1 | r)``, ``P(i = 1 | r)`` and
+    ``P(r)``, and the ``(3, block answers)`` view that receives each
+    answer's sums over its responses of ``1/P(r)``, ``P(z=r)/P(r)`` and
+    ``P(z≠r)/P(r)``.
+    """
+    post_z1, post_i1, evidence, sums = out
     # |1 - r - x| is x where r = 1 and 1 - x where r = 0, exactly — a select
     # without np.where's per-element branch.
     one_minus_r = 1.0 - responses
     pz_equal_r = np.abs(one_minus_r - pz1)  # P(z = r)
     pz_not_r = 1.0 - pz_equal_r
-    unqualified_half = 0.5 * (1.0 - pq_m)  # P(i = 0) · P(r | i = 0)
+    uh_m = 0.5 * (1.0 - pq_m)  # P(i = 0) · P(r | i = 0)
 
     # P(r | i = 1) and P(r), the normaliser of the joint posterior.
-    p_r_qualified = pz_equal_r * sq_m + pz_not_r * (1.0 - sq_m)
-    evidence = _clip_into(unqualified_half + pq_m * p_r_qualified, 1e-12)
+    qualified = pq_m * (pz_equal_r * sq_m + pz_not_r * (1.0 - sq_m))
+    _clip_into(np.add(uh_m, qualified, out=evidence), 1e-12)
     inv_evidence = 1.0 / evidence
 
     # P(z = 1 | r): the z=1 branch uses s_q when r=1 and (1-s_q) when r=0.
@@ -871,27 +969,34 @@ def _estep_posteriors(
     # E-step: near p_qualified ≈ 1 a streamed fit amplifies last-bit changes
     # here to ~1e-9 in the label estimates.
     agree_factor = np.abs(one_minus_r - sq_m)
-    post_z1 = pz1 * (unqualified_half + pq_m * agree_factor) / evidence
-    post_i1 = pq_m * p_r_qualified / evidence
+    np.divide(pz1 * (uh_m + pq_m * agree_factor), evidence, out=post_z1)
+    np.divide(qualified, evidence, out=post_i1)
+    size = sums.shape[1]
+    sums[0] = np.bincount(local, weights=inv_evidence, minlength=size)
+    sums[1] = np.bincount(local, weights=pz_equal_r * inv_evidence, minlength=size)
+    sums[2] = np.bincount(local, weights=pz_not_r * inv_evidence, minlength=size)
 
-    # ---- per-answer profile posteriors (n, |F|) -----------------------------
-    # For response m of answer a,
-    #   P(d_w = f | r_m) = dw[a,f] · (½(1 - pq_a) + pq_a · (P(z=r_m) · q_row[a,f]
-    #                                 + P(z≠r_m) · (1 - q_row[a,f]))) / P(r_m),
-    # so the answer's sum over its responses needs only three per-answer sums
-    # of per-response scalars (likewise d_t with q_col).  The three terms
-    # stay separate because each is non-negative: folding them into
-    # A + B · q_row cancels catastrophically when P(z=r) ≪ P(z≠r) and q → 1.
-    n = dw.shape[0]
-    sum_inv = np.bincount(expand, weights=inv_evidence, minlength=n)
-    sum_equal = np.bincount(expand, weights=pz_equal_r * inv_evidence, minlength=n)
-    sum_not = np.bincount(expand, weights=pz_not_r * inv_evidence, minlength=n)
-    base = (0.5 * (1.0 - p_qualified) * sum_inv)[:, None]
-    agree_w = (p_qualified * sum_equal)[:, None]
-    disagree_w = (p_qualified * sum_not)[:, None]
-    post_dw = dw * (base + agree_w * q_row + disagree_w * (1.0 - q_row))
-    post_dt = dt * (base + agree_w * q_col + disagree_w * (1.0 - q_col))
-    return post_z1, post_i1, post_dw, post_dt, evidence
+
+def _profile_sums(
+    weights: np.ndarray,
+    q: np.ndarray,
+    base: np.ndarray,
+    agree: np.ndarray,
+    disagree: np.ndarray,
+) -> np.ndarray:
+    """``weights · (base + agree · q + disagree · (1 - q))``, overwriting ``q``.
+
+    The expression's own operations on the same operands (each product and
+    sum commutes exactly), done in place so that only two ``(n, |F|)``
+    arrays are live.
+    """
+    mix = agree * q
+    mix += base
+    np.subtract(1.0, q, out=q)
+    q *= disagree
+    mix += q
+    mix *= weights
+    return mix
 
 
 class _Rows(NamedTuple):
@@ -960,11 +1065,18 @@ def _gather_rows(
 def _row_posteriors(
     store: ArrayParameterStore, rows: _Rows
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`_estep_posteriors` of ``rows`` under the estimate in ``store``."""
+    """:func:`_estep_posteriors` of ``rows`` under the estimate in ``store``.
+
+    The per-answer parameters are gathered once for every answer of
+    ``rows``; each label response's ``P(z = 1)`` is gathered by the block
+    that reads it.  ``rows`` keeps each answer's label rows contiguous and in
+    answer order (:func:`_all_rows` by the tensor's construction,
+    :func:`_gather_rows` by its own), which is what lets the E-step run in
+    answer-aligned blocks with bit-equal results.
+    """
     floor = PROBABILITY_FLOOR
-    # Fancy indexing returns fresh arrays, so they are clipped in place.
+    # Fancy indexing returns a fresh array, so it is clipped in place.
     p_qualified = store.p_qualified[rows.a_worker]
-    pz1 = store.label_probs[rows.r_label]
     return _estep_posteriors(
         alpha=store.alpha,
         p_qualified=_clip_into(p_qualified, floor, 1.0 - floor),
@@ -972,7 +1084,8 @@ def _row_posteriors(
         dt=store.influence_weights[rows.a_task],
         f_values=rows.f_values,
         expand=rows.expand,
-        pz1=_clip_into(pz1, 1e-9, 1.0 - 1e-9),
+        label_probs=store.label_probs,
+        r_label=rows.r_label,
         responses=rows.responses,
     )
 
@@ -996,26 +1109,53 @@ class _Totals:
     task_answers: np.ndarray | None = None
 
 
+class _Counts(NamedTuple):
+    """The count denominators of :class:`_Totals` over one row set."""
+
+    worker_labels: np.ndarray
+    task_labels: np.ndarray
+    task_answers: np.ndarray
+
+
+def _counts(
+    rows: _Rows,
+    sizes: tuple[int, int, int],
+    weights: np.ndarray | None = None,
+) -> _Counts:
+    """Label responses per worker and per task, answers per task, of ``rows``.
+
+    ``sizes`` and ``weights`` as in :func:`_totals`; ``None`` weights leave
+    the counts integer.
+    """
+    _, num_workers, num_tasks = sizes
+    w_m = None if weights is None else weights[rows.expand]
+    return _Counts(
+        worker_labels=np.bincount(rows.r_worker, weights=w_m, minlength=num_workers),
+        task_labels=np.bincount(rows.r_task, weights=w_m, minlength=num_tasks),
+        task_answers=np.bincount(rows.a_task, weights=weights, minlength=num_tasks),
+    )
+
+
 def _totals(
     rows: _Rows,
     posteriors: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
     sizes: tuple[int, int, int],
     weights: np.ndarray | None = None,
-    counts: bool = True,
+    counts: _Counts | None = None,
 ) -> _Totals:
-    """Sum a row set's posteriors, and with ``counts`` its counts, per entity.
+    """Sum a row set's posteriors per entity, beside its ``counts``.
 
     ``posteriors`` is ``(z1, i1, dw, dt)`` over ``rows`` as
     :func:`_estep_posteriors` returns them, ``sizes`` the ``(label slots,
     workers, tasks)`` the sums span.  ``weights`` (one per answer of
-    ``rows``) scales each answer's contribution to every sum and count;
-    ``None`` skips the multiply (and leaves the counts integer).  Every sum
+    ``rows``) scales each answer's contribution to every sum; ``None`` skips
+    the multiply.  ``counts`` (:func:`_counts` of the same rows and weights)
+    fills the count denominators; ``None`` leaves them unset.  Every sum
     runs in row order, so equal row sets give bit-equal totals whichever
     path asks.
     """
     num_slots, num_workers, num_tasks = sizes
     z1, i1, dw, dt = posteriors
-    w_m = None
     if weights is not None:
         w_m = weights[rows.expand]  # per label response
         z1, i1 = z1 * w_m, i1 * w_m
@@ -1026,14 +1166,8 @@ def _totals(
         worker_dw=_segment_sum_columns(dw, rows.a_worker, num_workers),
         task_dt=_segment_sum_columns(dt, rows.a_task, num_tasks),
     )
-    if counts:
-        totals.worker_labels = np.bincount(
-            rows.r_worker, weights=w_m, minlength=num_workers
-        )
-        totals.task_labels = np.bincount(rows.r_task, weights=w_m, minlength=num_tasks)
-        totals.task_answers = np.bincount(
-            rows.a_task, weights=weights, minlength=num_tasks
-        )
+    if counts is not None:
+        totals.worker_labels, totals.task_labels, totals.task_answers = counts
     return totals
 
 
@@ -1102,10 +1236,40 @@ def _m_step_into(
     store.label_probs[label_slots] = label_probs
 
 
+def _answer_weights(
+    tensor: AnswerTensor, answer_weights: np.ndarray | None
+) -> np.ndarray | None:
+    """``answer_weights`` as floats, checked to hold one per answer row."""
+    if answer_weights is None:
+        return None
+    weights = np.asarray(answer_weights, dtype=float)
+    if weights.shape != (tensor.num_answers,):
+        raise ValueError(
+            f"answer_weights must have shape ({tensor.num_answers},), got "
+            f"{weights.shape}"
+        )
+    return weights
+
+
+def count_denominators(
+    tensor: AnswerTensor, answer_weights: np.ndarray | None = None
+) -> _Counts:
+    """The count denominators of :func:`em_step` over ``tensor``.
+
+    Label responses per worker and per task, answers per task — weighted by
+    ``answer_weights`` when given.  They depend only on the tensor and the
+    weights, never on the estimate, so a fit counts them once and hands them
+    to every step.
+    """
+    sizes = (int(tensor.label_offsets[-1]), tensor.num_workers, tensor.num_tasks)
+    return _counts(_all_rows(tensor), sizes, _answer_weights(tensor, answer_weights))
+
+
 def em_step(
     tensor: AnswerTensor,
     store: ArrayParameterStore,
     answer_weights: np.ndarray | None = None,
+    counts: _Counts | None = None,
 ) -> tuple[ArrayParameterStore, float]:
     """One combined E+M step over the whole tensor (Equations 12 and 14).
 
@@ -1119,25 +1283,22 @@ def em_step(
     M-step into a *weighted* maximisation: each answer contributes its weight
     to both the posterior sums and the count denominators.  This is how
     exponential decay (old answers fade) and trust-aware down-weighting
-    (quarantined workers count less) enter the full refresh.
+    (quarantined workers count less) enter the full refresh.  ``counts`` is
+    :func:`count_denominators` of the same tensor and weights, which a fit
+    computes once for all its steps; ``None`` counts them here.
     """
-    weights = None
-    if answer_weights is not None:
-        weights = np.asarray(answer_weights, dtype=float)
-        if weights.shape != (tensor.num_answers,):
-            raise ValueError(
-                f"answer_weights must have shape ({tensor.num_answers},), got "
-                f"{weights.shape}"
-            )
+    weights = _answer_weights(tensor, answer_weights)
     rows = _all_rows(tensor)
     *posteriors, evidence = _row_posteriors(store, rows)
-    log_evidence = np.log(evidence)
+    log_evidence = np.log(evidence, out=evidence)
     if weights is not None:
         log_evidence *= weights[rows.expand]
     log_likelihood = float(np.sum(log_evidence))
     del evidence, log_evidence  # M-sized; the M-step below allocates its own
     sizes = (store.num_label_slots, store.num_workers, store.num_tasks)
-    totals = _totals(rows, posteriors, sizes, weights)
+    if counts is None:
+        counts = _counts(rows, sizes, weights)
+    totals = _totals(rows, posteriors, sizes, weights, counts)
     every = slice(None)
     p_qualified, distance_weights, influence_weights, label_probs = _m_step(
         tensor, totals, store.function_set.uniform_weights(), every, every, every
@@ -1177,7 +1338,7 @@ def em_step_localized(
     rows, _ = _gather_rows(tensor, answer_rows)
     posteriors = _row_posteriors(store, rows)[:4]
     sizes = (store.num_label_slots, store.num_workers, store.num_tasks)
-    totals = _totals(rows, posteriors, sizes)
+    totals = _totals(rows, posteriors, sizes, counts=_counts(rows, sizes))
     _m_step_into(tensor, store, totals, affected_workers, affected_tasks, label_slots)
 
 
@@ -1207,13 +1368,14 @@ def label_slots_of_tasks(
     label_offsets: np.ndarray, task_rows: np.ndarray
 ) -> np.ndarray:
     """Flat label slots owned by ``task_rows``, concatenated in row order."""
-    if task_rows.size == 0:
-        return np.empty(0, dtype=np.intp)
-    return np.concatenate(
-        [
-            np.arange(int(label_offsets[j]), int(label_offsets[j + 1]), dtype=np.intp)
-            for j in task_rows
-        ]
+    task_rows = np.asarray(task_rows, dtype=np.intp)
+    starts = np.asarray(label_offsets[task_rows], dtype=np.intp)
+    counts = np.asarray(label_offsets[task_rows + 1], dtype=np.intp) - starts
+    ends = np.cumsum(counts)
+    # Slot k of the output is its task's first slot plus k minus the number
+    # of slots the tasks before it own.
+    return np.arange(ends[-1] if ends.size else 0, dtype=np.intp) + np.repeat(
+        starts - (ends - counts), counts
     )
 
 
@@ -1451,11 +1613,11 @@ class SufficientStatCache:
         posteriors = _row_posteriors(store, rows)[:4]
         self._row_z1, self._row_i1, self._answer_dw, self._answer_dt = posteriors
         sizes = (store.num_label_slots, store.num_workers, store.num_tasks)
-        totals = _totals(rows, posteriors, sizes, weights)
         # Decay steps and growth update the counts in place, as floats.
-        for name in ("worker_labels", "task_labels", "task_answers"):
-            setattr(totals, name, getattr(totals, name).astype(float, copy=False))
-        self._totals = totals
+        counts = _Counts(
+            *(total.astype(float) for total in _counts(rows, sizes, weights))
+        )
+        self._totals = _totals(rows, posteriors, sizes, weights, counts)
         self._num_slots, self._num_workers, self._num_tasks = sizes
         self._synced_answers = tensor.num_answers
         self._synced_label_rows = tensor.num_label_responses
@@ -1567,7 +1729,7 @@ class SufficientStatCache:
             post_dt - self._answer_dt[answer_rows],
         )
         sizes = (self._num_slots, self._num_workers, self._num_tasks)
-        delta = _totals(rows, deltas, sizes, weights=scale, counts=False)
+        delta = _totals(rows, deltas, sizes, weights=scale)
         totals = self._totals
         totals.slot_z[: self._num_slots] += delta.slot_z
         totals.worker_i[: self._num_workers] += delta.worker_i

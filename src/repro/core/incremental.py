@@ -52,7 +52,7 @@ objects with the previous estimate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -580,8 +580,10 @@ class IncrementalUpdater:
                 iterations=self.local_iterations,
                 early_exit_threshold=self.early_exit_threshold,
             )
-        params = fitted.to_model()
-        inference.adopt_result(replace(result, parameters=params, store=fitted))
+        # The detached fit never read its parameters, so the result converts
+        # its store — grown and reconciled above, in place — on adoption.
+        inference.adopt_result(result)
+        params = inference.parameters
         self._store = fitted
         self._synced_params = params
         self._prune_carryover()

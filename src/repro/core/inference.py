@@ -122,7 +122,6 @@ class InferenceConfig:
             )
 
 
-@dataclass
 class InferenceResult:
     """Outcome of one EM run.
 
@@ -131,15 +130,34 @@ class InferenceResult:
     was produced some other way).  The serving path's incremental updater
     adopts it as its live
     store after a full refresh, so the refresh hands back array state without
-    a dict round-trip.
+    a dict round-trip.  :attr:`parameters` is the id-keyed form of the same
+    estimate; when not given it is converted from ``store`` on first read,
+    so a result nobody reads it from never pays the conversion.
     """
 
-    parameters: ModelParameters
-    iterations: int
-    converged: bool
-    convergence_trace: list[float]
-    log_likelihood_trace: list[float]
-    store: ArrayParameterStore | None = None
+    def __init__(
+        self,
+        iterations: int,
+        converged: bool,
+        convergence_trace: list[float],
+        log_likelihood_trace: list[float],
+        store: ArrayParameterStore | None = None,
+        parameters: ModelParameters | None = None,
+    ) -> None:
+        if parameters is None and store is None:
+            raise ValueError("an InferenceResult needs parameters or a store")
+        self.iterations = iterations
+        self.converged = converged
+        self.convergence_trace = convergence_trace
+        self.log_likelihood_trace = log_likelihood_trace
+        self.store = store
+        self._parameters = parameters
+
+    @property
+    def parameters(self) -> ModelParameters:
+        if self._parameters is None:
+            self._parameters = self.store.to_model()
+        return self._parameters
 
     @property
     def final_log_likelihood(self) -> float:
@@ -389,11 +407,12 @@ class LocationAwareInference(LabelInferenceModel):
         likelihood_trace: list[float] = []
         converged = False
         iterations = 0
+        counts = em_kernel.count_denominators(tensor, answer_weights)
 
         for iteration in range(self._config.max_iterations):
             iterations = iteration + 1
             new_store, log_likelihood = em_kernel.em_step(
-                tensor, store, answer_weights=answer_weights
+                tensor, store, answer_weights=answer_weights, counts=counts
             )
             # The M-step emits parameters under the *config's* alpha and
             # function set; only the first E-step sees the warm-start's own
@@ -411,7 +430,6 @@ class LocationAwareInference(LabelInferenceModel):
                 break
 
         return InferenceResult(
-            parameters=store.to_model(),
             iterations=iterations,
             converged=converged,
             convergence_trace=convergence_trace,

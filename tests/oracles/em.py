@@ -243,8 +243,10 @@ def per_response_posteriors(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """:func:`expectation` for a batch, one row per label response.
 
-    Takes the arguments of ``repro.core.em_kernel._estep_posteriors`` (with
-    the 0/1 ticks as a boolean ``observed_one``) and returns
+    Takes the per-answer arguments of
+    ``repro.core.em_kernel._estep_posteriors``, each label response's clipped
+    ``P(z = 1)`` as ``pz1`` and the 0/1 ticks as a boolean ``observed_one``,
+    and returns
     ``(post_z1, post_i1, post_dw, post_dt, evidence)`` with ``post_dw`` and
     ``post_dt`` as ``(M, |F|)`` blocks — the posterior of every label
     response, before the kernel's per-answer sum.

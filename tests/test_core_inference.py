@@ -101,6 +101,44 @@ class TestFit:
         assert first.shape == second.shape
 
 
+class TestResultParameters:
+    """``run_em`` converts its store to the id-keyed form only when read."""
+
+    def test_converted_once_on_first_read(self, model, collected_answers, monkeypatch):
+        from repro.core.params import ArrayParameterStore
+
+        calls = []
+        to_model = ArrayParameterStore.to_model
+
+        def counted(store):
+            calls.append(store)
+            return to_model(store)
+
+        monkeypatch.setattr(ArrayParameterStore, "to_model", counted)
+        result = model.run_em(collected_answers)
+        assert calls == []
+        parameters = result.parameters
+        assert calls == [result.store]
+        assert result.parameters is parameters
+        assert len(calls) == 1
+        assert parameters.max_difference(to_model(result.store)) == 0.0
+
+    def test_fit_installs_the_converted_estimate(self, model, collected_answers):
+        model.fit(collected_answers)
+        assert model.parameters is model.last_result.parameters
+
+    def test_needs_parameters_or_a_store(self):
+        from repro.core.inference import InferenceResult
+
+        with pytest.raises(ValueError):
+            InferenceResult(
+                iterations=0,
+                converged=False,
+                convergence_trace=[],
+                log_likelihood_trace=[],
+            )
+
+
 class TestEMBehaviour:
     def test_log_likelihood_non_decreasing(self, model, collected_answers):
         result = model.run_em(collected_answers)

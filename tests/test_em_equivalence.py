@@ -278,17 +278,18 @@ def saturated_store(tensor, seed):
 
 
 def kernel_inputs(tensor, store):
-    """The arguments ``em_step`` passes to the E-step, for the whole tensor."""
+    """The per-answer arguments ``em_step`` passes to the E-step, for the whole
+    tensor, and the clipped ``P(z = 1)`` of every label response."""
     floor = PROBABILITY_FLOOR
-    return dict(
+    inputs = dict(
         alpha=store.alpha,
         p_qualified=np.clip(store.p_qualified[tensor.a_worker], floor, 1.0 - floor),
         dw=store.distance_weights[tensor.a_worker],
         dt=store.influence_weights[tensor.a_task],
         f_values=tensor.f_values,
         expand=tensor.r_answer,
-        pz1=np.clip(store.label_probs[tensor.r_label], 1e-9, 1.0 - 1e-9),
     )
+    return inputs, np.clip(store.label_probs[tensor.r_label], 1e-9, 1.0 - 1e-9)
 
 
 CORPORA = [
@@ -312,12 +313,16 @@ class TestPerAnswerEStep:
         tensor = corpus_tensor(
             *build_corpus(**corpus_kwargs), distance_scale=distance_scale
         )
-        inputs = kernel_inputs(tensor, make_store(tensor, store_seed))
+        store = make_store(tensor, store_seed)
+        inputs, pz1 = kernel_inputs(tensor, store)
         z1, i1, dw, dt, evidence = em_kernel._estep_posteriors(
-            **inputs, responses=tensor.responses
+            **inputs,
+            label_probs=store.label_probs,
+            r_label=tensor.r_label,
+            responses=tensor.responses,
         )
         ref_z1, ref_i1, ref_dw, ref_dt, ref_evidence = per_response_posteriors(
-            **inputs, observed_one=tensor.responses == 1
+            **inputs, pz1=pz1, observed_one=tensor.responses == 1
         )
         assert dw.shape == dt.shape == (tensor.num_answers, ref_dw.shape[1])
         for got, want in ((z1, ref_z1), (i1, ref_i1), (evidence, ref_evidence)):
@@ -476,6 +481,247 @@ class TestSufficientStatsAndWeights:
         )
         assert weighted.max_difference(repeated) <= 1e-12
         assert abs(weighted_ll - repeated_ll) <= 1e-12 * abs(repeated_ll)
+
+
+#: A block size no test tensor reaches: the whole row set is one block.
+ONE_BLOCK = 1 << 40
+
+
+def _arrays_equal(got, want):
+    assert len(got) == len(want)
+    for index, (a, b) in enumerate(zip(got, want)):
+        assert a.shape == b.shape and np.array_equal(a, b), index
+
+
+def _blocked_and_whole(monkeypatch, block_rows, compute):
+    """``compute()`` with ``block_rows``-row E-step blocks, then as one block."""
+    monkeypatch.setattr(em_kernel, "ESTEP_BLOCK_ROWS", block_rows)
+    blocked = compute()
+    monkeypatch.setattr(em_kernel, "ESTEP_BLOCK_ROWS", ONE_BLOCK)
+    return blocked, compute()
+
+
+def _sorted_subsets(tensor, seed, count=3):
+    rng = np.random.default_rng(seed)
+    for size in (1, tensor.num_answers // 3, tensor.num_answers - 1)[:count]:
+        yield np.sort(rng.choice(tensor.num_answers, size=size, replace=False))
+
+
+class TestBlockedEStep:
+    """Any E-step block size gives bit-equal results, on every path."""
+
+    @pytest.mark.parametrize("corpus_kwargs", CORPORA)
+    @pytest.mark.parametrize("block_rows", [1, 7, 64])
+    def test_row_posteriors(self, monkeypatch, corpus_kwargs, block_rows):
+        tensor = corpus_tensor(*build_corpus(**corpus_kwargs))
+        store = random_store(tensor, seed=21)
+        row_sets = [em_kernel._all_rows(tensor)] + [
+            em_kernel._gather_rows(tensor, rows)[0]
+            for rows in _sorted_subsets(tensor, seed=22)
+        ]
+        for rows in row_sets:
+            blocked, whole = _blocked_and_whole(
+                monkeypatch,
+                block_rows,
+                lambda: em_kernel._row_posteriors(store, rows),
+            )
+            _arrays_equal(blocked, whole)
+
+    def test_blocks_split_on_answer_boundaries(self, monkeypatch):
+        tensor = corpus_tensor(*build_corpus(labels_per_task=4))
+        expand = tensor.r_answer
+        for block_rows in (1, 3, 4, 7, 64):
+            monkeypatch.setattr(em_kernel, "ESTEP_BLOCK_ROWS", block_rows)
+            blocks = em_kernel._answer_blocks(expand, tensor.num_answers)
+            assert blocks[0][0] == blocks[0][2] == 0
+            assert blocks[-1][1] == tensor.num_answers
+            assert blocks[-1][3] == expand.size
+            for (a0, a1, l0, l1), after in zip(blocks, blocks[1:] + [None]):
+                assert l0 < l1 and np.array_equal(
+                    np.unique(expand[l0:l1]), np.arange(a0, a1)
+                )
+                if after is not None:
+                    assert (a1, l1) == (after[0], after[2])
+
+    @pytest.mark.parametrize("corpus_kwargs", CORPORA)
+    @pytest.mark.parametrize("block_rows", [1, 7, 64])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_em_step(self, monkeypatch, corpus_kwargs, block_rows, weighted):
+        tensor = corpus_tensor(*build_corpus(**corpus_kwargs))
+        store = random_store(tensor, seed=23)
+        weights = (
+            np.random.default_rng(24).uniform(0.1, 2.0, tensor.num_answers)
+            if weighted
+            else None
+        )
+        (blocked, blocked_ll), (whole, whole_ll) = _blocked_and_whole(
+            monkeypatch,
+            block_rows,
+            lambda: em_kernel.em_step(tensor, store, answer_weights=weights),
+        )
+        _assert_stores_equal(blocked, whole)
+        assert blocked_ll == whole_ll
+
+    @pytest.mark.parametrize("corpus_kwargs", CORPORA)
+    @pytest.mark.parametrize("block_rows", [1, 7, 64])
+    def test_localized_sweeps(self, monkeypatch, corpus_kwargs, block_rows):
+        tensor = corpus_tensor(*build_corpus(**corpus_kwargs))
+        store = random_store(tensor, seed=25)
+        workers, tasks, _ = _all_entities(store)
+        workers, tasks = workers[::2], tasks[1::2]
+        tensor.enable_row_tracking()
+
+        def sweep():
+            swept = store.copy()
+            em_kernel.localized_sweeps(
+                tensor,
+                swept,
+                em_kernel.gather_affected_rows(tensor, workers, tasks),
+                workers,
+                tasks,
+                em_kernel.label_slots_of_tasks(swept.label_offsets, tasks),
+                iterations=3,
+            )
+            return swept
+
+        blocked, whole = _blocked_and_whole(monkeypatch, block_rows, sweep)
+        _assert_stores_equal(blocked, whole)
+
+    @pytest.mark.parametrize("corpus_kwargs", CORPORA)
+    @pytest.mark.parametrize("block_rows", [1, 7, 64])
+    @pytest.mark.parametrize("decay", [1.0, 0.8])
+    def test_cache_totals_after_folds(
+        self, monkeypatch, corpus_kwargs, block_rows, decay
+    ):
+        tensor = corpus_tensor(*build_corpus(**corpus_kwargs))
+        store = random_store(tensor, seed=26)
+        ages = np.random.default_rng(27).integers(0, 5, tensor.num_answers)
+
+        def fold():
+            cache = SufficientStatCache(
+                tensor, store.copy(), decay=decay, row_ages=ages
+            )
+            for rows in _sorted_subsets(tensor, seed=28):
+                cache.decay_step()
+                cache.fold(rows)
+            return cache
+
+        blocked, whole = _blocked_and_whole(monkeypatch, block_rows, fold)
+        got, want = _cache_totals(blocked), _cache_totals(whole)
+        assert got.keys() == want.keys()
+        _arrays_equal(list(got.values()), list(want.values()))
+        _arrays_equal(
+            [blocked._row_z1, blocked._row_i1, blocked._answer_dw, blocked._answer_dt],
+            [whole._row_z1, whole._row_i1, whole._answer_dw, whole._answer_dt],
+        )
+
+    def test_label_rows_an_exact_multiple_of_the_block(self, monkeypatch):
+        tensor = corpus_tensor(*build_corpus(labels_per_task=4))
+        store = random_store(tensor, seed=29)
+        rows = tensor.num_label_responses
+        assert rows % 4 == 0
+        for block_rows in (rows, rows // 2, rows // 4, 4):
+            assert rows % block_rows == 0
+            (blocked, blocked_ll), (whole, whole_ll) = _blocked_and_whole(
+                monkeypatch, block_rows, lambda: em_kernel.em_step(tensor, store)
+            )
+            _assert_stores_equal(blocked, whole)
+            assert blocked_ll == whole_ll
+
+    @pytest.mark.parametrize("block_rows", [1, 7])
+    def test_empty_tensor(self, monkeypatch, block_rows):
+        dataset, pool, distance_model, _ = build_corpus(num_tasks=3, seed=3)
+        tensor = corpus_tensor(dataset, pool, distance_model, AnswerSet())
+        store = random_store(tensor, seed=30)
+        monkeypatch.setattr(em_kernel, "ESTEP_BLOCK_ROWS", block_rows)
+        z1, i1, dw, dt, evidence = em_kernel._row_posteriors(
+            store, em_kernel._all_rows(tensor)
+        )
+        assert z1.shape == i1.shape == evidence.shape == (0,)
+        assert dw.shape == dt.shape == (0, len(store.function_set))
+        new_store, log_likelihood = em_kernel.em_step(tensor, store)
+        assert log_likelihood == 0.0 and new_store.num_workers == 0
+
+
+class TestPerFitCounts:
+    """``run_em`` counts the denominators once; each step would recount them."""
+
+    @pytest.mark.parametrize("corpus_kwargs", CORPORA)
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_run_em_equals_steps_that_recount(self, corpus_kwargs, weighted):
+        dataset, pool, distance_model, answers = build_corpus(**corpus_kwargs)
+        tensor = corpus_tensor(dataset, pool, distance_model, answers)
+        weights = (
+            np.random.default_rng(31).uniform(0.1, 2.0, tensor.num_answers)
+            if weighted
+            else None
+        )
+        config = InferenceConfig(max_iterations=6, convergence_threshold=0.0)
+        result = LocationAwareInference(
+            dataset.tasks, pool.workers, distance_model, config=config
+        ).run_em(None, tensor=tensor, answer_weights=weights)
+        store = em_kernel.initial_store(
+            tensor, config.function_set, config.alpha, config.initial_p_qualified
+        )
+        trace = []
+        for _ in range(config.max_iterations):
+            store, log_likelihood = em_kernel.em_step(
+                tensor, store, answer_weights=weights
+            )
+            trace.append(log_likelihood)
+        _assert_stores_equal(result.store, store)
+        assert result.log_likelihood_trace == trace
+
+    def test_counts_are_the_step_denominators(self):
+        tensor = corpus_tensor(*build_corpus(labels_per_task=4))
+        weights = np.random.default_rng(32).uniform(0.1, 2.0, tensor.num_answers)
+        for answer_weights in (None, weights):
+            counts = em_kernel.count_denominators(tensor, answer_weights)
+            per_answer = (
+                np.ones(tensor.num_answers) if answer_weights is None else weights
+            )
+            labels = per_answer * tensor.num_labels[tensor.a_task]
+            np.testing.assert_allclose(
+                counts.worker_labels,
+                np.bincount(tensor.a_worker, labels, tensor.num_workers),
+            )
+            np.testing.assert_allclose(
+                counts.task_labels, np.bincount(tensor.a_task, labels, tensor.num_tasks)
+            )
+            np.testing.assert_allclose(
+                counts.task_answers,
+                np.bincount(tensor.a_task, per_answer, tensor.num_tasks),
+            )
+
+
+class TestLabelSlotsOfTasks:
+    @staticmethod
+    def _listed(label_offsets, task_rows):
+        """The per-task list form the vectorised version replaced."""
+        if len(task_rows) == 0:
+            return np.empty(0, dtype=np.intp)
+        return np.concatenate(
+            [
+                np.arange(label_offsets[j], label_offsets[j + 1], dtype=np.intp)
+                for j in task_rows
+            ]
+        )
+
+    @pytest.mark.parametrize("corpus_kwargs", CORPORA)
+    def test_matches_the_list_form(self, corpus_kwargs):
+        tensor = corpus_tensor(*build_corpus(**corpus_kwargs))
+        offsets = tensor.label_offsets
+        rng = np.random.default_rng(33)
+        for task_rows in (
+            np.arange(tensor.num_tasks, dtype=np.intp),
+            np.sort(rng.choice(tensor.num_tasks, size=4, replace=False)),
+            np.empty(0, dtype=np.intp),
+            np.array([tensor.num_tasks - 1], dtype=np.intp),
+        ):
+            got = em_kernel.label_slots_of_tasks(offsets, task_rows)
+            want = self._listed(offsets, task_rows)
+            assert got.dtype == want.dtype == np.intp
+            assert np.array_equal(got, want)
 
 
 class TestScalabilitySizedEquivalence:
