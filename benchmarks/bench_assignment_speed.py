@@ -19,7 +19,11 @@ writes ``benchmarks/results/BENCH_assignment_speed.json``:
 * **warm latency** — p50/p95 of the same workers' next requests on that
   frontend (distance rows, aligned parameters, Equation 15 baseline and
   answer counts already in place; probes off): the steady per-arrival cost
-  of Algorithm 1, gated at ``WARM_P50_TARGET_MS``;
+  of Algorithm 1, gated at ``WARM_P50_TARGET_MS``.  Each worker's second
+  request follows the next worker's first, so the two samples span the same
+  stretch of host load, and their ratio ``first_over_warm`` — what a
+  worker's first request costs beyond a warm one, whatever the host's
+  speed — is gated at ``MAX_FIRST_OVER_WARM``;
 * **probing and refresh latency** — the two request paths those never run,
   on a frontend that probes on every request (``probe_interval=1``): p50/p95
   of warm requests (distance rows and parameters already cached), gated at
@@ -41,6 +45,7 @@ from check_gates import (
     AFTER_PUBLISH_P50_TARGET_MS,
     ASSIGNMENT_MIN_SPEEDUP,
     FRONTEND_P50_TARGET_MS,
+    MAX_FIRST_OVER_WARM,
     PROBING_P50_TARGET_MS,
     WARM_P50_TARGET_MS,
 )
@@ -117,16 +122,20 @@ def test_assignment_speed_regression(benchmark):
         snapshots,
         strategy="accopt",
     )
-    for worker_id in pool.worker_ids[:FRONTEND_REQUESTS]:
-        frontend.assign(worker_id, TASKS_PER_WORKER, answers)
-    stats = frontend.stats
-    first_requests = stats.requests
-    first_p50_ms, first_p95_ms = stats.p50_latency_ms, stats.p95_latency_ms
-    # The same workers again: every request now runs warm.
-    plain_warm_ms = [
-        frontend.assign(worker_id, TASKS_PER_WORKER, answers).latency_ms
-        for worker_id in pool.worker_ids[:FRONTEND_REQUESTS]
-    ]
+    # Each worker's first request, then the previous worker's second (warm)
+    # one, so both samples see the same host load.
+    served = pool.worker_ids[:FRONTEND_REQUESTS]
+    first_ms, plain_warm_ms = [], []
+    for worker_id, previous in zip(served, [None, *served[:-1]]):
+        first_ms.append(frontend.assign(worker_id, TASKS_PER_WORKER, answers).latency_ms)
+        if previous is not None:
+            plain_warm_ms.append(
+                frontend.assign(previous, TASKS_PER_WORKER, answers).latency_ms
+            )
+    plain_warm_ms.append(frontend.assign(served[-1], TASKS_PER_WORKER, answers).latency_ms)
+    first_p50_ms = float(np.percentile(first_ms, 50))
+    first_p95_ms = float(np.percentile(first_ms, 95))
+    warm_p50_ms = float(np.percentile(plain_warm_ms, 50))
 
     # A probing frontend: warm requests (after one untimed request per
     # worker), then one request after each fresh publish — a frozen copy of
@@ -167,14 +176,16 @@ def test_assignment_speed_regression(benchmark):
         "speedup": round(speedup, 2),
         "min_required_speedup": ASSIGNMENT_MIN_SPEEDUP,
         "assignments_identical": vectorized_assignment == reference_assignment,
-        "frontend_requests": first_requests,
+        "frontend_requests": len(first_ms),
         "frontend_p50_ms": round(first_p50_ms, 3),
         "frontend_p95_ms": round(first_p95_ms, 3),
         "frontend_p50_target_ms": FRONTEND_P50_TARGET_MS,
         "warm_requests": len(plain_warm_ms),
-        "warm_p50_ms": round(float(np.percentile(plain_warm_ms, 50)), 3),
+        "warm_p50_ms": round(warm_p50_ms, 3),
         "warm_p95_ms": round(float(np.percentile(plain_warm_ms, 95)), 3),
         "warm_p50_target_ms": WARM_P50_TARGET_MS,
+        "first_over_warm": round(first_p50_ms / warm_p50_ms, 2),
+        "max_first_over_warm": MAX_FIRST_OVER_WARM,
         "probing_requests": len(warm_ms),
         "probing_warm_p50_ms": round(float(np.percentile(warm_ms, 50)), 3),
         "probing_warm_p95_ms": round(float(np.percentile(warm_ms, 95)), 3),

@@ -47,7 +47,9 @@ def build_assigner(
     """Construct the assignment strategy called ``name``.
 
     ``distance_model`` is required by the distance-aware strategies
-    (``"accopt"`` and ``"spatial"``); ``seed`` only affects ``"random"``;
+    (``"accopt"`` and ``"spatial"``), and the others keep it for
+    :meth:`~repro.core.assignment.TaskAssigner.distance_row` (the serving
+    frontend's trust probe); ``seed`` only affects ``"random"``;
     ``engine`` selects the ``"accopt"`` ΔAcc scoring layout (one of
     :data:`ACCOPT_ENGINES`: ``"vectorized"`` dense kernels by default, or
     ``"sparse"`` for the candidate-pruned CSR path, which additionally needs
@@ -58,9 +60,9 @@ def build_assigner(
     if name not in ASSIGNER_NAMES:
         raise ValueError(f"unknown assigner {name!r}; expected one of {ASSIGNER_NAMES}")
     if name == "random":
-        return RandomAssigner(tasks, workers, seed=seed)
+        return RandomAssigner(tasks, workers, seed=seed, distance_model=distance_model)
     if name == "uncertainty":
-        return UncertaintyFirstAssigner(tasks, workers)
+        return UncertaintyFirstAssigner(tasks, workers, distance_model=distance_model)
     if distance_model is None:
         raise ValueError(f"assigner {name!r} requires a distance_model")
     if name == "spatial":

@@ -20,14 +20,17 @@ answers that arrived since the last request, not with |T|:
   undoes its picks on exit (:func:`~repro.core.accuracy_kernel.greedy_state`);
 * ``|W(t)|`` per task — counted in full once per answer set, then advanced
   by the (worker, task) pairs the log gained since
-  (:meth:`~repro.data.models.AnswerSet.pair_tasks_since`).
+  (:meth:`~repro.data.models.AnswerSet.pair_tasks_since`);
+* per worker, the distance row and the answered-task columns
+  (:meth:`~repro.core.assignment.TaskAssigner.answered_columns`, advanced by
+  the worker's new pairs), so the eligibility mask is one index write.
 
 The greedy loop runs in one of two layouts:
 
 * ``engine="vectorized"`` (the default) scores every candidate pair: one
   ``(|W|, |T|)`` Equation 9 matrix over the
-  :class:`~repro.core.params.ArrayParameterStore` arrays and a cached
-  normalised-distance matrix, one fused marginal-gain matrix, and an O(|W|)
+  :class:`~repro.core.params.ArrayParameterStore` arrays and the workers'
+  cached distance rows, one fused marginal-gain matrix, and an O(|W|)
   column re-score after each greedy pick.
 * ``engine="sparse"`` scores only the radius-bounded candidate pairs of a
   :class:`~repro.spatial.candidates.CandidateIndex` (CSR layout over a
@@ -58,7 +61,7 @@ from repro.core.assignment import TaskAssigner
 from repro.core.params import ArrayParameterStore, ModelParameters
 from repro.data.models import AnswerSet, Task, Worker
 from repro.spatial.candidates import CandidateIndex
-from repro.spatial.distance import DistanceModel, normalised_distance_matrix
+from repro.spatial.distance import DistanceModel
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.obs.metrics import MetricsRegistry
@@ -81,7 +84,14 @@ class AccOptAssigner(TaskAssigner):
     baseline; every request then slices the aligned arrays and runs its
     greedy pass on the baseline.  ``|W(t)|`` is counted in full once per
     answer set (and again after :meth:`add_task`), then advanced by the pairs
-    the log gains between requests.
+    the log gains between requests; each worker's answered-task columns
+    follow the worker's own new pairs the same way.
+
+    The dense engine caches each worker's distance row (:meth:`distance_row`),
+    computed from the task coordinate arrays the assigner keeps and grows as
+    tasks arrive; a row cached before the universe grew is extended from the
+    arrays' tail.  The sparse engine caches no dense row: its
+    :meth:`distance_row` is a fresh one from the same arrays.
 
     Complexity matches the paper — ``O(|W|·|T|·|L| + h·|W|²·|L|)`` per batch:
     the initial scoring of every (worker, task) pair dominates, and each greedy
@@ -103,7 +113,7 @@ class AccOptAssigner(TaskAssigner):
         candidate_radius: float | None = None,
         metrics: "MetricsRegistry | None" = None,
     ) -> None:
-        super().__init__(tasks, workers)
+        super().__init__(tasks, workers, distance_model)
         if engine not in ACCOPT_ENGINES:
             raise ValueError(
                 f"unknown engine {engine!r}; expected one of {ACCOPT_ENGINES}"
@@ -113,23 +123,16 @@ class AccOptAssigner(TaskAssigner):
                 "engine='sparse' needs a candidate_radius (raw coordinate "
                 "units; use inf to keep every pair a candidate)"
             )
-        self._distance_model = distance_model
         self._engine = engine
         self._candidate_radius = candidate_radius
         self._metrics = metrics
         self._candidate_index: CandidateIndex | None = None
-        # Task-side orderings shared by every call; initially sorted (the
-        # order _candidate_tasks walks), with tasks arriving later
-        # (open-world growth) appended in arrival order.
-        self._task_ids: list[str] = sorted(self._tasks)
-        self._task_column = {tid: j for j, tid in enumerate(self._task_ids)}
-        self._task_locations = [self._tasks[tid].location for tid in self._task_ids]
         # Ragged label layout over the task ordering, rebuilt lazily after the
         # universe grows.
         self._task_layout: tuple[np.ndarray, np.ndarray] | None = None
         # Worker-to-task distances are pure geometry — cached per worker for
-        # the serving frontend's one-worker-per-request pattern; rows are
-        # extended in place when tasks arrive after the row was cached.
+        # the serving frontend's one-worker-per-request pattern (dense engine
+        # only); rows are extended when tasks arrive after the row was cached.
         self._distance_rows: dict[str, np.ndarray] = {}
         # Worker rows of the aligned arrays: construction, then arrival order.
         self._worker_row = {wid: i for i, wid in enumerate(self._workers)}
@@ -145,9 +148,6 @@ class AccOptAssigner(TaskAssigner):
 
     def _on_task_added(self, task: Task) -> None:
         """Extend the task-side structures for a task posted after startup."""
-        self._task_column[task.task_id] = len(self._task_ids)
-        self._task_ids.append(task.task_id)
-        self._task_locations.append(task.location)
         self._task_layout = None
         self._alignment = self._aligned = self._counts = None
         if self._candidate_index is not None:
@@ -296,29 +296,25 @@ class AccOptAssigner(TaskAssigner):
         return self._counts
 
     # ------------------------------------------------------- vectorized engine
-    def _distance_row(self, worker_id: str) -> np.ndarray:
-        """Normalised distances from one worker to every task (cached).
+    def distance_row(self, worker_id: str) -> np.ndarray:
+        """Normalised distances from one worker to every task, by column.
 
-        A row cached before the task universe grew is extended with just the
-        new tasks' distances, so the accuracy kernel's distance matrix keeps
-        pace with the store without recomputing known geometry.
+        The dense engine caches the row per worker; a row cached before the
+        task universe grew is extended with just the new tasks' distances,
+        so the accuracy kernel's distance matrix keeps pace with the store
+        without recomputing known geometry.  The sparse engine keeps no
+        dense rows and computes a fresh one.
         """
+        if self._engine == "sparse":
+            return super().distance_row(worker_id)
         row = self._distance_rows.get(worker_id)
         if row is None:
-            row = normalised_distance_matrix(
-                [self._workers[worker_id].locations],
-                self._task_locations,
-                self._distance_model,
-            )[0]
-            self._distance_rows[worker_id] = row
+            row = self._distances_from(worker_id, 0)
         elif row.size < len(self._task_ids):
-            extension = normalised_distance_matrix(
-                [self._workers[worker_id].locations],
-                self._task_locations[row.size :],
-                self._distance_model,
-            )[0]
-            row = np.concatenate([row, extension])
-            self._distance_rows[worker_id] = row
+            row = np.concatenate([row, self._distances_from(worker_id, row.size)])
+        else:
+            return row
+        self._distance_rows[worker_id] = row
         return row
 
     def _assign_vectorized(
@@ -332,20 +328,18 @@ class AccOptAssigner(TaskAssigner):
         num_workers = len(worker_list)
         num_tasks = len(self._task_ids)
 
-        distances = np.stack([self._distance_row(w) for w in worker_list])
+        distances = np.stack([self.distance_row(w) for w in worker_list])
         accuracies = accuracy_kernel.answer_accuracy_matrix(store, distances)
-        gains = accuracy_kernel.marginal_gains(state, accuracies)
-
-        eligible = np.ones((num_workers, num_tasks), dtype=bool)
+        # Ineligible pairs — answered, picked, or of a worker at capacity —
+        # hold -inf for good; every real gain is finite.
+        scores = accuracy_kernel.marginal_gains(state, accuracies)
+        total_to_assign = 0
         for i, worker_id in enumerate(worker_list):
-            for done_task in answers.tasks_of_worker(worker_id):
-                column = self._task_column.get(done_task)
-                if column is not None:
-                    eligible[i, column] = False
+            done = self.answered_columns(worker_id, answers)
+            scores[i, done] = -np.inf
+            total_to_assign += min(h, num_tasks - done.size)
         capacity = np.full(num_workers, h, dtype=np.intp)
-        total_to_assign = int(np.minimum(eligible.sum(axis=1), h).sum())
 
-        scores = np.where(eligible, gains, -np.inf)
         assignment: dict[str, list[str]] = {w: [] for w in worker_list}
         for _ in range(total_to_assign):
             flat = int(np.argmax(scores))
@@ -353,7 +347,7 @@ class AccOptAssigner(TaskAssigner):
             if not np.isfinite(scores[i, j]):
                 break  # defensive: no eligible pair left
             assignment[worker_list[i]].append(self._task_ids[j])
-            eligible[i, j] = False
+            scores[i, j] = -np.inf
             capacity[i] -= 1
             if capacity[i] == 0:
                 scores[i, :] = -np.inf
@@ -362,9 +356,8 @@ class AccOptAssigner(TaskAssigner):
             column_gains = accuracy_kernel.marginal_gains_for_task(
                 state, j, accuracies[:, j]
             )
-            scores[:, j] = np.where(
-                eligible[:, j] & (capacity > 0), column_gains, -np.inf
-            )
+            column = scores[:, j]
+            scores[:, j] = np.where(np.isfinite(column), column_gains, -np.inf)
         return assignment
 
     # ----------------------------------------------------------- sparse engine
@@ -438,23 +431,11 @@ class AccOptAssigner(TaskAssigner):
         answered_cols: list[np.ndarray] = []
         total_to_assign = 0
         for i, worker_id in enumerate(worker_list):
-            done = np.asarray(
-                sorted(
-                    column
-                    for task_id in answers.tasks_of_worker(worker_id)
-                    if (column := self._task_column.get(task_id)) is not None
-                ),
-                dtype=np.intp,
-            )
+            done = np.sort(self.answered_columns(worker_id, answers))
             answered_cols.append(done)
             total_to_assign += min(h, num_tasks - done.size)
-            row_cols = indices[indptr[i] : indptr[i + 1]]
-            if done.size and row_cols.size:
-                pos = np.searchsorted(row_cols, done)
-                inside = pos < row_cols.size
-                hit = inside.copy()
-                hit[inside] = row_cols[pos[inside]] == done[inside]
-                scores[int(indptr[i]) + pos[hit]] = -np.inf
+            lo, hi = indptr[i], indptr[i + 1]
+            scores[lo:hi][np.isin(indices[lo:hi], done, assume_unique=True)] = -np.inf
 
         capacity = np.full(num_workers, h, dtype=np.intp)
         far_assigned: list[set[int]] = [set() for _ in range(num_workers)]

@@ -12,6 +12,7 @@ from typing import Sequence
 
 from repro.core.assignment import TaskAssigner
 from repro.data.models import AnswerSet, Task, Worker
+from repro.spatial.distance import DistanceModel
 from repro.utils.rng import SeedLike, default_rng
 
 
@@ -19,9 +20,13 @@ class RandomAssigner(TaskAssigner):
     """Uniformly random task assignment."""
 
     def __init__(
-        self, tasks: list[Task], workers: list[Worker], seed: SeedLike = None
+        self,
+        tasks: list[Task],
+        workers: list[Worker],
+        seed: SeedLike = None,
+        distance_model: DistanceModel | None = None,
     ) -> None:
-        super().__init__(tasks, workers)
+        super().__init__(tasks, workers, distance_model)
         self._rng = default_rng(seed)
 
     def assign(

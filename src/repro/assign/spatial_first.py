@@ -29,8 +29,7 @@ class SpatialFirstAssigner(TaskAssigner):
         workers: list[Worker],
         distance_model: DistanceModel,
     ) -> None:
-        super().__init__(tasks, workers)
-        self._distance_model = distance_model
+        super().__init__(tasks, workers, distance_model)
         # Distances are deterministic per (worker, task); cache them because the
         # same worker typically shows up in many assignment rounds.
         self._distance_cache: dict[tuple[str, str], float] = {}

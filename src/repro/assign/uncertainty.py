@@ -21,6 +21,7 @@ from typing import Sequence
 from repro.core.assignment import TaskAssigner
 from repro.core.params import ArrayParameterStore, ModelParameters
 from repro.data.models import AnswerSet, Task, Worker
+from repro.spatial.distance import DistanceModel
 
 
 def bernoulli_entropy(p: float) -> float:
@@ -38,8 +39,9 @@ class UncertaintyFirstAssigner(TaskAssigner):
         tasks: list[Task],
         workers: list[Worker],
         parameters: ModelParameters | None = None,
+        distance_model: DistanceModel | None = None,
     ) -> None:
-        super().__init__(tasks, workers)
+        super().__init__(tasks, workers, distance_model)
         self._parameters = parameters or ModelParameters()
 
     @property

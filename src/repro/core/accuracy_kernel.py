@@ -341,19 +341,25 @@ def add_worker(
 
     Updates the task's accuracy pairs, its effective answer count and its
     cached ``E_t``; every other task's state is untouched, so the caller only
-    needs to re-score this task's column.
+    needs to re-score this task's column.  Runs once per greedy pick, so the
+    slots are updated in place: ``(m·Acc + s)/(m + 1)``, the same operations
+    in the same order as the expression, on views of the slot arrays.
     """
-    sl = state.task_slice(task_index)
+    offsets = state.label_offsets
+    sl = slice(offsets[task_index], offsets[task_index + 1])
     m = state.effective_answers[task_index]
     s = _agreement_mass(float(answer_accuracy))
     # m_t moves first: greedy_state restores the slots of every moved task.
     state.effective_answers[task_index] = m + 1.0
-    state.acc_correct[sl] = (m * state.acc_correct[sl] + s) / (m + 1.0)
-    state.acc_incorrect[sl] = (m * state.acc_incorrect[sl] + s) / (m + 1.0)
+    acc_correct, acc_incorrect = state.acc_correct[sl], state.acc_incorrect[sl]
+    for acc in (acc_correct, acc_incorrect):
+        acc *= m
+        acc += s
+        acc /= m + 1.0
     p = state.p_z1[sl]
-    state.expected_sum[task_index] = float(
-        np.sum(p * state.acc_correct[sl] + (1.0 - p) * state.acc_incorrect[sl])
-    )
+    state.expected_sum[task_index] = (
+        p * acc_correct + (1.0 - p) * acc_incorrect
+    ).sum()
 
 
 def add_workers(

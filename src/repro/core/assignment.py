@@ -15,8 +15,15 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Sequence
 
+import numpy as np
+
 from repro.core.params import ArrayParameterStore, ModelParameters
 from repro.data.models import AnswerSet, Task, Worker
+from repro.spatial.distance import DistanceModel, normalised_distance_rows
+from repro.spatial.geometry import points_to_arrays
+
+#: The answered columns of a worker with no answered task in the universe.
+_NO_COLUMNS = np.empty(0, dtype=np.intp)
 
 
 class TaskAssigner(ABC):
@@ -25,9 +32,21 @@ class TaskAssigner(ABC):
     Implementations must never assign a task the worker has already answered
     (the platform refuses duplicate completions) and must not assign the same
     task twice to one worker within a single call.
+
+    Every strategy keeps its tasks in one column order (:attr:`task_order`)
+    with their coordinates as arrays, and the per-worker arrays a request
+    reads over it: a worker's normalised distances to every task
+    (:meth:`distance_row`) and the columns of the tasks the worker answered
+    (:meth:`answered_columns`).  The serving frontend's trust probe reads
+    both through the strategy it serves.
     """
 
-    def __init__(self, tasks: list[Task], workers: list[Worker]) -> None:
+    def __init__(
+        self,
+        tasks: list[Task],
+        workers: list[Worker],
+        distance_model: DistanceModel | None = None,
+    ) -> None:
         if not tasks:
             raise ValueError("an assigner needs at least one task")
         if not workers:
@@ -35,6 +54,27 @@ class TaskAssigner(ABC):
         self._tasks = {task.task_id: task for task in tasks}
         self._workers = {worker.worker_id: worker for worker in workers}
         self._excluded_workers: frozenset[str] = frozenset()
+        self._distance_model = distance_model
+        # Columns: sorted ids at construction, then tasks in arrival order.
+        self._task_ids: list[str] = sorted(self._tasks)
+        self._task_column = {tid: j for j, tid in enumerate(self._task_ids)}
+        self._task_x, self._task_y = points_to_arrays(
+            [self._tasks[tid].location for tid in self._task_ids]
+        )
+        # Per worker, ``(buffer, size, pairs)``: the answered columns fill
+        # ``buffer[:size]`` and cover the worker's first ``pairs`` pairs of
+        # ``_answered_log`` (held by reference, compared with ``is``).
+        self._answered: dict[str, tuple[np.ndarray, int, int]] = {}
+        self._answered_log: AnswerSet | None = None
+
+    @property
+    def task_order(self) -> list[str]:
+        """Task ids by column: sorted at construction, then in arrival order.
+
+        The order of :meth:`distance_row` and :meth:`answered_columns`.  The
+        list itself, not a copy: read it, never change it.
+        """
+        return self._task_ids
 
     @property
     def tasks(self) -> dict[str, Task]:
@@ -54,6 +94,12 @@ class TaskAssigner(ABC):
         if task.task_id in self._tasks:
             return False
         self._tasks[task.task_id] = task
+        self._task_column[task.task_id] = len(self._task_ids)
+        self._task_ids.append(task.task_id)
+        self._task_x = np.append(self._task_x, task.location.x)
+        self._task_y = np.append(self._task_y, task.location.y)
+        # A worker may have answered the task before it joined: recount.
+        self._answered = {}
         self._on_task_added(task)
         return True
 
@@ -113,6 +159,55 @@ class TaskAssigner(ABC):
         self, available_workers: Sequence[str], h: int, answers: AnswerSet
     ) -> dict[str, list[str]]:
         """Return ``{worker_id: [task_id, ...]}`` with up to ``h`` tasks per worker."""
+
+    # ----------------------------------------------------- per-worker arrays
+    def distance_row(self, worker_id: str) -> np.ndarray:
+        """Normalised distances from ``worker_id`` to every task, by column.
+
+        A fresh row from the kept task coordinates
+        (:func:`~repro.spatial.distance.normalised_distance_rows`); AccOpt's
+        dense engine returns its cached row instead, so treat the result as
+        read-only.
+        """
+        return self._distances_from(worker_id, 0)
+
+    def _distances_from(self, worker_id: str, start: int) -> np.ndarray:
+        """:meth:`distance_row` over the columns from ``start`` on."""
+        if self._distance_model is None:
+            raise ValueError(f"{type(self).__name__} has no distance_model")
+        return normalised_distance_rows(
+            [self._workers[worker_id].locations],
+            self._task_x[start:],
+            self._task_y[start:],
+            self._distance_model,
+        )[0]
+
+    def answered_columns(self, worker_id: str, answers: AnswerSet) -> np.ndarray:
+        """The columns of the tasks ``worker_id`` answered in ``answers``.
+
+        Kept per worker and advanced by the worker's pairs that ``answers``
+        gained since the last call
+        (:meth:`~repro.data.models.AnswerSet.worker_tasks_since`), so a
+        request costs O(new pairs); rebuilt for an answer set other than the
+        one read last, and after :meth:`add_task`.  Each column appears once,
+        in first-answer order; the result is a view, so read it, never
+        change it.
+        """
+        if answers is not self._answered_log:
+            self._answered_log, self._answered = answers, {}
+        buffer, size, pairs = self._answered.get(worker_id, (_NO_COLUMNS, 0, 0))
+        new_tasks = answers.worker_tasks_since(worker_id, pairs)
+        if new_tasks:
+            column_of = self._task_column.get
+            found = [j for tid in new_tasks if (j := column_of(tid)) is not None]
+            if size + len(found) > buffer.size:  # doubling: amortised O(new)
+                grown = np.empty(2 * (size + len(found)), dtype=np.intp)
+                grown[:size] = buffer[:size]
+                buffer = grown
+            buffer[size : size + len(found)] = found
+            size += len(found)
+            self._answered[worker_id] = (buffer, size, pairs + len(new_tasks))
+        return buffer[:size]
 
     # ------------------------------------------------------------ shared helpers
     def _validate_request(self, available_workers: Sequence[str], h: int) -> None:

@@ -866,7 +866,8 @@ def _estep_posteriors(
     label_probs: np.ndarray,
     r_label: np.ndarray,
     responses: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    full_evidence: bool = True,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
     """Closed-form E-step marginals for a batch of answers.
 
     ``p_qualified`` (already clipped), ``dw``, ``dt`` and ``f_values`` are
@@ -888,7 +889,9 @@ def _estep_posteriors(
     so its temporaries are block-sized and only the outputs span ``M``.
     Every operation is elementwise, or a per-answer sum over label rows that
     a block holds whole and adds in row order, so any blocking gives
-    bit-equal outputs.
+    bit-equal outputs.  Only the log-likelihood reads ``evidence``: with
+    ``full_evidence=False`` each block writes it into one block-sized scratch
+    array and ``None`` is returned in its place.
     """
     floor = PROBABILITY_FLOOR
     worker_quality = np.einsum("nf,nf->n", dw, f_values)  # DQ_w per answer
@@ -898,9 +901,13 @@ def _estep_posteriors(
     )
 
     n, m = dw.shape[0], expand.size
-    post_z1, post_i1, evidence = np.empty(m), np.empty(m), np.empty(m)
+    post_z1, post_i1 = np.empty(m), np.empty(m)
     sums = np.empty((3, n))
-    for a0, a1, l0, l1 in _answer_blocks(expand, n):
+    blocks = _answer_blocks(expand, n)
+    # Full length, or the longest block's rows, reused by every block.
+    longest = max(l1 - l0 for *_, l0, l1 in blocks)
+    evidence = np.empty(m if full_evidence else longest)
+    for a0, a1, l0, l1 in blocks:
         owner = expand[l0:l1]
         _label_block(
             p_qualified[owner],
@@ -908,7 +915,12 @@ def _estep_posteriors(
             _clip_into(label_probs[r_label[l0:l1]], 1e-9, 1.0 - 1e-9),
             responses[l0:l1],
             owner - a0,
-            out=(post_z1[l0:l1], post_i1[l0:l1], evidence[l0:l1], sums[:, a0:a1]),
+            out=(
+                post_z1[l0:l1],
+                post_i1[l0:l1],
+                evidence[l0:l1] if full_evidence else evidence[: l1 - l0],
+                sums[:, a0:a1],
+            ),
         )
 
     # ---- per-answer profile posteriors (n, |F|) -----------------------------
@@ -930,7 +942,7 @@ def _estep_posteriors(
     post_dw = _profile_sums(dw, q_row, *terms)
     q_col = alpha * worker_quality[:, None] + (1.0 - alpha) * f_values
     post_dt = _profile_sums(dt, q_col, *terms)
-    return post_z1, post_i1, post_dw, post_dt, evidence
+    return post_z1, post_i1, post_dw, post_dt, evidence if full_evidence else None
 
 
 def _label_block(
@@ -1063,8 +1075,8 @@ def _gather_rows(
 
 
 def _row_posteriors(
-    store: ArrayParameterStore, rows: _Rows
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    store: ArrayParameterStore, rows: _Rows, full_evidence: bool = True
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
     """:func:`_estep_posteriors` of ``rows`` under the estimate in ``store``.
 
     The per-answer parameters are gathered once for every answer of
@@ -1087,6 +1099,7 @@ def _row_posteriors(
         label_probs=store.label_probs,
         r_label=rows.r_label,
         responses=rows.responses,
+        full_evidence=full_evidence,
     )
 
 
@@ -1336,7 +1349,7 @@ def em_step_localized(
     sizes) zero-filled segment sums — no tensor or store is rebuilt.
     """
     rows, _ = _gather_rows(tensor, answer_rows)
-    posteriors = _row_posteriors(store, rows)[:4]
+    posteriors = _row_posteriors(store, rows, full_evidence=False)[:4]
     sizes = (store.num_label_slots, store.num_workers, store.num_tasks)
     totals = _totals(rows, posteriors, sizes, counts=_counts(rows, sizes))
     _m_step_into(tensor, store, totals, affected_workers, affected_tasks, label_slots)
@@ -1610,7 +1623,7 @@ class SufficientStatCache:
             # epoch.
             self._answer_epoch = -ages
         rows = _all_rows(tensor)
-        posteriors = _row_posteriors(store, rows)[:4]
+        posteriors = _row_posteriors(store, rows, full_evidence=False)[:4]
         self._row_z1, self._row_i1, self._answer_dw, self._answer_dt = posteriors
         sizes = (store.num_label_slots, store.num_workers, store.num_tasks)
         # Decay steps and growth update the counts in place, as floats.
@@ -1715,7 +1728,9 @@ class SufficientStatCache:
         how much history the touched entities have.
         """
         rows, label_rows = _gather_rows(self.tensor, answer_rows)
-        post_z1, post_i1, post_dw, post_dt, _ = _row_posteriors(self.store, rows)
+        post_z1, post_i1, post_dw, post_dt, _ = _row_posteriors(
+            self.store, rows, full_evidence=False
+        )
         scale = None
         if self._answer_epoch is not None:
             # Re-aging O(changed rows): the row's live weight in the totals is

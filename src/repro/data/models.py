@@ -151,16 +151,18 @@ class AnswerSet:
 
     (worker, task) pairs only ever append, in first-answer order: a
     re-answer replaces the pair's answer but adds no pair, and nothing is
-    removed.  So ``len(answers)`` counts the pairs, and
-    :meth:`pair_tasks_since` lets a reader that counted the first ``n``
-    pairs catch up on the rest alone.
+    removed.  So ``len(answers)`` counts the pairs and
+    :meth:`answer_count_of_worker` a worker's, and a reader that has seen
+    the first ``n`` pairs catches up on the rest alone — the whole log's
+    through :meth:`pair_tasks_since`, one worker's through
+    :meth:`worker_tasks_since`.
     """
 
     def __init__(self, answers: Iterable[Answer] = ()) -> None:
         self._answers: dict[tuple[str, str], Answer] = {}
         self._workers_by_task: dict[str, set[str]] = {}
-        self._tasks_by_worker: dict[str, set[str]] = {}
-        # The task of each pair, in first-answer order.
+        # Each worker's tasks, and the task of each pair, in first-answer order.
+        self._tasks_by_worker: dict[str, list[str]] = {}
         self._pair_tasks: list[str] = []
         for answer in answers:
             self.add(answer)
@@ -178,10 +180,11 @@ class AnswerSet:
         """Record ``answer``; re-answering the same (worker, task) pair replaces it."""
         key = (answer.worker_id, answer.task_id)
         if key not in self._answers:
-            self._pair_tasks.append(answer.task_id)
+            worker_id, task_id = key
+            self._pair_tasks.append(task_id)
+            self._workers_by_task.setdefault(task_id, set()).add(worker_id)
+            self._tasks_by_worker.setdefault(worker_id, []).append(task_id)
         self._answers[key] = answer
-        self._workers_by_task.setdefault(answer.task_id, set()).add(answer.worker_id)
-        self._tasks_by_worker.setdefault(answer.worker_id, set()).add(answer.task_id)
 
     def get(self, worker_id: str, task_id: str) -> Optional[Answer]:
         return self._answers.get((worker_id, task_id))
@@ -215,6 +218,10 @@ class AnswerSet:
     def answer_count_of_task(self, task_id: str) -> int:
         return len(self._workers_by_task.get(task_id, ()))
 
+    def answer_count_of_worker(self, worker_id: str) -> int:
+        """``|T(w)|``, without copying the worker's tasks."""
+        return len(self._tasks_by_worker.get(worker_id, ()))
+
     def pair_tasks_since(self, position: int) -> list[str]:
         """The task of every (worker, task) pair after the first ``position``.
 
@@ -223,6 +230,15 @@ class AnswerSet:
         the current log.
         """
         return self._pair_tasks[position:]
+
+    def worker_tasks_since(self, worker_id: str, position: int) -> list[str]:
+        """The tasks of ``worker_id``'s pairs after their first ``position``.
+
+        In first-answer order, one entry per pair: a reader that has seen
+        ``answer_count_of_worker(worker_id) == position`` catches up on the
+        worker's new pairs alone, at their cost.
+        """
+        return self._tasks_by_worker.get(worker_id, [])[position:]
 
     def copy(self) -> "AnswerSet":
         return AnswerSet(self._answers.values())

@@ -32,8 +32,7 @@ from repro.data.models import AnswerSet, Task, Worker
 from repro.obs.metrics import Histogram
 from repro.obs.trace import Tracer
 from repro.serving.snapshots import SnapshotStore
-from repro.spatial.distance import DistanceModel, normalised_distance_rows
-from repro.spatial.geometry import points_to_arrays
+from repro.spatial.distance import DistanceModel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.serving.guard import ReputationTracker
@@ -211,17 +210,15 @@ class AssignmentFrontend:
         # platform has to actively collect it for every worker — the
         # optimiser alone can starve a worker of near tasks indefinitely.
         self._probe_interval = probe_interval
-        self._distance_model = distance_model
         if probe_interval > 0:
-            # Task order is construction order, then arrival order; the
-            # coordinates feed one batched distance row per probe.
-            probe_tasks = {t.task_id: t for t in tasks}
-            self._probe_task_ids: list[str] = list(probe_tasks)
-            self._probe_column = {tid: j for j, tid in enumerate(self._probe_task_ids)}
-            self._probe_x, self._probe_y = points_to_arrays(
-                [t.location for t in probe_tasks.values()]
-            )
-            self._probe_workers: dict[str, Worker] = {w.worker_id: w for w in workers}
+            # Probe ties go to the first task in construction order, then
+            # arrival order; the assigner's columns run in its own order, so
+            # keep each column's rank in ours (arrivals rank and sit last in
+            # both).
+            column = {tid: j for j, tid in enumerate(self._assigner.task_order)}
+            columns = [column[tid] for tid in dict.fromkeys(t.task_id for t in tasks)]
+            self._probe_rank = np.empty(len(columns), dtype=np.intp)
+            self._probe_rank[columns] = np.arange(len(columns))
         # Tracker version whose quarantine set was last pushed into the
         # assigner's exclusion list; synced lazily per request.
         self._seen_reputation_version: int | None = None
@@ -269,18 +266,12 @@ class AssignmentFrontend:
         """
         admitted = self._assigner.add_task(task)
         if admitted and self._probe_interval > 0:
-            self._probe_column[task.task_id] = len(self._probe_task_ids)
-            self._probe_task_ids.append(task.task_id)
-            self._probe_x = np.append(self._probe_x, task.location.x)
-            self._probe_y = np.append(self._probe_y, task.location.y)
+            self._probe_rank = np.append(self._probe_rank, self._probe_rank.size)
         return admitted
 
     def add_worker(self, worker: Worker) -> bool:
         """Admit a worker who joined after startup into the assignment universe."""
-        admitted = self._assigner.add_worker(worker)
-        if admitted and self._probe_interval > 0:
-            self._probe_workers[worker.worker_id] = worker
-        return admitted
+        return self._assigner.add_worker(worker)
 
     # ------------------------------------------------------------ trust probes
     def _maybe_probe(
@@ -289,30 +280,32 @@ class AssignmentFrontend:
         """Swap the last optimiser pick for the nearest unanswered task.
 
         Fires on every ``probe_interval``-th request per worker, counted as a
-        pure function of the worker's *answered-task* total (``len(answered)
-        // h``), not in-memory request counters — a recovered session derives
-        the identical probe schedule from the replayed answer log.
+        pure function of the worker's *answered-task* total
+        (``answer_count_of_worker // h``), not in-memory request counters — a
+        recovered session derives the identical probe schedule from the
+        replayed answer log.
 
-        The pick is the ``argmin`` of one batched row of normalised distances
-        (:func:`~repro.spatial.distance.normalised_distance_rows`, AccOpt's
-        row kernel) with answered tasks at ``inf``: ties go to the first task
-        in order; with every task answered there is no swap.
+        The pick is the minimum of the worker's normalised distance row as
+        the assigner keeps it (:meth:`~repro.core.assignment.TaskAssigner.distance_row`:
+        AccOpt's dense engine returns the row its request just cached, other
+        configurations a fresh row from the assigner's task coordinates),
+        with the worker's answered columns
+        (:meth:`~repro.core.assignment.TaskAssigner.answered_columns`) at
+        ``inf``.  Ties go to the first task in the frontend's order —
+        construction, then arrival — through each column's rank in it; with
+        every task answered there is no swap.
         """
-        answered = answers.tasks_of_worker(worker_id)
-        if (len(answered) // max(h, 1)) % self._probe_interval != 0:
+        count = answers.answer_count_of_worker(worker_id)
+        if (count // max(h, 1)) % self._probe_interval != 0:
             return task_ids
-        worker = self._probe_workers.get(worker_id)
-        if worker is None:
+        distances = self._assigner.distance_row(worker_id).copy()
+        distances[self._assigner.answered_columns(worker_id, answers)] = np.inf
+        nearest = distances.min()
+        if nearest == np.inf:
             return task_ids
-        distances = normalised_distance_rows(
-            [worker.locations], self._probe_x, self._probe_y, self._distance_model
-        )[0]
-        columns = self._probe_column
-        distances[[columns[t] for t in answered if t in columns]] = np.inf
-        nearest = int(np.argmin(distances))
-        if distances[nearest] == np.inf:
-            return task_ids
-        best_id = self._probe_task_ids[nearest]
+        tied = np.flatnonzero(distances == nearest)
+        column = int(tied[np.argmin(self._probe_rank[tied])])
+        best_id = self._assigner.task_order[column]
         if best_id in task_ids:
             return task_ids
         self._stats.probes += 1

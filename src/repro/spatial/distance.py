@@ -243,8 +243,8 @@ def normalised_distance_matrix(
     Used by the assignment scalability benchmarks where recomputing distances
     per pair would dominate the measured runtime.  Vectorised in blocks of
     ``chunk_size`` workers: each block broadcasts its declared locations
-    against every task and reduces to the per-worker minimum with
-    ``np.minimum.reduceat``, bounding peak memory at
+    against every task and reduces to the per-worker minimum one location
+    rank at a time, bounding peak memory at
     O(chunk_size · max_locations · len(tasks)).
     """
     task_x, task_y = points_to_arrays(task_locations)
@@ -293,9 +293,15 @@ def normalised_distance_rows(
             task_x[None, :],
             task_y[None, :],
         )
-        matrix[block_start:block_stop] = np.minimum.reduceat(
-            raw, starts[block_start:block_stop] - row_start, axis=0
-        )
+        # Each worker's minimum over its locations, one location at a time:
+        # np.minimum.reduceat along axis 0 costs ~25x more per element.
+        first = starts[block_start:block_stop] - row_start
+        block_counts = counts[block_start:block_stop]
+        block = matrix[block_start:block_stop]
+        block[...] = raw[first]
+        for extra in range(1, int(block_counts.max())):
+            more = np.flatnonzero(block_counts > extra)
+            block[more] = np.minimum(block[more], raw[first[more] + extra])
     return np.minimum(1.0, matrix / model.max_distance, out=matrix)
 
 

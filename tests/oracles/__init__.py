@@ -12,7 +12,8 @@ from here.
 * :mod:`oracles.incremental` — the per-record incremental update,
   :class:`ReferenceIncrementalUpdater`;
 * :mod:`oracles.accuracy` — Section IV-B's accuracy pairs, Lemma 2's
-  recursion and its exponential enumeration;
+  recursion and its exponential enumeration, and the kernel's greedy commit
+  as whole-slice expressions (:func:`~oracles.accuracy.add_worker_expression`);
 * :mod:`oracles.accopt` — the scalar greedy Algorithm 1,
   :class:`ReferenceAccOptAssigner`;
 * :mod:`oracles.dawid_skene` — the per-observation Dawid–Skene baseline,

@@ -20,6 +20,8 @@ the distance model so the reference assigner can ask "what do I gain by
 assigning task ``t`` to worker ``w`` (given who else already has it this
 round)?".  This one-label-at-a-time form is the specification the batched
 kernels of :mod:`repro.core.accuracy_kernel` are tested against.
+:func:`add_worker_expression` is the kernel's greedy commit written as
+whole-slice expressions, the bit-level reference for its in-place form.
 """
 
 from __future__ import annotations
@@ -28,6 +30,9 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Sequence
 
+import numpy as np
+
+from repro.core.accuracy_kernel import BatchAccuracyState, _agreement_mass
 from repro.core.params import ModelParameters
 from repro.data.models import AnswerSet, Task, Worker
 from repro.spatial.distance import DistanceModel
@@ -232,3 +237,25 @@ class AccuracyEstimator:
             for new, base in zip(new_states, baselines)
         )
         return improvement, new_states
+
+
+def add_worker_expression(
+    state: BatchAccuracyState, task_index: int, answer_accuracy: float
+) -> None:
+    """:func:`repro.core.accuracy_kernel.add_worker` as whole-slice expressions.
+
+    The commit as it read before the kernel updated the slots in place: the
+    same Lemma 2 step, ``(m·Acc + s)/(m + 1)``, written out per slot array,
+    and ``E_t`` re-summed through ``np.sum``.  The kernel must match it bit
+    for bit.
+    """
+    sl = state.task_slice(task_index)
+    m = state.effective_answers[task_index]
+    s = _agreement_mass(float(answer_accuracy))
+    state.effective_answers[task_index] = m + 1.0
+    state.acc_correct[sl] = (m * state.acc_correct[sl] + s) / (m + 1.0)
+    state.acc_incorrect[sl] = (m * state.acc_incorrect[sl] + s) / (m + 1.0)
+    p = state.p_z1[sl]
+    state.expected_sum[task_index] = float(
+        np.sum(p * state.acc_correct[sl] + (1.0 - p) * state.acc_incorrect[sl])
+    )

@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 from oracles.accuracy import (
     AccuracyEstimator,
     LabelAccuracy,
+    add_worker_expression,
     enumerate_expected_accuracy,
 )
 from repro.core import accuracy_kernel
@@ -118,6 +119,33 @@ class TestLemma2Recursion:
         np.testing.assert_allclose(state.acc_correct, acc_correct, atol=TOLERANCE)
         np.testing.assert_allclose(state.acc_incorrect, acc_incorrect, atol=TOLERANCE)
         assert state.effective_answers[0] == pytest.approx(5.0)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_in_place_commit_is_bit_equal_to_the_expression_form(self, seed):
+        """Random states — one-label tasks and m_t = 0 among them — take the
+        same picks through both forms; every array stays bit-equal."""
+        rng = np.random.default_rng(seed)
+        num_tasks = 40
+        num_labels = rng.integers(1, 11, size=num_tasks)
+        num_labels[:5] = 1
+        offsets = np.concatenate(([0], np.cumsum(num_labels)))
+        p_z1 = rng.random(int(offsets[-1]))
+        p_z1[:3] = (0.0, 1.0, 0.5)
+
+        counts = rng.integers(0, 4, size=num_tasks).astype(float)
+        counts[::3] = 0.0
+        # baseline_state keeps the caller's array as m_t: one array each.
+        kernel = accuracy_kernel.baseline_state(p_z1, offsets, counts)
+        expression = accuracy_kernel.baseline_state(p_z1, offsets, counts.copy())
+        assert kernel.effective_answers is not expression.effective_answers
+        for _ in range(60):
+            task_index = int(rng.integers(num_tasks))
+            accuracy = float(rng.choice([rng.random(), 0.0, 0.5, 1.0]))
+            accuracy_kernel.add_worker(kernel, task_index, accuracy)
+            add_worker_expression(expression, task_index, accuracy)
+        for name in ("acc_correct", "acc_incorrect", "effective_answers", "expected_sum"):
+            got, want = getattr(kernel, name), getattr(expression, name)
+            assert got.tobytes() == want.tobytes(), name
 
     def test_baseline_state_validation(self):
         with pytest.raises(ValueError):

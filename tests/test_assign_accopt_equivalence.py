@@ -363,3 +363,143 @@ class TestStateAcrossRequests:
             assignment = assigner.assign(workers[round_index:], 2, answers)
             self.answer_assignment(answers, assignment, small_dataset.task_index)
         assert calls == []
+
+
+class TestPerWorkerArrays:
+    """Each worker's answered-task columns advance from the worker's new pairs
+    and its distance row is cached (dense) or recomputed (sparse) from the
+    kept task coordinates; one-worker requests — the serving frontend's
+    pattern — still assign as the scalar oracle does from scratch."""
+
+    @staticmethod
+    def serve(assigner, reference, answers, worker_ids, h=2):
+        """One request per worker: the same HIT from both sides, and columns
+        that name exactly the tasks the oracle rules out."""
+        for worker_id in worker_ids:
+            got = assigner.assign([worker_id], h, answers)
+            assert got == reference.assign([worker_id], h, answers)
+            columns = assigner.answered_columns(worker_id, answers)
+            names = [assigner.task_order[j] for j in columns.tolist()]
+            assert len(set(names)) == len(names)
+            assert set(names) == set(reference.task_order) - set(
+                reference._candidate_tasks(worker_id, answers)
+            )
+            row = assigner.distance_row(worker_id)
+            assert row.shape == (len(assigner.task_order),)
+            yield worker_id, got[worker_id]
+
+    @staticmethod
+    def answer(answers, worker_id, task_ids, tasks_by_id, value=1):
+        for task_id in task_ids:
+            labels = tasks_by_id[task_id].num_labels
+            answers.add(Answer(worker_id, task_id, tuple([value] * labels)))
+
+    def test_growing_log_with_re_answers_between_requests(
+        self, small_dataset, worker_pool, distance_model, fitted_parameters,
+        collected_answers, engine_options,
+    ):
+        assigner, reference = TestStateAcrossRequests.build(
+            small_dataset.tasks, worker_pool, distance_model, fitted_parameters,
+            engine_options,
+        )
+        answers = collected_answers.copy()
+        tasks_by_id = small_dataset.task_index
+        workers = worker_pool.worker_ids
+        for round_index in range(4):
+            order = workers[round_index:] + workers[:round_index]
+            for worker_id, hit in self.serve(assigner, reference, answers, order):
+                self.answer(answers, worker_id, hit, tasks_by_id, round_index % 2)
+                # Re-answers add no pair: the next request reads none of them.
+                earlier = answers.worker_tasks_since(worker_id, 0)[0]
+                self.answer(answers, worker_id, [earlier], tasks_by_id, 0)
+
+    def test_second_answer_set_object(
+        self, small_dataset, worker_pool, distance_model, fitted_parameters,
+        collected_answers, engine_options,
+    ):
+        assigner, reference = TestStateAcrossRequests.build(
+            small_dataset.tasks, worker_pool, distance_model, fitted_parameters,
+            engine_options,
+        )
+        first = collected_answers.copy()
+        workers = worker_pool.worker_ids
+        list(self.serve(assigner, reference, first, workers))
+        # Equal pairs in a new object, then fewer: each is read afresh.
+        for second in (first.copy(), AnswerSet(list(first)[1::3]), first):
+            list(self.serve(assigner, reference, second, workers))
+
+    def test_task_added_after_row_and_columns_are_cached(
+        self, small_dataset, worker_pool, distance_model, fitted_parameters,
+        collected_answers, engine_options,
+    ):
+        """A worker who answered a task before it joined the assigner never
+        gets it: the join recounts the worker's columns."""
+        *early, late = small_dataset.tasks
+        assigner, reference = TestStateAcrossRequests.build(
+            early, worker_pool, distance_model, fitted_parameters, engine_options
+        )
+        answers = collected_answers.copy()
+        workers = worker_pool.worker_ids
+        veteran = next(iter(answers.workers_of_task(late.task_id)))
+        list(self.serve(assigner, reference, answers, workers))
+        assert late.task_id not in assigner.task_order
+        assert assigner.add_task(late) and reference.add_task(late)
+        # h covers the universe: a late column left unmasked would be assigned.
+        h = len(assigner.task_order)
+        for worker_id, hit in self.serve(assigner, reference, answers, workers, h):
+            if worker_id == veteran:
+                assert late.task_id not in hit
+        assert assigner.distance_row(veteran).size == len(small_dataset.tasks)
+
+    def test_two_location_workers(
+        self, small_dataset, worker_pool, distance_model, fitted_parameters,
+        collected_answers, engine_options,
+    ):
+        from repro.data.models import Worker
+        from repro.spatial.geometry import GeoPoint
+
+        far = small_dataset.tasks[-1].location
+        workers = [
+            Worker(w.worker_id, (w.locations[0], GeoPoint(far.x + 0.01, far.y)))
+            for w in worker_pool.workers
+        ]
+        assigner = AccOptAssigner(
+            small_dataset.tasks, workers, distance_model, fitted_parameters,
+            **engine_options,
+        )
+        reference = ReferenceAccOptAssigner(
+            small_dataset.tasks, workers, distance_model, fitted_parameters
+        )
+        answers = collected_answers.copy()
+        for worker_id, hit in self.serve(
+            assigner, reference, answers, [w.worker_id for w in workers]
+        ):
+            self.answer(answers, worker_id, hit, small_dataset.task_index)
+        for worker in workers:
+            expected = [
+                distance_model.worker_task_distance(worker.locations, task.location)
+                for task in (assigner.tasks[t] for t in assigner.task_order)
+            ]
+            np.testing.assert_allclose(
+                assigner.distance_row(worker.worker_id), expected, rtol=1e-12
+            )
+
+    def test_worker_with_no_answers(
+        self, small_dataset, worker_pool, distance_model, fitted_parameters,
+        collected_answers, engine_options,
+    ):
+        from repro.data.models import Worker
+
+        newcomer = Worker("newcomer", worker_pool.workers[0].locations)
+        assigner, reference = TestStateAcrossRequests.build(
+            small_dataset.tasks, worker_pool, distance_model, fitted_parameters,
+            engine_options,
+        )
+        assert assigner.add_worker(newcomer) and reference.add_worker(newcomer)
+        answers = collected_answers.copy()
+        assert answers.answer_count_of_worker("newcomer") == 0
+        (_, hit), = self.serve(assigner, reference, answers, ["newcomer"])
+        assert assigner.answered_columns("newcomer", answers).size == 0
+        self.answer(answers, "newcomer", hit, small_dataset.task_index)
+        list(self.serve(assigner, reference, answers, ["newcomer"]))
+        assert assigner.answered_columns("newcomer", answers).size == len(hit)

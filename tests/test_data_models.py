@@ -157,6 +157,47 @@ class TestAnswerSet:
         assert answers.pair_tasks_since(0).count("t9") == answers.answer_count_of_task("t9")
         assert answers.copy().pair_tasks_since(0) == answers.pair_tasks_since(0)
 
+    def test_answer_count_of_worker_counts_pairs_not_answers(self):
+        answers = AnswerSet([Answer("w1", "t2", (1,)), Answer("w2", "t2", (0,))])
+        answers.add(Answer("w1", "t1", (0,)))
+        answers.add(Answer("w1", "t2", (0,)))  # a re-answer adds no pair
+        assert answers.answer_count_of_worker("w1") == 2
+        assert answers.answer_count_of_worker("w2") == 1
+        assert answers.answer_count_of_worker("absent") == 0
+        for worker_id in ("w1", "w2", "absent"):
+            assert answers.answer_count_of_worker(worker_id) == len(
+                answers.tasks_of_worker(worker_id)
+            )
+
+    def test_worker_tasks_since_catches_up_one_worker(self):
+        answers = AnswerSet([Answer("w1", "t9", (1,)), Answer("w2", "t9", (0,))])
+        answers.add(Answer("w1", "t3", (0,)))
+        assert answers.worker_tasks_since("w1", 0) == ["t9", "t3"]  # first-answer order
+        assert answers.worker_tasks_since("w2", 0) == ["t9"]
+        assert answers.worker_tasks_since("absent", 0) == []
+        seen = answers.answer_count_of_worker("w1")
+        answers.add(Answer("w2", "t1", (1,)))  # another worker's pair
+        answers.add(Answer("w1", "t9", (0,)))  # a re-answer
+        assert answers.worker_tasks_since("w1", seen) == []
+        answers.add(Answer("w1", "t5", (1,)))
+        answers.add(Answer("w1", "t3", (1,)))  # a re-answer
+        answers.add(Answer("w1", "t1", (0,)))
+        assert answers.worker_tasks_since("w1", seen) == ["t5", "t1"]
+        assert answers.worker_tasks_since("w1", answers.answer_count_of_worker("w1")) == []
+        # Catching up from any position reproduces T(w), each task once.
+        for position in range(answers.answer_count_of_worker("w1") + 1):
+            caught_up = answers.worker_tasks_since("w1", 0)[:position]
+            caught_up += answers.worker_tasks_since("w1", position)
+            assert caught_up == ["t9", "t3", "t5", "t1"]
+        assert set(caught_up) == answers.tasks_of_worker("w1")
+        # The per-worker lists interleave to the log's pair order.
+        assert sorted(answers.pair_tasks_since(0)) == sorted(
+            task_id
+            for worker_id in answers.worker_ids()
+            for task_id in answers.worker_tasks_since(worker_id, 0)
+        )
+        assert answers.copy().worker_tasks_since("w1", 0) == caught_up
+
 
 class TestDataset:
     def test_counts(self):

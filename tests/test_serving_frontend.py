@@ -1,12 +1,10 @@
 """Tests for repro.serving.frontend (live assignment against snapshots)."""
 
-from types import SimpleNamespace
-
 import pytest
 
 from oracles import nearest_unanswered_task
 from repro.core.inference import LocationAwareInference
-from repro.data.models import POI, AnswerSet, Task, Worker
+from repro.data.models import POI, Answer, AnswerSet, Task, Worker
 from repro.framework.scenarios import SCENARIO_NAMES, build_scenario
 from repro.serving.frontend import NO_SNAPSHOT, AssignmentFrontend
 from repro.serving.service import OnlineServingService
@@ -270,8 +268,9 @@ UNPICKED = ("not-a-task",)
 
 
 def probe_pick(frontend, worker_id, answered):
-    """The frontend's probe pick for ``answered`` (None: no swap)."""
-    answers = SimpleNamespace(tasks_of_worker=lambda _: frozenset(answered))
+    """The frontend's probe pick for ``answered`` (None: no swap), read off
+    a fresh answer log in which ``worker_id`` answered exactly those tasks."""
+    answers = AnswerSet(Answer(worker_id, task_id, (1,)) for task_id in answered)
     picked = frontend._maybe_probe(worker_id, 1, UNPICKED, answers)
     return None if picked == UNPICKED else picked[-1]
 
@@ -440,6 +439,70 @@ class TestTrustProbes:
             assert probe_pick(frontend, "w", answered) == expected
         assert probe_pick(frontend, "w", ()) == "by-second"
         assert probe_pick(frontend, "w", {"by-second"}) == "by-first"
+
+
+class TestProbeReadsTheAssignersArrays:
+    """The probe masks the assigner's distance row with the worker's answered
+    columns and breaks ties by the frontend's task order.  With ``h = 1`` and
+    a probe on every request, each served HIT is the probe's pick, so a served
+    campaign checks it against the scalar oracle request by request."""
+
+    #: Construction order; ``tie-z`` and ``tie-a`` share a place and sort
+    #: the other way round, so the assigner's columns put ``tie-a`` first.
+    PLACES = {
+        "t-far": (8.0, 8.0),
+        "tie-z": (1.0, 1.0),
+        "tie-a": (1.0, 1.0),
+        "mid": (3.0, 0.0),
+        "edge": (0.0, 4.0),
+    }
+    #: Tasks posted once every worker's row is cached: one nearer than any,
+    #: one co-located with ``mid``.
+    LATE = {"late": (0.2, 0.2), "late-mid": (3.0, 0.0)}
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"strategy": "accopt"},
+            {"strategy": "accopt", "engine": "sparse", "candidate_radius": 1e9},
+            {"strategy": "random", "seed": 5},
+            {"strategy": "spatial"},
+            {"strategy": "uncertainty"},
+        ],
+        ids=["accopt-dense", "accopt-sparse", "random", "spatial", "uncertainty"],
+    )
+    def test_served_picks_match_the_scalar_oracle(self, options):
+        tasks = [make_task(task_id, *xy) for task_id, xy in self.PLACES.items()]
+        workers = [
+            Worker("w0", (GeoPoint(0.0, 0.0),)),
+            Worker("w1", (GeoPoint(10.0, 10.0), GeoPoint(1.1, 1.0))),
+            Worker("w2", (GeoPoint(3.0, 0.5),)),
+        ]
+        model = DistanceModel(max_distance=20.0)
+        frontend = AssignmentFrontend(
+            tasks, workers, model, SnapshotStore(), probe_interval=1, **options
+        )
+        answers = AnswerSet()
+        served = {worker.worker_id: [] for worker in workers}
+        for step in range(len(self.PLACES) + len(self.LATE) + 1):
+            if step == 1:
+                for task_id, xy in self.LATE.items():
+                    tasks.append(make_task(task_id, *xy))
+                    assert frontend.add_task(tasks[-1])
+            for worker in workers:
+                response = frontend.assign(worker.worker_id, 1, answers)
+                expected = nearest_unanswered_task(
+                    tasks, worker, model, answers.tasks_of_worker(worker.worker_id)
+                )
+                assert response.task_ids == ((expected,) if expected else ())
+                for task_id in response.task_ids:
+                    served[worker.worker_id].append(task_id)
+                    answers.add(Answer(worker.worker_id, task_id, (1, 0)))
+        assert served["w0"] == [
+            "tie-z", "late", "tie-a", "mid", "late-mid", "edge", "t-far"
+        ]
+        assert served["w1"][:2] == ["tie-z", "tie-a"]
+        assert all(sorted(ids) == sorted(self.PLACES | self.LATE) for ids in served.values())
 
 
 class TestReputationAtTheFrontend:

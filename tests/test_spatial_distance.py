@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from repro.spatial.distance import (
+    _ARRAY_METRICS,
     DistanceModel,
     max_pairwise_distance,
     normalised_distance_matrix,
+    normalised_distance_rows,
 )
 from repro.spatial.geometry import GeoPoint
 
@@ -217,6 +219,26 @@ class TestNormalisedDistanceMatrix:
         # Chunking across worker blocks must not change anything.
         chunked = normalised_distance_matrix(workers, tasks, model, chunk_size=2)
         np.testing.assert_array_equal(chunked, matrix)
+
+    @pytest.mark.parametrize("metric", ["euclidean", "haversine"])
+    def test_rows_are_the_segmented_minimum_bit_for_bit(self, metric):
+        """Mixed location counts, any chunking: the exact minimum over each
+        worker's locations of the raw metric, as one reduceat computes it."""
+        rng = np.random.default_rng(5)
+        model = DistanceModel(max_distance=50.0, metric=metric)
+        counts = np.array([1, 3, 2, 1, 4, 2, 2])
+        xs, ys = 116.0 + rng.random(counts.sum()), 39.5 + rng.random(counts.sum())
+        starts = np.cumsum(counts) - counts
+        workers = [
+            [GeoPoint(float(x), float(y)) for x, y in zip(xs[a : a + n], ys[a : a + n])]
+            for a, n in zip(starts, counts)
+        ]
+        task_x, task_y = 116.0 + rng.random(37), 39.5 + rng.random(37)
+        raw = _ARRAY_METRICS[metric](xs[:, None], ys[:, None], task_x, task_y)
+        want = np.minimum(1.0, np.minimum.reduceat(raw, starts, axis=0) / 50.0)
+        for chunk_size in (1, 2, 3, 1024):
+            got = normalised_distance_rows(workers, task_x, task_y, model, chunk_size)
+            assert got.tobytes() == want.tobytes()
 
     def test_empty_matrix(self):
         model = DistanceModel(max_distance=1.0)
