@@ -112,7 +112,7 @@ def test_assignment_speed_regression(benchmark):
     # p50/p95 numbers the serving-latency ratchet tracks.
     task_ids = [task.task_id for task in dataset.tasks]
     num_labels = [task.num_labels for task in dataset.tasks]
-    store = parameters.to_array_store(pool.worker_ids, task_ids, num_labels)
+    store = parameters.regather(pool.worker_ids, task_ids, num_labels)
     snapshots = SnapshotStore()
     snapshots.publish(store)
     frontend = AssignmentFrontend(

@@ -52,13 +52,15 @@ def main() -> None:
         marker = "correct " if truth else "distractor"
         print(f"  P(correct)={probability:.2f}  [{marker}] {label}")
 
+    estimate = inference.parameters
     top_workers = sorted(
-        inference.parameters.workers.items(),
-        key=lambda item: item[1].p_qualified,
+        estimate.worker_ids,
+        key=lambda worker_id: estimate.worker(worker_id).p_qualified,
         reverse=True,
     )[:3]
     print("\nhighest estimated worker qualities:")
-    for worker_id, params in top_workers:
+    for worker_id in top_workers:
+        params = estimate.worker(worker_id)
         print(f"  {worker_id}: P(qualified)={params.p_qualified:.2f}, "
               f"distance weights={[round(float(w), 2) for w in params.distance_weights]}")
 

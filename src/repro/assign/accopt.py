@@ -20,7 +20,8 @@ answers that arrived since the last request, not with |T|:
   undoes its picks on exit (:func:`~repro.core.accuracy_kernel.greedy_state`);
 * ``|W(t)|`` per task — counted in full once per answer set, then advanced
   by the (worker, task) pairs the log gained since
-  (:meth:`~repro.data.models.AnswerSet.pair_tasks_since`);
+  (:meth:`~repro.data.models.AnswerSet.pair_tasks_since`), and extended by
+  each task posted after startup;
 * per worker, the distance row and the answered-task columns
   (:meth:`~repro.core.assignment.TaskAssigner.answered_columns`, advanced by
   the worker's new pairs), so the eligibility mask is one index write.
@@ -52,13 +53,13 @@ dense one's at a covering radius (``tests/test_sparse_kernels.py``).
 from __future__ import annotations
 
 import heapq
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from repro.core import accuracy_kernel
 from repro.core.assignment import TaskAssigner
-from repro.core.params import ArrayParameterStore, ModelParameters
+from repro.core.params import ArrayParameterStore, RowAlignment
 from repro.data.models import AnswerSet, Task, Worker
 from repro.spatial.candidates import CandidateIndex
 from repro.spatial.distance import DistanceModel
@@ -74,18 +75,20 @@ class AccOptAssigner(TaskAssigner):
     """The paper's greedy accuracy-optimal assigner (Algorithm 1).
 
     The assigner consumes the latest estimate (worker qualities, POI
-    influences, label probabilities) via :meth:`update_parameters` — a
-    :class:`~repro.core.params.ModelParameters` or an
+    influences, label probabilities) via :meth:`update_parameters` — an
     :class:`~repro.core.params.ArrayParameterStore` such as a snapshot's
     frozen store — and greedily maximises the expected accuracy improvement
-    of the batch.  The first request after an update aligns the estimate's
-    rows to the assigner's task and worker order in NumPy (entities it lacks
-    get the footnote-3 priors) and builds that version's one Equation 15
-    baseline; every request then slices the aligned arrays and runs its
-    greedy pass on the baseline.  ``|W(t)|`` is counted in full once per
-    answer set (and again after :meth:`add_task`), then advanced by the pairs
-    the log gains between requests; each worker's answered-task columns
-    follow the worker's own new pairs the same way.
+    of the batch.  The first request after an update re-gathers the
+    estimate onto the assigner's task and worker order in NumPy (entities it
+    lacks get the footnote-3 priors; the index maps of that
+    :class:`~repro.core.params.RowAlignment` are kept while the estimate's
+    ids stay put) and builds that version's one Equation 15 baseline; every
+    request then slices the aligned arrays and runs its greedy pass on the
+    baseline.  ``|W(t)|`` is counted in full once per answer set, then
+    advanced by the pairs the log gains between requests; each worker's
+    answered-task columns follow the worker's own new pairs the same way.
+    A task posted after startup (:meth:`add_task`) extends the counts, the
+    label layout and the alignment instead of dropping them.
 
     The dense engine caches each worker's distance row (:meth:`distance_row`),
     computed from the task coordinate arrays the assigner keeps and grows as
@@ -108,7 +111,7 @@ class AccOptAssigner(TaskAssigner):
         tasks: list[Task],
         workers: list[Worker],
         distance_model: DistanceModel,
-        parameters: ModelParameters | ArrayParameterStore | None = None,
+        parameters: ArrayParameterStore | None = None,
         engine: str = "vectorized",
         candidate_radius: float | None = None,
         metrics: "MetricsRegistry | None" = None,
@@ -137,19 +140,49 @@ class AccOptAssigner(TaskAssigner):
         # Worker rows of the aligned arrays: construction, then arrival order.
         self._worker_row = {wid: i for i, wid in enumerate(self._workers)}
         # Index maps from the estimate's rows to the assigner's, kept while
-        # the estimate's id tuples stay equal and the universe stays put.
-        self._alignment: tuple | None = None
+        # the estimate's id tuples (``_alignment_ids``) stay equal and no
+        # worker joins.
+        self._alignment: RowAlignment | None = None
+        self._alignment_ids: tuple | None = None
         # |W(t)| over the task order, as of the first ``_counted_pairs``
         # pairs of ``_counted`` (held by reference, compared with ``is``).
         self._counts: np.ndarray | None = None
         self._counted: AnswerSet | None = None
         self._counted_pairs = 0
-        self.update_parameters(parameters or ModelParameters())
+        self.update_parameters(parameters or ArrayParameterStore.empty())
 
     def _on_task_added(self, task: Task) -> None:
-        """Extend the task-side structures for a task posted after startup."""
-        self._task_layout = None
-        self._alignment = self._aligned = self._counts = None
+        """Extend the task-side structures for a task posted after startup.
+
+        The label layout and ``|W(t)|`` grow by one column; the new count
+        covers exactly the pairs counted so far, so the next catch-up adds
+        the rest.  The alignment's index maps stay valid unless the estimate
+        holds the new task; the aligned arrays are re-gathered from them.
+        """
+        task_id, size = task.task_id, task.num_labels
+        if self._task_layout is not None:
+            num_labels, label_offsets = self._task_layout
+            self._task_layout = (
+                np.append(num_labels, size),
+                np.append(label_offsets, label_offsets[-1] + size),
+            )
+        if self._counts is not None:
+            counted = self._counted
+            count = counted.answer_count_of_task(task_id) - counted.pair_tasks_since(
+                self._counted_pairs
+            ).count(task_id)
+            self._counts = np.append(self._counts, float(count))
+        alignment = self._alignment
+        if alignment is not None and not self._estimate.has_task(task_id):
+            self._alignment = alignment._replace(
+                task_ids=alignment.task_ids + (task_id,),
+                label_offsets=np.append(
+                    alignment.label_offsets, alignment.label_offsets[-1] + size
+                ),
+            )
+        else:
+            self._alignment = None
+        self._aligned = None
         if self._candidate_index is not None:
             self._candidate_index.add_task(task)
 
@@ -159,36 +192,17 @@ class AccOptAssigner(TaskAssigner):
         self._alignment = self._aligned = None
 
     @property
-    def parameters(self) -> ModelParameters:
-        """The estimate in force, as given — a store is converted once, lazily."""
-        if self._parameters is None:
-            self._parameters = self._estimate.to_model()
-        return self._parameters
+    def parameters(self) -> ArrayParameterStore:
+        """The estimate in force, as given."""
+        return self._estimate
 
     @property
     def engine(self) -> str:
         return self._engine
 
-    def update_parameters(
-        self, parameters: ModelParameters | ArrayParameterStore
-    ) -> None:
-        if isinstance(parameters, ArrayParameterStore):
-            self._parameters, self._store = None, parameters
-        else:
-            self._parameters, self._store = parameters, None
+    def update_parameters(self, parameters: ArrayParameterStore) -> None:
+        self._estimate = parameters
         self._aligned: tuple | None = None
-
-    @property
-    def _estimate(self) -> ArrayParameterStore:
-        """The estimate as arrays over its own ids (a model is flattened once)."""
-        if self._store is None:
-            model = self._parameters
-            self._store = model.to_array_store(
-                list(model.workers),
-                list(model.tasks),
-                [task.num_labels for task in model.tasks.values()],
-            )
-        return self._store
 
     def _ensure_task_layout(self) -> tuple[np.ndarray, np.ndarray]:
         """``(num_labels, label_offsets)`` over the current task ordering."""
@@ -229,48 +243,30 @@ class AccOptAssigner(TaskAssigner):
         return assignment
 
     # ------------------------------------------- parameter alignment, counts
-    def _aligned_parameters(self) -> tuple:
-        """``(baseline, influence_weights, p_qualified, distance_weights)``.
+    def _aligned_parameters(
+        self,
+    ) -> tuple[accuracy_kernel.BatchAccuracyState, ArrayParameterStore]:
+        """``(baseline, aligned)``: the estimate over the assigner's orders.
 
-        Task rows over the task order, worker rows over the worker order, and
-        the Equation 15 baseline of the label probabilities over the flat
-        label slots (its ``p_z1``; ``m_t = 0``, each request supplies the
-        counts).
+        ``aligned`` holds task rows over the task order and worker rows over
+        the worker order; ``baseline`` is the Equation 15 state of its label
+        probabilities over the flat label slots (its ``p_z1``; ``m_t = 0``,
+        each request supplies the counts).
         """
         if self._aligned is None:
             estimate = self._estimate
-            num_labels, label_offsets = self._ensure_task_layout()
             ids = (estimate.task_ids, estimate.worker_ids)
-            if self._alignment is None or self._alignment[0] != ids:
-                tasks, task_rows = _rows_in(estimate.task_ids, self._task_ids)
-                counts = np.diff(estimate.label_offsets)[task_rows]
-                if np.any(counts != num_labels[tasks]):
-                    raise ValueError("estimated label counts differ from the tasks'")
-                # Each mapped task's run of label slots, in both layouts.
-                starts = np.cumsum(counts) - counts
-                within = np.arange(counts.sum()) - np.repeat(starts, counts)
-                slots = np.repeat(label_offsets[tasks], counts) + within
-                sources = np.repeat(estimate.label_offsets[task_rows], counts) + within
-                workers, worker_rows = _rows_in(estimate.worker_ids, self._worker_row)
-                self._alignment = (
-                    ids, slots, sources, tasks, task_rows, workers, worker_rows
+            if self._alignment is None or self._alignment_ids != ids:
+                num_labels, _ = self._ensure_task_layout()
+                self._alignment = estimate.alignment(
+                    tuple(self._worker_row), self._task_ids, num_labels
                 )
-            _, slots, sources, tasks, task_rows, workers, worker_rows = self._alignment
-            prior = estimate.function_set.best_quality_weights()
-            num_slots, num_tasks = int(label_offsets[-1]), len(self._task_ids)
-            num_workers = len(self._worker_row)
-            self._aligned = (
-                accuracy_kernel.baseline_state(
-                    _gather(estimate.label_probs, slots, sources, num_slots, 0.5),
-                    label_offsets,
-                    np.zeros(num_tasks),
-                ),
-                _gather(estimate.influence_weights, tasks, task_rows, num_tasks, prior),
-                _gather(estimate.p_qualified, workers, worker_rows, num_workers, 1.0),
-                _gather(
-                    estimate.distance_weights, workers, worker_rows, num_workers, prior
-                ),
+                self._alignment_ids = ids
+            aligned = estimate.gathered(self._alignment)
+            baseline = accuracy_kernel.baseline_state(
+                aligned.label_probs, aligned.label_offsets, np.zeros(aligned.num_tasks)
             )
+            self._aligned = (baseline, aligned)
         return self._aligned
 
     def _answer_counts(self, answers: AnswerSet) -> np.ndarray:
@@ -377,19 +373,17 @@ class AccOptAssigner(TaskAssigner):
         self, worker_list: Sequence[str]
     ) -> tuple[ArrayParameterStore, accuracy_kernel.BatchAccuracyState]:
         """ArrayParameterStore over sorted workers, plus the version's baseline."""
-        baseline, influence_weights, p_qualified, distance_weights = (
-            self._aligned_parameters()
-        )
+        baseline, aligned = self._aligned_parameters()
         rows = [self._worker_row[worker_id] for worker_id in worker_list]
         store = ArrayParameterStore(
-            function_set=self._estimate.function_set,
-            alpha=self._estimate.alpha,
+            function_set=aligned.function_set,
+            alpha=aligned.alpha,
             worker_ids=tuple(worker_list),
             task_ids=self._task_ids,
             label_offsets=baseline.label_offsets,
-            p_qualified=p_qualified[rows],
-            distance_weights=distance_weights[rows],
-            influence_weights=influence_weights,
+            p_qualified=aligned.p_qualified[rows],
+            distance_weights=aligned.distance_weights[rows],
+            influence_weights=aligned.influence_weights,
             label_probs=baseline.p_z1,
         )
         return store, baseline
@@ -553,25 +547,3 @@ class AccOptAssigner(TaskAssigner):
                     refresh_row(other)
         return assignment
 
-
-def _rows_in(ids: Sequence[str], order: Iterable[str]) -> tuple[np.ndarray, np.ndarray]:
-    """``(positions, rows)``: each id of ``order`` that ``ids`` holds, as its
-    position in ``order`` and its row in ``ids``."""
-    index = {entity_id: row for row, entity_id in enumerate(ids)}
-    found = np.fromiter((index.get(entity_id, -1) for entity_id in order), np.intp)
-    positions = np.flatnonzero(found >= 0)
-    return positions, found[positions]
-
-
-def _gather(
-    source: np.ndarray,
-    positions: np.ndarray,
-    rows: np.ndarray,
-    count: int,
-    prior: float | np.ndarray,
-) -> np.ndarray:
-    """``count`` rows of ``prior``, with ``source[rows]`` written at ``positions``."""
-    out = np.empty((count,) + source.shape[1:])
-    out[...] = prior
-    out[positions] = source[rows]
-    return out

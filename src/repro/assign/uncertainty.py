@@ -19,7 +19,7 @@ import math
 from typing import Sequence
 
 from repro.core.assignment import TaskAssigner
-from repro.core.params import ArrayParameterStore, ModelParameters
+from repro.core.params import ArrayParameterStore
 from repro.data.models import AnswerSet, Task, Worker
 from repro.spatial.distance import DistanceModel
 
@@ -38,21 +38,17 @@ class UncertaintyFirstAssigner(TaskAssigner):
         self,
         tasks: list[Task],
         workers: list[Worker],
-        parameters: ModelParameters | None = None,
+        parameters: ArrayParameterStore | None = None,
         distance_model: DistanceModel | None = None,
     ) -> None:
         super().__init__(tasks, workers, distance_model)
-        self._parameters = parameters or ModelParameters()
+        self._parameters = parameters or ArrayParameterStore.empty()
 
     @property
-    def parameters(self) -> ModelParameters:
+    def parameters(self) -> ArrayParameterStore:
         return self._parameters
 
-    def update_parameters(
-        self, parameters: ModelParameters | ArrayParameterStore
-    ) -> None:
-        if isinstance(parameters, ArrayParameterStore):
-            parameters = parameters.to_model()
+    def update_parameters(self, parameters: ArrayParameterStore) -> None:
         self._parameters = parameters
 
     def task_uncertainty(self, task_id: str) -> float:

@@ -3,10 +3,10 @@
 * :mod:`repro.core.distance_functions` — the bell-shaped distance quality
   functions ``f_λ(d) = (1 + e^{-λ d²}) / 2`` and the fixed distance-function set
   ``F`` (Definitions 3–4).
-* :mod:`repro.core.params` — containers for the model parameters
-  ``P(z_{t,k})``, ``P(i_w)``, ``P(d_w)`` and ``P(d_t)``, in both the
-  id-oriented (:class:`~repro.core.params.ModelParameters`) and the flat
-  array-backed (:class:`~repro.core.params.ArrayParameterStore`) form.
+* :mod:`repro.core.params` — the model parameters ``P(z_{t,k})``,
+  ``P(i_w)``, ``P(d_w)`` and ``P(d_t)`` in one row-aligned, array-backed
+  estimate type (:class:`~repro.core.params.ArrayParameterStore`) with id
+  accessors that give unseen entities the footnote-3 priors.
 * :mod:`repro.core.inference` — the location-aware graphical model and its EM
   parameter estimation (Section III).
 * :mod:`repro.core.em_kernel` — the batched NumPy EM engine every fit and
@@ -22,7 +22,7 @@
 Each job has one production engine.  The per-record / per-label
 specifications these engines are equivalence-tested against (EM, the
 incremental update, Section IV-B's accuracy pairs) live with the tests, in
-``tests/oracles/``.
+``tests/oracles/``, together with the id-keyed parameter form they read.
 """
 
 from repro.core.distance_functions import (
@@ -30,12 +30,7 @@ from repro.core.distance_functions import (
     DistanceFunctionSet,
     PAPER_FUNCTION_SET,
 )
-from repro.core.params import (
-    ArrayParameterStore,
-    ModelParameters,
-    TaskParameters,
-    WorkerParameters,
-)
+from repro.core.params import ArrayParameterStore
 from repro.core.em_kernel import AnswerTensor
 from repro.core.inference import (
     EM_ENGINES,
@@ -53,9 +48,6 @@ __all__ = [
     "PAPER_FUNCTION_SET",
     "AnswerTensor",
     "ArrayParameterStore",
-    "ModelParameters",
-    "WorkerParameters",
-    "TaskParameters",
     "EM_ENGINES",
     "InferenceConfig",
     "InferenceResult",

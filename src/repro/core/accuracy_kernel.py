@@ -55,7 +55,7 @@ def answer_accuracy_matrix(
     ``distances`` is the ``(|W|, |T|)`` matrix of normalised worker-to-task
     distances over the store's orderings.  Returns the same-shape matrix of
     estimated answer accuracies: the batched counterpart of
-    :meth:`repro.core.params.ModelParameters.answer_accuracy`.
+    :meth:`repro.core.params.ArrayParameterStore.answer_accuracy`.
     """
     distances = np.asarray(distances, dtype=float)
     expected_shape = (store.num_workers, store.num_tasks)

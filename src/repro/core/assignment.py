@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.params import ArrayParameterStore, ModelParameters
+from repro.core.params import ArrayParameterStore
 from repro.data.models import AnswerSet, Task, Worker
 from repro.spatial.distance import DistanceModel, normalised_distance_rows
 from repro.spatial.geometry import points_to_arrays
@@ -117,19 +117,17 @@ class TaskAssigner(ABC):
     def _on_worker_added(self, worker: Worker) -> None:
         """Hook for strategies with worker-side caches; default no-op."""
 
-    def update_parameters(
-        self, parameters: ModelParameters | ArrayParameterStore
-    ) -> None:
+    def update_parameters(self, parameters: ArrayParameterStore) -> None:
         """Receive the latest inference parameters.
 
-        ``parameters`` is the id-keyed
-        :class:`~repro.core.params.ModelParameters` (the framework passes the
-        inference's) or an :class:`~repro.core.params.ArrayParameterStore`
-        (the serving frontend passes each published snapshot's frozen store);
-        entities it lacks get the footnote-3 priors.  The default is a no-op;
-        parameter-aware assigners (AccOpt, uncertainty-first) override it.
-        It is called after every inference update so the assigner always
-        works with fresh worker qualities and POI influences.
+        The framework passes the inference model's estimate, the serving
+        frontend each published snapshot's frozen store; entities the store
+        lacks get the footnote-3 priors.  The framework's estimate may be
+        the incremental updater's live store, which changes in place: it
+        calls this again after every inference update, and an assigner reads
+        the values it needs no earlier than the next request.  The default
+        is a no-op; parameter-aware assigners (AccOpt, uncertainty-first)
+        override it.
         """
 
     # -------------------------------------------------------- trust exclusion

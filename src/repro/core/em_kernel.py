@@ -51,9 +51,9 @@ log-likelihood are then summed over the assembled full-length outputs in
 unchanged row order.  Any block size therefore gives bit-equal estimates,
 traces and tie-breaks.
 
-Parameters live in an :class:`~repro.core.params.ArrayParameterStore`; the id
-oriented :class:`~repro.core.params.ModelParameters` view is materialised only
-at the fit boundary.
+Parameters live in an :class:`~repro.core.params.ArrayParameterStore`, the
+package's one estimate type: a fit starts from a store and ends in one, and
+the incremental sweeps write the live store in place.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from repro.core.distance_functions import DistanceFunctionSet
-from repro.core.params import ArrayParameterStore, ModelParameters, _grown_buffer
+from repro.core.params import ArrayParameterStore, _grown_buffer
 from repro.data.models import Answer, AnswerSet, Task, Worker
 from repro.spatial.distance import DistanceModel
 from repro.utils.validation import PROBABILITY_FLOOR
@@ -1826,29 +1826,33 @@ def cached_sweeps(
 
 
 def warm_start_extra_delta(
-    initial: ModelParameters, tensor: AnswerTensor
+    initial: ArrayParameterStore, tensor: AnswerTensor
 ) -> float:
     """First-iteration convergence-delta correction for warm starts.
 
-    ``ModelParameters.max_difference`` spans the *union* of the old and new
-    entity sets, while the array engine only tracks entities present in the
-    answer tensor.  When warm-starting from parameters whose entity sets differ
-    from the tensor's, the per-record loop's first delta picks up extra terms:
-    a task present on one side only contributes 1.0, and a worker present only
-    in ``initial`` is compared against the footnote-3 prior.  This returns the
-    maximum of those extra terms so the vectorised loop can fold it into its
-    first iteration's delta and stop after exactly the same iteration count.
+    The largest parameter change of Figure 10 spans the *union* of the old
+    and new entity sets
+    (:meth:`~repro.core.params.ArrayParameterStore.max_difference`), while
+    the EM loop only tracks entities present in the answer tensor.  When
+    warm-starting from a store whose entity sets differ from the tensor's,
+    the union picks up extra terms: a task present on one side only
+    contributes 1.0, and a worker present only in ``initial`` is compared
+    against the footnote-3 prior.  This returns the maximum of those extra
+    terms so the loop can fold it into its first iteration's delta.
     """
-    seen_tasks = set(tensor.task_ids)
-    initial_tasks = set(initial.tasks)
-    extra = 0.0
-    if seen_tasks ^ initial_tasks:
-        extra = 1.0
-    prior_weights = initial.function_set.best_quality_weights()
-    for worker_id in set(initial.workers) - set(tensor.worker_ids):
-        worker = initial.workers[worker_id]
-        extra = max(extra, abs(1.0 - worker.p_qualified))
-        extra = max(
-            extra, float(np.max(np.abs(prior_weights - worker.distance_weights)))
-        )
-    return extra
+    extra = 0.0 if set(initial.task_ids) == set(tensor.task_ids) else 1.0
+    seen = set(tensor.worker_ids)
+    outside = [row for row, w in enumerate(initial.worker_ids) if w not in seen]
+    return max(extra, prior_distance(initial, outside))
+
+
+def prior_distance(store: ArrayParameterStore, worker_rows: Sequence[int]) -> float:
+    """Largest change between the given worker rows and the footnote-3 prior."""
+    if not len(worker_rows):
+        return 0.0
+    rows = np.asarray(worker_rows, dtype=np.intp)
+    prior = store.function_set.best_quality_weights()
+    return max(
+        float(np.abs(1.0 - store.p_qualified[rows]).max()),
+        float(np.abs(prior - store.distance_weights[rows]).max()),
+    )

@@ -45,9 +45,13 @@ update path is O(changed work), never O(stream history):
   refreshes, universe growth, or carryover changes (restored snapshots'
   entities ride along on every publish until the stream re-answers them).
 
-The refreshed estimate is still published copy-on-write at the
-``ModelParameters`` level too — unaffected entities share their parameter
-objects with the previous estimate.
+The estimate the updater hands out — :meth:`IncrementalUpdater.apply`'s
+return value, installed as the inference model's
+:attr:`~repro.core.inference.LocationAwareInference.parameters` — is the live
+store itself, not a copy: every micro-batch changes it in place.  A caller
+that keeps one version copies it; the serving snapshots publish frozen
+copies, and the pipelined refresh fits a copy taken at launch
+(:meth:`IncrementalUpdater.capture_refresh_state`).
 """
 
 from __future__ import annotations
@@ -61,16 +65,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from collections.abc import Callable
 
 from repro.core import em_kernel
-from repro.core.inference import LocationAwareInference
-from repro.core.params import (
-    ArrayParameterStore,
-    ModelParameters,
-    StoreDelta,
-    TaskParameters,
-    WorkerParameters,
-    _trusted_task_parameters,
-    _trusted_worker_parameters,
-)
+from repro.core.inference import InferenceResult, LocationAwareInference
+from repro.core.params import ArrayParameterStore, StoreDelta
 from repro.data.models import Answer, AnswerSet
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -149,24 +145,33 @@ class IncrementalUpdater:
     #: AnswerSet → tensor flattens performed so far (0 on a pure live-tensor
     #: stream; the serving benchmark pins it there).
     tensor_rebuilds: int = field(default=0, init=False)
-    # Live incremental state: the growing tensor, the row-aligned store, and the estimate object the store was last synced
-    # with (identity-compared so an externally produced estimate — e.g. a full
-    # re-fit — triggers a re-sync).
+    # Live incremental state: the growing tensor and the row-aligned store.
+    # The store is in sync while it *is* the inference model's estimate; an
+    # estimate installed from outside (e.g. an external re-fit) triggers a
+    # re-gather.
     _tensor: em_kernel.AnswerTensor | None = field(
         default=None, init=False, repr=False
     )
     _store: ArrayParameterStore | None = field(default=None, init=False, repr=False)
-    _synced_params: ModelParameters | None = field(
+    # Carried-over entities the live tensor does not cover (restored
+    # snapshots), as ``id -> (store, row)``: they ride along on every full
+    # publish until the stream answers them.
+    _carried_workers: dict[str, tuple[ArrayParameterStore, int]] = field(
+        default_factory=dict, init=False, repr=False
+    )
+    _carried_tasks: dict[str, tuple[ArrayParameterStore, int]] = field(
+        default_factory=dict, init=False, repr=False
+    )
+    # Figure 10's first delta of the next warm fit spans the estimate the
+    # fit starts from.  Beyond the live store's rows, that estimate holds the
+    # carried entities taken from the estimate last synced to
+    # (``_held_source``, until a fit replaces it) and lacks the tasks it has
+    # not estimated yet: prior rows of a re-gather or of a refresh's
+    # triggering batch.
+    _held_source: ArrayParameterStore | None = field(
         default=None, init=False, repr=False
     )
-    # Carried-over entities the answer log does not cover (restored snapshots):
-    # they ride along on every publish until the stream re-answers them.
-    _extra_workers: dict[str, WorkerParameters] = field(
-        default_factory=dict, init=False, repr=False
-    )
-    _extra_tasks: dict[str, TaskParameters] = field(
-        default_factory=dict, init=False, repr=False
-    )
+    _unheld_tasks: set[str] = field(default_factory=set, init=False, repr=False)
     # Publish bookkeeping: store rows touched since the last publish, and
     # whether the next publish must be a full copy (first publish, full
     # refresh, universe growth, carryover or sync changes).
@@ -225,8 +230,7 @@ class IncrementalUpdater:
         self,
         answers: AnswerSet | None,
         new_answers: list[Answer],
-        parameters: ModelParameters | ArrayParameterStore | None = None,
-    ) -> ModelParameters:
+    ) -> ArrayParameterStore:
         """Update parameters for the workers/tasks touched by ``new_answers``.
 
         The micro-batch is appended to the incrementally maintained tensor
@@ -237,29 +241,22 @@ class IncrementalUpdater:
         ``new_answers``; it is only consulted to (re)build the live tensor
         when the updater joins an existing stream cold or the log diverged
         from the tensor (an external fit), so a log-free caller may pass
-        ``None`` and the live tensor is trusted outright.  An estimate
-        replaced outside this updater costs only an O(entities) store
-        re-gather.  ``parameters`` may be a live
-        :class:`~repro.core.params.ModelParameters` estimate or an
-        :class:`~repro.core.params.ArrayParameterStore` snapshot to warm-start
-        from (the serving path's restore case).  Returns the updated
-        :class:`~repro.core.params.ModelParameters` (also stored on the
-        underlying inference model so subsequent predictions reflect it).
+        ``None`` and the live tensor is trusted outright.  An estimate other
+        than the live store — a restored snapshot, or an external fit's —
+        costs one O(entities) re-gather.  Returns the live store, also
+        installed as the inference model's estimate; it changes in place with
+        every later batch, so copy it to keep this version.
         """
-        if isinstance(parameters, ArrayParameterStore):
-            parameters = parameters.to_model()
+        params = self.inference.parameters
         if not new_answers:
-            return parameters if parameters is not None else self.inference.parameters
+            return params
 
-        # No defensive copy: the update below builds a fresh ModelParameters
-        # and never mutates its input estimate.
-        params = parameters or self.inference.parameters
         self.answers_since_full_refresh += len(new_answers)
 
         affected_workers = {answer.worker_id for answer in new_answers}
         affected_tasks = {answer.task_id for answer in new_answers}
         inference = self.inference
-        chain_intact = self._tensor is not None and self._synced_params is params
+        chain_intact = self._tensor is not None and params is self._store
         if self._tensor is None:
             # ``answers`` (when given) already contains ``new_answers``; the
             # rebuilt tensor covers them, and the append below degenerates to
@@ -356,60 +353,41 @@ class IncrementalUpdater:
         self._dirty_workers.update(int(i) for i in est_w)
         self._dirty_tasks.update(int(j) for j in est_t)
 
-        # Copy-on-write publish: share the unaffected entities' parameter
-        # objects (nothing in the system mutates them in place) and replace
-        # only the re-estimated entries.  A deep copy here costs a full
-        # re-validation of every entity per micro-batch — it was the serving
-        # path's dominant late-stream cost, far above the EM sweep itself.
-        new_params = ModelParameters(
-            function_set=params.function_set,
-            alpha=params.alpha,
-            workers=dict(params.workers),
-            tasks=dict(params.tasks),
-        )
-        for i in est_w:
-            worker_id = tensor.worker_ids[int(i)]
-            new_params.workers[worker_id] = _trusted_worker_parameters(
-                float(store.p_qualified[i]), store.distance_weights[i].copy()
-            )
-        for j in est_t:
-            task_id = tensor.task_ids[int(j)]
-            new_params.tasks[task_id] = _trusted_task_parameters(
-                store.label_probs[store.task_label_slice(j)].copy(),
-                store.influence_weights[j].copy(),
-            )
-        self._synced_params = new_params
+        if self._unheld_tasks:
+            task_ids = tensor.task_ids
+            self._unheld_tasks.difference_update(task_ids[int(j)] for j in est_t)
 
         # Publish the refreshed estimate on the inference model.
-        inference._parameters = new_params
+        inference._parameters = store
         inference._fitted = True
-        return new_params
+        return store
 
     def full_refresh(
         self,
         new_answers: list[Answer],
         answers: AnswerSet | None = None,
         warm: bool = True,
-    ) -> ModelParameters:
+    ) -> ArrayParameterStore:
         """Run the periodic full EM re-fit against the live tensor.
 
         ``new_answers`` is the micro-batch that triggered the refresh (may be
         empty for a forced re-fit); it is appended to the live tensor first,
         then :meth:`~repro.core.inference.LocationAwareInference.fit_from_tensor`
         runs EM with zero ``AnswerSet`` → tensor flattens.
-        ``warm=True`` starts from the current estimate (handing the live
-        row-aligned store straight in); ``warm=False`` is a cold start whose
+        ``warm=True`` starts from the current estimate (the live
+        row-aligned store, read in place); ``warm=False`` is a cold start whose
         result is identical to an offline fit on the same answer log — the
         live tensor is maintained bit-equal to a from-scratch flatten.
         ``answers``, when provided, must already contain ``new_answers`` and
         is only consulted to recover from a log/tensor divergence (an
         external fit bypassed this updater).
         Resets the refresh counter and flags the next publish as a full copy.
+        Returns the fitted store, which becomes the live store.
         """
         inference = self.inference
         params = inference.parameters if inference.is_fitted else None
         warm = warm and params is not None
-        chain_intact = self._tensor is not None and self._synced_params is params
+        chain_intact = self._tensor is not None and params is self._store
         if self._tensor is None:
             self._rebuild_tensor(answers)
         if warm:
@@ -418,7 +396,6 @@ class IncrementalUpdater:
             # A cold re-fit ignores the current estimate entirely; the
             # fitted store below replaces whatever live store existed.
             self._store = None
-            self._synced_params = None
         if new_answers:
             if self.stat_decay < 1.0:
                 self._decay_epoch += 1
@@ -436,50 +413,37 @@ class IncrementalUpdater:
         self._recover_if_diverged(answers, params if warm else None, chain_intact)
         inference.fit_from_tensor(
             self._tensor,
-            initial=params if warm else None,
-            initial_store=self._store if warm else None,
+            initial=self._store if warm else None,
             answer_weights=self._refresh_weights(),
+            first_delta_floor=self._first_delta_floor() if warm else 0.0,
         )
         # Adopt the fit's final store as the live store: it is row-aligned
         # with the tensor by construction and freshly allocated by the EM
         # loop, so the updater owns it outright.
         self._store = inference.last_result.store
-        self._synced_params = inference.parameters
-        self._prune_carryover()
-        self._reset_sufficient_stats()
-        if self.metrics is not None:
-            result = inference.last_result
-            self.metrics.histogram("em_refresh_iterations").observe(
-                float(result.iterations)
-            )
-            if result.convergence_trace:
-                self.metrics.histogram("em_refresh_final_delta").observe(
-                    float(result.convergence_trace[-1])
-                )
-        self._publish_full = True
-        self._dirty_workers.clear()
-        self._dirty_tasks.clear()
+        self._adopted_fit(inference.last_result)
         self.notify_full_refresh()
-        return inference.parameters
+        return self._store
 
     # ------------------------------------------------------ pipelined refresh
     def capture_refresh_state(
         self, warm: bool = True
     ) -> tuple[
         em_kernel.AnswerTensor,
-        ModelParameters | None,
         ArrayParameterStore | None,
         np.ndarray | None,
+        float,
     ]:
         """Frozen copies of the live state for an off-thread full fit.
 
-        Returns ``(tensor, initial, initial_store, answer_weights)`` ready to
-        hand to
+        Returns ``(tensor, initial, answer_weights, first_delta_floor)``
+        ready to hand to
         :meth:`~repro.core.inference.LocationAwareInference.run_em_detached`:
         a :meth:`~repro.core.em_kernel.AnswerTensor.snapshot` of the live
-        tensor and, on warm starts, the current estimate plus a copy of the
-        live store (copied because the ingest thread's localized sweeps keep
-        mutating the original while the background fit runs).
+        tensor and, on warm starts, a copy of the live store (copied because
+        the ingest thread's localized sweeps keep mutating the original while
+        the background fit runs) — or the estimate installed from outside,
+        when the live store is not the model's estimate.
         ``answer_weights`` is the decay × trust weighting of the snapshot's
         rows frozen at capture time (``None`` on the exact unweighted path) —
         batches applied mid-fit advance the live decay epoch without
@@ -494,20 +458,19 @@ class IncrementalUpdater:
                 "cannot capture refresh state before the live tensor exists; "
                 "apply at least one batch (or run a blocking full_refresh) first"
             )
-        params = inference.parameters if inference.is_fitted else None
-        warm = warm and params is not None
+        params = inference.parameters if warm and inference.is_fitted else None
         tensor = self._tensor.snapshot()
-        store = None
-        if warm and self._store is not None and self._synced_params is params:
-            store = self._store.copy()
-        return tensor, (params if warm else None), store, self._refresh_weights()
+        floor = 0.0
+        if params is not None and params is self._store:
+            params, floor = self._store.copy(), self._first_delta_floor()
+        return tensor, params, self._refresh_weights(), floor
 
     def integrate_refresh_result(
         self,
         result: "object",
         reconcile_workers: set[str],
         reconcile_tasks: set[str],
-    ) -> ModelParameters:
+    ) -> ArrayParameterStore:
         """Adopt a detached fit's store, reconciling answers that arrived mid-fit.
 
         ``result`` is the :class:`~repro.core.inference.InferenceResult` of a
@@ -522,7 +485,8 @@ class IncrementalUpdater:
         like a blocking :meth:`full_refresh`.  The refresh counter is **not**
         reset here: the caller reset it at launch so the refresh schedule is a
         pure function of applied-answer counts (crash-recovery replay then
-        re-launches at the same batch boundaries).
+        re-launches at the same batch boundaries).  Returns the adopted
+        store, the new live store.
         """
         inference = self.inference
         fitted: ArrayParameterStore = result.store
@@ -580,12 +544,20 @@ class IncrementalUpdater:
                 iterations=self.local_iterations,
                 early_exit_threshold=self.early_exit_threshold,
             )
-        # The detached fit never read its parameters, so the result converts
-        # its store — grown and reconciled above, in place — on adoption.
         inference.adopt_result(result)
-        params = inference.parameters
         self._store = fitted
-        self._synced_params = params
+        self._adopted_fit(result)
+        return fitted
+
+    def _adopted_fit(self, result: InferenceResult) -> None:
+        """Bookkeeping once a full fit's store became the live store.
+
+        The fit's estimate holds exactly the tensor's entities, so no carried
+        entity is part of it and every task is estimated; the next publish
+        is a full copy.
+        """
+        self._held_source = None
+        self._unheld_tasks.clear()
         self._prune_carryover()
         self._reset_sufficient_stats()
         if self.metrics is not None:
@@ -599,7 +571,21 @@ class IncrementalUpdater:
         self._publish_full = True
         self._dirty_workers.clear()
         self._dirty_tasks.clear()
-        return params
+
+    def _first_delta_floor(self) -> float:
+        """Figure 10's first-delta terms the live store's rows do not show.
+
+        A task the estimate holds outside the tensor, or a tensor task it
+        has not estimated yet, reads 1.0; a carried worker it holds is
+        compared with the footnote-3 prior.
+        """
+        held = self._held_source
+        if held is None:
+            return 1.0 if self._unheld_tasks else 0.0
+        if self._unheld_tasks or any(s is held for s, _ in self._carried_tasks.values()):
+            return 1.0
+        rows = [row for source, row in self._carried_workers.values() if source is held]
+        return em_kernel.prior_distance(held, rows)
 
     def _reset_sufficient_stats(self) -> None:
         """Drop the cache and defer credits (the store they index was replaced)."""
@@ -746,7 +732,7 @@ class IncrementalUpdater:
         if (
             answers is None
             and self.inference.is_fitted
-            and not (self._extra_workers or self._extra_tasks)
+            and not (self._carried_workers or self._carried_tasks)
         ):
             # The model carries an estimate this updater never saw, and there
             # is no log to rebuild from: silently fitting on the micro-batch
@@ -769,7 +755,6 @@ class IncrementalUpdater:
         tensor.enable_row_tracking()
         self._tensor = tensor
         self._store = None
-        self._synced_params = None
         self._publish_full = True
         self._reset_sufficient_stats()
         # A reflatten cannot recover per-row ages (the log carries no epochs),
@@ -802,70 +787,73 @@ class IncrementalUpdater:
         tensor.enable_row_tracking()
         self._tensor = tensor
         self._store = None
-        self._synced_params = None
         self._reset_sufficient_stats()
         self._reset_arrival_epochs()
         self._ensure_store(self.inference.parameters, force=True)
         self.answers_since_full_refresh = answers_since_full_refresh
 
-    def _ensure_store(self, params: ModelParameters, force: bool = False) -> None:
+    def _ensure_store(self, params: ArrayParameterStore, force: bool = False) -> None:
         """Gather ``params`` into a store row-aligned with the live tensor.
 
-        Skipped when the live store is already synced with this exact
-        estimate object; the gather is O(entities), never O(answers) — the
-        tensor itself does not depend on the estimate and is left untouched.
+        Skipped when ``params`` already is the live store; the gather is
+        O(entities), never O(answers) — the tensor itself does not depend on
+        the estimate and is left untouched.  The gathered store becomes the
+        inference model's estimate.
         """
-        if not force and self._store is not None and self._synced_params is params:
+        if not force and params is self._store:
             return
         tensor = self._tensor
-        self._store = params.to_array_store(
-            tensor.worker_ids, tensor.task_ids, tensor.num_labels
-        )
+        alignment = params.alignment(tensor.worker_ids, tensor.task_ids, tensor.num_labels)
+        store = params.gathered(alignment)
         if self.admission_p_qualified is not None:
             # Workers the estimate has never judged took the footnote-3 seed
             # in the gather; replace it with the learnable admission prior.
-            known = params.workers
-            for row, worker_id in enumerate(tensor.worker_ids):
-                if worker_id not in known:
-                    self._store.p_qualified[row] = self.admission_p_qualified
+            judged = np.zeros(tensor.num_workers, dtype=bool)
+            judged[alignment.workers] = True
+            store.p_qualified[~judged] = self.admission_p_qualified
+        estimated = np.zeros(tensor.num_tasks, dtype=bool)
+        estimated[alignment.tasks] = True
+        task_ids = tensor.task_ids
+        self._unheld_tasks = {task_ids[j] for j in np.flatnonzero(~estimated)}
+        self._store = store
         self._refresh_carryover(params)
-        self._synced_params = params
+        self.inference._parameters = store
         self._publish_full = True
 
-    def _refresh_carryover(self, params: ModelParameters) -> None:
+    def _refresh_carryover(self, params: ArrayParameterStore) -> None:
         """Reconcile the carryover set against the tensor and ``params``.
 
         Sticky carryover: entities the estimate (or an earlier restore) knows
         but the log does not cover keep riding along on publishes; entities
         now present in the tensor are owned by the live store instead.
         """
+        tensor = self._tensor
+        seen_workers = set(tensor.worker_ids) if tensor is not None else ()
+        seen_tasks = set(tensor.task_ids) if tensor is not None else ()
         self._prune_carryover()
-        seen_workers = set(self._tensor.worker_ids)
-        seen_tasks = set(self._tensor.task_ids)
-        for worker_id, worker in params.workers.items():
+        for row, worker_id in enumerate(params.worker_ids):
             if worker_id not in seen_workers:
-                self._extra_workers[worker_id] = worker
-        for task_id, task in params.tasks.items():
+                self._carried_workers[worker_id] = (params, row)
+        for row, task_id in enumerate(params.task_ids):
             if task_id not in seen_tasks:
-                self._extra_tasks[task_id] = task
+                self._carried_tasks[task_id] = (params, row)
+        self._held_source = params
 
     def _prune_carryover(self) -> None:
         """Drop carried-over entities the live tensor has since acquired."""
-        if not self._extra_workers and not self._extra_tasks:
+        if self._tensor is None or not (self._carried_workers or self._carried_tasks):
             return
         seen_workers = set(self._tensor.worker_ids)
         seen_tasks = set(self._tensor.task_ids)
-        for worker_id in list(self._extra_workers):
-            if worker_id in seen_workers:
-                del self._extra_workers[worker_id]
-        for task_id in list(self._extra_tasks):
-            if task_id in seen_tasks:
-                del self._extra_tasks[task_id]
+        for worker_id in seen_workers.intersection(self._carried_workers):
+            del self._carried_workers[worker_id]
+        for task_id in seen_tasks.intersection(self._carried_tasks):
+            del self._carried_tasks[task_id]
 
     def _recover_if_diverged(
         self,
         answers: AnswerSet | None,
-        params: ModelParameters | None,
+        params: ArrayParameterStore | None,
         chain_intact: bool,
     ) -> bool:
         """Rebuild the live state if the log diverged from the tensor.
@@ -897,18 +885,20 @@ class IncrementalUpdater:
 
         First-seen entities carried over from a restored snapshot resume from
         their carried values; genuinely unseen ones receive the footnote-3
-        trusted priors (the exact fallback ``ModelParameters.worker`` /
-        ``ModelParameters.task`` would apply).  Any growth invalidates the
-        row-aligned publish base, so the next publish is a full copy.
+        trusted priors (the values :meth:`ArrayParameterStore.worker` /
+        :meth:`ArrayParameterStore.task` report for unknown ids).  Any growth
+        invalidates the row-aligned publish base, so the next publish is a
+        full copy.
         """
         if not result.new_worker_ids and not result.new_task_ids:
             return
         store = self._store
         for worker_id in result.new_worker_ids:
-            carried = self._extra_workers.pop(worker_id, None)
+            carried = self._carried_workers.pop(worker_id, None)
             if carried is not None:
+                source, row = carried
                 store.add_worker(
-                    worker_id, carried.p_qualified, carried.distance_weights.copy()
+                    worker_id, source.p_qualified[row], source.distance_weights[row]
                 )
             elif self.admission_p_qualified is not None:
                 store.add_worker(worker_id, p_qualified=self.admission_p_qualified)
@@ -916,77 +906,58 @@ class IncrementalUpdater:
                 store.add_worker(worker_id)
         for task_id in result.new_task_ids:
             num_labels = self.inference._tasks[task_id].num_labels
-            carried = self._extra_tasks.pop(task_id, None)
-            if carried is not None and carried.num_labels == num_labels:
-                store.add_task(
-                    task_id,
-                    num_labels,
-                    carried.label_probs.copy(),
-                    carried.influence_weights.copy(),
-                )
+            carried = self._carried_tasks.pop(task_id, None)
+            if carried is None or carried[0] is not self._held_source:
+                self._unheld_tasks.add(task_id)
+            labels = influence = None
+            if carried is not None:
+                source, row = carried
+                labels = source.label_probs[source.task_label_slice(row)]
+                influence = source.influence_weights[row]
+            if labels is not None and labels.size == num_labels:
+                store.add_task(task_id, num_labels, labels, influence)
             else:
                 store.add_task(task_id, num_labels)
         self._publish_full = True
 
-    def prime_carryover(
-        self, parameters: ModelParameters | ArrayParameterStore
-    ) -> None:
+    def prime_carryover(self, parameters: ArrayParameterStore) -> None:
         """Seed the carryover set from a pre-existing estimate.
 
         Used by the serving layer after a snapshot restore: every entity of
-        ``parameters`` rides along on publishes until the stream covers it
-        (the next sync prunes entities the answer log re-acquires).
+        ``parameters`` the live tensor lacks rides along on publishes until
+        the stream covers it (the next sync prunes entities the answer log
+        re-acquires).
         """
-        if isinstance(parameters, ArrayParameterStore):
-            parameters = parameters.to_model()
-        for worker_id, worker in parameters.workers.items():
-            self._extra_workers.setdefault(worker_id, worker)
-        for task_id, task in parameters.tasks.items():
-            self._extra_tasks.setdefault(task_id, task)
+        self._refresh_carryover(parameters)
         self._publish_full = True
 
     # ------------------------------------------------------------- publishing
-    def publish_store(
-        self,
-        answers: AnswerSet | None = None,
-        parameters: ModelParameters | ArrayParameterStore | None = None,
-    ) -> ArrayParameterStore:
-        """Snapshot-ready compact copy of the current estimate, array-first.
+    def publish_store(self, answers: AnswerSet | None = None) -> ArrayParameterStore:
+        """Snapshot-ready compact copy of the current estimate.
 
         Returns a fresh :class:`~repro.core.params.ArrayParameterStore`
-        covering the live universe plus any carried-over entities, without
-        flattening a ``ModelParameters`` dict — the full-publish cost is one
-        C-level array copy.  This is the fallback of the O(changed) publish
-        protocol: steady-state micro-batches publish through
-        :meth:`collect_publish_delta` instead.  ``answers`` is only needed to
-        (re)build the live tensor when the updater has none yet or the log
-        diverged.
+        covering the live universe plus any carried-over entities (sorted by
+        id) — one C-level array copy plus a row per carried entity.  This is
+        the fallback of the O(changed) publish protocol: steady-state
+        micro-batches publish through :meth:`collect_publish_delta` instead.
+        ``answers`` is only needed to (re)build the live tensor when the
+        updater has none yet or the log diverged.
         """
-        params = parameters
-        if isinstance(params, ArrayParameterStore):
-            params = params.to_model()
-        if params is None:
-            params = self.inference.parameters
-        chain_intact = self._tensor is not None and self._synced_params is params
+        params = self.inference.parameters
+        chain_intact = self._tensor is not None and params is self._store
         if self._tensor is None:
             self._rebuild_tensor(answers)
         else:
             self._recover_if_diverged(answers, None, chain_intact)
         self._ensure_store(params)
         out = self._store.copy()
-        for worker_id in sorted(self._extra_workers):
-            carried = self._extra_workers[worker_id]
-            out.add_worker(
-                worker_id, carried.p_qualified, carried.distance_weights.copy()
-            )
-        for task_id in sorted(self._extra_tasks):
-            carried = self._extra_tasks[task_id]
-            out.add_task(
-                task_id,
-                carried.num_labels,
-                carried.label_probs.copy(),
-                carried.influence_weights.copy(),
-            )
+        for worker_id in sorted(self._carried_workers):
+            source, row = self._carried_workers[worker_id]
+            out.add_worker(worker_id, source.p_qualified[row], source.distance_weights[row])
+        for task_id in sorted(self._carried_tasks):
+            source, row = self._carried_tasks[task_id]
+            labels = source.label_probs[source.task_label_slice(row)]
+            out.add_task(task_id, labels.size, labels, source.influence_weights[row])
         self.mark_published()
         return out
 
@@ -1007,7 +978,7 @@ class IncrementalUpdater:
         if (
             self._store is None
             or self._publish_full
-            or self._synced_params is not self.inference.parameters
+            or self._store is not self.inference.parameters
         ):
             return None
         store = self._store
@@ -1026,8 +997,8 @@ class IncrementalUpdater:
             influence_weights=store.influence_weights[task_rows],
             label_slots=label_slots,
             label_probs=store.label_probs[label_slots],
-            num_workers=store.num_workers + len(self._extra_workers),
-            num_tasks=store.num_tasks + len(self._extra_tasks),
+            num_workers=store.num_workers + len(self._carried_workers),
+            num_tasks=store.num_tasks + len(self._carried_tasks),
         )
 
     def mark_published(self) -> None:

@@ -58,7 +58,7 @@ from repro.baselines.base import LabelInferenceModel
 from repro.core.distance_functions import DistanceFunctionSet, PAPER_FUNCTION_SET
 from repro.core import em_kernel
 from repro.core.em_kernel import AnswerColumns, AnswerTensor
-from repro.core.params import ArrayParameterStore, ModelParameters
+from repro.core.params import ArrayParameterStore
 from repro.data.models import AnswerSet, Task, Worker
 from repro.spatial.candidates import CandidateIndex
 from repro.spatial.distance import DistanceModel
@@ -122,46 +122,22 @@ class InferenceConfig:
             )
 
 
+@dataclass
 class InferenceResult:
     """Outcome of one EM run.
 
     ``store`` is the fit's final row-aligned
-    :class:`~repro.core.params.ArrayParameterStore` (``None`` when a result
-    was produced some other way).  The serving path's incremental updater
-    adopts it as its live
-    store after a full refresh, so the refresh hands back array state without
-    a dict round-trip.  :attr:`parameters` is the id-keyed form of the same
-    estimate; when not given it is converted from ``store`` on first read,
-    so a result nobody reads it from never pays the conversion.
+    :class:`~repro.core.params.ArrayParameterStore`, which the fitted model
+    holds as its estimate.  The serving path's incremental updater adopts it
+    as its live store after a full refresh, and from then on sweeps it in
+    place (see :attr:`LocationAwareInference.parameters`).
     """
 
-    def __init__(
-        self,
-        iterations: int,
-        converged: bool,
-        convergence_trace: list[float],
-        log_likelihood_trace: list[float],
-        store: ArrayParameterStore | None = None,
-        parameters: ModelParameters | None = None,
-    ) -> None:
-        if parameters is None and store is None:
-            raise ValueError("an InferenceResult needs parameters or a store")
-        self.iterations = iterations
-        self.converged = converged
-        self.convergence_trace = convergence_trace
-        self.log_likelihood_trace = log_likelihood_trace
-        self.store = store
-        self._parameters = parameters
-
-    @property
-    def parameters(self) -> ModelParameters:
-        if self._parameters is None:
-            self._parameters = self.store.to_model()
-        return self._parameters
-
-    @property
-    def final_log_likelihood(self) -> float:
-        return self.log_likelihood_trace[-1] if self.log_likelihood_trace else float("nan")
+    iterations: int
+    converged: bool
+    convergence_trace: list[float]
+    log_likelihood_trace: list[float]
+    store: ArrayParameterStore
 
 
 class LocationAwareInference(LabelInferenceModel):
@@ -195,8 +171,8 @@ class LocationAwareInference(LabelInferenceModel):
             raise ValueError("worker ids must be unique")
         self._distance_model = distance_model
         self._config = config or InferenceConfig()
-        self._parameters = ModelParameters(
-            function_set=self._config.function_set, alpha=self._config.alpha
+        self._parameters = ArrayParameterStore.empty(
+            self._config.function_set, self._config.alpha
         )
         self._last_result: InferenceResult | None = None
         # Sparse-engine candidate structure, built lazily on the first fit and
@@ -210,7 +186,16 @@ class LocationAwareInference(LabelInferenceModel):
         return self._config
 
     @property
-    def parameters(self) -> ModelParameters:
+    def parameters(self) -> ArrayParameterStore:
+        """The current estimate, the store itself rather than a copy.
+
+        A fit's final store stays as it is, but once an
+        :class:`~repro.core.incremental.IncrementalUpdater` drives the model
+        this is the updater's live store, which every micro-batch changes in
+        place.  A caller that keeps one version copies it
+        (:meth:`~repro.core.params.ArrayParameterStore.copy`); serving readers
+        get frozen snapshot copies instead.
+        """
         return self._parameters
 
     @property
@@ -229,26 +214,25 @@ class LocationAwareInference(LabelInferenceModel):
     def fit(
         self,
         answers: AnswerSet,
-        initial: ModelParameters | ArrayParameterStore | None = None,
+        initial: ArrayParameterStore | None = None,
     ) -> "LocationAwareInference":
         """Run full EM on ``answers`` (Section III-C).
 
-        ``initial`` warm-starts the run from a previous estimate — either a
-        live :class:`~repro.core.params.ModelParameters` or a (possibly
-        restored) :class:`~repro.core.params.ArrayParameterStore` snapshot, as
-        published by the online serving subsystem (:mod:`repro.serving`).
+        ``initial`` warm-starts the run from a previous estimate, e.g. a
+        (possibly restored) snapshot store published by the online serving
+        subsystem (:mod:`repro.serving`).
         """
         self._last_result = self.run_em(answers, initial=initial)
-        self._parameters = self._last_result.parameters
+        self._parameters = self._last_result.store
         self._fitted = True
         return self
 
     def fit_from_tensor(
         self,
         tensor: AnswerTensor,
-        initial: ModelParameters | ArrayParameterStore | None = None,
-        initial_store: ArrayParameterStore | None = None,
+        initial: ArrayParameterStore | None = None,
         answer_weights: "np.ndarray | None" = None,
+        first_delta_floor: float = 0.0,
     ) -> "LocationAwareInference":
         """Run full EM directly against a prebuilt (live) :class:`AnswerTensor`.
 
@@ -256,45 +240,46 @@ class LocationAwareInference(LabelInferenceModel):
         updater maintains the tensor across micro-batches, so the periodic
         re-fit skips the ``AnswerSet`` → tensor flatten entirely and costs
         only the EM iterations themselves.  ``initial`` warm-starts exactly
-        like :meth:`fit`; ``initial_store`` optionally supplies the *same*
-        estimate already gathered into a store row-aligned with ``tensor``
-        (the updater's live store), skipping the dict→array gather too.
+        like :meth:`fit`; a store already row-aligned with ``tensor`` (the
+        updater's live store) is read in place, without a re-gather.
         ``answer_weights`` (one weight per tensor answer row) runs a weighted
         EM — the decayed/trust-aware refresh; ``None`` is the exact kernel.
+        ``first_delta_floor`` is described under :meth:`run_em`.
         """
         self._last_result = self.run_em(
             None,
             initial=initial,
             tensor=tensor,
-            initial_store=initial_store,
             answer_weights=answer_weights,
+            first_delta_floor=first_delta_floor,
         )
-        self._parameters = self._last_result.parameters
+        self._parameters = self._last_result.store
         self._fitted = True
         return self
 
     def run_em_detached(
         self,
         tensor: AnswerTensor,
-        initial: ModelParameters | None = None,
-        initial_store: ArrayParameterStore | None = None,
+        initial: ArrayParameterStore | None = None,
         answer_weights: "np.ndarray | None" = None,
+        first_delta_floor: float = 0.0,
     ) -> InferenceResult:
         """Run the EM loop on ``tensor`` **without mutating this model**.
 
         The pipelined serving refresh calls this from a background thread
-        against a frozen :meth:`AnswerTensor.snapshot` while the ingest thread
-        keeps using the model for localized applies: the loop reads only the
-        immutable :class:`InferenceConfig`, so concurrent detached runs are
-        safe.  The caller makes the result current later (after reconciling
-        answers that arrived mid-fit) via :meth:`adopt_result`.
+        against a frozen :meth:`AnswerTensor.snapshot` (and a copy of the
+        live store) while the ingest thread keeps using the model for
+        localized applies: the loop reads only the immutable
+        :class:`InferenceConfig`, so concurrent detached runs are safe.  The
+        caller makes the result current later (after reconciling answers that
+        arrived mid-fit) via :meth:`adopt_result`.
         """
         return self.run_em(
             None,
             initial,
             tensor=tensor,
-            initial_store=initial_store,
             answer_weights=answer_weights,
+            first_delta_floor=first_delta_floor,
         )
 
     def adopt_result(self, result: InferenceResult) -> "LocationAwareInference":
@@ -306,7 +291,7 @@ class LocationAwareInference(LabelInferenceModel):
         have.
         """
         self._last_result = result
-        self._parameters = result.parameters
+        self._parameters = result.store
         self._fitted = True
         return self
 
@@ -333,17 +318,14 @@ class LocationAwareInference(LabelInferenceModel):
         self._workers[worker.worker_id] = worker
         return True
 
-    def warm_start(
-        self, parameters: ModelParameters | ArrayParameterStore
-    ) -> "LocationAwareInference":
+    def warm_start(self, parameters: ArrayParameterStore) -> "LocationAwareInference":
         """Adopt an existing estimate without running EM.
 
         Used by the serving subsystem to resume from a restored snapshot: the
         model becomes immediately queryable (predictions, incremental updates)
         and the next :meth:`fit` naturally warm-starts from these values.
+        The model holds ``parameters`` itself; it never writes to it.
         """
-        if isinstance(parameters, ArrayParameterStore):
-            parameters = parameters.to_model()
         self._parameters = parameters
         self._fitted = True
         return self
@@ -352,49 +334,37 @@ class LocationAwareInference(LabelInferenceModel):
     def run_em(
         self,
         answers: AnswerSet | None,
-        initial: ModelParameters | ArrayParameterStore | None = None,
+        initial: ArrayParameterStore | None = None,
         tensor: AnswerTensor | None = None,
-        initial_store: ArrayParameterStore | None = None,
         answer_weights: "np.ndarray | None" = None,
+        first_delta_floor: float = 0.0,
     ) -> InferenceResult:
         """Run EM to convergence and return the full trace.
 
         ``initial`` allows warm-starting from previous parameters, which is how
-        the framework re-runs the model as new answers arrive; an
-        :class:`~repro.core.params.ArrayParameterStore` (e.g. a serving
-        snapshot restored from disk) is accepted directly and expanded through
-        the same footnote-3 priors as a live estimate.
+        the framework re-runs the model as new answers arrive; a store over
+        another universe or row order (e.g. a serving snapshot restored from
+        disk) is re-gathered onto the tensor's rows, with the footnote-3
+        priors for entities it lacks.
 
         ``tensor`` runs the EM loop against a prebuilt (live)
         :class:`~repro.core.em_kernel.AnswerTensor` instead of flattening
-        ``answers`` — the log-free serving refresh.  ``initial_store``
-        optionally provides the warm-start estimate pre-gathered into a store
-        row-aligned with that tensor (it is only honoured when its row order
-        matches; results are identical either way).  ``answer_weights`` (one
+        ``answers`` — the log-free serving refresh.  ``answer_weights`` (one
         weight per tensor answer row) runs a weighted EM.
+
+        The first iteration's convergence delta spans both estimates' entity
+        sets, as Figure 10's measure does
+        (:func:`~repro.core.em_kernel.warm_start_extra_delta`).
+        ``first_delta_floor`` adds the terms of entities the warm start
+        holds, or lacks, beyond what ``initial``'s rows show: the incremental
+        updater passes those of its carried-over and not yet estimated
+        entities.
         """
-        if isinstance(initial, ArrayParameterStore):
-            initial = initial.to_model()
         if tensor is None:
             if answers is None:
                 raise ValueError("run_em needs an AnswerSet or a prebuilt tensor")
             tensor = self._build_tensor(answers)
-        if (
-            initial is not None
-            and initial_store is not None
-            and initial_store.worker_ids == tensor.worker_ids
-            and initial_store.task_ids == tensor.task_ids
-        ):
-            # The caller's live store already holds exactly the warm-start
-            # values this fit would gather from ``initial`` — use it directly.
-            store = initial_store
-            first_extra_delta = em_kernel.warm_start_extra_delta(initial, tensor)
-        elif initial is not None:
-            store = initial.to_array_store(
-                tensor.worker_ids, tensor.task_ids, tensor.num_labels
-            )
-            first_extra_delta = em_kernel.warm_start_extra_delta(initial, tensor)
-        else:
+        if initial is None:
             store = em_kernel.initial_store(
                 tensor,
                 self._config.function_set,
@@ -402,6 +372,22 @@ class LocationAwareInference(LabelInferenceModel):
                 self._config.initial_p_qualified,
             )
             first_extra_delta = 0.0
+        else:
+            aligned = (
+                initial.worker_ids == tensor.worker_ids
+                and initial.task_ids == tensor.task_ids
+                and np.array_equal(initial.label_offsets, tensor.label_offsets)
+            )
+            store = (
+                initial
+                if aligned
+                else initial.regather(
+                    tensor.worker_ids, tensor.task_ids, tensor.num_labels
+                )
+            )
+            first_extra_delta = max(
+                em_kernel.warm_start_extra_delta(initial, tensor), first_delta_floor
+            )
 
         convergence_trace: list[float] = []
         likelihood_trace: list[float] = []

@@ -1,251 +1,78 @@
-"""Containers for the inference model's parameters.
+"""The inference model's parameters, held as row-aligned arrays.
 
 The graphical model of Section III has four groups of parameters:
 
 * ``P(z_{t,k} = 1)`` — per task ``t`` and label index ``k``, the probability the
-  label is a correct label of the POI (:class:`TaskParameters.label_probs`);
+  label is a correct label of the POI (:attr:`ArrayParameterStore.label_probs`,
+  one slice of label slots per task);
 * ``P(d_t)``        — per task, the multinomial weights over the
   distance-function set representing the POI's influence
-  (:class:`TaskParameters.influence_weights`);
+  (:attr:`ArrayParameterStore.influence_weights`, one row per task);
 * ``P(i_w = 1)``    — per worker, the probability the worker is qualified
-  (:class:`WorkerParameters.p_qualified`);
+  (:attr:`ArrayParameterStore.p_qualified`);
 * ``P(d_w)``        — per worker, the multinomial weights representing the
-  worker's distance sensitivity (:class:`WorkerParameters.distance_weights`).
+  worker's distance sensitivity (:attr:`ArrayParameterStore.distance_weights`).
 
-:class:`ModelParameters` bundles them with the distance-function set and offers
-the derived quantities every consumer needs: the distance-aware quality
-(Definition 5), the POI influence quality (Definition 6) and the answer
-accuracy ``P(r_{w,t,k} = z_{t,k})`` (Equation 9).
-
-:class:`ArrayParameterStore` is the flat, array-backed twin used by the
-vectorised EM engine (:mod:`repro.core.em_kernel`): the same four parameter
-groups stored as contiguous NumPy arrays over integer worker/task indices, with
-lossless conversion to and from :class:`ModelParameters` at the fit boundary so
-every existing consumer keeps the dict-of-dataclasses API.
+:class:`ArrayParameterStore` is the one estimate type: the four groups as
+contiguous NumPy arrays over integer worker/task rows, which the EM kernels
+(:mod:`repro.core.em_kernel`) and the assignment kernels read and write
+directly.  Everything else reads through its id accessors —
+:meth:`~ArrayParameterStore.worker` and :meth:`~ArrayParameterStore.task`,
+which give ids the store lacks the paper's footnote-3 priors — the scalar
+answer accuracy of Equation 9, :meth:`~ArrayParameterStore.max_difference`
+(the largest parameter change, Figure 10's convergence measure) and
+:meth:`~ArrayParameterStore.regather` (the same estimate over another row
+order).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from repro.core.distance_functions import DistanceFunctionSet, PAPER_FUNCTION_SET
-from repro.utils.validation import check_probability, check_probability_vector
 
 
-@dataclass
-class WorkerParameters:
-    """Estimated parameters of one worker: ``P(i_w = 1)`` and ``P(d_w)``."""
+class WorkerView(NamedTuple):
+    """One worker's parameters: ``P(i_w = 1)`` and a view of its ``P(d_w)`` row."""
 
     p_qualified: float
     distance_weights: np.ndarray
 
-    def __post_init__(self) -> None:
-        self.p_qualified = check_probability(self.p_qualified, "p_qualified")
-        self.distance_weights = check_probability_vector(
-            self.distance_weights, "distance_weights"
-        )
 
-    def copy(self) -> "WorkerParameters":
-        return WorkerParameters(self.p_qualified, self.distance_weights.copy())
-
-
-@dataclass
-class TaskParameters:
-    """Estimated parameters of one task: ``P(z_{t,k} = 1)`` per label and ``P(d_t)``."""
+class TaskView(NamedTuple):
+    """One task's parameters: views of its ``P(z_{t,k} = 1)`` and ``P(d_t)``."""
 
     label_probs: np.ndarray
     influence_weights: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.label_probs = np.asarray(self.label_probs, dtype=float)
-        if self.label_probs.ndim != 1 or self.label_probs.size == 0:
-            raise ValueError(
-                f"label_probs must be a non-empty vector, got shape {self.label_probs.shape}"
-            )
-        if np.any(self.label_probs < -1e-9) or np.any(self.label_probs > 1.0 + 1e-9):
-            raise ValueError("label_probs must lie in [0, 1]")
-        self.label_probs = np.clip(self.label_probs, 0.0, 1.0)
-        self.influence_weights = check_probability_vector(
-            self.influence_weights, "influence_weights"
-        )
 
     @property
     def num_labels(self) -> int:
         return int(self.label_probs.size)
 
-    def inferred_labels(self, threshold: float = 0.5) -> np.ndarray:
-        """Binary decision per label: correct iff ``P(z=1) >= threshold``."""
-        return (self.label_probs >= threshold).astype(int)
 
-    def copy(self) -> "TaskParameters":
-        return TaskParameters(self.label_probs.copy(), self.influence_weights.copy())
+class RowAlignment(NamedTuple):
+    """Where one store's rows land in a target row order.
 
-
-def _trusted_worker_parameters(
-    p_qualified: float, distance_weights: np.ndarray
-) -> WorkerParameters:
-    """Build :class:`WorkerParameters` without re-validating the inputs.
-
-    Only for values that already satisfy the invariants by construction (the
-    EM kernels clip probabilities and renormalise weight rows); skipping
-    ``__post_init__`` keeps the array→dict conversion out of the profile when
-    a fit materialises thousands of entities.
+    Built by :meth:`ArrayParameterStore.alignment`; applied by
+    :meth:`ArrayParameterStore.gathered`.  ``workers``/``tasks`` are the
+    target positions of the entities the store holds and
+    ``worker_rows``/``task_rows`` their rows in the store; ``slots`` and
+    ``sources`` pair up their label slots in the two layouts.
     """
-    params = object.__new__(WorkerParameters)
-    params.p_qualified = float(p_qualified)
-    params.distance_weights = distance_weights
-    return params
 
-
-def _trusted_task_parameters(
-    label_probs: np.ndarray, influence_weights: np.ndarray
-) -> TaskParameters:
-    """Build :class:`TaskParameters` without re-validating the inputs."""
-    params = object.__new__(TaskParameters)
-    params.label_probs = label_probs
-    params.influence_weights = influence_weights
-    return params
-
-
-@dataclass
-class ModelParameters:
-    """All estimated parameters of the location-aware inference model."""
-
-    function_set: DistanceFunctionSet = field(default_factory=lambda: PAPER_FUNCTION_SET)
-    alpha: float = 0.5
-    workers: dict[str, WorkerParameters] = field(default_factory=dict)
-    tasks: dict[str, TaskParameters] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
-
-    # --------------------------------------------------------------- accessors
-    def worker(self, worker_id: str) -> WorkerParameters:
-        """Parameters of ``worker_id``; unseen workers get the footnote-3 prior.
-
-        A brand-new worker is optimistically assumed to be fully qualified with
-        all mass on the flattest distance function, so that the assigner
-        prioritises them and their real quality is learned quickly.
-        """
-        params = self.workers.get(worker_id)
-        if params is not None:
-            return params
-        return WorkerParameters(
-            p_qualified=1.0,
-            distance_weights=self.function_set.best_quality_weights(),
-        )
-
-    def task(self, task_id: str, num_labels: int | None = None) -> TaskParameters:
-        """Parameters of ``task_id``; unseen tasks get uninformative labels and
-        the footnote-3 best-influence prior."""
-        params = self.tasks.get(task_id)
-        if params is not None:
-            return params
-        if num_labels is None:
-            raise KeyError(
-                f"task {task_id!r} has no estimated parameters and num_labels was "
-                "not provided to build a prior"
-            )
-        return TaskParameters(
-            label_probs=np.full(num_labels, 0.5),
-            influence_weights=self.function_set.best_quality_weights(),
-        )
-
-    def has_worker(self, worker_id: str) -> bool:
-        return worker_id in self.workers
-
-    def has_task(self, task_id: str) -> bool:
-        return task_id in self.tasks
-
-    # ------------------------------------------------------- derived quantities
-    def worker_distance_quality(self, worker_id: str, distance: float) -> float:
-        """Distance-aware quality ``DQ_w`` at ``distance`` (Definition 5)."""
-        params = self.worker(worker_id)
-        return self.function_set.weighted_quality(params.distance_weights, distance)
-
-    def poi_influence_quality(self, task_id: str, distance: float) -> float:
-        """POI-influence quality ``IQ_t`` at ``distance`` (Definition 6)."""
-        params = self.task(task_id, num_labels=1)
-        return self.function_set.weighted_quality(params.influence_weights, distance)
-
-    def qualified_answer_accuracy(
-        self, worker_id: str, task_id: str, distance: float
-    ) -> float:
-        """``P(r = z | i_w = 1)`` — Equation 8's linear combination."""
-        return (
-            self.alpha * self.worker_distance_quality(worker_id, distance)
-            + (1.0 - self.alpha) * self.poi_influence_quality(task_id, distance)
-        )
-
-    def answer_accuracy(self, worker_id: str, task_id: str, distance: float) -> float:
-        """``P(r_{w,t,k} = z_{t,k})`` — Equation 9.
-
-        The probability that the worker's answer on any label of the task
-        agrees with the (unknown) truth, marginalised over the worker being
-        qualified or not.
-        """
-        p_qualified = self.worker(worker_id).p_qualified
-        qualified = self.qualified_answer_accuracy(worker_id, task_id, distance)
-        return p_qualified * qualified + (1.0 - p_qualified) * 0.5
-
-    # ------------------------------------------------------------------- misc
-    def copy(self) -> "ModelParameters":
-        return ModelParameters(
-            function_set=self.function_set,
-            alpha=self.alpha,
-            workers={wid: params.copy() for wid, params in self.workers.items()},
-            tasks={tid: params.copy() for tid, params in self.tasks.items()},
-        )
-
-    def to_array_store(
-        self,
-        worker_ids: Sequence[str],
-        task_ids: Sequence[str],
-        num_labels: Sequence[int],
-    ) -> "ArrayParameterStore":
-        """Flatten into an :class:`ArrayParameterStore` over the given index maps.
-
-        Entities missing from this estimate receive the same footnote-3 priors
-        that :meth:`worker` and :meth:`task` fall back to, so the array view is
-        exactly what the per-record EM engine would read through the accessors.
-        """
-        return ArrayParameterStore.from_model(self, worker_ids, task_ids, num_labels)
-
-    def max_difference(self, other: "ModelParameters") -> float:
-        """Maximum absolute parameter change between two estimates.
-
-        This is the "maximum variance of parameters" convergence criterion the
-        paper plots in Figure 10.  Workers or tasks present in only one of the
-        two estimates contribute their full parameter magnitude.
-        """
-        worst = 0.0
-        worker_ids = set(self.workers) | set(other.workers)
-        for worker_id in worker_ids:
-            a = self.worker(worker_id)
-            b = other.worker(worker_id)
-            worst = max(worst, abs(a.p_qualified - b.p_qualified))
-            worst = max(worst, float(np.max(np.abs(a.distance_weights - b.distance_weights))))
-        task_ids = set(self.tasks) | set(other.tasks)
-        for task_id in task_ids:
-            if task_id in self.tasks and task_id in other.tasks:
-                a_t = self.tasks[task_id]
-                b_t = other.tasks[task_id]
-                if a_t.num_labels == b_t.num_labels:
-                    worst = max(worst, float(np.max(np.abs(a_t.label_probs - b_t.label_probs))))
-                else:
-                    worst = 1.0
-                worst = max(
-                    worst,
-                    float(np.max(np.abs(a_t.influence_weights - b_t.influence_weights))),
-                )
-            else:
-                worst = 1.0
-        return worst
+    worker_ids: tuple[str, ...]
+    task_ids: tuple[str, ...]
+    label_offsets: np.ndarray
+    workers: np.ndarray
+    worker_rows: np.ndarray
+    tasks: np.ndarray
+    task_rows: np.ndarray
+    slots: np.ndarray
+    sources: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -271,11 +98,6 @@ class StoreDelta:
     label_probs: np.ndarray
     num_workers: int
     num_tasks: int
-
-    @property
-    def changed_rows(self) -> int:
-        """Total dirty rows carried (worker rows + task rows)."""
-        return int(self.worker_rows.size + self.task_rows.size)
 
     def apply(self, store: "ArrayParameterStore") -> "ArrayParameterStore":
         """Patch the dirty rows into ``store`` (unfrozen, same universe).
@@ -368,8 +190,13 @@ class ArrayParameterStore:
     capacity-doubling buffers (the array attributes are views of the logical
     prefix, so every consumer keeps seeing exactly-sized arrays).  Unless
     explicit values are supplied, admitted entities receive the paper's
-    footnote-3 trusted priors — the same fallback
-    :meth:`ModelParameters.worker` / :meth:`ModelParameters.task` apply.
+    footnote-3 trusted priors — the same values :meth:`worker` and
+    :meth:`task` report for ids the store lacks.
+
+    A store is not copy-on-write: whoever holds one sees the changes its
+    owner makes (the incremental updater sweeps its live store in place).
+    A caller that keeps one version copies it (:meth:`copy`); published
+    snapshots hand out :meth:`freeze`-d copies.
     """
 
     def __init__(
@@ -405,6 +232,26 @@ class ArrayParameterStore:
         return (
             f"ArrayParameterStore(workers={self.num_workers}, "
             f"tasks={self.num_tasks}, label_slots={self.num_label_slots})"
+        )
+
+    @classmethod
+    def empty(
+        cls,
+        function_set: DistanceFunctionSet = PAPER_FUNCTION_SET,
+        alpha: float = 0.5,
+    ) -> "ArrayParameterStore":
+        """A store with no rows: every id reads its footnote-3 prior."""
+        functions = len(function_set)
+        return cls(
+            function_set=function_set,
+            alpha=alpha,
+            worker_ids=(),
+            task_ids=(),
+            label_offsets=np.zeros(1, dtype=np.intp),
+            p_qualified=np.zeros(0),
+            distance_weights=np.zeros((0, functions)),
+            influence_weights=np.zeros((0, functions)),
+            label_probs=np.zeros(0),
         )
 
     # ------------------------------------------------------------- properties
@@ -457,31 +304,80 @@ class ArrayParameterStore:
         return self._frozen
 
     # ----------------------------------------------------------- id lookups
-    def index_of_worker(self, worker_id: str) -> int:
-        """Row of ``worker_id`` (``KeyError`` if the worker is unknown)."""
+    def _worker_rows(self) -> dict[str, int]:
         if self._worker_index is None:
             self._worker_index = {w: i for i, w in enumerate(self._worker_ids)}
-        return self._worker_index[worker_id]
+        return self._worker_index
+
+    def _task_rows(self) -> dict[str, int]:
+        if self._task_index is None:
+            self._task_index = {t: j for j, t in enumerate(self._task_ids)}
+        return self._task_index
+
+    def index_of_worker(self, worker_id: str) -> int:
+        """Row of ``worker_id`` (``KeyError`` if the worker is unknown)."""
+        return self._worker_rows()[worker_id]
 
     def index_of_task(self, task_id: str) -> int:
         """Row of ``task_id`` (``KeyError`` if the task is unknown)."""
-        if self._task_index is None:
-            self._task_index = {t: j for j, t in enumerate(self._task_ids)}
-        return self._task_index[task_id]
+        return self._task_rows()[task_id]
 
     def has_worker(self, worker_id: str) -> bool:
-        try:
-            self.index_of_worker(worker_id)
-        except KeyError:
-            return False
-        return True
+        return worker_id in self._worker_rows()
 
     def has_task(self, task_id: str) -> bool:
-        try:
-            self.index_of_task(task_id)
-        except KeyError:
-            return False
-        return True
+        return task_id in self._task_rows()
+
+    # -------------------------------------------------------------- accessors
+    def worker(self, worker_id: str) -> WorkerView:
+        """Parameters of ``worker_id``; unseen workers get the footnote-3 prior.
+
+        A brand-new worker is optimistically assumed to be fully qualified with
+        all mass on the flattest distance function, so that the assigner
+        prioritises them and their real quality is learned quickly.  The
+        weights are a view of the store's row: read them, never change them.
+        """
+        row = self._worker_rows().get(worker_id)
+        if row is None:
+            return WorkerView(1.0, self.function_set.best_quality_weights())
+        return WorkerView(float(self._p_qualified[row]), self._distance_weights[row])
+
+    def task(self, task_id: str, num_labels: int | None = None) -> TaskView:
+        """Parameters of ``task_id``; unseen tasks get uninformative labels and
+        the footnote-3 best-influence prior.
+
+        ``num_labels`` sizes the prior; an unseen task without it raises
+        ``KeyError``.  The arrays are views of the store's rows: read them,
+        never change them.
+        """
+        row = self._task_rows().get(task_id)
+        if row is not None:
+            start, stop = self._label_offsets[row], self._label_offsets[row + 1]
+            return TaskView(self._label_probs[start:stop], self._influence_weights[row])
+        if num_labels is None:
+            raise KeyError(
+                f"task {task_id!r} has no estimated parameters and num_labels was "
+                "not provided to build a prior"
+            )
+        return TaskView(np.full(num_labels, 0.5), self.function_set.best_quality_weights())
+
+    def answer_accuracy(self, worker_id: str, task_id: str, distance: float) -> float:
+        """``P(r_{w,t,k} = z_{t,k})`` — Equation 9, for one pair.
+
+        The probability that the worker's answer on any label of the task
+        agrees with the (unknown) truth, marginalised over the worker being
+        qualified or not; Equation 8's linear combination of the worker's
+        distance-aware quality (Definition 5) and the POI's influence quality
+        (Definition 6) is the qualified case.
+        """
+        worker = self.worker(worker_id)
+        influence = self.task(task_id, num_labels=1).influence_weights
+        quality = self.function_set.weighted_quality
+        qualified = (
+            self.alpha * quality(worker.distance_weights, distance)
+            + (1.0 - self.alpha) * quality(influence, distance)
+        )
+        return worker.p_qualified * qualified + (1.0 - worker.p_qualified) * 0.5
 
     # ------------------------------------------------------- open-world growth
     def add_worker(
@@ -560,97 +456,93 @@ class ArrayParameterStore:
             int(self.label_offsets[task_index]), int(self.label_offsets[task_index + 1])
         )
 
-    # ------------------------------------------------------------ conversions
-    @classmethod
-    def from_model(
-        cls,
-        params: ModelParameters,
+    # ------------------------------------------------------------ row orders
+    def alignment(
+        self,
         worker_ids: Sequence[str],
         task_ids: Sequence[str],
         num_labels: Sequence[int],
-    ) -> "ArrayParameterStore":
-        """Gather ``params`` into arrays over the given worker/task orderings.
+    ) -> RowAlignment:
+        """Where this store's rows land in the given worker/task orders.
 
-        Uses the :meth:`ModelParameters.worker` / :meth:`ModelParameters.task`
-        accessors, so entities absent from ``params`` (e.g. when warm-starting
-        from a smaller corpus) are seeded with the same footnote-3 priors the
-        per-record engine would see.
+        ``num_labels`` is the target label count of every task; a task this
+        store holds with another count raises ``ValueError``.
         """
-        function_count = len(params.function_set)
-        worker_count = len(worker_ids)
-        task_count = len(task_ids)
         counts = np.asarray(num_labels, dtype=np.intp)
-        if counts.shape != (task_count,):
+        if counts.shape != (len(task_ids),):
             raise ValueError(
-                f"num_labels must align with task_ids: {counts.shape} vs {task_count}"
+                f"num_labels must align with task_ids: {counts.shape} vs {len(task_ids)}"
             )
         label_offsets = np.concatenate(([0], np.cumsum(counts)))
-
-        workers = [params.worker(worker_id) for worker_id in worker_ids]
-        p_qualified = np.fromiter(
-            (worker.p_qualified for worker in workers), dtype=float, count=worker_count
-        )
-        distance_weights = np.array(
-            [worker.distance_weights for worker in workers], dtype=float
-        ).reshape(worker_count, function_count)
-
-        tasks = [
-            params.task(task_id, num_labels=int(count))
-            for task_id, count in zip(task_ids, counts)
-        ]
-        sizes = np.fromiter(
-            (task.label_probs.size for task in tasks), dtype=np.intp, count=task_count
-        )
-        if np.any(sizes != counts):
-            j = int(np.flatnonzero(sizes != counts)[0])
+        workers, worker_rows = _positions(self._worker_rows(), worker_ids)
+        tasks, task_rows = _positions(self._task_rows(), task_ids)
+        held = np.diff(self.label_offsets)[task_rows]
+        mismatch = np.flatnonzero(held != counts[tasks])
+        if mismatch.size:
+            k = int(mismatch[0])
+            j = int(tasks[k])
             raise ValueError(
-                f"task {task_ids[j]!r} has {int(sizes[j])} estimated labels, "
+                f"task {task_ids[j]!r} has {int(held[k])} estimated labels, "
                 f"expected {int(counts[j])}"
             )
-        influence_weights = np.array(
-            [task.influence_weights for task in tasks], dtype=float
-        ).reshape(task_count, function_count)
-        label_probs = np.concatenate([np.empty(0)] + [t.label_probs for t in tasks])
-
-        return cls(
-            function_set=params.function_set,
-            alpha=params.alpha,
+        # Each held task's run of label slots, in both layouts.
+        starts = np.cumsum(held) - held
+        within = np.arange(held.sum()) - np.repeat(starts, held)
+        return RowAlignment(
             worker_ids=tuple(worker_ids),
             task_ids=tuple(task_ids),
             label_offsets=label_offsets,
+            workers=workers,
+            worker_rows=worker_rows,
+            tasks=tasks,
+            task_rows=task_rows,
+            slots=np.repeat(label_offsets[tasks], held) + within,
+            sources=np.repeat(self.label_offsets[task_rows], held) + within,
+        )
+
+    def gathered(self, alignment: RowAlignment) -> "ArrayParameterStore":
+        """A new store over ``alignment``'s target orders.
+
+        Rows this store holds are copied over; every other entity gets the
+        footnote-3 priors :meth:`worker` and :meth:`task` report.
+        """
+        prior = self.function_set.best_quality_weights()
+        num_workers = len(alignment.worker_ids)
+        num_tasks = len(alignment.task_ids)
+        p_qualified = np.ones(num_workers)
+        p_qualified[alignment.workers] = self.p_qualified[alignment.worker_rows]
+        distance_weights = np.empty((num_workers, prior.size))
+        distance_weights[...] = prior
+        distance_weights[alignment.workers] = self.distance_weights[alignment.worker_rows]
+        influence_weights = np.empty((num_tasks, prior.size))
+        influence_weights[...] = prior
+        influence_weights[alignment.tasks] = self.influence_weights[alignment.task_rows]
+        label_probs = np.full(int(alignment.label_offsets[-1]), 0.5)
+        label_probs[alignment.slots] = self.label_probs[alignment.sources]
+        return ArrayParameterStore(
+            function_set=self.function_set,
+            alpha=self.alpha,
+            worker_ids=alignment.worker_ids,
+            task_ids=alignment.task_ids,
+            label_offsets=alignment.label_offsets.copy(),
             p_qualified=p_qualified,
             distance_weights=distance_weights,
             influence_weights=influence_weights,
             label_probs=label_probs,
         )
 
-    def to_model(self) -> ModelParameters:
-        """Expand back into the dict-of-dataclasses :class:`ModelParameters` view.
+    def regather(
+        self,
+        worker_ids: Sequence[str],
+        task_ids: Sequence[str],
+        num_labels: Sequence[int],
+    ) -> "ArrayParameterStore":
+        """This estimate over the given worker/task orders, as a new store.
 
-        The store's invariants (probabilities in [0, 1], weight rows summing to
-        one) are maintained by the EM kernels and the ``from_model`` gather, so
-        the per-entity containers are built through the trusted constructors
-        instead of re-validating thousands of small arrays.
+        Entities the store lacks (e.g. when warm-starting a larger corpus)
+        get the footnote-3 priors; held tasks must keep their label counts.
         """
-        workers = {
-            worker_id: _trusted_worker_parameters(
-                self.p_qualified[i], self.distance_weights[i].copy()
-            )
-            for i, worker_id in enumerate(self.worker_ids)
-        }
-        tasks = {
-            task_id: _trusted_task_parameters(
-                self.label_probs[self.task_label_slice(j)].copy(),
-                self.influence_weights[j].copy(),
-            )
-            for j, task_id in enumerate(self.task_ids)
-        }
-        return ModelParameters(
-            function_set=self.function_set,
-            alpha=self.alpha,
-            workers=workers,
-            tasks=tasks,
-        )
+        return self.gathered(self.alignment(worker_ids, task_ids, num_labels))
 
     # ------------------------------------------------------------------- misc
     def copy(self) -> "ArrayParameterStore":
@@ -790,14 +682,33 @@ class ArrayParameterStore:
         return self
 
     def max_difference(self, other: "ArrayParameterStore") -> float:
-        """Maximum absolute parameter change versus ``other``.
+        """Maximum absolute parameter change between two estimates.
 
-        Array counterpart of :meth:`ModelParameters.max_difference` for two
-        stores over the *same* worker/task orderings (the situation inside one
-        EM run, where the entity sets never change between iterations).
+        This is the "maximum variance of parameters" convergence criterion the
+        paper plots in Figure 10.  Stores over the same rows (the EM loop)
+        compare array against array.  Otherwise the comparison runs by id
+        over the union: a worker on one side only is compared with its
+        footnote-3 prior, and a task on one side only, or held with another
+        label count, reads 1.0.
         """
-        if self.worker_ids != other.worker_ids or self.task_ids != other.task_ids:
-            raise ValueError("stores must share worker/task orderings")
+        if not (
+            self.worker_ids == other.worker_ids
+            and self.task_ids == other.task_ids
+            and np.array_equal(self.label_offsets, other.label_offsets)
+        ):
+            num_labels = np.diff(self.label_offsets)
+            held = dict(zip(self.task_ids, num_labels.tolist()))
+            if len(held) != other.num_tasks or any(
+                held.get(task_id) != count
+                for task_id, count in zip(
+                    other.task_ids, np.diff(other.label_offsets).tolist()
+                )
+            ):
+                return 1.0
+            workers = tuple(dict.fromkeys(self.worker_ids + other.worker_ids))
+            return self.regather(workers, self.task_ids, num_labels).max_difference(
+                other.regather(workers, self.task_ids, num_labels)
+            )
         worst = 0.0
         if self.p_qualified.size:
             worst = max(worst, float(np.abs(self.p_qualified - other.p_qualified).max()))
@@ -812,3 +723,13 @@ class ArrayParameterStore:
         if self.label_probs.size:
             worst = max(worst, float(np.abs(self.label_probs - other.label_probs).max()))
         return worst
+
+
+def _positions(
+    rows: Mapping[str, int], order: Sequence[str]
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(positions, rows)``: each id of ``order`` that ``rows`` maps, as its
+    position in ``order`` and its mapped row."""
+    found = np.fromiter((rows.get(i, -1) for i in order), dtype=np.intp, count=len(order))
+    positions = np.flatnonzero(found >= 0)
+    return positions, found[positions]

@@ -16,11 +16,13 @@ per-record specifications live with the tests, in ``tests/oracles/``):
 * :mod:`repro.serving.pipeline`  — the background
   :class:`~repro.serving.pipeline.RefreshWorker` that overlaps the periodic
   full EM re-fit with continued ingest (see the pipelined loop below);
-* :mod:`repro.serving.snapshots` — immutable, versioned views of the
-  :class:`~repro.core.params.ArrayParameterStore` (copy-on-write publish,
-  O(changed) dirty-row delta publishes with lazy materialisation,
-  monotonically increasing versions, bounded retention, ``.npz`` persistence)
-  so reads never observe a half-applied update;
+* :mod:`repro.serving.snapshots` — immutable, versioned copies of the
+  :class:`~repro.core.params.ArrayParameterStore`, the package's one
+  estimate type (copy-on-write publish, O(changed) dirty-row delta publishes
+  with lazy materialisation, monotonically increasing versions, bounded
+  retention, ``.npz`` persistence) so reads never observe a half-applied
+  update: readers hold frozen snapshot stores, never the updater's live
+  store, which every micro-batch changes in place;
 * :mod:`repro.serving.frontend`  — serves an AccOpt / uncertainty /
   spatial-first assignment to each arriving worker against the latest
   published snapshot, recording per-request latency;
@@ -133,9 +135,9 @@ known at startup — new entities flow through every layer as they arrive:
    (snapshots are append-only in entity space: universes never shrink between
    versions);
 4. the frontend admits the entity into its assignment strategy — for AccOpt
-   the cached distance matrix and the task-side ragged label layout grow with
-   the store — so the very next request can be scored over the expanded
-   universe;
+   the cached distance rows, the task-side ragged label layout, ``|W(t)|``
+   and the estimate's alignment grow with the store — so the very next
+   request can be scored over the expanded universe;
 5. :class:`~repro.serving.service.OnlineServingService` drives the whole flow
    with the ``holdback_worker_fraction`` / ``holdback_task_fraction`` knobs
    of :class:`~repro.serving.service.ServingConfig` (CLI:

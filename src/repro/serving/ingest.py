@@ -783,7 +783,7 @@ class AnswerIngestor:
         watermark = self._stats.answers
 
         def capture_and_launch() -> None:
-            tensor, initial, initial_store, weights = (
+            tensor, initial, weights, first_delta_floor = (
                 self._updater.capture_refresh_state(warm=warm)
             )
             faults = self._faults
@@ -797,8 +797,8 @@ class AnswerIngestor:
                 return inference.run_em_detached(
                     tensor,
                     initial=initial,
-                    initial_store=initial_store,
                     answer_weights=weights,
+                    first_delta_floor=first_delta_floor,
                 )
 
             self._refresh_worker.launch(fit)
@@ -918,9 +918,9 @@ class AnswerIngestor:
         Steady-state micro-batches publish a dirty-row delta onto the
         previous snapshot's immutable base — only the rows this batch touched
         are copied.  The full-copy path (one C-level array copy of the live
-        store plus carried-over entities, never a ``ModelParameters``
-        flatten) remains for the first publish, full refreshes, universe
-        growth, and whenever an external publisher interleaved with ours.
+        store plus a row per carried-over entity) remains for the first
+        publish, full refreshes, universe growth, and whenever an external
+        publisher interleaved with ours.
         """
         delta = self._updater.collect_publish_delta()
         latest = self._snapshots.latest()

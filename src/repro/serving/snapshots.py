@@ -44,7 +44,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 import numpy as np
 
 from repro.core.em_kernel import AnswerColumns
-from repro.core.params import ArrayParameterStore, ModelParameters, StoreDelta
+from repro.core.params import ArrayParameterStore, StoreDelta
 from repro.data.io import (
     task_from_entry,
     task_to_entry,
@@ -66,9 +66,7 @@ class ParameterSnapshot:
     snapshot on first read by applying the delta chain onto the nearest
     materialised ancestor.  Either way the arrays handed out are frozen
     (read-only).  The assignment frontend hands :attr:`store` itself to its
-    task assigner.  Consumers that need the id-oriented
-    :class:`~repro.core.params.ModelParameters` view (accuracy read-outs,
-    offline tools) call :meth:`as_model`, which converts lazily and caches.
+    task assigner; read-outs go through the store's id accessors.
     """
 
     __slots__ = (
@@ -81,7 +79,6 @@ class ParameterSnapshot:
         "_store",
         "_base",
         "_delta",
-        "_model",
         "_lock",
     )
 
@@ -114,9 +111,7 @@ class ParameterSnapshot:
         else:
             self.num_workers = delta.num_workers
             self.num_tasks = delta.num_tasks
-        self._model: ModelParameters | None = None
-        # Reentrant: as_model() materialises the store under the same lock.
-        self._lock = threading.RLock()
+        self._lock = threading.Lock()
 
     def __repr__(self) -> str:
         kind = "delta" if self._store is None else "full"
@@ -190,20 +185,9 @@ class ParameterSnapshot:
                 self._delta = None
             return self._store
 
-    def as_model(self) -> ModelParameters:
-        """The dict-of-dataclasses view of this snapshot (converted once).
-
-        The returned object is shared between callers; treat it as read-only,
-        like the snapshot itself.  Thread-safe: concurrent first calls convert
-        once (double-checked under the snapshot lock).
-        """
-        model = self._model
-        if model is not None:
-            return model
-        with self._lock:
-            if self._model is None:
-                self._model = self.store.to_model()
-            return self._model
+    def as_model(self) -> ArrayParameterStore:
+        """:attr:`store` (kept for callers of the former dict view)."""
+        return self.store
 
     def save(self, path: str | Path) -> Path:
         """Persist the snapshot (parameters + version metadata) as ``.npz``."""

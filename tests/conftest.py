@@ -12,6 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from oracles.em import store_of
+from oracles.params import model_from_store
 from repro.core.inference import LocationAwareInference
 from repro.crowd.answer_model import AnswerSimulator
 from repro.crowd.arrival import UniformRandomArrival
@@ -89,9 +91,10 @@ class ParameterFeed:
 
         ``by_store`` is one assigner that lives through every step, fed each
         snapshot's frozen ``store``; ``by_model`` is built afresh at each step
-        over the same universe and fed the snapshot's ``as_model()`` view, so
-        it shares no state with the steps before.  ``worker_ids`` lists every
-        admitted worker.
+        over the same universe and fed the oracle's id-keyed form of that
+        store (:mod:`oracles.params`) flattened back into a store of its own,
+        so it shares no state with the steps before.  ``worker_ids`` lists
+        every admitted worker.
         """
         by_store = make_assigner()
         admitted, worker_ids, snapshot = [], list(self.worker_ids), None
@@ -112,7 +115,7 @@ class ParameterFeed:
                     by_model.add_worker(entity)
                 else:
                     by_model.add_task(entity)
-            by_model.update_parameters(snapshot.as_model())
+            by_model.update_parameters(store_of(model_from_store(snapshot.store)))
             yield by_store, by_model, worker_ids
 
 
@@ -143,7 +146,7 @@ def parameter_feed(
     elif request.param == "missing":
         worker_ids = [w for i, w in enumerate(worker_ids) if i % 3]
         tasks = [t for i, t in enumerate(tasks) if i % 3]
-    store = model.parameters.to_array_store(
+    store = model.parameters.regather(
         worker_ids, [t.task_id for t in tasks], [t.num_labels for t in tasks]
     )
     snapshots = SnapshotStore()

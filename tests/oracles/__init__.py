@@ -7,6 +7,10 @@ path runs it: ``src/`` keeps one engine per job, and the equivalence suites
 (and the gated speed benchmarks) build one side from ``repro`` and the other
 from here.
 
+* :mod:`oracles.params` — the id-keyed parameter form the per-record
+  oracles read (:class:`~oracles.params.ModelParameters` of per-entity
+  dataclasses, with its one-entity-at-a-time Figure 10 measure) and its
+  conversions to and from :class:`~repro.core.params.ArrayParameterStore`;
 * :mod:`oracles.em` — per-record location-aware EM (Eqs. 12 and 14),
   :class:`ReferenceInference`;
 * :mod:`oracles.incremental` — the per-record incremental update,

@@ -15,6 +15,7 @@ import heapq
 from typing import Sequence
 
 from oracles.accuracy import AccuracyEstimator, LabelAccuracy
+from oracles.params import model_from_store
 from repro.assign.accopt import AccOptAssigner
 from repro.data.models import AnswerSet
 
@@ -41,7 +42,7 @@ class ReferenceAccOptAssigner(AccOptAssigner):
             tasks=self._tasks,
             workers=self._workers,
             distance_model=self._distance_model,
-            parameters=self._parameters,
+            parameters=model_from_store(self.parameters),
             answers=answers,
         )
 

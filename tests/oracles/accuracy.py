@@ -32,8 +32,8 @@ from typing import Sequence
 
 import numpy as np
 
+from oracles.params import ModelParameters
 from repro.core.accuracy_kernel import BatchAccuracyState, _agreement_mass
-from repro.core.params import ModelParameters
 from repro.data.models import AnswerSet, Task, Worker
 from repro.spatial.distance import DistanceModel
 
@@ -163,7 +163,7 @@ def enumerate_expected_accuracy(
 class AccuracyEstimator:
     """Estimates answer accuracies and assignment gains from the current model.
 
-    Combines the estimated :class:`~repro.core.params.ModelParameters`, the
+    Combines the estimated :class:`~oracles.params.ModelParameters`, the
     answer set (for ``|W(t)|``) and the distance model.  The paper's footnote 3
     is honoured through :class:`ModelParameters`: unseen workers and tasks get
     optimistic priors so they are explored early.

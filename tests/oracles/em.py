@@ -13,7 +13,9 @@ it summed per answer.
 
 :class:`ReferenceInference` is a drop-in
 :class:`~repro.core.inference.LocationAwareInference` whose
-:meth:`~ReferenceInference.run_em` (and therefore ``fit``) runs this loop.
+:meth:`~ReferenceInference.run_em` (and therefore ``fit``) runs this loop on
+the id-keyed parameter form of :mod:`oracles.params`, converting the
+warm-start store in and the final estimate out.
 """
 
 from __future__ import annotations
@@ -27,12 +29,14 @@ from repro.core.inference import (
     InferenceResult,
     LocationAwareInference,
 )
-from repro.core.params import (
-    ArrayParameterStore,
+from oracles.params import (
     ModelParameters,
     TaskParameters,
     WorkerParameters,
+    model_from_store,
+    store_from_model,
 )
+from repro.core.params import ArrayParameterStore
 from repro.data.models import AnswerSet
 from repro.utils.validation import PROBABILITY_FLOOR, clamp_probability
 
@@ -54,10 +58,10 @@ class ReferenceInference(LocationAwareInference):
     def run_em(
         self,
         answers: AnswerSet,
-        initial: ModelParameters | ArrayParameterStore | None = None,
+        initial: ArrayParameterStore | None = None,
     ) -> InferenceResult:
-        if isinstance(initial, ArrayParameterStore):
-            initial = initial.to_model()
+        if initial is not None:
+            initial = model_from_store(initial)
         return self.run_em_on_records(build_records(self, answers), initial)
 
     def run_em_on_records(
@@ -87,12 +91,22 @@ class ReferenceInference(LocationAwareInference):
                 break
 
         return InferenceResult(
-            parameters=params,
             iterations=iterations,
             converged=converged,
             convergence_trace=convergence_trace,
             log_likelihood_trace=likelihood_trace,
+            store=store_of(params),
         )
+
+
+def store_of(params: ModelParameters) -> ArrayParameterStore:
+    """``params`` as a store over its own ids, in insertion order."""
+    return store_from_model(
+        params,
+        list(params.workers),
+        list(params.tasks),
+        [task.num_labels for task in params.tasks.values()],
+    )
 
 
 def build_records(

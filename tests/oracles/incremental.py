@@ -12,31 +12,33 @@ from __future__ import annotations
 
 import numpy as np
 
-from oracles.em import AnswerRecord, build_records, expectation
-from repro.core.incremental import IncrementalUpdater
-from repro.core.params import (
-    ArrayParameterStore,
+from oracles.em import AnswerRecord, build_records, expectation, store_of
+from oracles.params import (
     ModelParameters,
     TaskParameters,
     WorkerParameters,
+    model_from_store,
 )
+from repro.core.incremental import IncrementalUpdater
+from repro.core.params import ArrayParameterStore
 from repro.data.models import Answer, AnswerSet
 
 
 class ReferenceIncrementalUpdater(IncrementalUpdater):
-    """An :class:`IncrementalUpdater` whose ``apply`` is the per-record sweep."""
+    """An :class:`IncrementalUpdater` whose ``apply`` is the per-record sweep.
+
+    The sweep runs on the id-keyed form (:mod:`oracles.params`); the result
+    is installed as a new store over the estimate's ids plus the batch's.
+    """
 
     def apply(
         self,
         answers: AnswerSet,
         new_answers: list[Answer],
-        parameters: ModelParameters | ArrayParameterStore | None = None,
-    ) -> ModelParameters:
-        if isinstance(parameters, ArrayParameterStore):
-            parameters = parameters.to_model()
+    ) -> ArrayParameterStore:
         if not new_answers:
-            return parameters if parameters is not None else self.inference.parameters
-        params = parameters or self.inference.parameters
+            return self.inference.parameters
+        params = model_from_store(self.inference.parameters)
         self.answers_since_full_refresh += len(new_answers)
 
         affected_workers = {answer.worker_id for answer in new_answers}
@@ -52,9 +54,10 @@ class ReferenceIncrementalUpdater(IncrementalUpdater):
                 self.inference.config.function_set,
             )
 
-        self.inference._parameters = params
+        store = store_of(params)
+        self.inference._parameters = store
         self.inference._fitted = True
-        return params
+        return store
 
 
 def relevant_answers(

@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles.params import model_from_store
 from oracles.accuracy import (
     AccuracyEstimator,
     LabelAccuracy,
@@ -162,7 +163,7 @@ class TestBatchedEstimator:
         worker_ids = list(worker_pool.worker_ids)
         workers = {w.worker_id: w for w in worker_pool.workers}
         num_labels = [small_dataset.task_index[t].num_labels for t in task_ids]
-        store = params.to_array_store(worker_ids, task_ids, num_labels)
+        store = params.regather(worker_ids, task_ids, num_labels)
         distances = normalised_distance_matrix(
             [workers[w].locations for w in worker_ids],
             [small_dataset.task_index[t].location for t in task_ids],
@@ -172,7 +173,7 @@ class TestBatchedEstimator:
             tasks=small_dataset.task_index,
             workers=workers,
             distance_model=distance_model,
-            parameters=params,
+            parameters=model_from_store(params),
             answers=answers,
         )
         return task_ids, worker_ids, store, distances, estimator

@@ -15,10 +15,11 @@ import numpy as np
 import pytest
 
 from oracles import ReferenceAccOptAssigner
+from oracles.params import model_from_store
 from repro.assign.accopt import AccOptAssigner
 from repro.core.inference import InferenceConfig, LocationAwareInference
-from repro.core.params import ModelParameters
-from repro.data.models import Answer, AnswerSet
+from repro.core.params import ArrayParameterStore
+from repro.data.models import POI, Answer, AnswerSet, Task
 from repro.framework.config import FrameworkConfig
 from repro.framework.framework import PoiLabellingFramework
 
@@ -63,7 +64,7 @@ class TestBatchEquivalence:
         self, small_dataset, worker_pool, distance_model
     ):
         vectorized, reference = build_pair(
-            small_dataset, worker_pool, distance_model, ModelParameters()
+            small_dataset, worker_pool, distance_model, ArrayParameterStore.empty()
         )
         workers = worker_pool.worker_ids
         assert vectorized.assign(workers, 2, AnswerSet()) == reference.assign(
@@ -84,9 +85,9 @@ class TestBatchEquivalence:
         ]
         tasks = small_dataset.tasks[:3]
         distance_model = DistanceModel(max_distance=small_dataset.max_distance)
-        vectorized = AccOptAssigner(tasks, workers, distance_model, ModelParameters())
+        vectorized = AccOptAssigner(tasks, workers, distance_model, ArrayParameterStore.empty())
         reference = ReferenceAccOptAssigner(
-            tasks, workers, distance_model, ModelParameters()
+            tasks, workers, distance_model, ArrayParameterStore.empty()
         )
         for order in (["w2", "w1"], ["w1", "w2"]):
             assert vectorized.assign(order, 2, AnswerSet()) == reference.assign(
@@ -125,8 +126,8 @@ class TestStoreFeed:
         self, small_dataset, worker_pool, distance_model, collected_answers,
         parameter_feed,
     ):
-        """A snapshot's frozen store and its ``as_model()`` view are one
-        estimate: AccOpt fed either one scores from identical arrays and
+        """A snapshot's frozen store and the oracle's id-keyed copy of it are
+        one estimate: AccOpt fed either one scores from identical arrays and
         assigns identically."""
         pairs = parameter_feed.fed_pairs(
             lambda: AccOptAssigner(
@@ -134,10 +135,10 @@ class TestStoreFeed:
             )
         )
         for by_store, by_model, workers in pairs:
-            # The arrays AccOpt scores from equal the accessor-built flatten
-            # of the model view, footnote-3 priors included.
+            # The arrays AccOpt scores from equal the oracle's accessor-built
+            # flatten of the estimate, footnote-3 priors included.
             scored = by_store._build_store(sorted(workers))[0]
-            expected = by_model.parameters.to_array_store(
+            expected = model_from_store(by_model.parameters).to_array_store(
                 scored.worker_ids, scored.task_ids, np.diff(scored.label_offsets)
             )
             for name in ("p_qualified", "distance_weights", "influence_weights", "label_probs"):
@@ -320,13 +321,13 @@ class TestStateAcrossRequests:
         collected_answers, engine_options,
     ):
         assigner, reference = self.build(
-            small_dataset.tasks, worker_pool, distance_model, ModelParameters(),
+            small_dataset.tasks, worker_pool, distance_model, ArrayParameterStore.empty(),
             engine_options,
         )
         answers = collected_answers.copy()
         workers = worker_pool.worker_ids
         self.check(assigner, reference, workers, answers)
-        for parameters in (fitted_parameters, ModelParameters(), fitted_parameters):
+        for parameters in (fitted_parameters, ArrayParameterStore.empty(), fitted_parameters):
             assigner.update_parameters(parameters)
             reference.update_parameters(parameters)
             self.check(assigner, reference, workers, answers)
@@ -503,3 +504,98 @@ class TestPerWorkerArrays:
         self.answer(answers, "newcomer", hit, small_dataset.task_index)
         list(self.serve(assigner, reference, answers, ["newcomer"]))
         assert assigner.answered_columns("newcomer", answers).size == len(hit)
+
+
+class TestTaskArrivalKeepsState:
+    """A task posted after startup extends ``|W(t)|``, the label layout and
+    the estimate's alignment instead of dropping them; request/arrival
+    sequences still assign as the scalar oracle does from scratch."""
+
+    build = staticmethod(TestStateAcrossRequests.build)
+    check = staticmethod(TestStateAcrossRequests.check)
+    answer_assignment = staticmethod(TestStateAcrossRequests.answer_assignment)
+
+    @staticmethod
+    def late_task(template, k):
+        return Task(
+            task_id=f"posted-{k}",
+            poi=POI(poi_id=f"posted-poi-{k}", name="posted", location=template.location),
+            labels=("a", "b", "c")[: 1 + k % 3],
+            truth=(1, 0, 1)[: 1 + k % 3],
+        )
+
+    def test_arrivals_between_requests(
+        self, small_dataset, worker_pool, distance_model, fitted_parameters,
+        collected_answers, engine_options,
+    ):
+        assigner, reference = self.build(
+            small_dataset.tasks, worker_pool, distance_model, fitted_parameters,
+            engine_options,
+        )
+        answers = collected_answers.copy()
+        workers = worker_pool.worker_ids
+        self.check(assigner, reference, workers, answers)
+        tasks_by_id = dict(small_dataset.task_index)
+        for k in range(4):
+            task = self.late_task(small_dataset.tasks[k], k)
+            tasks_by_id[task.task_id] = task
+            # Answered before it joined: some pairs before the last count...
+            if k % 2:
+                answers.add(Answer(workers[k], task.task_id, tuple(task.truth)))
+                self.check(assigner, reference, workers, answers)
+            # ...and some after it, not yet counted.
+            answers.add(Answer(workers[k + 1], task.task_id, tuple(task.truth)))
+            assert assigner.add_task(task) and reference.add_task(task)
+            # The estimate lacks the task: every task-side structure is kept.
+            assert assigner._counts is not None
+            assert assigner._task_layout is not None
+            assert assigner._alignment is not None
+            self.check(assigner, reference, workers, answers)
+            assignment = assigner.assign(workers[k : k + 3], 2, answers)
+            self.answer_assignment(answers, assignment, tasks_by_id)
+            self.check(assigner, reference, workers, answers)
+
+    def test_arrival_the_estimate_already_holds(
+        self, small_dataset, worker_pool, distance_model, fitted_parameters,
+        collected_answers, engine_options,
+    ):
+        *early, late = small_dataset.tasks
+        assert fitted_parameters.has_task(late.task_id)
+        assigner, reference = self.build(
+            early, worker_pool, distance_model, fitted_parameters, engine_options
+        )
+        answers = collected_answers.copy()
+        workers = worker_pool.worker_ids
+        self.check(assigner, reference, workers, answers)
+        assert assigner.add_task(late) and reference.add_task(late)
+        # The alignment must now map the estimate's row of the new task.
+        assert assigner._alignment is None
+        assert assigner._counts is not None
+        self.check(assigner, reference, workers, answers)
+        scored = assigner._build_store(sorted(workers))[0]
+        column = scored.index_of_task(late.task_id)
+        expected = fitted_parameters.task(late.task_id).influence_weights
+        np.testing.assert_array_equal(scored.influence_weights[column], expected)
+
+    def test_arrivals_across_parameter_versions(
+        self, small_dataset, worker_pool, distance_model, fitted_parameters,
+        collected_answers, engine_options,
+    ):
+        assigner, reference = self.build(
+            small_dataset.tasks, worker_pool, distance_model,
+            ArrayParameterStore.empty(), engine_options,
+        )
+        answers = collected_answers.copy()
+        workers = worker_pool.worker_ids
+        tasks_by_id = dict(small_dataset.task_index)
+        for k, parameters in enumerate((fitted_parameters, fitted_parameters.copy())):
+            self.check(assigner, reference, workers, answers)
+            task = self.late_task(small_dataset.tasks[k], k)
+            tasks_by_id[task.task_id] = task
+            assert assigner.add_task(task) and reference.add_task(task)
+            assigner.update_parameters(parameters)
+            reference.update_parameters(parameters)
+            self.check(assigner, reference, workers, answers)
+            assignment = assigner.assign(workers[:3], 1, answers)
+            self.answer_assignment(answers, assignment, tasks_by_id)
+            self.check(assigner, reference, workers, answers)

@@ -5,7 +5,8 @@ import pytest
 
 from repro.assign.uncertainty import UncertaintyFirstAssigner, bernoulli_entropy
 from repro.core.distance_functions import PAPER_FUNCTION_SET
-from repro.core.params import ModelParameters, TaskParameters
+from oracles.em import store_of
+from oracles.params import ModelParameters, TaskParameters
 from repro.data.models import Answer, AnswerSet
 
 
@@ -35,7 +36,7 @@ def make_parameters(small_dataset, confident_ids, uncertain_ids):
         else:
             probs = np.full(task.num_labels, 0.8)
         params.tasks[task.task_id] = TaskParameters(probs, uniform.copy())
-    return params
+    return store_of(params)
 
 
 class TestUncertaintyFirstAssigner:

@@ -138,8 +138,6 @@ class TestAssignment:
     def test_update_parameters_changes_behaviour_possible(
         self, small_dataset, worker_pool, distance_model, fitted_parameters
     ):
-        from repro.core.params import ModelParameters
-
         assigner = AccOptAssigner(small_dataset.tasks, worker_pool.workers, distance_model)
         default_params_assignment = assigner.assign(
             worker_pool.worker_ids[:2], 1, AnswerSet()

@@ -63,15 +63,15 @@ class TestIncrementalUpdate:
         affected_workers = {a.worker_id for a in new_answers}
         affected_tasks = {a.task_id for a in new_answers}
         # Untouched workers keep their previous estimates bit-for-bit.
-        for worker_id, params in before.workers.items():
+        for worker_id in before.worker_ids:
             if worker_id not in affected_workers:
-                assert after.workers[worker_id].p_qualified == pytest.approx(
-                    params.p_qualified
+                assert after.worker(worker_id).p_qualified == pytest.approx(
+                    before.worker(worker_id).p_qualified
                 )
-        for task_id, params in before.tasks.items():
+        for task_id in before.task_ids:
             if task_id not in affected_tasks:
-                assert after.tasks[task_id].label_probs == pytest.approx(
-                    params.label_probs
+                assert after.task(task_id).label_probs == pytest.approx(
+                    before.task(task_id).label_probs
                 )
 
     def test_affected_entities_change(
@@ -90,12 +90,12 @@ class TestIncrementalUpdate:
         changed = any(
             abs(
                 float(
-                    (after.tasks[task_id].label_probs - before.tasks[task_id].label_probs).max()
+                    (after.task(task_id).label_probs - before.task(task_id).label_probs).max()
                 )
             )
             > 0.0
             for task_id in affected_tasks
-            if task_id in before.tasks
+            if before.has_task(task_id)
         )
         assert changed
 
@@ -141,6 +141,56 @@ class TestIncrementalUpdate:
         fresh.fit(answers)
         full_accuracy = labelling_accuracy(fresh.predict_all(), small_dataset.tasks)
         assert abs(full_accuracy - incremental_accuracy) < 0.15
+
+
+class TestHandedOutEstimate:
+    """What a handed-out estimate promises: ``apply`` returns the updater's
+    live store, installed as the model's estimate, and later batches change
+    it in place.  A caller keeps one version by copying it; published
+    snapshots are frozen copies the updater never touches."""
+
+    def test_apply_hands_out_the_live_store(
+        self, fitted_model, small_dataset, worker_pool, distance_model, collected_answers
+    ):
+        updater = IncrementalUpdater(fitted_model)
+        fitted = fitted_model.parameters
+        kept_fit = fitted.copy()
+        batches = simulate_new_answers(
+            small_dataset, worker_pool, distance_model, collected_answers, count=4
+        )
+        answers = collected_answers.copy()
+        answers.add(batches[0])
+        live = updater.apply(answers, batches[:1])
+        assert live is updater.live_store is fitted_model.parameters
+        # The fit's own store was re-gathered, never written.
+        assert fitted.max_difference(kept_fit) == 0.0
+        kept = live.copy()
+        for answer in batches[1:]:
+            answers.add(answer)
+        assert updater.apply(answers, batches[1:]) is live
+        assert live.max_difference(kept) > 0.0
+
+    def test_published_copies_stay_put(
+        self, fitted_model, small_dataset, worker_pool, distance_model, collected_answers
+    ):
+        from repro.serving.snapshots import SnapshotStore
+
+        updater = IncrementalUpdater(fitted_model)
+        snapshots = SnapshotStore()
+        batches = simulate_new_answers(
+            small_dataset, worker_pool, distance_model, collected_answers, count=4
+        )
+        answers = collected_answers.copy()
+        answers.add(batches[0])
+        updater.apply(answers, batches[:1])
+        published = snapshots.publish(updater.publish_store(answers)).store
+        frozen = published.copy()
+        for answer in batches[1:]:
+            answers.add(answer)
+        updater.apply(answers, batches[1:])
+        assert published.frozen and published is not updater.live_store
+        assert published.max_difference(frozen) == 0.0
+        assert snapshots.latest().as_model() is published
 
 
 class TestLiveStateError:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles.params import model_from_store
 from repro.core.inference import InferenceConfig, LocationAwareInference
 from repro.crowd.answer_model import AnswerSimulator
 from repro.data.models import Answer, AnswerSet
@@ -96,41 +97,22 @@ class TestFit:
         single = AnswerSet([next(iter(collected_answers))])
         model.fit(single)
         assert model.is_fitted
-        assert model.parameters.tasks.keys() != {t.task_id for t in small_dataset.tasks} or True
+        assert set(model.parameters.task_ids) != {t.task_id for t in small_dataset.tasks} or True
         second = model.label_probabilities(small_dataset.tasks[0].task_id)
         assert first.shape == second.shape
 
 
-class TestResultParameters:
-    """``run_em`` converts its store to the id-keyed form only when read."""
+class TestResultStore:
+    """``run_em`` returns its final store, which the fitted model holds."""
 
-    def test_converted_once_on_first_read(self, model, collected_answers, monkeypatch):
-        from repro.core.params import ArrayParameterStore
-
-        calls = []
-        to_model = ArrayParameterStore.to_model
-
-        def counted(store):
-            calls.append(store)
-            return to_model(store)
-
-        monkeypatch.setattr(ArrayParameterStore, "to_model", counted)
-        result = model.run_em(collected_answers)
-        assert calls == []
-        parameters = result.parameters
-        assert calls == [result.store]
-        assert result.parameters is parameters
-        assert len(calls) == 1
-        assert parameters.max_difference(to_model(result.store)) == 0.0
-
-    def test_fit_installs_the_converted_estimate(self, model, collected_answers):
+    def test_fit_installs_the_fitted_store(self, model, collected_answers):
         model.fit(collected_answers)
-        assert model.parameters is model.last_result.parameters
+        assert model.parameters is model.last_result.store
 
-    def test_needs_parameters_or_a_store(self):
+    def test_a_result_needs_its_store(self):
         from repro.core.inference import InferenceResult
 
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             InferenceResult(
                 iterations=0,
                 converged=False,
@@ -172,16 +154,17 @@ class TestEMBehaviour:
 
     def test_warm_start_from_previous_parameters(self, model, collected_answers):
         first = model.run_em(collected_answers)
-        warm = model.run_em(collected_answers, initial=first.parameters)
+        warm = model.run_em(collected_answers, initial=first.store)
         # Warm-starting from a converged estimate should converge immediately.
         assert warm.iterations <= first.iterations
 
     def test_worker_parameters_are_normalised(self, model, collected_answers):
         result = model.run_em(collected_answers)
-        for params in result.parameters.workers.values():
+        estimate = model_from_store(result.store)
+        for params in estimate.workers.values():
             assert 0.0 <= params.p_qualified <= 1.0
             assert params.distance_weights.sum() == pytest.approx(1.0)
-        for params in result.parameters.tasks.values():
+        for params in estimate.tasks.values():
             assert params.influence_weights.sum() == pytest.approx(1.0)
             assert np.all(params.label_probs >= 0.0)
             assert np.all(params.label_probs <= 1.0)

@@ -1,10 +1,25 @@
-"""Tests for repro.core.params."""
+"""Tests for repro.core.params, against the id-keyed form of oracles.params.
+
+The dict-of-dataclasses form is the reference: its classes are tested first,
+then the store's accessors, priors, Equation 9, re-gather and Figure 10
+measure are held to it exactly, on hand-built cases and on random stores
+with shuffled rows, one-sided entities and mismatched label counts.
+"""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles.params import (
+    ModelParameters,
+    TaskParameters,
+    WorkerParameters,
+    model_from_store,
+    store_from_model,
+)
 from repro.core.distance_functions import PAPER_FUNCTION_SET
-from repro.core.params import ModelParameters, TaskParameters, WorkerParameters
+from repro.core.params import ArrayParameterStore
 
 
 class TestWorkerParameters:
@@ -140,7 +155,7 @@ class TestArrayParameterStore:
     def test_round_trip(self):
         params = self.make_params()
         store = params.to_array_store(["w1", "w2"], ["t1", "t2"], [2, 3])
-        restored = store.to_model()
+        restored = model_from_store(store)
         assert set(restored.workers) == {"w1", "w2"}
         assert set(restored.tasks) == {"t1", "t2"}
         for worker_id in ("w1", "w2"):
@@ -193,12 +208,12 @@ class TestArrayParameterStore:
         store_b = b.to_array_store(["w1", "w2"], ["t1", "t2"], [2, 3])
         assert store_a.max_difference(store_b) == pytest.approx(a.max_difference(b))
 
-    def test_max_difference_requires_same_orderings(self):
+    def test_max_difference_reads_permuted_rows_by_id(self):
         params = self.make_params()
-        store_a = params.to_array_store(["w1", "w2"], ["t1"], [2])
-        store_b = params.to_array_store(["w2", "w1"], ["t1"], [2])
-        with pytest.raises(ValueError):
-            store_a.max_difference(store_b)
+        store_a = params.to_array_store(["w1", "w2"], ["t1", "t2"], [2, 3])
+        store_b = params.to_array_store(["w2", "w1"], ["t2", "t1"], [3, 2])
+        assert store_a.max_difference(store_b) == 0.0
+        assert store_b.max_difference(store_a) == 0.0
 
     def test_copy_is_independent(self):
         store = self.make_params().to_array_store(["w1"], ["t1"], [2])
@@ -207,3 +222,168 @@ class TestArrayParameterStore:
         clone.label_probs[0] = 0.0
         assert store.p_qualified[0] == pytest.approx(0.8)
         assert store.label_probs[0] == pytest.approx(0.9)
+
+
+class TestStoreAccessors:
+    """The store's id accessors against the oracle's, priors included."""
+
+    def make_store(self):
+        return TestArrayParameterStore().make_params().to_array_store(
+            ["w2", "w1"], ["t2", "t1"], [3, 2]
+        )
+
+    def test_known_entities_read_their_rows(self):
+        store = self.make_store()
+        oracle = model_from_store(store)
+        for worker_id in ("w1", "w2"):
+            view = store.worker(worker_id)
+            assert view.p_qualified == oracle.worker(worker_id).p_qualified
+            np.testing.assert_array_equal(
+                view.distance_weights, oracle.worker(worker_id).distance_weights
+            )
+        for task_id in ("t1", "t2"):
+            view = store.task(task_id, num_labels=7)
+            assert view.num_labels == oracle.task(task_id).num_labels
+            np.testing.assert_array_equal(view.label_probs, oracle.task(task_id).label_probs)
+            np.testing.assert_array_equal(
+                view.influence_weights, oracle.task(task_id).influence_weights
+            )
+
+    def test_views_share_the_rows(self):
+        store = self.make_store()
+        view = store.task("t1")
+        store.label_probs[store.task_label_slice(store.index_of_task("t1"))] = 0.25
+        np.testing.assert_array_equal(view.label_probs, [0.25, 0.25])
+
+    def test_unknown_entities_get_the_oracle_priors(self):
+        store = self.make_store()
+        oracle = model_from_store(store)
+        assert store.worker("ghost").p_qualified == oracle.worker("ghost").p_qualified
+        np.testing.assert_array_equal(
+            store.worker("ghost").distance_weights, oracle.worker("ghost").distance_weights
+        )
+        prior = store.task("phantom", num_labels=4)
+        np.testing.assert_array_equal(
+            prior.label_probs, oracle.task("phantom", num_labels=4).label_probs
+        )
+        np.testing.assert_array_equal(
+            prior.influence_weights, oracle.task("phantom", num_labels=4).influence_weights
+        )
+        with pytest.raises(KeyError):
+            store.task("phantom")
+
+    def test_answer_accuracy_equals_the_oracle(self):
+        store = self.make_store()
+        oracle = model_from_store(store)
+        for worker_id in ("w1", "w2", "new-w"):
+            for task_id in ("t1", "t2", "new-t"):
+                for distance in (0.0, 0.1, 0.55, 1.0):
+                    assert store.answer_accuracy(
+                        worker_id, task_id, distance
+                    ) == oracle.answer_accuracy(worker_id, task_id, distance)
+
+    def test_empty_store_reads_priors(self):
+        store = ArrayParameterStore.empty()
+        assert store.num_workers == store.num_tasks == store.num_label_slots == 0
+        assert store.worker("w").p_qualified == 1.0
+        np.testing.assert_array_equal(store.task("t", num_labels=2).label_probs, [0.5, 0.5])
+        assert store.max_difference(ArrayParameterStore.empty()) == 0.0
+
+    def test_regather_equals_the_oracle_gather(self):
+        store = self.make_store()
+        oracle = model_from_store(store)
+        order = (["w1", "ghost", "w2"], ["phantom", "t1", "t2"], [4, 2, 3])
+        _assert_stores_identical(store.regather(*order), store_from_model(oracle, *order))
+
+    def test_regather_rejects_a_label_count_change(self):
+        with pytest.raises(ValueError, match="estimated labels"):
+            self.make_store().regather(["w1"], ["t1"], [3])
+
+
+def _assert_stores_identical(a: ArrayParameterStore, b: ArrayParameterStore) -> None:
+    assert a.worker_ids == b.worker_ids
+    assert a.task_ids == b.task_ids
+    assert a.function_set is b.function_set and a.alpha == b.alpha
+    np.testing.assert_array_equal(a.label_offsets, b.label_offsets)
+    for name in ("p_qualified", "distance_weights", "influence_weights", "label_probs"):
+        left, right = getattr(a, name), getattr(b, name)
+        assert left.dtype == right.dtype and left.shape == right.shape, name
+        np.testing.assert_array_equal(left, right, err_msg=name)
+
+
+unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+
+
+@st.composite
+def estimate_pairs(draw):
+    """Two random oracle estimates over overlapping universes.
+
+    Ids are drawn from small pools so the two sides share some entities and
+    each has some of its own; a shared task may hold another label count on
+    the other side.  Values are valid probabilities and weight rows.
+    """
+    functions = len(PAPER_FUNCTION_SET)
+
+    def weights():
+        raw = np.asarray(draw(st.lists(unit, min_size=functions, max_size=functions)))
+        raw = raw + 1e-3
+        return raw / raw.sum()
+
+    def estimate():
+        params = ModelParameters(function_set=PAPER_FUNCTION_SET, alpha=0.5)
+        for worker_id in draw(st.sets(st.sampled_from(["a", "b", "c", "d"]))):
+            params.workers[worker_id] = WorkerParameters(draw(unit), weights())
+        for task_id in draw(st.sets(st.sampled_from(["s", "t", "u"]))):
+            count = draw(st.integers(min_value=1, max_value=3))
+            labels = draw(st.lists(unit, min_size=count, max_size=count))
+            params.tasks[task_id] = TaskParameters(np.asarray(labels), weights())
+        return params
+
+    return estimate(), estimate(), draw(st.randoms())
+
+
+def _shuffled_store(params: ModelParameters, rng) -> ArrayParameterStore:
+    workers = list(params.workers)
+    tasks = list(params.tasks)
+    rng.shuffle(workers)
+    rng.shuffle(tasks)
+    return store_from_model(
+        params, workers, tasks, [params.tasks[t].num_labels for t in tasks]
+    )
+
+
+class TestStoreAgainstOracleProperties:
+    @given(estimate_pairs())
+    @settings(max_examples=150, deadline=None)
+    def test_max_difference_equals_the_oracle(self, pair):
+        a, b, rng = pair
+        store_a, store_b = _shuffled_store(a, rng), _shuffled_store(b, rng)
+        assert store_a.max_difference(store_b) == a.max_difference(b)
+        assert store_b.max_difference(store_a) == b.max_difference(a)
+
+    @given(estimate_pairs())
+    @settings(max_examples=100, deadline=None)
+    def test_permuted_rows_read_zero(self, pair):
+        a, _, rng = pair
+        assert _shuffled_store(a, rng).max_difference(_shuffled_store(a, rng)) == 0.0
+
+    @given(estimate_pairs())
+    @settings(max_examples=100, deadline=None)
+    def test_accessors_and_regather_equal_the_oracle(self, pair):
+        a, b, rng = pair
+        store = _shuffled_store(a, rng)
+        for worker_id in ["a", "b", "c", "d", "e"]:
+            view, expected = store.worker(worker_id), a.worker(worker_id)
+            assert view.p_qualified == expected.p_qualified
+            np.testing.assert_array_equal(view.distance_weights, expected.distance_weights)
+        for task_id in ["s", "t", "u", "v"]:
+            view, expected = store.task(task_id, num_labels=2), a.task(task_id, num_labels=2)
+            np.testing.assert_array_equal(view.label_probs, expected.label_probs)
+            np.testing.assert_array_equal(view.influence_weights, expected.influence_weights)
+        # Onto the other estimate's universe, where label counts agree.
+        tasks = [
+            t for t in b.tasks
+            if t not in a.tasks or a.tasks[t].num_labels == b.tasks[t].num_labels
+        ]
+        order = (list(b.workers) + ["e"], tasks, [b.tasks[t].num_labels for t in tasks])
+        _assert_stores_identical(store.regather(*order), store_from_model(a, *order))

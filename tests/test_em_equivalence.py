@@ -23,6 +23,7 @@ import pytest
 
 from oracles import ReferenceIncrementalUpdater, ReferenceInference
 from oracles.em import per_response_posteriors
+from oracles.params import model_from_store
 from repro.core import em_kernel
 from repro.core.em_kernel import AnswerTensor, SufficientStatCache
 from repro.core.incremental import IncrementalUpdater
@@ -86,6 +87,7 @@ def run_both(dataset, pool, distance_model, answers, initial=None, **config_kwar
 
 
 def assert_parameters_close(a, b, tol=PARAM_TOL):
+    a, b = model_from_store(a), model_from_store(b)
     assert set(a.workers) == set(b.workers)
     assert set(a.tasks) == set(b.tasks)
     for worker_id, wa in a.workers.items():
@@ -106,7 +108,7 @@ def assert_results_equivalent(ref, vec, tol=PARAM_TOL):
         assert abs(da - db) <= tol
     for la, lb in zip(ref.log_likelihood_trace, vec.log_likelihood_trace):
         assert abs(la - lb) <= tol * max(1.0, abs(la))
-    assert_parameters_close(ref.parameters, vec.parameters, tol=tol)
+    assert_parameters_close(ref.store, vec.store, tol=tol)
 
 
 class TestColdStartEquivalence:
@@ -136,7 +138,7 @@ class TestColdStartEquivalence:
         ref, vec = run_both(dataset, pool, distance_model, AnswerSet())
         assert_results_equivalent(ref, vec)
         assert vec.converged and vec.iterations == 1
-        assert not vec.parameters.workers and not vec.parameters.tasks
+        assert not vec.store.worker_ids and not vec.store.task_ids
 
 
 class TestWarmStartEquivalence:
@@ -144,7 +146,7 @@ class TestWarmStartEquivalence:
         dataset, pool, distance_model, answers = build_corpus(seed=13)
         cold_ref, cold_vec = run_both(dataset, pool, distance_model, answers)
         ref, vec = run_both(
-            dataset, pool, distance_model, answers, initial=cold_ref.parameters
+            dataset, pool, distance_model, answers, initial=cold_ref.store
         )
         # Warm-starting from a converged estimate converges immediately in
         # both engines.
@@ -156,7 +158,7 @@ class TestWarmStartEquivalence:
         subset = AnswerSet(list(answers)[: len(answers) // 3])
         warm_ref, _ = run_both(dataset, pool, distance_model, subset)
         ref, vec = run_both(
-            dataset, pool, distance_model, answers, initial=warm_ref.parameters
+            dataset, pool, distance_model, answers, initial=warm_ref.store
         )
         assert_results_equivalent(ref, vec)
 
@@ -170,12 +172,12 @@ class TestWarmStartEquivalence:
         """
         dataset, pool, distance_model, answers = build_corpus(seed=67)
         old_ref, _ = run_both(dataset, pool, distance_model, answers, alpha=0.5)
-        assert old_ref.parameters.alpha == pytest.approx(0.5)
+        assert old_ref.store.alpha == pytest.approx(0.5)
         ref, vec = run_both(
             dataset, pool, distance_model, answers,
-            initial=old_ref.parameters, alpha=0.8,
+            initial=old_ref.store, alpha=0.8,
         )
-        assert ref.parameters.alpha == vec.parameters.alpha == pytest.approx(0.8)
+        assert ref.store.alpha == vec.store.alpha == pytest.approx(0.8)
         assert_results_equivalent(ref, vec)
 
     def test_warm_start_with_extra_entities(self):
@@ -184,9 +186,132 @@ class TestWarmStartEquivalence:
         full_ref, _ = run_both(dataset, pool, distance_model, answers)
         subset = AnswerSet(list(answers)[: len(answers) // 2])
         ref, vec = run_both(
-            dataset, pool, distance_model, subset, initial=full_ref.parameters
+            dataset, pool, distance_model, subset, initial=full_ref.store
         )
         assert_results_equivalent(ref, vec)
+
+
+class TestWarmStartAcrossUniverses:
+    """Warm starts from a store over another universe and row order.
+
+    The batched engine re-gathers the store onto the tensor's rows and folds
+    Figure 10's union terms into the first delta; the oracle reads the same
+    estimate through its id-keyed form.  Iteration counts and traces match,
+    first delta included.
+    """
+
+    def test_shuffled_store_with_missing_and_extra_entities(self):
+        dataset, pool, distance_model, answers = build_corpus(seed=71)
+        full_ref, _ = run_both(dataset, pool, distance_model, answers)
+        rng = np.random.default_rng(3)
+        store = full_ref.store
+        workers = [w for w in store.worker_ids if w != store.worker_ids[0]]
+        tasks = [t for t in store.task_ids if t != store.task_ids[1]]
+        rng.shuffle(workers)
+        rng.shuffle(tasks)
+        counts = [int(np.diff(store.label_offsets)[store.index_of_task(t)]) for t in tasks]
+        initial = store.regather(workers + ["outsider"], tasks, counts)
+        initial.p_qualified[-1] = 0.25
+        subset = AnswerSet(list(answers)[: 2 * len(answers) // 3])
+        ref, vec = run_both(dataset, pool, distance_model, subset, initial=initial)
+        assert ref.iterations == vec.iterations
+        assert vec.convergence_trace[0] == pytest.approx(ref.convergence_trace[0], abs=PARAM_TOL)
+        assert_results_equivalent(ref, vec)
+
+    def test_only_an_outside_worker_sets_the_first_delta(self):
+        """No task on one side only: the outside worker's distance from the
+        footnote-3 prior is the first delta."""
+        dataset, pool, distance_model, answers = build_corpus(seed=73)
+        fitted, _ = run_both(dataset, pool, distance_model, answers)
+        store = fitted.store
+        initial = store.regather(
+            list(store.worker_ids) + ["outsider"],
+            store.task_ids,
+            np.diff(store.label_offsets),
+        )
+        initial.p_qualified[-1] = 0.3
+        ref, vec = run_both(dataset, pool, distance_model, answers, initial=initial)
+        assert vec.convergence_trace[0] == pytest.approx(0.7, abs=PARAM_TOL)
+        assert_results_equivalent(ref, vec)
+
+
+class TestUpdaterRefreshFirstDelta:
+    """The updater's warm refresh starts from its live store, but the first
+    delta spans the estimate it holds, as the oracle's union does: carried
+    entities count, and so do tasks the triggering batch first brought."""
+
+    def test_external_fit_that_lacks_a_task(self):
+        """A warm refresh right after syncing to an estimate that lacks one of
+        the log's tasks: that task's prior row is not part of the estimate."""
+        dataset, pool, distance_model, answers = build_corpus(seed=97)
+        late_task = dataset.tasks[-1].task_id
+        model = LocationAwareInference(dataset.tasks, pool.workers, distance_model)
+        model.fit(AnswerSet(a for a in answers if a.task_id != late_task))
+        before = model.parameters
+        updater = IncrementalUpdater(model)
+        updater.full_refresh([], answers=answers)
+        reference = ReferenceInference(dataset.tasks, pool.workers, distance_model)
+        ref = reference.run_em(answers, initial=before)
+        assert ref.convergence_trace[0] == 1.0
+        assert_results_equivalent(ref, model.last_result)
+
+    def test_batch_that_first_brings_a_task(self):
+        dataset, pool, distance_model, answers = build_corpus(seed=79)
+        late_task = dataset.tasks[-1].task_id
+        log = [a for a in answers if a.task_id != late_task]
+        batch = [a for a in answers if a.task_id == late_task]
+        model = LocationAwareInference(dataset.tasks, pool.workers, distance_model)
+        model.fit(AnswerSet(log[:-3]))
+        updater = IncrementalUpdater(model)
+        updater.apply(AnswerSet(log), log[-3:])
+        before = model.parameters.copy()
+        assert not before.has_task(late_task)
+        updater.full_refresh(batch, answers=AnswerSet(log + batch))
+        reference = ReferenceInference(dataset.tasks, pool.workers, distance_model)
+        ref = reference.run_em(AnswerSet(log + batch), initial=before)
+        assert ref.convergence_trace[0] == 1.0
+        assert_results_equivalent(ref, model.last_result)
+
+    def test_carried_task_after_a_refresh(self):
+        """A fit's estimate holds only the tensor's entities: a later batch
+        that first brings a still-carried task starts it from its carried row,
+        yet the estimate lacked it, so the first delta reads 1.0."""
+        dataset, pool, distance_model, answers = build_corpus(seed=101)
+        fitted, _ = run_both(dataset, pool, distance_model, answers)
+        late_task = dataset.tasks[-1].task_id
+        model = LocationAwareInference(dataset.tasks, pool.workers, distance_model)
+        model.warm_start(fitted.store)
+        updater = IncrementalUpdater(model)
+        updater.prime_carryover(model.parameters)
+        updater.full_refresh([a for a in answers if a.task_id != late_task])
+        assert not model.parameters.has_task(late_task)
+        updater.full_refresh([a for a in answers if a.task_id == late_task])
+        assert model.last_result.convergence_trace[0] == 1.0
+
+    @pytest.mark.parametrize("outside", ["task-and-worker", "worker-only"])
+    def test_restored_estimate_with_carried_entities(self, outside):
+        dataset, pool, distance_model, answers = build_corpus(seed=89)
+        fitted, _ = run_both(dataset, pool, distance_model, answers)
+        store = fitted.store
+        stream = list(answers)[: len(answers) // 2]
+        streamed = AnswerSet(stream)
+        keep_tasks = [
+            t for t in store.task_ids
+            if outside == "task-and-worker" or t in streamed.task_ids()
+        ]
+        counts = [int(np.diff(store.label_offsets)[store.index_of_task(t)]) for t in keep_tasks]
+        restored = store.regather(list(store.worker_ids) + ["outsider"], keep_tasks, counts)
+        restored.p_qualified[-1] = 0.35
+        model = LocationAwareInference(dataset.tasks, pool.workers, distance_model)
+        model.warm_start(restored)
+        updater = IncrementalUpdater(model)
+        updater.prime_carryover(model.parameters)
+        updater.full_refresh(stream)
+        reference = ReferenceInference(dataset.tasks, pool.workers, distance_model)
+        ref = reference.run_em(streamed, initial=restored)
+        if outside == "worker-only":
+            assert ref.convergence_trace[0] < 1.0
+        assert_results_equivalent(ref, model.last_result)
 
 
 class TestIncrementalEquivalence:
@@ -213,7 +338,7 @@ class TestIncrementalEquivalence:
         # Seed both engines with the *identical* estimate so the test isolates
         # the incremental sweep itself.
         seed_model = ReferenceInference(dataset.tasks, pool.workers, distance_model)
-        seed_params = seed_model.run_em(answers).parameters
+        seed_params = seed_model.run_em(answers).store
 
         updated = {}
         for name, updater_cls in (

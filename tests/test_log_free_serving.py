@@ -25,6 +25,7 @@ Pins the O(changed) update-path invariants:
 import numpy as np
 import pytest
 
+from oracles.params import model_from_store
 from repro.core import em_kernel
 from repro.core.em_kernel import AnswerTensor
 from repro.core.incremental import IncrementalUpdater
@@ -39,6 +40,7 @@ from repro.spatial.geometry import GeoPoint
 
 
 def assert_parameters_close(a, b, atol=1e-9):
+    a, b = model_from_store(a), model_from_store(b)
     assert set(a.workers) == set(b.workers)
     assert set(a.tasks) == set(b.tasks)
     for worker_id, worker in a.workers.items():
@@ -166,7 +168,7 @@ class TestRefreshEquivalence:
         offline.fit(log, initial=pre_refresh if warm else None)
 
         refreshed = updater.full_refresh([], warm=warm)
-        assert "late-w" in refreshed.workers and "late-t" in refreshed.tasks
+        assert refreshed.has_worker("late-w") and refreshed.has_task("late-t")
         assert_parameters_close(refreshed, offline.parameters)
 
     def test_refresh_consumes_the_triggering_batch(
@@ -213,7 +215,91 @@ class TestRefreshEquivalence:
         # Priming (the snapshot-restore path) makes the log-less start legal.
         updater.prime_carryover(model.parameters)
         refreshed = updater.full_refresh(batch)
-        assert set(refreshed.workers) <= set(model.parameters.workers)
+        assert set(refreshed.worker_ids) <= set(model.parameters.worker_ids)
+
+
+class TestRestoredCarryover:
+    """A restore whose snapshot holds entities the stream has not answered:
+    every full publish appends them after the live rows, workers then tasks,
+    each sorted by id, with the snapshot's values bit for bit, until the
+    stream answers them."""
+
+    def _restored(self, small_dataset, worker_pool, distance_model, collected_answers):
+        new_worker, new_task = late_entities()
+        fitted = LocationAwareInference(
+            small_dataset.tasks, worker_pool.workers, distance_model
+        )
+        fitted.fit(collected_answers)
+        store = fitted.parameters
+        snapshot = store.regather(
+            list(store.worker_ids) + ["late-w"],
+            list(store.task_ids) + ["late-t"],
+            list(np.diff(store.label_offsets)) + [3],
+        )
+        snapshot.p_qualified[-1] = 0.4
+        snapshot.label_probs[-3:] = [0.9, 0.1, 0.7]
+        model = LocationAwareInference(
+            small_dataset.tasks + [new_task],
+            worker_pool.workers + [new_worker],
+            distance_model,
+        )
+        model.warm_start(snapshot.freeze())
+        updater = IncrementalUpdater(model, full_refresh_interval=10_000)
+        updater.prime_carryover(model.parameters)
+        return model, updater, snapshot
+
+    def assert_publish_row_for_row(self, published, live, snapshot, carried):
+        workers = sorted(w for w in carried if snapshot.has_worker(w) and not live.has_worker(w))
+        tasks = sorted(t for t in carried if snapshot.has_task(t) and not live.has_task(t))
+        assert published.worker_ids == live.worker_ids + tuple(workers)
+        assert published.task_ids == live.task_ids + tuple(tasks)
+        expected = snapshot.regather(
+            workers, tasks, [snapshot.task(t).num_labels for t in tasks]
+        )
+        n_w, n_t, n_s = live.num_workers, live.num_tasks, live.num_label_slots
+        np.testing.assert_array_equal(published.p_qualified[:n_w], live.p_qualified)
+        np.testing.assert_array_equal(published.label_probs[:n_s], live.label_probs)
+        np.testing.assert_array_equal(published.p_qualified[n_w:], expected.p_qualified)
+        np.testing.assert_array_equal(
+            published.distance_weights[n_w:], expected.distance_weights
+        )
+        np.testing.assert_array_equal(
+            published.influence_weights[n_t:], expected.influence_weights
+        )
+        np.testing.assert_array_equal(published.label_probs[n_s:], expected.label_probs)
+
+    def test_carried_rows_ride_along_until_answered(
+        self, small_dataset, worker_pool, distance_model, collected_answers
+    ):
+        model, updater, snapshot = self._restored(
+            small_dataset, worker_pool, distance_model, collected_answers
+        )
+        batches = stream_batches(
+            small_dataset, worker_pool, distance_model, collected_answers, count=9
+        )
+        stream = AnswerSet()
+        carried = set(snapshot.worker_ids) | set(snapshot.task_ids)
+        for batch in (batches[:3], batches[3:6]):
+            for answer in batch:
+                stream.add(answer)
+            updater.apply(None, batch)
+            published = updater.publish_store()
+            self.assert_publish_row_for_row(
+                published, updater.live_store, snapshot, carried
+            )
+            assert published.has_worker("late-w") and published.has_task("late-t")
+        updater.full_refresh(batches[6:])
+        published = updater.publish_store()
+        self.assert_publish_row_for_row(published, updater.live_store, snapshot, carried)
+        # The stream answers the carried entities: they start from their
+        # carried values and leave the carried rows.
+        arrival = [Answer("late-w", "late-t", (1, 0, 1))]
+        updater.apply(None, arrival)
+        live = updater.live_store
+        assert live.has_worker("late-w") and live.has_task("late-t")
+        published = updater.publish_store()
+        self.assert_publish_row_for_row(published, live, snapshot, carried)
+        assert published.worker_ids.count("late-w") == 1
 
 
 class TestLogFreeIngest:
@@ -368,7 +454,7 @@ class TestLogFreeIngest:
 
 class TestDeltaChainBound:
     def _base_store(self):
-        from repro.core.params import ModelParameters
+        from oracles.params import ModelParameters
 
         params = ModelParameters()
         params.workers["w1"] = params.worker("w1")
@@ -466,7 +552,7 @@ class TestEarlyExit:
             log, model._tasks, model._workers, distance_model, model.config.function_set
         )
         tensor.enable_row_tracking()
-        store = model.parameters.to_array_store(
+        store = model.parameters.regather(
             tensor.worker_ids, tensor.task_ids, tensor.num_labels
         )
         rows_w = np.asarray(

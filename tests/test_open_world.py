@@ -27,7 +27,8 @@ from repro.assign.accopt import AccOptAssigner
 from repro.core.em_kernel import AnswerTensor
 from repro.core.incremental import IncrementalUpdater
 from repro.core.inference import LocationAwareInference
-from repro.core.params import ModelParameters, ArrayParameterStore
+from oracles.params import ModelParameters, model_from_store
+from repro.core.params import ArrayParameterStore
 from repro.crowd.answer_model import AnswerSimulator
 from repro.crowd.arrival import UniformRandomArrival
 from repro.crowd.budget import Budget
@@ -281,7 +282,8 @@ class TestIncrementalTensor:
         ]
 
 
-def assert_parameters_close(a: ModelParameters, b: ModelParameters, atol=1e-9):
+def assert_parameters_close(a: ArrayParameterStore, b: ArrayParameterStore, atol=1e-9):
+    a, b = model_from_store(a), model_from_store(b)
     assert set(a.workers) == set(b.workers)
     assert set(a.tasks) == set(b.tasks)
     for worker_id, worker in a.workers.items():
@@ -330,7 +332,7 @@ class TestOpenWorldUpdater:
         seed_model = ReferenceInference(
             small_dataset.tasks, worker_pool.workers, distance_model
         )
-        seed_params = seed_model.run_em(collected_answers).parameters
+        seed_params = seed_model.run_em(collected_answers).store
 
         updated = {}
         for engine, updater_cls in (
@@ -350,8 +352,8 @@ class TestOpenWorldUpdater:
                 grown.add(answer)
             updated[engine] = updater.apply(grown, new_answers)
 
-        assert "joined-w" in updated["vectorized"].workers
-        assert "joined-t" in updated["vectorized"].tasks
+        assert updated["vectorized"].has_worker("joined-w")
+        assert updated["vectorized"].has_task("joined-t")
         assert_parameters_close(updated["reference"], updated["vectorized"])
 
     def test_live_tensor_tracks_many_micro_batches(

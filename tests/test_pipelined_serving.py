@@ -224,7 +224,7 @@ def fitted_store(small_dataset, worker_pool, distance_model, collected_answers):
     task_ids = collected_answers.task_ids()
     registry = small_dataset.task_index
     num_labels = [registry[task_id].num_labels for task_id in task_ids]
-    return model.parameters.to_array_store(worker_ids, task_ids, num_labels)
+    return model.parameters.regather(worker_ids, task_ids, num_labels)
 
 
 class TestSnapshotStoreConcurrency:
@@ -338,19 +338,20 @@ class TestCaptureIsolation:
         events = make_events(small_dataset, worker_pool, distance_model, 16)
         for event in events[:8]:
             ingest.submit(event)
-        tensor, initial, initial_store, weights = (
+        tensor, initial, weights, first_delta_floor = (
             ingest._updater.capture_refresh_state(warm=True)
         )
         assert weights is None
         assert tensor.num_answers == 8
         assert initial is not None
-        assert initial_store is not None
-        frozen = np.asarray(initial_store.p_qualified).copy()
+        assert initial is not ingest._updater.live_store
+        assert first_delta_floor == 0.0
+        frozen = np.asarray(initial.p_qualified).copy()
         # Keep streaming: the live tensor and store move on...
         for event in events[8:]:
             ingest.submit(event)
         assert ingest._updater.live_tensor.num_answers == 16
         # ...while the captured copies stay put.
         assert tensor.num_answers == 8
-        np.testing.assert_array_equal(initial_store.p_qualified, frozen)
+        np.testing.assert_array_equal(initial.p_qualified, frozen)
         ingest.close()

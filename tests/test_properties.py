@@ -183,11 +183,7 @@ class TestEMPosteriorProperties:
         import numpy as np
 
         from repro.core.distance_functions import PAPER_FUNCTION_SET
-        from repro.core.params import (
-            ModelParameters,
-            TaskParameters,
-            WorkerParameters,
-        )
+        from oracles.params import ModelParameters, TaskParameters, WorkerParameters
 
         n = min(len(responses), len(priors))
         responses = responses[:n]

@@ -22,7 +22,7 @@ def snapshot_setup(small_dataset, worker_pool, distance_model, collected_answers
     model.fit(collected_answers)
     registry = small_dataset.task_index
     task_ids = collected_answers.task_ids()
-    store = model.parameters.to_array_store(
+    store = model.parameters.regather(
         collected_answers.worker_ids(),
         task_ids,
         [registry[task_id].num_labels for task_id in task_ids],

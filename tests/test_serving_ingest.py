@@ -246,8 +246,8 @@ class TestRefreshPolicy:
         model_view = snapshot.as_model()
         inference_params = ingest._inference.parameters
         for task_id in snapshot.store.task_ids:
-            assert model_view.tasks[task_id].label_probs == pytest.approx(
-                inference_params.tasks[task_id].label_probs
+            assert model_view.task(task_id).label_probs == pytest.approx(
+                inference_params.task(task_id).label_probs
             )
 
 

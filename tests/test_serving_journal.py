@@ -233,7 +233,7 @@ class TestCheckpointManager:
 
         inference.fit(AnswerSet(answers))
         task_ids = list(inference.tasks)
-        store = inference.parameters.to_array_store(
+        store = inference.parameters.regather(
             list(inference.workers),
             task_ids,
             [inference.tasks[task_id].num_labels for task_id in task_ids],

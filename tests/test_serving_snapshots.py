@@ -19,7 +19,7 @@ def fitted_store(small_dataset, worker_pool, distance_model, collected_answers):
     task_ids = collected_answers.task_ids()
     registry = small_dataset.task_index
     num_labels = [registry[task_id].num_labels for task_id in task_ids]
-    return model.parameters.to_array_store(worker_ids, task_ids, num_labels)
+    return model.parameters.regather(worker_ids, task_ids, num_labels)
 
 
 def assert_stores_equal(a: ArrayParameterStore, b: ArrayParameterStore) -> None:

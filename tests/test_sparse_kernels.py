@@ -20,7 +20,8 @@ import pytest
 from repro.assign.accopt import AccOptAssigner
 from repro.core import accuracy_kernel
 from repro.core.inference import InferenceConfig, LocationAwareInference
-from repro.core.params import ModelParameters
+from oracles.params import model_from_store
+from repro.core.params import ArrayParameterStore
 from repro.data.models import POI, Answer, AnswerSet, Task, Worker
 from repro.obs.metrics import MetricsRegistry
 from repro.spatial.candidates import CandidateIndex
@@ -59,7 +60,7 @@ def fitted_model(small_dataset, worker_pool, distance_model, collected_answers):
 def fitted_store(small_dataset, worker_pool, fitted_model):
     task_ids = [task.task_id for task in small_dataset.tasks]
     num_labels = [task.num_labels for task in small_dataset.tasks]
-    return fitted_model.parameters.to_array_store(
+    return fitted_model.parameters.regather(
         list(worker_pool.worker_ids), task_ids, num_labels
     )
 
@@ -220,7 +221,7 @@ class TestSparseAccOptEquivalence:
             small_dataset.tasks,
             worker_pool.workers,
             distance_model,
-            ModelParameters(),
+            ArrayParameterStore.empty(),
             COVERING_RADIUS,
         )
         workers = worker_pool.worker_ids
@@ -307,10 +308,10 @@ class TestSparseAccOptEquivalence:
             )
         )
         for by_store, by_model, workers in pairs:
-            # The arrays AccOpt scores from equal the accessor-built flatten
-            # of the model view, footnote-3 priors included.
+            # The arrays AccOpt scores from equal the oracle's accessor-built
+            # flatten of the estimate, footnote-3 priors included.
             scored = by_store._build_store(sorted(workers))[0]
-            expected = by_model.parameters.to_array_store(
+            expected = model_from_store(by_model.parameters).to_array_store(
                 scored.worker_ids, scored.task_ids, np.diff(scored.label_offsets)
             )
             for name in ("p_qualified", "distance_weights", "influence_weights", "label_probs"):
@@ -333,7 +334,7 @@ class TestSparseAccOptDegenerate:
             small_dataset.tasks,
             worker_pool.workers,
             distance_model,
-            ModelParameters(),
+            ArrayParameterStore.empty(),
             engine="sparse",
             candidate_radius=1e-12,
         )
@@ -367,7 +368,7 @@ class TestSparseAccOptDegenerate:
             tasks,
             workers,
             DistanceModel(max_distance=20.0),
-            ModelParameters(),
+            ArrayParameterStore.empty(),
             engine="sparse",
             candidate_radius=1.0,
         )
