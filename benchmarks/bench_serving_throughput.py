@@ -463,7 +463,6 @@ def test_serving_throughput_gate(benchmark):
         "journal_appends": journaled_ingestor.stats.journal_appends,
         "journal_segments": journal_segments,
         "snapshots_published": full_ingestor.stats.snapshots_published,
-        "delta_publishes": full_ingestor.stats.delta_publishes,
         "memory_prefix_answers": len(memory_prefix),
         "log_free_peak_mb": round(log_free_peak_mb, 2),
         "retained_log_peak_mb": round(retained_peak_mb, 2),

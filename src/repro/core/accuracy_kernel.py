@@ -361,43 +361,3 @@ def add_worker(
         p * acc_correct + (1.0 - p) * acc_incorrect
     ).sum()
 
-
-def add_workers(
-    p_z1: np.ndarray,
-    answer_count: int,
-    answer_accuracies: Sequence[float],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Lemma 2's recursion for one task's whole label vector.
-
-    The batched twin of the scalar per-label recursion: starts from the
-    Equation 15 baselines of ``p_z1`` (one entry per label) and applies each
-    hypothetical worker's Equation 9 accuracy in turn.  Returns
-    the final ``(acc_if_correct, acc_if_incorrect)`` vectors; the equivalence
-    tests hold these against the scalar recursion and the exponential
-    enumeration that defines it (``tests/oracles/accuracy.py``).
-    """
-    acc_correct = np.array(p_z1, dtype=float)
-    acc_incorrect = 1.0 - acc_correct
-    m = float(answer_count)
-    for accuracy in answer_accuracies:
-        s = _agreement_mass(float(accuracy))
-        acc_correct = (m * acc_correct + s) / (m + 1.0)
-        acc_incorrect = (m * acc_incorrect + s) / (m + 1.0)
-        m += 1.0
-    return acc_correct, acc_incorrect
-
-
-def expected_improvement(
-    p_z1: np.ndarray,
-    acc_correct: np.ndarray,
-    acc_incorrect: np.ndarray,
-    baseline_correct: np.ndarray,
-    baseline_incorrect: np.ndarray,
-) -> np.ndarray:
-    """Equation 20 per label, as arrays — ΔAcc of a state over its baseline."""
-    return np.asarray(p_z1, dtype=float) * (
-        np.asarray(acc_correct, dtype=float) - np.asarray(baseline_correct, dtype=float)
-    ) + (1.0 - np.asarray(p_z1, dtype=float)) * (
-        np.asarray(acc_incorrect, dtype=float)
-        - np.asarray(baseline_incorrect, dtype=float)
-    )

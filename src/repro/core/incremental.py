@@ -35,15 +35,12 @@ update path is O(changed work), never O(stream history):
   without ever materialising per-entity containers on the hot path.  The
   answer log is therefore only needed by callers that re-fit the inference
   model behind the updater's back.
-* Publishes are **dirty-row shaped**: the updater tracks which worker/task
-  rows changed since the last publish and
-  :meth:`IncrementalUpdater.collect_publish_delta` emits a
-  :class:`~repro.core.params.StoreDelta` carrying only those rows, which the
-  serving snapshot layer applies onto the previous snapshot's immutable base
-  (copy-on-write at row granularity).  :meth:`IncrementalUpdater.publish_store`
-  remains the full-copy fallback — used for the first publish, after full
-  refreshes, universe growth, or carryover changes (restored snapshots'
-  entities ride along on every publish until the stream re-answers them).
+* Every publish is one full copy: :meth:`IncrementalUpdater.publish_store`
+  returns a fresh store of the live rows followed by the carried-over
+  entities of a restored snapshot, which ride along on every publish until
+  the stream answers them.  The carried rows are built once per change of
+  the carried set and appended by array concatenation, so a publish costs
+  O(rows) C-level copying and no per-entity Python.
 
 The estimate the updater hands out — :meth:`IncrementalUpdater.apply`'s
 return value, installed as the inference model's
@@ -66,7 +63,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 from repro.core import em_kernel
 from repro.core.inference import InferenceResult, LocationAwareInference
-from repro.core.params import ArrayParameterStore, StoreDelta
+from repro.core.params import ArrayParameterStore
 from repro.data.models import Answer, AnswerSet
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -154,13 +151,18 @@ class IncrementalUpdater:
     )
     _store: ArrayParameterStore | None = field(default=None, init=False, repr=False)
     # Carried-over entities the live tensor does not cover (restored
-    # snapshots), as ``id -> (store, row)``: they ride along on every full
-    # publish until the stream answers them.
+    # snapshots), as ``id -> (store, row)``: they ride along on every
+    # publish until the stream answers them.  ``_carried_tail`` holds their
+    # rows as one store, built on the first publish after the carried set
+    # changed (``None`` until then).
     _carried_workers: dict[str, tuple[ArrayParameterStore, int]] = field(
         default_factory=dict, init=False, repr=False
     )
     _carried_tasks: dict[str, tuple[ArrayParameterStore, int]] = field(
         default_factory=dict, init=False, repr=False
+    )
+    _carried_tail: ArrayParameterStore | None = field(
+        default=None, init=False, repr=False
     )
     # Figure 10's first delta of the next warm fit spans the estimate the
     # fit starts from.  Beyond the live store's rows, that estimate holds the
@@ -172,12 +174,6 @@ class IncrementalUpdater:
         default=None, init=False, repr=False
     )
     _unheld_tasks: set[str] = field(default_factory=set, init=False, repr=False)
-    # Publish bookkeeping: store rows touched since the last publish, and
-    # whether the next publish must be a full copy (first publish, full
-    # refresh, universe growth, carryover or sync changes).
-    _dirty_workers: set[int] = field(default_factory=set, init=False, repr=False)
-    _dirty_tasks: set[int] = field(default_factory=set, init=False, repr=False)
-    _publish_full: bool = field(default=True, init=False, repr=False)
     # Sufficient-statistic state: the cache bound to the current live
     # tensor/store pair, and per-store-row defer credits of settled entities.
     _stat_cache: "em_kernel.SufficientStatCache | None" = field(
@@ -350,8 +346,6 @@ class IncrementalUpdater:
             self.metrics.counter("em_entities_settled_total", kind="task").inc(
                 sweep_report.tasks_settled
             )
-        self._dirty_workers.update(int(i) for i in est_w)
-        self._dirty_tasks.update(int(j) for j in est_t)
 
         if self._unheld_tasks:
             task_ids = tensor.task_ids
@@ -381,8 +375,8 @@ class IncrementalUpdater:
         ``answers``, when provided, must already contain ``new_answers`` and
         is only consulted to recover from a log/tensor divergence (an
         external fit bypassed this updater).
-        Resets the refresh counter and flags the next publish as a full copy.
-        Returns the fitted store, which becomes the live store.
+        Resets the refresh counter.  Returns the fitted store, which becomes
+        the live store.
         """
         inference = self.inference
         params = inference.parameters if inference.is_fitted else None
@@ -481,12 +475,11 @@ class IncrementalUpdater:
         to the live universe (entities admitted mid-fit copy their current
         live estimates), the mid-fit answers are replayed as localized sweeps
         against the live tensor, and the reconciled result is installed on the
-        inference model — after which the next publish is a full copy, exactly
-        like a blocking :meth:`full_refresh`.  The refresh counter is **not**
-        reset here: the caller reset it at launch so the refresh schedule is a
-        pure function of applied-answer counts (crash-recovery replay then
-        re-launches at the same batch boundaries).  Returns the adopted
-        store, the new live store.
+        inference model, exactly like a blocking :meth:`full_refresh`.  The
+        refresh counter is **not** reset here: the caller reset it at launch
+        so the refresh schedule is a pure function of applied-answer counts
+        (crash-recovery replay then re-launches at the same batch
+        boundaries).  Returns the adopted store, the new live store.
         """
         inference = self.inference
         fitted: ArrayParameterStore = result.store
@@ -553,8 +546,7 @@ class IncrementalUpdater:
         """Bookkeeping once a full fit's store became the live store.
 
         The fit's estimate holds exactly the tensor's entities, so no carried
-        entity is part of it and every task is estimated; the next publish
-        is a full copy.
+        entity is part of it and every task is estimated.
         """
         self._held_source = None
         self._unheld_tasks.clear()
@@ -568,9 +560,6 @@ class IncrementalUpdater:
                 self.metrics.histogram("em_refresh_final_delta").observe(
                     float(result.convergence_trace[-1])
                 )
-        self._publish_full = True
-        self._dirty_workers.clear()
-        self._dirty_tasks.clear()
 
     def _first_delta_floor(self) -> float:
         """Figure 10's first-delta terms the live store's rows do not show.
@@ -755,7 +744,6 @@ class IncrementalUpdater:
         tensor.enable_row_tracking()
         self._tensor = tensor
         self._store = None
-        self._publish_full = True
         self._reset_sufficient_stats()
         # A reflatten cannot recover per-row ages (the log carries no epochs),
         # so the rebuilt history restarts at the current epoch: every answer
@@ -818,7 +806,6 @@ class IncrementalUpdater:
         self._store = store
         self._refresh_carryover(params)
         self.inference._parameters = store
-        self._publish_full = True
 
     def _refresh_carryover(self, params: ArrayParameterStore) -> None:
         """Reconcile the carryover set against the tensor and ``params``.
@@ -838,6 +825,7 @@ class IncrementalUpdater:
             if task_id not in seen_tasks:
                 self._carried_tasks[task_id] = (params, row)
         self._held_source = params
+        self._carried_tail = None
 
     def _prune_carryover(self) -> None:
         """Drop carried-over entities the live tensor has since acquired."""
@@ -847,8 +835,10 @@ class IncrementalUpdater:
         seen_tasks = set(self._tensor.task_ids)
         for worker_id in seen_workers.intersection(self._carried_workers):
             del self._carried_workers[worker_id]
+            self._carried_tail = None
         for task_id in seen_tasks.intersection(self._carried_tasks):
             del self._carried_tasks[task_id]
+            self._carried_tail = None
 
     def _recover_if_diverged(
         self,
@@ -886,9 +876,8 @@ class IncrementalUpdater:
         First-seen entities carried over from a restored snapshot resume from
         their carried values; genuinely unseen ones receive the footnote-3
         trusted priors (the values :meth:`ArrayParameterStore.worker` /
-        :meth:`ArrayParameterStore.task` report for unknown ids).  Any growth
-        invalidates the row-aligned publish base, so the next publish is a
-        full copy.
+        :meth:`ArrayParameterStore.task` report for unknown ids).  Admitting
+        a carried entity drops it from the carried rows.
         """
         if not result.new_worker_ids and not result.new_task_ids:
             return
@@ -896,6 +885,7 @@ class IncrementalUpdater:
         for worker_id in result.new_worker_ids:
             carried = self._carried_workers.pop(worker_id, None)
             if carried is not None:
+                self._carried_tail = None
                 source, row = carried
                 store.add_worker(
                     worker_id, source.p_qualified[row], source.distance_weights[row]
@@ -911,6 +901,7 @@ class IncrementalUpdater:
                 self._unheld_tasks.add(task_id)
             labels = influence = None
             if carried is not None:
+                self._carried_tail = None
                 source, row = carried
                 labels = source.label_probs[source.task_label_slice(row)]
                 influence = source.influence_weights[row]
@@ -918,7 +909,6 @@ class IncrementalUpdater:
                 store.add_task(task_id, num_labels, labels, influence)
             else:
                 store.add_task(task_id, num_labels)
-        self._publish_full = True
 
     def prime_carryover(self, parameters: ArrayParameterStore) -> None:
         """Seed the carryover set from a pre-existing estimate.
@@ -929,17 +919,17 @@ class IncrementalUpdater:
         re-acquires).
         """
         self._refresh_carryover(parameters)
-        self._publish_full = True
 
     # ------------------------------------------------------------- publishing
     def publish_store(self, answers: AnswerSet | None = None) -> ArrayParameterStore:
-        """Snapshot-ready compact copy of the current estimate.
+        """Snapshot-ready copy of the current estimate.
 
         Returns a fresh :class:`~repro.core.params.ArrayParameterStore`
-        covering the live universe plus any carried-over entities (sorted by
-        id) — one C-level array copy plus a row per carried entity.  This is
-        the fallback of the O(changed) publish protocol: steady-state
-        micro-batches publish through :meth:`collect_publish_delta` instead.
+        holding the live rows, then the carried-over workers, then the
+        carried-over tasks (each sorted by id) — one C-level copy of the live
+        store, or one concatenation with the carried rows, which are rebuilt
+        only after the carried set changed.  Nobody else holds the returned
+        store, so the snapshot layer may take it without copying.
         ``answers`` is only needed to (re)build the live tensor when the
         updater has none yet or the log diverged.
         """
@@ -950,69 +940,23 @@ class IncrementalUpdater:
         else:
             self._recover_if_diverged(answers, None, chain_intact)
         self._ensure_store(params)
-        out = self._store.copy()
+        if not (self._carried_workers or self._carried_tasks):
+            return self._store.copy()
+        if self._carried_tail is None:
+            self._carried_tail = self._build_carried_tail()
+        return self._store.concatenated(self._carried_tail)
+
+    def _build_carried_tail(self) -> ArrayParameterStore:
+        """The carried entities' rows as one frozen store (O(carried) Python)."""
+        tail = ArrayParameterStore.empty(self._store.function_set, self._store.alpha)
         for worker_id in sorted(self._carried_workers):
             source, row = self._carried_workers[worker_id]
-            out.add_worker(worker_id, source.p_qualified[row], source.distance_weights[row])
+            tail.add_worker(worker_id, source.p_qualified[row], source.distance_weights[row])
         for task_id in sorted(self._carried_tasks):
             source, row = self._carried_tasks[task_id]
             labels = source.label_probs[source.task_label_slice(row)]
-            out.add_task(task_id, labels.size, labels, source.influence_weights[row])
-        self.mark_published()
-        return out
-
-    def collect_publish_delta(self) -> StoreDelta | None:
-        """The dirty rows since the last publish, or ``None`` if a full copy is due.
-
-        Returns a :class:`~repro.core.params.StoreDelta` covering exactly the
-        worker/task rows the localized sweeps touched since the previous
-        publish — O(changed) gathered values the snapshot layer applies onto
-        the previous snapshot's immutable base.  ``None`` means the caller
-        must take the :meth:`publish_store` full-copy path: first publish,
-        a full refresh or re-sync happened, the entity
-        universe grew (row alignment with the base broke), or the estimate
-        was replaced outside this updater.  Collecting does **not** consume
-        the dirty state — call :meth:`mark_published` once the delta has
-        actually been published.
-        """
-        if (
-            self._store is None
-            or self._publish_full
-            or self._store is not self.inference.parameters
-        ):
-            return None
-        store = self._store
-        worker_rows = np.fromiter(
-            sorted(self._dirty_workers), dtype=np.intp, count=len(self._dirty_workers)
-        )
-        task_rows = np.fromiter(
-            sorted(self._dirty_tasks), dtype=np.intp, count=len(self._dirty_tasks)
-        )
-        label_slots = em_kernel.label_slots_of_tasks(store.label_offsets, task_rows)
-        return StoreDelta(
-            worker_rows=worker_rows,
-            p_qualified=store.p_qualified[worker_rows],
-            distance_weights=store.distance_weights[worker_rows],
-            task_rows=task_rows,
-            influence_weights=store.influence_weights[task_rows],
-            label_slots=label_slots,
-            label_probs=store.label_probs[label_slots],
-            num_workers=store.num_workers + len(self._carried_workers),
-            num_tasks=store.num_tasks + len(self._carried_tasks),
-        )
-
-    def mark_published(self) -> None:
-        """Reset the dirty tracking: the next publish diffs against this point.
-
-        Call exactly when a publish actually happened — after a collected
-        delta was applied to the snapshot layer.  (:meth:`publish_store`
-        marks internally.)  A delta that was collected but then dropped must
-        NOT be marked, or its rows would silently go stale in every
-        subsequent delta publish until the next full refresh.
-        """
-        self._dirty_workers.clear()
-        self._dirty_tasks.clear()
-        self._publish_full = False
+            tail.add_task(task_id, labels.size, labels, source.influence_weights[row])
+        return tail.freeze()
 
     # ------------------------------------------------------------------ internal
     def _defer_filter(

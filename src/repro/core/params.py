@@ -27,7 +27,6 @@ order).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
@@ -73,90 +72,6 @@ class RowAlignment(NamedTuple):
     task_rows: np.ndarray
     slots: np.ndarray
     sources: np.ndarray
-
-
-@dataclass(frozen=True)
-class StoreDelta:
-    """The dirty rows of an :class:`ArrayParameterStore` since a known base.
-
-    A delta captures copies of only the worker/task rows (and the tasks' flat
-    label slots) that changed between two versions of a store over the *same*
-    entity universe — the serving layer's O(changed) publish currency:
-    instead of copying the full store per snapshot, the incremental updater
-    emits one delta per micro-batch and the snapshot layer applies it onto the
-    previous version's immutable base (copy-on-write at row granularity).
-    ``num_workers`` / ``num_tasks`` stamp the universe the delta belongs to so
-    an application onto a mismatched base fails loudly.
-    """
-
-    worker_rows: np.ndarray
-    p_qualified: np.ndarray
-    distance_weights: np.ndarray
-    task_rows: np.ndarray
-    influence_weights: np.ndarray
-    label_slots: np.ndarray
-    label_probs: np.ndarray
-    num_workers: int
-    num_tasks: int
-
-    def apply(self, store: "ArrayParameterStore") -> "ArrayParameterStore":
-        """Patch the dirty rows into ``store`` (unfrozen, same universe).
-
-        Validates row/slot bounds and carried-array shapes against the base
-        before touching it, so a delta recorded against a different store (a
-        corrupted or mis-sequenced chain) fails loudly instead of scribbling
-        over the wrong rows.
-        """
-        if store.num_workers != self.num_workers or store.num_tasks != self.num_tasks:
-            raise ValueError(
-                f"delta over {self.num_workers} workers / {self.num_tasks} tasks "
-                f"cannot apply to a store with {store.num_workers} / {store.num_tasks}"
-            )
-        if self.worker_rows.size and (
-            int(self.worker_rows.min()) < 0
-            or int(self.worker_rows.max()) >= store.num_workers
-        ):
-            raise ValueError(
-                f"delta worker rows {self.worker_rows.min()}..{self.worker_rows.max()} "
-                f"fall outside the base store's {store.num_workers} worker rows"
-            )
-        if self.task_rows.size and (
-            int(self.task_rows.min()) < 0
-            or int(self.task_rows.max()) >= store.num_tasks
-        ):
-            raise ValueError(
-                f"delta task rows {self.task_rows.min()}..{self.task_rows.max()} "
-                f"fall outside the base store's {store.num_tasks} task rows"
-            )
-        if self.label_slots.size and (
-            int(self.label_slots.min()) < 0
-            or int(self.label_slots.max()) >= store.num_label_slots
-        ):
-            raise ValueError(
-                f"delta label slots {self.label_slots.min()}..{self.label_slots.max()} "
-                f"fall outside the base store's {store.num_label_slots} label slots"
-            )
-        if (
-            self.p_qualified.shape != self.worker_rows.shape
-            or self.distance_weights.shape[:1] != self.worker_rows.shape
-            or self.influence_weights.shape[:1] != self.task_rows.shape
-            or self.label_probs.shape != self.label_slots.shape
-        ):
-            raise ValueError(
-                "delta value arrays do not align with their row/slot indexes "
-                f"(workers {self.worker_rows.shape[0]}, "
-                f"p_qualified {self.p_qualified.shape[0]}, "
-                f"distance_weights {self.distance_weights.shape[0]}; "
-                f"tasks {self.task_rows.shape[0]}, "
-                f"influence_weights {self.influence_weights.shape[0]}; "
-                f"label slots {self.label_slots.shape[0]}, "
-                f"label_probs {self.label_probs.shape[0]})"
-            )
-        store.p_qualified[self.worker_rows] = self.p_qualified
-        store.distance_weights[self.worker_rows] = self.distance_weights
-        store.influence_weights[self.task_rows] = self.influence_weights
-        store.label_probs[self.label_slots] = self.label_probs
-        return store
 
 
 def _grown_buffer(buffer: np.ndarray, needed: int) -> np.ndarray:
@@ -545,6 +460,31 @@ class ArrayParameterStore:
         return self.gathered(self.alignment(worker_ids, task_ids, num_labels))
 
     # ------------------------------------------------------------------- misc
+    def concatenated(self, tail: "ArrayParameterStore") -> "ArrayParameterStore":
+        """A new store holding this store's rows, then ``tail``'s.
+
+        The two stores must hold disjoint ids.  Each array is one C-level
+        concatenation, so appending a fixed tail costs O(rows) copying and no
+        per-entity Python.
+        """
+        return ArrayParameterStore(
+            function_set=self.function_set,
+            alpha=self.alpha,
+            worker_ids=self.worker_ids + tail.worker_ids,
+            task_ids=self.task_ids + tail.task_ids,
+            label_offsets=np.concatenate(
+                (self.label_offsets, tail.label_offsets[1:] + self.num_label_slots)
+            ),
+            p_qualified=np.concatenate((self.p_qualified, tail.p_qualified)),
+            distance_weights=np.concatenate(
+                (self.distance_weights, tail.distance_weights)
+            ),
+            influence_weights=np.concatenate(
+                (self.influence_weights, tail.influence_weights)
+            ),
+            label_probs=np.concatenate((self.label_probs, tail.label_probs)),
+        )
+
     def copy(self) -> "ArrayParameterStore":
         return ArrayParameterStore(
             function_set=self.function_set,

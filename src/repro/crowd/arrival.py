@@ -101,36 +101,6 @@ class RoundRobinArrival(WorkerArrivalProcess):
         return None
 
 
-class PoissonArrival(WorkerArrivalProcess):
-    """Batch sizes follow a Poisson distribution (at least one worker per round).
-
-    Models the burstiness of a real platform: some rounds only one worker shows
-    up, other rounds several do.  Used by the robustness examples.
-    """
-
-    def __init__(
-        self, pool: WorkerPool, mean_batch_size: float = 4.0, seed: SeedLike = None
-    ) -> None:
-        if mean_batch_size <= 0:
-            raise ValueError(
-                f"mean_batch_size must be positive, got {mean_batch_size}"
-            )
-        self._pool = pool
-        self._mean = mean_batch_size
-        self._seed = seed
-        self._rng = default_rng(seed)
-
-    def next_batch(self, round_index: int) -> list[str]:
-        ids = self._pool.worker_ids
-        size = int(self._rng.poisson(self._mean))
-        size = max(1, min(size, len(ids)))
-        chosen = self._rng.choice(len(ids), size=size, replace=False)
-        return [ids[i] for i in sorted(chosen)]
-
-    def reset(self) -> None:
-        self._rng = default_rng(self._seed)
-
-
 class ChurnArrival(WorkerArrivalProcess):
     """Workers churn through deterministic active/away sessions.
 

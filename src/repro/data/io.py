@@ -154,19 +154,3 @@ def load_answers(path: str | Path) -> AnswerSet:
     with Path(path).open("r", encoding="utf-8") as handle:
         return answers_from_dict(json.load(handle))
 
-
-def workers_to_dict(workers: list[Worker]) -> dict[str, Any]:
-    """Convert a worker list into a JSON-serialisable dictionary."""
-    return {
-        "format_version": FORMAT_VERSION,
-        "workers": [worker_to_entry(worker) for worker in workers],
-    }
-
-
-def workers_from_dict(payload: dict[str, Any]) -> list[Worker]:
-    """Rebuild a worker list from :func:`workers_to_dict` output."""
-    version = payload.get("format_version")
-    if version != FORMAT_VERSION:
-        raise ValueError(f"unsupported worker format version: {version!r}")
-    return [worker_from_entry(entry) for entry in payload["workers"]]
-

@@ -18,11 +18,10 @@ per-record specifications live with the tests, in ``tests/oracles/``):
   full EM re-fit with continued ingest (see the pipelined loop below);
 * :mod:`repro.serving.snapshots` — immutable, versioned copies of the
   :class:`~repro.core.params.ArrayParameterStore`, the package's one
-  estimate type (copy-on-write publish, O(changed) dirty-row delta publishes
-  with lazy materialisation, monotonically increasing versions, bounded
-  retention, ``.npz`` persistence) so reads never observe a half-applied
-  update: readers hold frozen snapshot stores, never the updater's live
-  store, which every micro-batch changes in place;
+  estimate type (every publish a frozen full copy, monotonically increasing
+  versions, bounded retention, ``.npz`` persistence) so reads never observe
+  a half-applied update: readers hold frozen snapshot stores, never the
+  updater's live store, which every micro-batch changes in place;
 * :mod:`repro.serving.frontend`  — serves an AccOpt / uncertainty /
   spatial-first assignment to each arriving worker against the latest
   published snapshot, recording per-request latency;
@@ -44,7 +43,7 @@ periodic full EM re-fit no longer stalls the stream: when the refresh
 interval trips, the triggering batch is applied incrementally and the fit is
 handed to a :class:`~repro.serving.pipeline.RefreshWorker` thread over frozen
 copies of the live tensor and store, while the ingest thread keeps applying
-localized sweeps and publishing dirty-row delta snapshots::
+localized sweeps and publishing snapshots::
 
     ingest thread   ... A A A [launch] A A A A [integrate] A A ...
                               |  capture tensor/store  ^ replay mid-fit
@@ -113,10 +112,10 @@ live serving state raises a :class:`ServingStateError` subclass with an
 actionable message: :class:`JournalCorruptionError` (a checksummed journal
 record failed validation away from the tail), :class:`CheckpointCorruptionError`
 (a checkpoint failed its CRC, format or column validation),
-:class:`SnapshotIntegrityError` (a persisted snapshot or a delta chain failed
-row-count/shape validation), and :class:`LiveStateError` (the in-memory
-tensor/store lifecycle was violated, e.g. an externally fitted model with no
-answer log to rebuild from).
+:class:`SnapshotIntegrityError` (a persisted snapshot failed row-count/shape
+validation), and :class:`LiveStateError` (the in-memory tensor/store
+lifecycle was violated, e.g. an externally fitted model with no answer log to
+rebuild from).
 
 **Open-world serving.**  The stack does not assume the worker/task universe is
 known at startup — new entities flow through every layer as they arrive:
@@ -207,8 +206,7 @@ every stage:
   time without double counting;
 * **component counters** — guard acceptances and per-reason quarantines,
   journal appends (fsync-labelled latency histogram) and segment rotations,
-  snapshot publishes by kind (full vs dirty-row delta) with the live delta
-  chain depth, ingest answers/batches/retries/drops, fault-injector
+  snapshot publishes, ingest answers/batches/retries/drops, fault-injector
   armed/fired counts, and the EM work rate (localized sweeps run, entities
   settled by early-exit, refresh iterations and final convergence deltas);
 * **serving histograms** — assignment latency (the registry histogram is the
@@ -278,11 +276,11 @@ class CheckpointCorruptionError(ServingStateError):
 
 
 class SnapshotIntegrityError(ServingStateError):
-    """A persisted snapshot or a delta chain failed integrity validation.
+    """A persisted snapshot failed integrity validation.
 
-    Raised when a ``.npz`` snapshot cannot be read back consistently, or when
-    materialising a delta chain meets rows/shapes that do not match the base
-    store they claim to patch.
+    Raised when a ``.npz`` snapshot cannot be read back consistently: the
+    archive is unreadable, arrays are missing, or the store's ragged layout,
+    shapes or probability ranges are incoherent.
     """
 
 

@@ -27,11 +27,9 @@ Every model update is O(changed), never O(stream):
   :class:`~repro.data.models.AnswerSet` (the simulator/platform case);
 * after every update a new snapshot is published to the
   :class:`~repro.serving.snapshots.SnapshotStore` — the only surface the
-  assignment frontend reads.  Steady-state publishes are **dirty-row
-  deltas** (:meth:`~repro.serving.snapshots.SnapshotStore.publish_delta`):
-  only the rows the micro-batch touched are copied onto the previous
-  snapshot's immutable base; the full-copy path remains for the first
-  publish, full refreshes and universe growth.
+  assignment frontend reads.  Every publish hands over one full copy of the
+  estimate (:meth:`~repro.core.incremental.IncrementalUpdater.publish_store`),
+  which the snapshot freezes in place.
 
 The ingestion layer is **open-world**: an :class:`AnswerEvent` may reference a
 worker or task the model has never seen, as long as it carries the entity's
@@ -220,7 +218,6 @@ class IngestStats:
     incremental_updates: int = 0
     full_refreshes: int = 0
     snapshots_published: int = 0
-    delta_publishes: int = 0
     workers_registered: int = 0
     tasks_registered: int = 0
     #: AnswerSet → tensor flattens the updater performed (0 on the pure
@@ -913,37 +910,16 @@ class AnswerIngestor:
             self._stats.workers_registered += 1
 
     def _publish(self, published_at: float, source: str) -> ParameterSnapshot:
-        """Publish the live estimate over every known entity, O(changed)-first.
+        """Publish the live estimate over every known entity as a full copy.
 
-        Steady-state micro-batches publish a dirty-row delta onto the
-        previous snapshot's immutable base — only the rows this batch touched
-        are copied.  The full-copy path (one C-level array copy of the live
-        store plus a row per carried-over entity) remains for the first
-        publish, full refreshes, universe growth, and whenever an external
-        publisher interleaved with ours.
+        The copy (the live store plus any carried-over rows) is made solely
+        for this publish, so it is handed over instead of paying a second
+        full-array copy inside the snapshot.
         """
-        delta = self._updater.collect_publish_delta()
-        latest = self._snapshots.latest()
-        if (
-            delta is not None
-            and latest is not None
-            and (latest.num_workers, latest.num_tasks)
-            == (delta.num_workers, delta.num_tasks)
-        ):
-            snapshot = self._snapshots.publish_delta(
-                delta, published_at=published_at, source=source
-            )
-            self._updater.mark_published()
-            self._stats.delta_publishes += 1
-        else:
-            store = self._updater.publish_store(
-                self._answers if self._retain else None
-            )
-            # The store copy was made solely for this publish — hand it over
-            # instead of paying a second full-array copy inside the snapshot.
-            snapshot = self._snapshots.publish(
-                store, published_at=published_at, source=source, copy=False
-            )
+        store = self._updater.publish_store(self._answers if self._retain else None)
+        snapshot = self._snapshots.publish(
+            store, published_at=published_at, source=source, copy=False
+        )
         self._stats.snapshots_published += 1
         return snapshot
 
@@ -956,7 +932,6 @@ class AnswerIngestor:
         "incremental_updates",
         "full_refreshes",
         "snapshots_published",
-        "delta_publishes",
         "workers_registered",
         "tasks_registered",
         "events_quarantined",

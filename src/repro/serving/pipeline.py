@@ -6,7 +6,7 @@ iterations.  The pipelined loop instead hands the fit to a
 :class:`RefreshWorker` — a single daemon thread fitting a frozen
 :meth:`~repro.core.em_kernel.AnswerTensor.snapshot` of the live tensor via
 :meth:`~repro.core.inference.LocationAwareInference.run_em_detached` — while
-the ingest thread keeps appending, sweeping and publishing deltas.  The EM
+the ingest thread keeps appending, sweeping and publishing.  The EM
 kernels are NumPy-bound, so the fit releases the GIL for the bulk of its
 work and genuinely overlaps the ingest thread.
 

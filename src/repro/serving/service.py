@@ -13,10 +13,9 @@ online system over a :class:`~repro.crowd.platform.CrowdPlatform` workload:
 4. the answers stream into the :class:`~repro.serving.ingest.AnswerIngestor`,
    which micro-batches them into incremental EM updates (periodic full
    refreshes run straight off the incremental updater's live tensor — zero
-   answer-log re-flattens) and publishes a fresh snapshot after every update,
-   dirty-row deltas in the steady state.  The ingestor shares the platform's
-   own answer log (the simulator needs it anyway), but the update path never
-   reads it back.
+   answer-log re-flattens) and publishes a fresh snapshot after every update.
+   The ingestor shares the platform's own answer log (the simulator needs it
+   anyway), but the update path never reads it back.
 
 The loop ends when the budget is exhausted, a round yields no assignable task,
 or ``max_rounds`` is reached; a final full refresh then produces the snapshot
@@ -320,8 +319,7 @@ class ServingReport:
             f"open world: {self.workers_joined} workers / {self.tasks_joined} tasks "
             f"joined mid-stream, {self.open_world_answers} answers "
             f"({self.open_world_fraction:.0%}) from entities absent at startup",
-            f"snapshots: {self.snapshots_published} published "
-            f"({self.ingest.delta_publishes} dirty-row deltas), "
+            f"snapshots: {self.snapshots_published} published, "
             f"latest version {version}",
             f"assignment latency: p50 {self.assign_p50_ms:.2f} ms, "
             f"p95 {self.assign_p95_ms:.2f} ms over "

@@ -5,25 +5,16 @@ between periodic full re-fits), but the assignment frontend must never observe
 a half-applied update.  :class:`SnapshotStore` decouples the two with a
 copy-on-write publish protocol:
 
-* :meth:`SnapshotStore.publish` deep-copies the
-  :class:`~repro.core.params.ArrayParameterStore`, marks every array read-only
-  and stamps the copy with a monotonically increasing version id — writers keep
-  mutating their own store, readers keep whatever version they already hold;
-* :meth:`SnapshotStore.publish_delta` is the **O(changed) publish**: instead
-  of a full store copy, the new version records only a
-  :class:`~repro.core.params.StoreDelta` (the dirty rows since the previous
-  publish) on top of the previous snapshot as its immutable base.  The full
-  array form is **materialised lazily** — on the first read of
-  :attr:`ParameterSnapshot.store` the delta chain is applied onto the nearest
-  materialised ancestor in one pass — so publishes a reader never looks at
-  cost O(changed rows), and a read costs at most what a full-copy publish
-  used to.  Chains are bounded (:attr:`SnapshotStore.max_delta_chain`):
-  every so many delta publishes the new snapshot is materialised eagerly,
-  keeping both materialisation latency and retained-history memory bounded;
+* :meth:`SnapshotStore.publish` is the only way an estimate reaches readers:
+  it freezes a full copy of the
+  :class:`~repro.core.params.ArrayParameterStore` (every array read-only) and
+  stamps it with a monotonically increasing version id — writers keep
+  mutating their own store, readers keep whatever version they already hold.
+  A writer that built the store for this publish alone hands it over with
+  ``copy=False`` (the ingestion layer does, on every flush);
 * retention is bounded (:attr:`SnapshotStore.max_snapshots`): publishing past
   the cap drops the oldest versions, mirroring a production parameter server
-  that keeps a short history for rollback (delta snapshots keep their base
-  chain alive until materialised);
+  that keeps a short history for rollback;
 * :meth:`ParameterSnapshot.save` / :func:`load_snapshot` persist a snapshot to
   disk as a plain ``.npz`` archive (no pickling) so a service can restore its
   parameters across restarts; versions keep increasing across a restore.
@@ -44,7 +35,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 import numpy as np
 
 from repro.core.em_kernel import AnswerColumns
-from repro.core.params import ArrayParameterStore, StoreDelta
+from repro.core.params import ArrayParameterStore
 from repro.data.io import (
     task_from_entry,
     task_to_entry,
@@ -60,130 +51,42 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class ParameterSnapshot:
     """One immutable, versioned copy of all model parameters.
 
-    A snapshot is either **materialised** (it owns a frozen
-    :class:`~repro.core.params.ArrayParameterStore`) or a **delta** recorded
-    on top of a base snapshot; accessing :attr:`store` materialises a delta
-    snapshot on first read by applying the delta chain onto the nearest
-    materialised ancestor.  Either way the arrays handed out are frozen
-    (read-only).  The assignment frontend hands :attr:`store` itself to its
-    task assigner; read-outs go through the store's id accessors.
+    :attr:`store` is a frozen :class:`~repro.core.params.ArrayParameterStore`
+    (every array read-only) that no writer holds.  The assignment frontend
+    hands it to its task assigner; read-outs go through the store's id
+    accessors.
     """
 
     __slots__ = (
         "version",
+        "store",
         "published_at",
         "published_wall",
         "source",
-        "num_workers",
-        "num_tasks",
-        "_store",
-        "_base",
-        "_delta",
-        "_lock",
     )
 
     def __init__(
         self,
         version: int,
-        store: ArrayParameterStore | None = None,
+        store: ArrayParameterStore,
         published_at: float = 0.0,
         source: str = "publish",
-        base: "ParameterSnapshot | None" = None,
-        delta: StoreDelta | None = None,
     ) -> None:
         if version < 0:
             raise ValueError(f"version must be non-negative, got {version}")
-        if (store is None) == (base is None or delta is None):
-            raise ValueError(
-                "a snapshot needs either a store or a (base, delta) pair"
-            )
         self.version = version
+        self.store = store
         self.published_at = published_at
         #: Monotonic wall-clock stamp of creation, for snapshot-age-at-serve.
         self.published_wall = time.monotonic()
         self.source = source
-        self._store = store
-        self._base = base
-        self._delta = delta
-        if store is not None:
-            self.num_workers = store.num_workers
-            self.num_tasks = store.num_tasks
-        else:
-            self.num_workers = delta.num_workers
-            self.num_tasks = delta.num_tasks
-        self._lock = threading.Lock()
 
     def __repr__(self) -> str:
-        kind = "delta" if self._store is None else "full"
         return (
             f"ParameterSnapshot(version={self.version}, "
-            f"workers={self.num_workers}, tasks={self.num_tasks}, "
-            f"source={self.source!r}, {kind})"
+            f"workers={self.store.num_workers}, tasks={self.store.num_tasks}, "
+            f"source={self.source!r})"
         )
-
-    @property
-    def materialized(self) -> bool:
-        """Whether the full array form already exists (no chain walk on read)."""
-        return self._store is not None
-
-    @property
-    def store(self) -> ArrayParameterStore:
-        """The full array form of this version, materialising it on first read.
-
-        For a delta snapshot this copies the nearest materialised ancestor
-        once and applies every delta up the chain (oldest first) — O(universe)
-        on the first read, cached afterwards, and never paid for versions no
-        reader looks at.  Every delta is row/shape-validated against the base
-        as it is applied; a chain that does not fit its base raises
-        :class:`~repro.serving.SnapshotIntegrityError` instead of patching
-        the wrong rows.
-
-        Thread-safe: concurrent first reads materialise once, under the
-        snapshot's own lock (the lock-free fast path covers every later
-        read — ``_store`` is only ever written while holding the lock and
-        never reset).
-        """
-        store = self._store
-        if store is not None:
-            return store
-        with self._lock:
-            if self._store is None:
-                from repro.serving import SnapshotIntegrityError
-
-                # Walk the base chain capturing (version, delta) pairs.  An
-                # ancestor may be materialising concurrently under its *own*
-                # lock (it sets ``_store`` first, then clears ``_base`` and
-                # ``_delta``), so each node's fields are captured base/delta
-                # before store: if the store read comes back non-None the
-                # captured pair is simply unused — the materialised array
-                # already includes that delta.
-                deltas: list[tuple[int, StoreDelta]] = [(self.version, self._delta)]
-                node = self._base
-                while True:
-                    base = node._base
-                    delta = node._delta
-                    store = node._store
-                    if store is not None:
-                        base_version = node.version
-                        out = store.copy()
-                        break
-                    deltas.append((node.version, delta))
-                    node = base
-                for version, delta in reversed(deltas):
-                    try:
-                        delta.apply(out)
-                    except (ValueError, IndexError) as error:
-                        raise SnapshotIntegrityError(
-                            f"materialising snapshot version {self.version} failed: "
-                            f"the delta of version {version} does not fit "
-                            f"its base (version {base_version}): {error}. The "
-                            "delta chain is inconsistent — republish a full "
-                            "snapshot instead of reading this version."
-                        ) from error
-                self._store = out.freeze()
-                self._base = None
-                self._delta = None
-            return self._store
 
     def as_model(self) -> ArrayParameterStore:
         """:attr:`store` (kept for callers of the former dict view)."""
@@ -234,12 +137,6 @@ def load_snapshot(path: str | Path) -> ParameterSnapshot:
 class SnapshotStore:
     """Bounded history of published parameter snapshots, newest last."""
 
-    #: Delta publishes allowed before the next one is materialised eagerly:
-    #: bounds both the first-read materialisation latency and the memory held
-    #: by unmaterialised history, at an amortised O(universe / cap) copy cost
-    #: per publish.
-    max_delta_chain = 16
-
     def __init__(
         self,
         max_snapshots: int = 8,
@@ -251,12 +148,10 @@ class SnapshotStore:
         self._metrics = metrics
         self._snapshots: list[ParameterSnapshot] = []
         self._next_version = 0
-        self._chain_length = 0
         # One writer (the ingest thread) and many readers (assignment
         # frontends, the pipelined refresh worker's launch site): every
-        # publish/adopt and every history read holds this.  Reentrant because
-        # publish_delta() reads latest() while publishing.
-        self._mutex = threading.RLock()
+        # publish/adopt and every history read holds this.
+        self._mutex = threading.Lock()
         # Degraded mode: set by the ingestion supervisor when updates keep
         # failing; readers keep serving the latest retained snapshot and the
         # frontend counts those serves as stale instead of raising.
@@ -280,13 +175,8 @@ class SnapshotStore:
         return self._next_version
 
     def bind_metrics(self, metrics: "MetricsRegistry") -> None:
-        """Mirror publish kinds, chain depth, and degraded marks into ``metrics``."""
+        """Mirror publishes and degraded marks into ``metrics``."""
         self._metrics = metrics
-
-    def _note_publish(self, kind: str) -> None:
-        if self._metrics is not None:
-            self._metrics.counter("snapshot_publishes_total", kind=kind).inc()
-            self._metrics.gauge("snapshot_delta_chain_depth").set(self._chain_length)
 
     def publish(
         self,
@@ -312,54 +202,12 @@ class SnapshotStore:
                 published_at=published_at,
                 source=source,
             )
-            self._chain_length = 0
-            self._note_publish("full")
+            if self._metrics is not None:
+                self._metrics.counter("snapshot_publishes_total").inc()
+            self._next_version = snapshot.version + 1
             return self._append(snapshot)
 
-    def publish_delta(
-        self,
-        delta: StoreDelta,
-        published_at: float = 0.0,
-        source: str = "incremental",
-    ) -> ParameterSnapshot:
-        """O(changed) publish: record only the dirty rows on the latest base.
-
-        The new version shares everything with the previous snapshot except
-        the rows carried by ``delta``; the full array form is materialised
-        only when (and if) a reader asks for it.  Requires a published base
-        over the same entity universe — callers fall back to :meth:`publish`
-        on the first publish or whenever the universe changed.
-        """
-        with self._mutex:
-            base = self.latest()
-            if base is None:
-                raise ValueError("cannot publish a delta before any full snapshot")
-            if (base.num_workers, base.num_tasks) != (
-                delta.num_workers,
-                delta.num_tasks,
-            ):
-                raise ValueError(
-                    f"delta universe {delta.num_workers} workers / {delta.num_tasks} "
-                    f"tasks does not match the latest snapshot "
-                    f"({base.num_workers} / {base.num_tasks})"
-                )
-            snapshot = ParameterSnapshot(
-                version=self._next_version,
-                published_at=published_at,
-                source=source,
-                base=base,
-                delta=delta,
-            )
-            self._append(snapshot)
-            self._chain_length += 1
-            if self._chain_length >= self.max_delta_chain:
-                snapshot.store  # materialise eagerly: bound the chain
-                self._chain_length = 0
-            self._note_publish("delta")
-            return snapshot
-
     def _append(self, snapshot: ParameterSnapshot) -> ParameterSnapshot:
-        self._next_version = snapshot.version + 1
         self._snapshots.append(snapshot)
         if len(self._snapshots) > self._max_snapshots:
             del self._snapshots[: len(self._snapshots) - self._max_snapshots]
@@ -378,12 +226,8 @@ class SnapshotStore:
                     f"cannot adopt version {snapshot.version}: latest retained "
                     f"version is {self._snapshots[-1].version}"
                 )
-            self._snapshots.append(snapshot)
             self._next_version = max(self._next_version, snapshot.version + 1)
-            self._chain_length = 0
-            if len(self._snapshots) > self._max_snapshots:
-                del self._snapshots[: len(self._snapshots) - self._max_snapshots]
-            return snapshot
+            return self._append(snapshot)
 
     # ---------------------------------------------------------- degraded mode
     @property

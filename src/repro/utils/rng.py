@@ -28,18 +28,6 @@ def default_rng(seed: SeedLike = None) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def spawn_rng(rng: np.random.Generator, count: int) -> list[np.random.Generator]:
-    """Split ``rng`` into ``count`` independent child generators.
-
-    Independent streams let components (e.g. each simulated worker) draw random
-    numbers without the order of calls in one component perturbing another.
-    """
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
-    seeds = rng.integers(0, 2**63 - 1, size=count, dtype=np.int64)
-    return [np.random.default_rng(int(s)) for s in seeds]
-
-
 def derive_seed(seed: Optional[int], salt: int) -> Optional[int]:
     """Derive a child seed from ``seed`` and an integer ``salt``.
 

@@ -25,7 +25,9 @@ from here.
 * :mod:`oracles.probe` — the serving frontend's trust-probe pick, one
   scalar distance per task, :func:`nearest_unanswered_task`;
 * :mod:`oracles.tensor` — the answer log read back out of a tensor one row
-  at a time, :func:`export_answers`.
+  at a time, :func:`export_answers`;
+* :mod:`oracles.validation` — the per-value probability checks and clamp the
+  id-keyed parameters and the per-record EM apply.
 
 Import with ``tests/`` on ``sys.path`` (pytest does this for the test suite;
 ``benchmarks/conftest.py`` does it for the benchmarks).

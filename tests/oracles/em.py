@@ -38,7 +38,8 @@ from oracles.params import (
 )
 from repro.core.params import ArrayParameterStore
 from repro.data.models import AnswerSet
-from repro.utils.validation import PROBABILITY_FLOOR, clamp_probability
+from repro.utils.validation import PROBABILITY_FLOOR
+from oracles.validation import clamp_probability
 
 
 @dataclass

@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.core.distance_functions import DistanceFunctionSet, PAPER_FUNCTION_SET
 from repro.core.params import ArrayParameterStore
-from repro.utils.validation import check_probability, check_probability_vector
+from oracles.validation import check_probability, check_probability_vector
 
 
 @dataclass

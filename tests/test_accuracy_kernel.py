@@ -4,7 +4,9 @@ The vectorized AccOpt engine is only trustworthy if its batched kernels
 reproduce the scalar oracle of ``tests/oracles/accuracy.py`` exactly (within
 float tolerance):
 
-* the flat Lemma 2 recursion (:func:`~repro.core.accuracy_kernel.add_workers`,
+* Lemma 2's recursion and Equation 20's improvement as AccOpt's greedy pass
+  runs them (:func:`~repro.core.accuracy_kernel.greedy_state`,
+  :func:`~repro.core.accuracy_kernel.marginal_gains`,
   :func:`~repro.core.accuracy_kernel.add_worker`) against
   :meth:`~oracles.accuracy.LabelAccuracy.add_workers` and the exponential
   :func:`~oracles.accuracy.enumerate_expected_accuracy` definition;
@@ -46,6 +48,31 @@ def fitted(small_dataset, worker_pool, distance_model, collected_answers):
     return model.parameters
 
 
+def greedy_pass(p_z1, answer_count, accuracies):
+    """Commit one hypothetical worker per accuracy onto one task holding every
+    label of ``p_z1``, through the greedy pass AccOpt runs.
+
+    Returns the committed accuracy pairs, the task's effective answer count,
+    and the marginal gain :func:`~repro.core.accuracy_kernel.marginal_gains`
+    scored before each commit.
+    """
+    p_z1 = np.asarray(p_z1, dtype=float)
+    counts = np.asarray([float(answer_count)])
+    baseline = accuracy_kernel.baseline_state(p_z1, np.asarray([0, p_z1.size]), counts)
+    gains = []
+    with accuracy_kernel.greedy_state(baseline, counts) as state:
+        for accuracy in accuracies:
+            gain = accuracy_kernel.marginal_gains(state, np.asarray([[accuracy]]))
+            gains.append(float(gain[0, 0]))
+            accuracy_kernel.add_worker(state, 0, accuracy)
+        return (
+            state.acc_correct.copy(),
+            state.acc_incorrect.copy(),
+            float(state.effective_answers[0]),
+            gains,
+        )
+
+
 class TestLemma2Recursion:
     @given(
         p_z1=st.lists(probability, min_size=1, max_size=6),
@@ -54,9 +81,10 @@ class TestLemma2Recursion:
     )
     @settings(max_examples=80)
     def test_matches_scalar_add_workers(self, p_z1, answer_count, accuracies):
-        acc_correct, acc_incorrect = accuracy_kernel.add_workers(
+        acc_correct, acc_incorrect, answers, _ = greedy_pass(
             p_z1, answer_count, accuracies
         )
+        assert answers == answer_count + len(accuracies)
         for k, p in enumerate(p_z1):
             scalar = LabelAccuracy.from_current_inference(p, answer_count).add_workers(
                 accuracies
@@ -75,7 +103,7 @@ class TestLemma2Recursion:
     )
     @settings(max_examples=60)
     def test_matches_exponential_enumeration(self, p_z1, answer_count, accuracies):
-        acc_correct, acc_incorrect = accuracy_kernel.add_workers(
+        acc_correct, acc_incorrect, _, _ = greedy_pass(
             [p_z1], answer_count, accuracies
         )
         enumerated = enumerate_expected_accuracy(p_z1, answer_count, accuracies)
@@ -95,30 +123,37 @@ class TestLemma2Recursion:
     def test_expected_improvement_matches_equation_20(
         self, p_z1, answer_count, accuracies
     ):
-        baseline_correct = np.asarray(p_z1, dtype=float)
-        baseline_incorrect = 1.0 - baseline_correct
-        acc_correct, acc_incorrect = accuracy_kernel.add_workers(
-            p_z1, answer_count, accuracies
+        """Each pick's marginal gain is the task's Equation 20 improvement
+        over the state before the pick, so the gains sum to the improvement
+        over the baseline."""
+        _, _, _, gains = greedy_pass(p_z1, answer_count, accuracies)
+        bases = [LabelAccuracy.from_current_inference(p, answer_count) for p in p_z1]
+        for i, accuracy in enumerate(accuracies):
+            before = [base.add_workers(accuracies[:i]) for base in bases]
+            scalar = sum(
+                state.add_worker(accuracy).expected_improvement_over(state)
+                for state in before
+            )
+            assert gains[i] == pytest.approx(scalar, abs=TOLERANCE)
+        total = sum(
+            base.add_workers(accuracies).expected_improvement_over(base)
+            for base in bases
         )
-        batched = accuracy_kernel.expected_improvement(
-            p_z1, acc_correct, acc_incorrect, baseline_correct, baseline_incorrect
-        )
-        for k, p in enumerate(p_z1):
-            base = LabelAccuracy.from_current_inference(p, answer_count)
-            scalar = base.add_workers(accuracies).expected_improvement_over(base)
-            assert batched[k] == pytest.approx(scalar, abs=TOLERANCE)
+        assert sum(gains) == pytest.approx(total, abs=TOLERANCE)
 
     def test_incremental_add_worker_matches_bulk(self):
-        state = accuracy_kernel.baseline_state(
-            [0.2, 0.9, 0.5], np.asarray([0, 3]), [2]
-        )
-        for pe in (0.6, 0.8, 0.3):
-            accuracy_kernel.add_worker(state, 0, pe)
-        acc_correct, acc_incorrect = accuracy_kernel.add_workers(
-            [0.2, 0.9, 0.5], 2, [0.6, 0.8, 0.3]
-        )
-        np.testing.assert_allclose(state.acc_correct, acc_correct, atol=TOLERANCE)
-        np.testing.assert_allclose(state.acc_incorrect, acc_incorrect, atol=TOLERANCE)
+        """One commit per worker, straight on a baseline state (no greedy
+        scratch), equals the oracle adding the same workers in one go."""
+        p_z1, accuracies = [0.2, 0.9, 0.5], [0.6, 0.8, 0.3]
+        state = accuracy_kernel.baseline_state(p_z1, np.asarray([0, 3]), [2])
+        for accuracy in accuracies:
+            accuracy_kernel.add_worker(state, 0, accuracy)
+        for k, p in enumerate(p_z1):
+            bulk = LabelAccuracy.from_current_inference(p, 2).add_workers(accuracies)
+            assert state.acc_correct[k] == pytest.approx(bulk.acc_if_correct, abs=TOLERANCE)
+            assert state.acc_incorrect[k] == pytest.approx(
+                bulk.acc_if_incorrect, abs=TOLERANCE
+            )
         assert state.effective_answers[0] == pytest.approx(5.0)
 
     @pytest.mark.parametrize("seed", range(10))

@@ -397,7 +397,7 @@ class TestDegradedMode:
         assert ingestor.stats.publish_failures >= 1
         assert snapshots.degraded
         # The updates themselves succeeded — only the publishes were lost; the
-        # next clean flush publishes the accumulated dirty rows.
+        # next clean flush publishes the estimate with every one of them.
         faults.disarm()
         for event in event_stream[16:24]:
             ingestor.submit(event)

@@ -223,6 +223,33 @@ class TestArrayParameterStore:
         assert store.p_qualified[0] == pytest.approx(0.8)
         assert store.label_probs[0] == pytest.approx(0.9)
 
+    def test_concatenated_equals_appending_the_tail_row_by_row(self):
+        params = self.make_params()
+        head = params.to_array_store(["w2"], ["t2"], [3])
+        tail = params.to_array_store(["w1"], ["t1"], [2]).freeze()
+        joined = head.concatenated(tail)
+        expected = head.copy()
+        expected.add_worker("w1", tail.p_qualified[0], tail.distance_weights[0])
+        expected.add_task("t1", 2, tail.label_probs[:2], tail.influence_weights[0])
+        assert joined.worker_ids == expected.worker_ids == ("w2", "w1")
+        assert joined.task_ids == expected.task_ids == ("t2", "t1")
+        for name in (
+            "label_offsets",
+            "p_qualified",
+            "distance_weights",
+            "influence_weights",
+            "label_probs",
+        ):
+            np.testing.assert_array_equal(
+                getattr(joined, name), getattr(expected, name)
+            )
+            assert not np.shares_memory(getattr(joined, name), getattr(head, name))
+        # A new, writable store: neither input is touched or aliased.
+        joined.label_probs[:] = 0.0
+        assert tail.frozen and not joined.frozen
+        np.testing.assert_array_equal(head.label_probs, [0.1, 0.5, 0.6])
+        assert joined.index_of_task("t1") == 1
+
 
 class TestStoreAccessors:
     """The store's id accessors against the oracle's, priors included."""

@@ -14,8 +14,8 @@ from repro.data.io import (
     load_dataset,
     save_answers,
     save_dataset,
-    workers_from_dict,
-    workers_to_dict,
+    worker_from_entry,
+    worker_to_entry,
 )
 from repro.data.models import Answer, AnswerSet, Worker
 from repro.spatial.geometry import GeoPoint
@@ -80,9 +80,5 @@ class TestWorkerRoundTrip:
             Worker("w1", (GeoPoint(1.0, 2.0),)),
             Worker("w2", (GeoPoint(3.0, 4.0), GeoPoint(5.0, 6.0))),
         ]
-        rebuilt = workers_from_dict(workers_to_dict(workers))
-        assert rebuilt == workers
-
-    def test_unknown_version_rejected(self):
-        with pytest.raises(ValueError):
-            workers_from_dict({"format_version": 2, "workers": []})
+        entries = json.loads(json.dumps([worker_to_entry(w) for w in workers]))
+        assert [worker_from_entry(entry) for entry in entries] == workers

@@ -11,9 +11,9 @@ Pins the O(changed) update-path invariants:
   through a log-free :class:`AnswerIngestor` performs no ``AnswerSet`` →
   tensor flatten at all (``stats.log_flattens == 0``) and keeps no answer
   log;
-* **dirty-row publishes** — every delta-published snapshot materialises to
-  exactly the store a full-copy publish would have produced, and published
-  versions stay immutable under later publishes;
+* **publishes** — published versions stay immutable under later publishes,
+  and a restored snapshot's carried rows ride along on every publish, built
+  once per change of the carried set;
 * **per-entity early exit** — threshold 0 keeps the updater's sweeps
   bit-identical to the plain default, and in
   :func:`~repro.core.em_kernel.localized_sweeps` a saturating threshold
@@ -220,9 +220,10 @@ class TestRefreshEquivalence:
 
 class TestRestoredCarryover:
     """A restore whose snapshot holds entities the stream has not answered:
-    every full publish appends them after the live rows, workers then tasks,
-    each sorted by id, with the snapshot's values bit for bit, until the
-    stream answers them."""
+    every publish appends them after the live rows, workers then tasks, each
+    sorted by id, with the snapshot's values bit for bit, until the stream
+    answers them.  The carried rows are built once per change of the carried
+    set, not once per publish."""
 
     def _restored(self, small_dataset, worker_pool, distance_model, collected_answers):
         new_worker, new_task = late_entities()
@@ -301,6 +302,126 @@ class TestRestoredCarryover:
         self.assert_publish_row_for_row(published, live, snapshot, carried)
         assert published.worker_ids.count("late-w") == 1
 
+    def test_carried_rows_are_rebuilt_only_when_the_carried_set_changes(
+        self, small_dataset, worker_pool, distance_model, collected_answers, monkeypatch
+    ):
+        model, updater, snapshot = self._restored(
+            small_dataset, worker_pool, distance_model, collected_answers
+        )
+        builds = []
+        build = updater._build_carried_tail
+
+        def counted_build():
+            builds.append(len(updater._carried_workers) + len(updater._carried_tasks))
+            return build()
+
+        monkeypatch.setattr(updater, "_build_carried_tail", counted_build)
+        carried = set(snapshot.worker_ids) | set(snapshot.task_ids)
+        first = stream_batches(
+            small_dataset, worker_pool, distance_model, collected_answers, count=12
+        )
+        # The stream starts empty, so the first batch admits carried entities.
+        updater.apply(None, first)
+        self.assert_publish_row_for_row(
+            updater.publish_store(), updater.live_store, snapshot, carried
+        )
+        assert len(builds) == 1
+        # Fresh pairs among the entities already admitted: no admission, so
+        # every publish (and a full refresh) reuses the carried rows.
+        seen = {(answer.worker_id, answer.task_id) for answer in first}
+        again = [
+            Answer(worker_id, task_id, small_dataset.task_index[task_id].truth)
+            for worker_id in sorted({answer.worker_id for answer in first})
+            for task_id in sorted({answer.task_id for answer in first})
+            if (worker_id, task_id) not in seen
+        ]
+        assert again
+        num_answers = updater.live_tensor.num_answers
+        updater.apply(None, again)
+        assert updater.live_tensor.num_answers == num_answers + len(again)
+        for _ in range(2):
+            self.assert_publish_row_for_row(
+                updater.publish_store(), updater.live_store, snapshot, carried
+            )
+        updater.full_refresh([])
+        self.assert_publish_row_for_row(
+            updater.publish_store(), updater.live_store, snapshot, carried
+        )
+        assert len(builds) == 1
+        # Admitting a carried worker, then a carried task, rebuilds the rows
+        # each time, without the admitted entity.
+        task_id = first[0].task_id
+        truth = small_dataset.task_index[task_id].truth
+        worker_answer = Answer("late-w", task_id, truth)
+        task_answer = Answer(first[0].worker_id, "late-t", (1, 0, 1))
+        for answer in (worker_answer, task_answer):
+            updater.apply(None, [answer])
+            published = updater.publish_store()
+            self.assert_publish_row_for_row(
+                published, updater.live_store, snapshot, carried
+            )
+        assert builds == [builds[0], builds[0] - 1, builds[0] - 2]
+        assert published.worker_ids.count("late-w") == 1
+        assert published.task_ids.count("late-t") == 1
+
+    def test_publish_with_carried_rows_saves_and_loads_bit_exactly(
+        self, small_dataset, worker_pool, distance_model, collected_answers, tmp_path
+    ):
+        model, updater, snapshot = self._restored(
+            small_dataset, worker_pool, distance_model, collected_answers
+        )
+        carried = set(snapshot.worker_ids) | set(snapshot.task_ids)
+        updater.apply(
+            None,
+            stream_batches(
+                small_dataset, worker_pool, distance_model, collected_answers, count=6
+            ),
+        )
+        snapshots = SnapshotStore()
+        published = snapshots.publish(updater.publish_store(), copy=False)
+        assert published.store.has_worker("late-w") and published.store.has_task("late-t")
+        restored = load_snapshot(published.save(tmp_path / "carried.npz"))
+        assert restored.version == published.version
+        assert restored.store.frozen
+        assert_stores_equal(restored.store, published.store)
+        self.assert_publish_row_for_row(
+            restored.store, updater.live_store, snapshot, carried
+        )
+
+    def test_carried_rows_follow_a_new_estimate_and_a_cold_refit(
+        self, small_dataset, worker_pool, distance_model, collected_answers
+    ):
+        model, updater, snapshot = self._restored(
+            small_dataset, worker_pool, distance_model, collected_answers
+        )
+        carried = set(snapshot.worker_ids) | set(snapshot.task_ids)
+        first = stream_batches(
+            small_dataset, worker_pool, distance_model, collected_answers, count=12
+        )
+        updater.apply(None, first)
+        updater.publish_store()
+        # An estimate installed from outside becomes the carried rows' source.
+        moved = snapshot.copy()
+        moved.p_qualified[moved.index_of_worker("late-w")] = 0.7
+        model.warm_start(moved.freeze())
+        updater.apply(None, first[:1])
+        published = updater.publish_store()
+        self.assert_publish_row_for_row(published, updater.live_store, moved, carried)
+        assert published.p_qualified[published.index_of_worker("late-w")] == 0.7
+        # A cold re-fit admits its batch's carried worker without a live
+        # store; the worker leaves the carried rows all the same.
+        newcomer = min(
+            w for w in snapshot.worker_ids if not updater.live_store.has_worker(w)
+        )
+        task_id = first[0].task_id
+        updater.full_refresh(
+            [Answer(newcomer, task_id, small_dataset.task_index[task_id].truth)],
+            warm=False,
+        )
+        published = updater.publish_store()
+        assert published.worker_ids.count(newcomer) == 1
+        self.assert_publish_row_for_row(published, updater.live_store, moved, carried)
+
 
 class TestLogFreeIngest:
     def _stream(self, small_dataset, worker_pool, distance_model, count=60):
@@ -369,9 +490,12 @@ class TestLogFreeIngest:
         offline.fit(AnswerSet(event.answer for event in events))
         assert_parameters_close(inference.parameters, offline.parameters)
 
-    def test_delta_publish_equals_full_copy_publish(
+    def test_every_publish_hands_over_a_private_copy(
         self, small_dataset, worker_pool, distance_model
     ):
+        """Publishes take the updater's store without copying it again, so
+        the store must be one nobody else holds: the live store stays
+        writable and shares no memory with any published version."""
         inference = LocationAwareInference(
             small_dataset.tasks, worker_pool.workers, distance_model
         )
@@ -380,22 +504,26 @@ class TestLogFreeIngest:
             inference,
             snapshots,
             config=IngestConfig(
-                max_batch_answers=5, max_batch_delay=100.0, full_refresh_interval=1000
+                max_batch_answers=5, max_batch_delay=100.0, full_refresh_interval=20
             ),
         )
-        checked_deltas = 0
+        published = []
         for event in self._stream(small_dataset, worker_pool, distance_model):
             snapshot = ingest.submit(event)
-            if snapshot is None:
-                continue
-            # publish_store rebuilds the full-copy form of the exact same
-            # estimate (dirty state was already consumed by the publish).
-            full = ingest._updater.publish_store()
-            if not snapshot.materialized:
-                checked_deltas += 1
-            assert_stores_equal(snapshot.store, full)
-        assert ingest.stats.delta_publishes >= 3
-        assert checked_deltas >= 3
+            if snapshot is not None:
+                published.append(snapshot)
+                live = ingest._updater.live_store
+                assert snapshot.store is not live and not live.frozen
+                assert_stores_equal(snapshot.store, live)
+        assert len(published) >= 10
+        assert [s.version for s in published] == list(range(len(published)))
+        live = ingest._updater.live_store
+        for snapshot in published:
+            assert snapshot.store.frozen
+            for name in ("p_qualified", "distance_weights", "label_probs"):
+                assert not np.shares_memory(
+                    getattr(snapshot.store, name), getattr(live, name)
+                )
 
     def test_published_versions_stay_immutable_under_later_publishes(
         self, small_dataset, worker_pool, distance_model
@@ -418,94 +546,13 @@ class TestLogFreeIngest:
             snapshot = ingest.submit(event)
             if snapshot is not None and pinned is None and snapshot.version >= 2:
                 pinned = snapshot
-                pinned_copy = snapshot.store.copy()  # materialises version v
+                pinned_copy = snapshot.store.copy()
         ingest.flush(full=True)
         # Later publishes (including a full refresh) never mutate version v.
         assert pinned is not None
         assert_stores_equal(pinned.store, pinned_copy)
         with pytest.raises((ValueError, RuntimeError)):
             pinned.store.p_qualified[0] = 0.0
-
-    def test_delta_snapshot_save_load_round_trip(
-        self, small_dataset, worker_pool, distance_model, tmp_path
-    ):
-        inference = LocationAwareInference(
-            small_dataset.tasks, worker_pool.workers, distance_model
-        )
-        snapshots = SnapshotStore(max_snapshots=64)
-        ingest = AnswerIngestor(
-            inference,
-            snapshots,
-            config=IngestConfig(
-                max_batch_answers=5, max_batch_delay=100.0, full_refresh_interval=1000
-            ),
-        )
-        delta_snapshot = None
-        for event in self._stream(small_dataset, worker_pool, distance_model):
-            snapshot = ingest.submit(event)
-            if snapshot is not None and not snapshot.materialized:
-                delta_snapshot = snapshot
-        assert delta_snapshot is not None
-        path = delta_snapshot.save(tmp_path / "delta.npz")
-        restored = load_snapshot(path)
-        assert restored.version == delta_snapshot.version
-        assert_stores_equal(restored.store, delta_snapshot.store)
-
-
-class TestDeltaChainBound:
-    def _base_store(self):
-        from oracles.params import ModelParameters
-
-        params = ModelParameters()
-        params.workers["w1"] = params.worker("w1")
-        params.workers["w2"] = params.worker("w2")
-        params.tasks["t1"] = params.task("t1", num_labels=2)
-        return params.to_array_store(["w1", "w2"], ["t1"], [2])
-
-    def _delta(self, store, p_qualified):
-        from repro.core.params import StoreDelta
-
-        return StoreDelta(
-            worker_rows=np.asarray([0], dtype=np.intp),
-            p_qualified=np.asarray([p_qualified]),
-            distance_weights=store.distance_weights[:1].copy(),
-            task_rows=np.empty(0, dtype=np.intp),
-            influence_weights=np.empty((0, store.influence_weights.shape[1])),
-            label_slots=np.empty(0, dtype=np.intp),
-            label_probs=np.empty(0),
-            num_workers=store.num_workers,
-            num_tasks=store.num_tasks,
-        )
-
-    def test_chain_is_bounded_and_materialises_correctly(self):
-        store = self._base_store()
-        snapshots = SnapshotStore(max_snapshots=100)
-        snapshots.publish(store)
-        published = []
-        for index in range(SnapshotStore.max_delta_chain + 3):
-            value = 0.5 + 0.001 * index
-            published.append(
-                (value, snapshots.publish_delta(self._delta(store, value)))
-            )
-        # The chain cap forced at least one eager materialisation mid-stream.
-        assert any(s.materialized for _, s in published[:-1])
-        # Every version, materialised in arbitrary order, reads its own value.
-        for value, snapshot in reversed(published):
-            assert snapshot.store.p_qualified[0] == pytest.approx(value)
-
-    def test_delta_universe_mismatch_is_rejected(self):
-        store = self._base_store()
-        snapshots = SnapshotStore()
-        snapshots.publish(store)
-        bad = self._delta(store, 0.9)
-        object.__setattr__(bad, "num_workers", store.num_workers + 1)
-        with pytest.raises(ValueError, match="universe"):
-            snapshots.publish_delta(bad)
-
-    def test_delta_before_any_publish_is_rejected(self):
-        store = self._base_store()
-        with pytest.raises(ValueError, match="full snapshot"):
-            SnapshotStore().publish_delta(self._delta(store, 0.7))
 
 
 class TestEarlyExit:

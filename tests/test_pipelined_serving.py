@@ -10,12 +10,13 @@ Covers, in order:
 - :class:`~repro.serving.pipeline.RefreshWorker` unit behaviour, including
   exception capture on the worker thread;
 - :class:`~repro.serving.pipeline.PendingRefresh` reconcile accounting;
-- thread-safety of :class:`~repro.serving.snapshots.SnapshotStore` and
-  delta-chain materialisation under concurrent readers and a writer;
+- thread-safety of :class:`~repro.serving.snapshots.SnapshotStore` under
+  concurrent readers and a writer publishing full snapshots;
 - isolation of :meth:`IncrementalUpdater.capture_refresh_state` copies from
   subsequent live mutations.
 """
 
+import sys
 import threading
 from types import SimpleNamespace
 
@@ -23,7 +24,6 @@ import numpy as np
 import pytest
 
 from repro.core.inference import LocationAwareInference
-from repro.core.params import StoreDelta
 from repro.crowd.answer_model import AnswerSimulator
 from repro.serving.faults import SimulatedCrash
 from repro.serving.ingest import AnswerEvent, AnswerIngestor, IngestConfig
@@ -228,38 +228,26 @@ def fitted_store(small_dataset, worker_pool, distance_model, collected_answers):
 
 
 class TestSnapshotStoreConcurrency:
-    """A writer publishing full snapshots and delta chains while readers
-    materialise: no torn reads, no SnapshotIntegrityError, sane values."""
+    """A writer publishing full snapshots (copied and handed over) while
+    readers read the latest store: every read is a frozen, finite, correctly
+    shaped store, and the versions a reader sees never decrease."""
 
-    def _delta(self, store, p_qualified):
-        return StoreDelta(
-            worker_rows=np.asarray([0], dtype=np.intp),
-            p_qualified=np.asarray([p_qualified]),
-            distance_weights=np.asarray(store.distance_weights[:1]).copy(),
-            task_rows=np.empty(0, dtype=np.intp),
-            influence_weights=np.empty(
-                (0,) + np.asarray(store.influence_weights).shape[1:]
-            ),
-            label_slots=np.empty(0, dtype=np.intp),
-            label_probs=np.empty(0),
-            num_workers=store.num_workers,
-            num_tasks=store.num_tasks,
-        )
-
-    def test_concurrent_publish_and_materialise(self, fitted_store):
+    def test_concurrent_publish_and_read(self, fitted_store):
         snapshots = SnapshotStore(max_snapshots=8)
         snapshots.publish(fitted_store, source="full_refresh")
         errors: list[BaseException] = []
         done = threading.Event()
+        live = fitted_store.copy()
 
         def writer():
             try:
                 for i in range(300):
-                    if i % 20 == 0:
-                        snapshots.publish(fitted_store, source="full_refresh")
+                    live.p_qualified[0] = 0.05 + (i % 18) * 0.05
+                    if i % 2:
+                        snapshots.publish(live, source="incremental")
                     else:
-                        snapshots.publish_delta(
-                            self._delta(fitted_store, 0.05 + (i % 18) * 0.05)
+                        snapshots.publish(
+                            live.copy(), source="incremental", copy=False
                         )
             except BaseException as exc:  # noqa: BLE001 - surfaced below
                 errors.append(exc)
@@ -268,55 +256,47 @@ class TestSnapshotStoreConcurrency:
 
         def reader():
             try:
+                last = -1
                 while not done.is_set():
                     snapshot = snapshots.latest()
-                    store = snapshot.store  # materialises any delta chain
-                    assert store.num_workers == fitted_store.num_workers
-                    assert store.num_tasks == fitted_store.num_tasks
+                    store = snapshot.store
+                    assert snapshot.version >= last
+                    last = snapshot.version
+                    assert store.frozen
+                    assert not store.p_qualified.flags.writeable
+                    assert store.worker_ids == fitted_store.worker_ids
+                    assert store.task_ids == fitted_store.task_ids
+                    for name in ("distance_weights", "influence_weights"):
+                        shape = getattr(fitted_store, name).shape
+                        assert getattr(store, name).shape == shape
+                    assert store.label_probs.shape == fitted_store.label_probs.shape
                     assert 0.0 < store.p_qualified[0] <= 1.0
                     assert np.all(np.isfinite(store.label_probs))
+                    assert np.all(np.isfinite(store.influence_weights))
             except BaseException as exc:  # noqa: BLE001 - surfaced below
                 errors.append(exc)
 
         threads = [threading.Thread(target=writer)]
         threads += [threading.Thread(target=reader) for _ in range(3)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60.0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
-        # The chain still materialises correctly after the storm.
-        final = snapshots.latest().store
-        assert float(final.p_qualified[0]) == pytest.approx(0.05 + (299 % 18) * 0.05)
-
-    def test_concurrent_reads_of_one_deep_chain(self, fitted_store):
-        """Many threads racing to materialise the *same* delta chain must
-        all see the identical store (first materialisation wins, others
-        reuse it)."""
-        snapshots = SnapshotStore(max_snapshots=64)
-        snapshots.publish(fitted_store, source="full_refresh")
-        for i in range(12):
-            tip = snapshots.publish_delta(self._delta(fitted_store, 0.1 + i * 0.05))
-        expected = 0.1 + 11 * 0.05
-        results: list[float] = []
-        errors: list[BaseException] = []
-        gate = threading.Barrier(8)
-
-        def materialise():
-            try:
-                gate.wait(timeout=30.0)
-                results.append(float(tip.store.p_qualified[0]))
-            except BaseException as exc:  # noqa: BLE001 - surfaced below
-                errors.append(exc)
-
-        threads = [threading.Thread(target=materialise) for _ in range(8)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=30.0)
-        assert errors == []
-        assert results == [pytest.approx(expected)] * 8
+        # Every publish kept the value the writer had set when it published,
+        # and the writer's own store stayed writable throughout.
+        assert snapshots.versions == list(range(293, 301))
+        for version in snapshots.versions:
+            expected = 0.05 + ((version - 1) % 18) * 0.05
+            published = snapshots.get(version).store
+            assert float(published.p_qualified[0]) == pytest.approx(expected)
+        live.p_qualified[0] = 0.5
 
 
 class TestCaptureIsolation:

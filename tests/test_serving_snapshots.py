@@ -76,6 +76,27 @@ class TestVersioning:
             store.get(0)
         assert store.get(5).version == 5
 
+    def test_every_retained_version_reads_its_own_estimate(self, fitted_store):
+        store = SnapshotStore(max_snapshots=4)
+        live = fitted_store.copy()
+        values = [0.05 + 0.1 * index for index in range(9)]
+        for index, value in enumerate(values):
+            live.p_qualified[0] = value
+            live.label_probs[-1] = value
+            if index % 2:
+                store.publish(live.copy(), copy=False)
+            else:
+                store.publish(live)
+        assert store.versions == [5, 6, 7, 8]
+        for version in range(9):
+            if version < 5:
+                with pytest.raises(KeyError):
+                    store.get(version)
+                continue
+            snapshot = store.get(version)
+            assert snapshot.store.p_qualified[0] == values[version]
+            assert snapshot.store.label_probs[-1] == values[version]
+
     def test_adopt_continues_monotonically(self, fitted_store, tmp_path):
         source = SnapshotStore()
         for _ in range(4):
@@ -115,6 +136,19 @@ class TestCopyOnWrite:
         # The copy-on-write contract: freezing the snapshot must not freeze
         # the caller's arrays — including the shared-looking label_offsets.
         fitted_store.label_offsets[0] = fitted_store.label_offsets[0]
+        fitted_store.p_qualified[0] = fitted_store.p_qualified[0]
+
+    def test_handed_over_store_is_frozen_in_place(self, fitted_store):
+        handed = fitted_store.copy()
+        snapshot = SnapshotStore().publish(handed, copy=False)
+        assert snapshot.store is handed
+        assert handed.frozen
+        with pytest.raises(ValueError):
+            handed.p_qualified[0] = 0.0
+        with pytest.raises(ValueError):
+            handed.label_probs[0] = 0.0
+        # The store it was copied from keeps its own writable arrays.
+        assert not fitted_store.frozen
         fitted_store.p_qualified[0] = fitted_store.p_qualified[0]
 
     def test_snapshot_arrays_are_read_only(self, fitted_store):
@@ -213,46 +247,54 @@ class TestIntegrity:
         path = SnapshotStore().publish(fitted_store).save(tmp_path / "snap.npz")
         assert_stores_equal(load_snapshot(path).store, fitted_store)
 
-
-class TestDeltaChainValidation:
-    def _bad_delta(self, fitted_store, worker_row):
-        import numpy as np
-
-        from repro.core.params import StoreDelta
-
-        return StoreDelta(
-            worker_rows=np.array([worker_row], dtype=np.int64),
-            p_qualified=np.array([0.5]),
-            distance_weights=np.asarray(fitted_store.distance_weights[:1]).copy(),
-            task_rows=np.array([], dtype=np.int64),
-            influence_weights=np.empty(
-                (0,) + np.asarray(fitted_store.influence_weights).shape[1:]
+    @pytest.mark.parametrize(
+        "corrupt, reason",
+        [
+            (lambda a: a.update(label_offsets=a["label_offsets"][:-1]), "label_offsets has"),
+            (lambda a: a.update(label_offsets=a["label_offsets"] + 1), "must start at 0"),
+            (lambda a: a["label_offsets"].__setitem__(1, 0), "strictly increasing"),
+            (lambda a: a.update(label_probs=a["label_probs"][:-1]), "label_probs holds"),
+            (lambda a: a.update(p_qualified=a["p_qualified"][:-1]), "p_qualified shape"),
+            (
+                lambda a: a.update(distance_weights=a["distance_weights"][:, :-1]),
+                "distance_weights shape",
             ),
-            label_slots=np.array([], dtype=np.int64),
-            label_probs=np.array([]),
-            num_workers=fitted_store.num_workers,
-            num_tasks=fitted_store.num_tasks,
-        )
-
-    def test_out_of_bounds_delta_raises_on_materialization(self, fitted_store):
+            (
+                lambda a: a.update(influence_weights=a["influence_weights"][:-1]),
+                "influence_weights shape",
+            ),
+            (lambda a: a["p_qualified"].__setitem__(0, 1.5), "p_qualified contains"),
+            (lambda a: a["label_probs"].__setitem__(0, np.nan), "label_probs contains"),
+            (
+                lambda a: a["influence_weights"].__setitem__((0, 0), np.inf),
+                "influence_weights contains",
+            ),
+        ],
+        ids=[
+            "offsets-length",
+            "offsets-start",
+            "offsets-order",
+            "label-slots",
+            "worker-rows",
+            "distance-shape",
+            "influence-rows",
+            "probability-range",
+            "label-nan",
+            "influence-inf",
+        ],
+    )
+    def test_incoherent_archive_is_refused(self, fitted_store, tmp_path, corrupt, reason):
+        """A readable archive whose arrays break the store's layout or ranges
+        is refused on load, naming the file and the violated invariant."""
         from repro.serving import SnapshotIntegrityError
 
-        store = SnapshotStore()
-        store.publish(fitted_store)
-        # The delta stamps the right universe (so the publish is accepted)
-        # but carries a row index outside the base store.
-        snapshot = store.publish_delta(
-            self._bad_delta(fitted_store, fitted_store.num_workers + 3)
-        )
-        with pytest.raises(SnapshotIntegrityError) as excinfo:
-            snapshot.store
-        assert "does not fit" in str(excinfo.value)
-
-    def test_valid_delta_still_materializes(self, fitted_store):
-        store = SnapshotStore()
-        base = store.publish(fitted_store)
-        snapshot = store.publish_delta(self._bad_delta(fitted_store, 0))
-        materialized = snapshot.store
-        assert materialized.p_qualified[0] == 0.5
-        # The base snapshot is untouched (copy-on-write).
-        assert base.store.p_qualified[0] == fitted_store.p_qualified[0]
+        snapshot = SnapshotStore().publish(fitted_store)
+        arrays = {
+            key: np.array(value) for key, value in snapshot.store.to_npz_dict().items()
+        }
+        corrupt(arrays)
+        path = tmp_path / "incoherent.npz"
+        np.savez(path, snapshot_version=1, published_at=0.0, **arrays)
+        with pytest.raises(SnapshotIntegrityError, match=reason) as excinfo:
+            load_snapshot(path)
+        assert "incoherent.npz" in str(excinfo.value)

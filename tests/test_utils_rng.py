@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.utils.rng import default_rng, derive_seed, spawn_rng
+from repro.utils.rng import default_rng, derive_seed
 
 
 class TestDefaultRng:
@@ -27,30 +27,6 @@ class TestDefaultRng:
 
     def test_none_gives_generator(self):
         assert isinstance(default_rng(None), np.random.Generator)
-
-
-class TestSpawnRng:
-    def test_spawn_count(self):
-        children = spawn_rng(default_rng(1), 4)
-        assert len(children) == 4
-
-    def test_spawn_children_independent(self):
-        children = spawn_rng(default_rng(1), 2)
-        a = children[0].random(10)
-        b = children[1].random(10)
-        assert not np.allclose(a, b)
-
-    def test_spawn_deterministic(self):
-        a = spawn_rng(default_rng(5), 3)[2].random(4)
-        b = spawn_rng(default_rng(5), 3)[2].random(4)
-        assert np.allclose(a, b)
-
-    def test_spawn_zero(self):
-        assert spawn_rng(default_rng(1), 0) == []
-
-    def test_spawn_negative_raises(self):
-        with pytest.raises(ValueError):
-            spawn_rng(default_rng(1), -1)
 
 
 class TestDeriveSeed:

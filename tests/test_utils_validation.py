@@ -1,14 +1,14 @@
-"""Tests for repro.utils.validation."""
+"""Tests for repro.utils.validation and the oracles' probability checks."""
 
 import numpy as np
 import pytest
 
-from repro.utils.validation import (
+from oracles.validation import (
     check_probability,
     check_probability_vector,
     clamp_probability,
-    normalise,
 )
+from repro.utils.validation import normalise
 
 
 class TestCheckProbability:
