@@ -44,7 +44,9 @@ online serving subsystem (:mod:`repro.serving`) and writes
   bytes and the ``recover_ingestor`` time from the newest checkpoint; the
   bytes written per checkpointed answer row must stay under
   ``MAX_CHECKPOINT_BYTES_PER_ANSWER`` (the answers are persisted as
-  columns, not as per-answer text);
+  columns, not as per-answer text, and only entities learned after startup
+  carry metadata), and the restart must decode exactly the journal records
+  it replays (``recover_records_decoded``);
 * **the phase breakdown** — the full-stream replay runs with the telemetry
   tracer attached (:mod:`repro.obs`): per-quarter shares of wall time spent
   in apply/refresh/publish land in the artifact (diagnosing throughput decay
@@ -90,6 +92,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import PhaseTimeline, Tracer
 from repro.serving.frontend import AssignmentFrontend
 from repro.serving.ingest import AnswerIngestor, IngestConfig
+from repro.serving import journal as journal_module
 from repro.serving.journal import AnswerJournal, recover_ingestor
 from repro.serving.snapshots import CheckpointManager, SnapshotStore
 
@@ -340,15 +343,29 @@ def test_serving_throughput_gate(benchmark):
             checkpoints=checkpoints,
         )
         journal.close()
-        recover_started = time.perf_counter()
-        recovered, recovery = recover_ingestor(
-            durable_dir,
-            inference=_inference(dataset, pool, distance_model),
-            snapshots=SnapshotStore(),
-            ingest_config=durable_config,
-            journal_segment_records=JOURNAL_SEGMENT_RECORDS,
-        )
-        recover_seconds = time.perf_counter() - recover_started
+        # Count the journal records the restart decodes: the open scan only
+        # checks CRCs, so it should decode exactly the replayed tail.
+        decode_record = journal_module._decode_record
+        records_decoded = 0
+
+        def counted_decode(payload):
+            nonlocal records_decoded
+            records_decoded += 1
+            return decode_record(payload)
+
+        journal_module._decode_record = counted_decode
+        try:
+            recover_started = time.perf_counter()
+            recovered, recovery = recover_ingestor(
+                durable_dir,
+                inference=_inference(dataset, pool, distance_model),
+                snapshots=SnapshotStore(),
+                ingest_config=durable_config,
+                journal_segment_records=JOURNAL_SEGMENT_RECORDS,
+            )
+            recover_seconds = time.perf_counter() - recover_started
+        finally:
+            journal_module._decode_record = decode_record
         recovered.close()
         recovered.journal.close()
     finally:
@@ -486,6 +503,7 @@ def test_serving_throughput_gate(benchmark):
         "recover_seconds": round(recover_seconds, 3),
         "recover_checkpoint_answers": recovery.checkpoint_answers,
         "recover_replayed_events": recovery.replayed_events,
+        "recover_records_decoded": records_decoded,
         "open_world_stream_answers": len(ow_events),
         "open_world_fraction": round(ow_fraction, 3),
         "min_open_world_fraction": MIN_OPEN_WORLD_FRACTION,
@@ -560,6 +578,10 @@ def test_serving_throughput_gate(benchmark):
     assert bytes_per_answer <= MAX_CHECKPOINT_BYTES_PER_ANSWER, (
         f"checkpoints wrote {bytes_per_answer:.0f} bytes per checkpointed "
         f"answer (ceiling: {MAX_CHECKPOINT_BYTES_PER_ANSWER:.0f}); see {path}"
+    )
+    assert records_decoded == recovery.replayed_events, (
+        f"the restart decoded {records_decoded} journal records to replay "
+        f"{recovery.replayed_events}; see {path}"
     )
     assert ow_fraction >= MIN_OPEN_WORLD_FRACTION, (
         f"open-world stream only draws {ow_fraction:.0%} of its events from "

@@ -193,19 +193,21 @@ class AnswerColumns:
             )
         return self
 
-    def answers(self) -> Iterator[Answer]:
-        """The rows as :class:`~repro.data.models.Answer` objects, in order."""
+    def rows(self) -> Iterator[tuple[str, str, tuple[int, ...]]]:
+        """The rows as ``(worker_id, task_id, responses)``, in order."""
         counts = self.num_labels[self.a_task]
         ends = np.cumsum(counts).tolist()
         ticks = self.responses.tolist()
+        worker_ids, task_ids = self.worker_ids, self.task_ids
         for widx, tidx, end, count in zip(
             self.a_worker.tolist(), self.a_task.tolist(), ends, counts.tolist()
         ):
-            yield Answer(
-                worker_id=self.worker_ids[widx],
-                task_id=self.task_ids[tidx],
-                responses=tuple(ticks[end - count : end]),
-            )
+            yield worker_ids[widx], task_ids[tidx], tuple(ticks[end - count : end])
+
+    def answers(self) -> Iterator[Answer]:
+        """The rows as :class:`~repro.data.models.Answer` objects, in order."""
+        for worker_id, task_id, responses in self.rows():
+            yield Answer(worker_id=worker_id, task_id=task_id, responses=responses)
 
 
 class AnswerTensor:

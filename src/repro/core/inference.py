@@ -50,7 +50,10 @@ Dawid–Skene.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
+from itertools import islice
+from operator import attrgetter
 
 import numpy as np
 
@@ -140,6 +143,26 @@ class InferenceResult:
     store: ArrayParameterStore
 
 
+def _universe_digest(workers, tasks) -> str:
+    """BLAKE2b digest of the entities' ids, label counts and coordinates."""
+    workers = sorted(workers, key=attrgetter("worker_id"))
+    tasks = sorted(tasks, key=attrgetter("task_id"))
+    digest = hashlib.blake2b(digest_size=16)
+    for ids in (
+        [worker.worker_id for worker in workers],
+        [task.task_id for task in tasks],
+    ):
+        digest.update("\0".join(ids).encode("utf-8") + b"\1")
+    for values in (
+        [len(worker.locations) for worker in workers],
+        [point.as_tuple() for worker in workers for point in worker.locations],
+        [task.num_labels for task in tasks],
+        [task.location.as_tuple() for task in tasks],
+    ):
+        digest.update(np.asarray(values, dtype=np.float64).tobytes() + b"\1")
+    return digest.hexdigest()
+
+
 class LocationAwareInference(LabelInferenceModel):
     """The paper's inference model (IM).
 
@@ -171,6 +194,10 @@ class LocationAwareInference(LabelInferenceModel):
             raise ValueError("worker ids must be unique")
         self._distance_model = distance_model
         self._config = config or InferenceConfig()
+        # Registration only appends: entities past these counts were learned
+        # after construction (see :meth:`learned_entities`).
+        self._startup_sizes = (len(self._workers), len(self._tasks))
+        self._startup_digest: str | None = None
         self._parameters = ArrayParameterStore.empty(
             self._config.function_set, self._config.alpha
         )
@@ -209,6 +236,34 @@ class LocationAwareInference(LabelInferenceModel):
     @property
     def last_result(self) -> InferenceResult | None:
         return self._last_result
+
+    def learned_entities(self) -> tuple[list[Worker], list[Task]]:
+        """The workers and tasks registered after construction, oldest first.
+
+        These are what a serving checkpoint persists for a restart to
+        re-register; the universe the model was built with comes from the
+        restart's caller, checked against :attr:`startup_digest`.
+        """
+        workers, tasks = self._startup_sizes
+        return (
+            list(islice(self._workers.values(), workers, None)),
+            list(islice(self._tasks.values(), tasks, None)),
+        )
+
+    @property
+    def startup_digest(self) -> str:
+        """Hex digest of what EM reads from the universe the model was built with.
+
+        Covers the worker ids and locations and the task ids, label counts
+        and POI coordinates, in id order.  Computed on first use only.
+        """
+        if self._startup_digest is None:
+            workers, tasks = self._startup_sizes
+            self._startup_digest = _universe_digest(
+                islice(self._workers.values(), workers),
+                islice(self._tasks.values(), tasks),
+            )
+        return self._startup_digest
 
     # -------------------------------------------------------------- interface
     def fit(

@@ -25,7 +25,6 @@ from repro.crowd.answer_model import AnswerModelError, AnswerSimulator, QualityD
 from repro.crowd.arrival import (
     ChurnArrival,
     DiurnalPattern,
-    RoundRobinArrival,
     UniformRandomArrival,
     WorkerArrivalProcess,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "WorkerArrivalProcess",
     "ChurnArrival",
     "DiurnalPattern",
-    "RoundRobinArrival",
     "UniformRandomArrival",
     "Budget",
     "BudgetExhaustedError",

@@ -6,9 +6,6 @@ available set ``W``.  These classes model who shows up in each round:
 
 * :class:`UniformRandomArrival` — each round a random subset of the pool
   arrives (the default; approximates an open crowd market);
-* :class:`RoundRobinArrival` — workers arrive in a fixed rotation (useful for
-  deterministic tests and for stressing the "every worker participates"
-  scenario the paper's Deployment 1 approximates);
 * :class:`ChurnArrival` — workers cycle through deterministic active/away
   sessions (phase-shifted per worker), so the available set churns over
   rounds the way a real crowd does.
@@ -70,35 +67,6 @@ class UniformRandomArrival(WorkerArrivalProcess):
 
     def reset(self) -> None:
         self._rng = default_rng(self._seed)
-
-
-class RoundRobinArrival(WorkerArrivalProcess):
-    """Workers arrive in a fixed rotation of ``batch_size`` per round."""
-
-    def __init__(self, pool: WorkerPool, batch_size: int = 5) -> None:
-        if batch_size <= 0:
-            raise ValueError(f"batch_size must be positive, got {batch_size}")
-        self._pool = pool
-        self._batch_size = batch_size
-
-    def next_batch(self, round_index: int) -> list[str]:
-        ids = self._pool.worker_ids
-        start = (round_index * self._batch_size) % len(ids)
-        batch = []
-        for offset in range(self._batch_size):
-            batch.append(ids[(start + offset) % len(ids)])
-        # A batch larger than the pool would repeat workers; deduplicate while
-        # preserving order so the assigner never sees the same worker twice.
-        seen: set[str] = set()
-        unique = []
-        for worker_id in batch:
-            if worker_id not in seen:
-                seen.add(worker_id)
-                unique.append(worker_id)
-        return unique
-
-    def reset(self) -> None:  # stateless
-        return None
 
 
 class ChurnArrival(WorkerArrivalProcess):

@@ -81,20 +81,22 @@ journal → checkpoint → replay → degraded-mode lifecycle:
    :class:`~repro.serving.snapshots.CheckpointManager` checkpoint: the latest
    published parameter store, the live answer tensor's columns (id tables,
    per-task label counts, per-answer worker/task indices, ``int8``
-   responses) and decay arrival epochs as arrays, the entity metadata of
-   every registered worker/task, and the update counters — everything
-   needed to rebuild the live
+   responses) and decay arrival epochs as arrays, the metadata of the
+   workers/tasks learned after startup, a digest of the startup universe,
+   and the update counters — everything needed to rebuild the live
    :class:`~repro.core.incremental.IncrementalUpdater` state.  Journal
    segments wholly covered by the checkpoint are truncated (with
    ``journal_fsync`` on, only after the checkpoint is fsync'd).
 3. **Replay (recovery).**  :func:`~repro.serving.journal.recover_ingestor`
    loads the newest *valid* checkpoint (corrupt ones are skipped with a
-   diagnostic, falling back to older checkpoints or a cold start), rebuilds
-   the inference model and adopts the checkpoint's answer columns as the
-   live tensor, then replays the journal tail through the exact same
-   micro-batching code path — so the recovered live store matches the
-   uncrashed run to ≤1e-9, including batch boundaries.  If the journal was
-   truncated past every checkpoint that still loads, recovery raises
+   diagnostic, falling back to older checkpoints or a cold start), re-registers
+   its learned entities on the caller's startup model (another startup
+   universe raises :class:`StartupUniverseError`), adopts the checkpoint's
+   answer columns as the live tensor, then replays the journal tail (the
+   only records it decodes) through the exact same micro-batching code path
+   — so the recovered live store matches the uncrashed run to ≤1e-9,
+   including batch boundaries.  If the journal was truncated past every
+   checkpoint that still loads, recovery raises
    :class:`JournalCorruptionError` instead of replaying what is left.
    ``repro-poi serve-sim --state-dir DIR --resume`` drives this end to end.
 4. **Degraded mode.**  Model refreshes and snapshot publishes run under a
@@ -112,10 +114,11 @@ live serving state raises a :class:`ServingStateError` subclass with an
 actionable message: :class:`JournalCorruptionError` (a checksummed journal
 record failed validation away from the tail), :class:`CheckpointCorruptionError`
 (a checkpoint failed its CRC, format or column validation),
-:class:`SnapshotIntegrityError` (a persisted snapshot failed row-count/shape
-validation), and :class:`LiveStateError` (the in-memory tensor/store
-lifecycle was violated, e.g. an externally fitted model with no answer log to
-rebuild from).
+:class:`StartupUniverseError` (a restart was handed another startup universe
+than the checkpointed run's), :class:`SnapshotIntegrityError` (a persisted
+snapshot failed row-count/shape validation), and :class:`LiveStateError`
+(the in-memory tensor/store lifecycle was violated, e.g. an externally
+fitted model with no answer log to rebuild from).
 
 **Open-world serving.**  The stack does not assume the worker/task universe is
 known at startup — new entities flow through every layer as they arrive:
@@ -275,6 +278,17 @@ class CheckpointCorruptionError(ServingStateError):
     """
 
 
+class StartupUniverseError(ServingStateError):
+    """A restart was handed another startup universe than the crashed run's.
+
+    A checkpoint records a digest of the workers and tasks its inference
+    model was built with (ids, label counts, locations) and holds only the
+    entities learned after that; recovery refuses a model over any other
+    universe before replaying anything.  No older checkpoint can help, so
+    this is not corruption and is never skipped.
+    """
+
+
 class SnapshotIntegrityError(ServingStateError):
     """A persisted snapshot failed integrity validation.
 
@@ -354,6 +368,7 @@ __all__ = [
     "ServingStateError",
     "SimulatedCrash",
     "SnapshotIntegrityError",
+    "StartupUniverseError",
     "SnapshotStore",
     "TRUST_TIERS",
     "TrustReport",

@@ -66,9 +66,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from repro.data.models import AnswerSet
-
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.em_kernel import AnswerColumns
     from repro.core.inference import LocationAwareInference
     from repro.obs.metrics import MetricsRegistry
     from repro.serving.ingest import AnswerEvent
@@ -216,17 +215,19 @@ class EventGuard:
         self._stats.accepted += 1
         self._record_history(event)
 
-    def seed_history(self, answers: AnswerSet | list) -> None:
-        """Seed the duplicate history from a restored answer log.
+    def seed_history(self, columns: "AnswerColumns") -> None:
+        """Seed the duplicate history from a checkpoint's answer columns.
 
-        Every seeded answer was inspected and accepted by the run that
+        Reads the rows' ids and ticks straight off the columns, without
+        building an :class:`~repro.data.models.Answer` per row.  Every
+        seeded answer was inspected and accepted by the run that
         checkpointed it, so the counters advance exactly as live traffic
         would have advanced them.
         """
-        for answer in answers:
-            self._stats.inspected += 1
-            self._stats.accepted += 1
-            self._seen_responses[(answer.worker_id, answer.task_id)] = answer.responses
+        for worker_id, task_id, responses in columns.rows():
+            self._seen_responses[(worker_id, task_id)] = responses
+        self._stats.inspected += columns.num_answers
+        self._stats.accepted += columns.num_answers
 
     def restore_quarantine_stats(self, reasons: dict[str, int]) -> None:
         """Restore checkpointed per-reason quarantine counters after recovery.

@@ -1023,14 +1023,16 @@ class AnswerIngestor:
             extra["guard_reasons"] = dict(self._guard.stats.reasons)
         if self._reputation is not None:
             extra["reputation"] = self._reputation.state_dict()
+        workers, tasks = self._inference.learned_entities()
         state = CheckpointState(
             store=snapshot.store,
             journal_seq=self._applied_seq,
             snapshot_version=snapshot.version,
             published_at=snapshot.published_at,
             columns=self._updater.live_tensor.columns(),
-            workers=list(self._inference._workers.values()),
-            tasks=list(self._inference._tasks.values()),
+            workers=workers,
+            tasks=tasks,
+            startup_digest=self._inference.startup_digest,
             answers_since_full_refresh=self._updater.answers_since_full_refresh,
             counters=counters,
             decay_epoch=decay_epoch,
@@ -1050,25 +1052,24 @@ class AnswerIngestor:
         """Adopt a checkpoint's live state (the crash-recovery entry point).
 
         The caller (:func:`~repro.serving.journal.recover_ingestor`) has
-        already re-registered the checkpointed entities and warm-started the
-        inference model from the checkpointed store; this restores the
-        ingestor's side: the live answer tensor/store, adopted from the
-        checkpoint's answer columns (bit-equal, via
+        already re-registered the checkpoint's learned entities and
+        warm-started the inference model from the checkpointed store; this
+        restores the ingestor's side: the live answer tensor/store, adopted
+        from the checkpoint's answer columns (bit-equal, via
         :meth:`~repro.core.incremental.IncrementalUpdater.restore_live_state`),
         the decay ages, the carried-over counters, the guard's duplicate
-        history and retained log (the only consumers that need the rows as
-        :class:`~repro.data.models.Answer` objects), and the journal cursor.
+        history (seeded from the columns), the retained log (the only
+        consumer that needs the rows as :class:`~repro.data.models.Answer`
+        objects), and the journal cursor.
         """
         self._updater.restore_live_state(
             state.columns, state.answers_since_full_refresh
         )
-        if self._retain or self._guard is not None:
-            answers = list(state.columns.answers())
-            if self._retain:
-                for answer in answers:
-                    self._answers.add(answer)
-            if self._guard is not None:
-                self._guard.seed_history(answers)
+        if self._retain:
+            for answer in state.columns.answers():
+                self._answers.add(answer)
+        if self._guard is not None:
+            self._guard.seed_history(state.columns)
         for name in self._CHECKPOINTED_COUNTERS:
             if name in state.counters:
                 value = state.counters[name]

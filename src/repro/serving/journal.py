@@ -77,10 +77,8 @@ def _encode_record(seq: int, event: "AnswerEvent") -> bytes:
     return b"%08x %s\n" % (zlib.crc32(payload), payload)
 
 
-def _decode_record(line: bytes) -> tuple[int, "AnswerEvent"] | None:
-    """Parse one journal line; ``None`` means the line is damaged/incomplete."""
-    from repro.serving.ingest import AnswerEvent
-
+def _record_payload(line: bytes) -> bytes | None:
+    """One journal line's JSON payload; ``None`` if it is torn or fails its CRC."""
     if not line.endswith(b"\n"):
         return None
     body = line[:-1]
@@ -91,8 +89,13 @@ def _decode_record(line: bytes) -> tuple[int, "AnswerEvent"] | None:
         crc = int(body[:8], 16)
     except ValueError:
         return None
-    if zlib.crc32(payload) != crc:
-        return None
+    return payload if zlib.crc32(payload) == crc else None
+
+
+def _decode_record(payload: bytes) -> tuple[int, "AnswerEvent"] | None:
+    """Parse one CRC-checked payload; ``None`` means it is not a valid record."""
+    from repro.serving.ingest import AnswerEvent
+
     try:
         record = json.loads(payload)
         answer_entry = record["answer"]
@@ -134,10 +137,14 @@ class JournalStats:
 class AnswerJournal:
     """Append-before-apply event journal over rotating checksummed segments.
 
-    Opening a directory that already holds segments validates the existing
-    history: the last record of the last segment may be torn (it is dropped
-    and the file truncated back to the last whole record — the crashed write
-    never happened), while a damaged record anywhere else raises
+    A record's seq is its segment's first seq plus its line position
+    (segments are named by their first seq, and :meth:`continue_after` only
+    jumps ahead across a segment boundary).  Opening a directory that
+    already holds segments checks every record's framing and CRC without
+    decoding it, and takes :attr:`last_seq` from those positions: the last
+    record of the last segment may be torn (it is dropped and the file
+    truncated back to the last whole record — the crashed write never
+    happened), while a damaged record anywhere else raises
     :class:`~repro.serving.JournalCorruptionError`.  ``fsync=True`` makes
     every append durable against OS crashes at the usual cost; the default
     flushes to the OS only, which survives process death (the chaos suite's
@@ -275,20 +282,26 @@ class AnswerJournal:
     def replay(self, after: int = 0) -> Iterator[tuple[int, "AnswerEvent"]]:
         """Yield ``(seq, event)`` for every durable record with seq > ``after``.
 
-        Records are validated as they stream: a torn final record is dropped
-        (it was never acknowledged as durable by :meth:`append` semantics),
-        while a damaged record followed by more data raises
+        Only those records are decoded; segments wholly at or below
+        ``after`` are not read at all.  Records are validated as they
+        stream: a torn final record is dropped (it was never acknowledged as
+        durable by :meth:`append` semantics), while a damaged record followed
+        by more data, or one whose seq disagrees with its position, raises
         :class:`~repro.serving.JournalCorruptionError`.
         """
         from repro.serving import JournalCorruptionError
 
         segments = self.segment_paths()
-        for segment_index, path in enumerate(segments):
+        firsts = [self._segment_first_seq(path) for path in segments]
+        for segment_index, (path, first) in enumerate(zip(segments, firsts)):
             last_segment = segment_index == len(segments) - 1
+            if not last_segment and firsts[segment_index + 1] - 1 <= after:
+                continue  # every record here has seq <= after
             with open(path, "rb") as handle:
                 lines = handle.readlines()
-            for line_index, line in enumerate(lines):
-                decoded = _decode_record(line)
+            for line_index in range(max(0, after + 1 - first), len(lines)):
+                payload = _record_payload(lines[line_index])
+                decoded = None if payload is None else _decode_record(payload)
                 if decoded is None:
                     if last_segment and line_index == len(lines) - 1:
                         self._stats.torn_records_dropped += 1
@@ -302,8 +315,16 @@ class AnswerJournal:
                         "(losing the events after it)."
                     )
                 seq, event = decoded
-                if seq > after:
-                    yield seq, event
+                if seq != first + line_index:
+                    raise JournalCorruptionError(
+                        f"journal segment {path.name} record {line_index + 1} "
+                        f"holds seq {seq} where its position says "
+                        f"{first + line_index} — the segment was renamed or "
+                        "spliced. Restore it from a replica or delete the "
+                        "journal directory to restart from the newest "
+                        "checkpoint (losing the events after it)."
+                    )
+                yield seq, event
 
     # --------------------------------------------------------------- internal
     @staticmethod
@@ -323,13 +344,17 @@ class AnswerJournal:
             self._metrics.counter("journal_segments_created_total").inc()
 
     def _recover_existing(self) -> None:
-        """Scan pre-existing segments: find the tail, drop a torn final record."""
+        """Scan pre-existing segments: find the tail, drop a torn final record.
+
+        Records are checked (framing and CRC) but not decoded: a record's
+        seq follows from its position, so the tail is the last segment's
+        first seq plus its record count, minus one.  (An empty last segment
+        was opened for the seq its name gives, so numbering continues right
+        before it.)
+        """
         from repro.serving import JournalCorruptionError
 
         segments = self.segment_paths()
-        if not segments:
-            return
-        last_seq = 0
         for segment_index, path in enumerate(segments):
             last_segment = segment_index == len(segments) - 1
             with open(path, "rb") as handle:
@@ -337,8 +362,7 @@ class AnswerJournal:
             valid_bytes = 0
             records = 0
             for line_index, line in enumerate(lines):
-                decoded = _decode_record(line)
-                if decoded is None:
+                if _record_payload(line) is None:
                     if last_segment and line_index == len(lines) - 1:
                         torn = sum(len(l) for l in lines[line_index:])
                         with open(path, "r+b") as handle:
@@ -355,14 +379,13 @@ class AnswerJournal:
                     )
                 valid_bytes += len(line)
                 records += 1
-                last_seq = decoded[0]
             if last_segment:
+                self._last_seq = self._segment_first_seq(path) + records - 1
                 # Reopen the tail segment for appending (unless full).
                 self._current_segment = path
                 self._current_records = records
                 if records < self._max_segment_records:
                     self._handle = open(path, "ab")
-        self._last_seq = last_seq
 
 
 @dataclass
@@ -418,19 +441,24 @@ def recover_ingestor(
     """Rebuild a crashed serving session's ingestion state from ``state_dir``.
 
     ``inference`` must be a freshly built model over the *startup* universe
-    (the same one the crashed run started with); entities it learned
-    mid-stream are restored from the checkpoint and from journal payloads.
+    (the same one the crashed run started with): checkpoints hold only the
+    entities learned after startup, plus a digest of the startup universe,
+    and a model over any other universe raises
+    :class:`~repro.serving.StartupUniverseError` before anything is replayed.
     The returned ingestor is fully wired to the state directory's journal and
     checkpoint manager, so the resumed session keeps journaling/checkpointing
     from where the crashed one stopped.
 
-    Recovery sequence: newest valid checkpoint (corrupt ones are skipped) →
-    re-register checkpointed entities → warm-start the estimate from the
-    checkpointed store → adopt the checkpoint's answer columns as the live
-    tensor (bit-equal to the crashed run's) and gather the live store →
-    replay the journal tail through the ordinary micro-batch path.  The
-    resulting live store matches an uncrashed run over the same event stream
-    to ≤1e-9.
+    Recovery sequence: newest valid checkpoint (corrupt ones are skipped;
+    its columns are checked against the startup universe plus its learned
+    entities) → re-register the learned entities → warm-start the estimate
+    from the checkpointed store → adopt the checkpoint's answer columns as
+    the live tensor (bit-equal to the crashed run's) and gather the live
+    store → replay the journal tail through the ordinary micro-batch path,
+    decoding only the records after the checkpoint.  The resulting live
+    store matches an uncrashed run over the same event stream to ≤1e-9.
+    Work is O(learned entities) for the checkpoint's metadata and O(journal
+    tail) for the replay; the answer columns are adopted as arrays.
 
     Raises :class:`~repro.serving.JournalCorruptionError` when the journal's
     oldest retained record is past the restored checkpoint's seq + 1: the
@@ -447,7 +475,7 @@ def recover_ingestor(
     state_dir = Path(state_dir)
     report = RecoveryReport()
     checkpoints = CheckpointManager(state_dir / "checkpoints", fsync=journal_fsync)
-    state, skipped = checkpoints.load_latest()
+    state, skipped = checkpoints.load_latest(inference)
     report.corrupt_checkpoints_skipped = skipped
     covered = state.journal_seq if state is not None else 0
     journal = AnswerJournal(

@@ -45,6 +45,7 @@ from repro.data.io import (
 from repro.data.models import Task, Worker
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.inference import LocationAwareInference
     from repro.obs.metrics import MetricsRegistry
 
 
@@ -288,12 +289,15 @@ class CheckpointState:
     plus carried-over entities), ``columns`` are the live tensor's
     :meth:`~repro.core.em_kernel.AnswerTensor.columns` (rebuilding a tensor
     from them is array-for-array equal to the crashed run's), and
-    ``workers``/``tasks`` carry the metadata of every entity registered in the
-    inference model, so a resumed session can re-register mid-stream arrivals
-    the startup universe never knew.  ``journal_seq`` is the newest journal
-    record reflected in this state; recovery replays strictly after it.
-    ``arrival_epochs`` (row-aligned with ``columns``) and ``decay_epoch`` are
-    the decayed-statistic ages, ``None`` when decay is off.
+    ``workers``/``tasks`` carry the metadata of the entities the inference
+    model *learned* after it was built, in registration order
+    (:meth:`~repro.core.inference.LocationAwareInference.learned_entities`):
+    a resumed session re-registers them on top of the startup universe its
+    caller supplies, whose :attr:`startup_digest` the archive records.
+    ``journal_seq`` is the newest journal record reflected in this state;
+    recovery replays strictly after it.  ``arrival_epochs`` (row-aligned
+    with ``columns``) and ``decay_epoch`` are the decayed-statistic ages,
+    ``None`` when decay is off.
     """
 
     store: ArrayParameterStore
@@ -301,6 +305,9 @@ class CheckpointState:
     snapshot_version: int
     published_at: float
     columns: AnswerColumns
+    #: :attr:`~repro.core.inference.LocationAwareInference.startup_digest`
+    #: of the model that wrote the checkpoint.
+    startup_digest: str
     workers: list[Worker] = field(default_factory=list)
     tasks: list[Task] = field(default_factory=list)
     answers_since_full_refresh: int = 0
@@ -314,7 +321,7 @@ class CheckpointState:
 
 #: Version of the checkpoint archive layout; :meth:`CheckpointManager.load`
 #: refuses any other.
-CHECKPOINT_FORMAT = 2
+CHECKPOINT_FORMAT = 3
 
 #: Archive key of each answer column, and the dtype it is stored as.
 _COLUMN_KEYS = {
@@ -387,20 +394,27 @@ def _load_columns(data: "np.lib.npyio.NpzFile") -> AnswerColumns:
     ).validate()
 
 
-def _check_columns(state: CheckpointState) -> None:
-    """Cross-check the columns against the checkpoint's own metadata."""
+def _check_columns(state: CheckpointState, inference: "LocationAwareInference") -> None:
+    """Cross-check the columns against the universe they restore into.
+
+    That universe is ``inference``'s startup registries plus the
+    checkpoint's learned entities.
+    """
     columns = state.columns
-    labels = {task.task_id: task.num_labels for task in state.tasks}
+    labels = {task_id: task.num_labels for task_id, task in inference.tasks.items()}
+    labels.update((task.task_id, task.num_labels) for task in state.tasks)
     for task_id, count in zip(columns.task_ids, columns.num_labels.tolist()):
         if labels.get(task_id) != count:
             raise ValueError(
-                f"tensor task {task_id!r} has {count} labels, its metadata "
-                f"{labels.get(task_id)}"
+                f"tensor task {task_id!r} has {count} labels, the restored "
+                f"universe {labels.get(task_id)}"
             )
-    known = {worker.worker_id for worker in state.workers}
+    known = inference.workers.keys() | {worker.worker_id for worker in state.workers}
     unknown = [worker_id for worker_id in columns.worker_ids if worker_id not in known]
     if unknown:
-        raise ValueError(f"tensor worker {unknown[0]!r} has no metadata")
+        raise ValueError(
+            f"tensor worker {unknown[0]!r} is not in the restored universe"
+        )
     if state.arrival_epochs is not None and state.arrival_epochs.shape != (
         columns.num_answers,
     ):
@@ -417,15 +431,17 @@ class CheckpointManager:
     the CRC32 of the archive bytes.  The archive holds the parameter store's
     arrays, the live tensor's answer columns (id tables, per-task label
     counts, per-answer worker/task indices, ``int8`` responses), the decay
-    arrival epochs, scalars, and UTF-8 JSON bytes for the entity metadata
-    (the journal's entry codec) and the small counter/extra dicts; nothing
-    in it is per-answer text.  :meth:`save` encodes the archive in memory,
-    takes its CRC from those bytes and writes archive-then-sidecar, so a
-    crash mid-checkpoint leaves a file that fails its CRC (or has none) and
-    is skipped by :meth:`load_latest` — falling back to the previous
+    arrival epochs, scalars, the startup universe's digest, and UTF-8 JSON
+    bytes for the metadata of the entities learned after startup (the
+    journal's entry codec) and the small counter/extra dicts; nothing in it
+    is per-answer text, and a save or load costs O(learned entities) in
+    metadata, none for a closed-world run.  :meth:`save` encodes the archive
+    in memory, takes its CRC from those bytes and writes archive-then-sidecar,
+    so a crash mid-checkpoint leaves a file that fails its CRC (or has none)
+    and is skipped by :meth:`load_latest` — falling back to the previous
     checkpoint rather than restoring garbage.  :meth:`load` also refuses
     archives of another :data:`CHECKPOINT_FORMAT` and columns that fail
-    validation.
+    validation against the universe they restore into.
 
     ``fsync=True`` (the journal's fsync policy) makes each save durable
     against OS crashes: archive, sidecar and directory are fsync'd before
@@ -487,6 +503,7 @@ class CheckpointManager:
             payload["arrival_epochs"] = np.asarray(
                 state.arrival_epochs, dtype=np.int64
             )
+        payload["startup_digest"] = np.asarray(state.startup_digest, dtype=np.str_)
         payload["workers_json"] = _json_list_bytes(state.workers, worker_to_entry)
         payload["tasks_json"] = _json_list_bytes(state.tasks, task_to_entry)
         payload["counters_json"] = _json_bytes(state.counters)
@@ -514,9 +531,23 @@ class CheckpointManager:
                 handle.flush()
                 os.fsync(handle.fileno())
 
-    def load(self, path: str | Path) -> CheckpointState:
-        """Load one checkpoint, raising on any CRC, format or content violation."""
-        from repro.serving import CheckpointCorruptionError
+    def load(
+        self, path: str | Path, inference: "LocationAwareInference"
+    ) -> CheckpointState:
+        """Load one checkpoint, raising on any CRC, format or content violation.
+
+        ``inference`` is the freshly built model the checkpoint restores into.
+        Its :attr:`~repro.core.inference.LocationAwareInference.startup_digest`
+        must equal the archive's, or
+        :class:`~repro.serving.StartupUniverseError` is raised (the caller's
+        universe is wrong, not the file); the columns are then checked
+        against its startup universe plus the archive's learned entities.
+        """
+        from repro.serving import (
+            CheckpointCorruptionError,
+            ServingStateError,
+            StartupUniverseError,
+        )
 
         path = Path(path)
         sidecar = path.with_suffix(".npz.crc")
@@ -554,6 +585,15 @@ class CheckpointManager:
                         "recovery falls back to an older checkpoint or a "
                         "full journal replay."
                     )
+                digest = str(_scalar(data, "startup_digest", np.str_))
+                if digest != inference.startup_digest:
+                    raise StartupUniverseError(
+                        f"checkpoint {path.name} was written over another "
+                        f"startup universe (digest {digest}, this model's "
+                        f"{inference.startup_digest}): rebuild the inference "
+                        "model over the workers and tasks the crashed run "
+                        "started with."
+                    )
                 state = CheckpointState(
                     store=ArrayParameterStore.from_npz_dict(data).validate(),
                     journal_seq=int(_scalar(data, "journal_seq", np.int64)),
@@ -567,6 +607,7 @@ class CheckpointManager:
                     tasks=[
                         task_from_entry(entry) for entry in _json_array(data, "tasks_json")
                     ],
+                    startup_digest=digest,
                     answers_since_full_refresh=int(
                         _scalar(data, "answers_since_full_refresh", np.int64)
                     ),
@@ -576,8 +617,8 @@ class CheckpointManager:
                 if "arrival_epochs" in data.files:
                     state.decay_epoch = int(_scalar(data, "decay_epoch", np.int64))
                     state.arrival_epochs = _array(data, "arrival_epochs", np.int64)
-            _check_columns(state)
-        except CheckpointCorruptionError:
+            _check_columns(state, inference)
+        except ServingStateError:
             raise
         except Exception as error:
             raise CheckpointCorruptionError(
@@ -587,18 +628,22 @@ class CheckpointManager:
             ) from error
         return state
 
-    def load_latest(self) -> tuple[CheckpointState | None, int]:
+    def load_latest(
+        self, inference: "LocationAwareInference"
+    ) -> tuple[CheckpointState | None, int]:
         """The newest loadable checkpoint, skipping corrupt ones.
 
         Returns ``(state, corrupt_skipped)``; ``state`` is ``None`` when no
-        checkpoint is usable (cold start).
+        checkpoint is usable (cold start).  ``inference`` is passed to
+        :meth:`load`; a :class:`~repro.serving.StartupUniverseError` is not
+        corruption and propagates.
         """
         from repro.serving import CheckpointCorruptionError
 
         skipped = 0
         for path in reversed(self.checkpoint_paths()):
             try:
-                return self.load(path), skipped
+                return self.load(path, inference), skipped
             except CheckpointCorruptionError:
                 skipped += 1
         return None, skipped

@@ -159,14 +159,3 @@ def convex_hull_indices(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     upper = _chain(order[::-1])
     return np.asarray(lower[:-1] + upper[:-1], dtype=np.intp)
 
-
-def centroid(points: Iterable[GeoPoint]) -> GeoPoint:
-    """Arithmetic centroid of a non-empty collection of points."""
-    xs, ys, count = 0.0, 0.0, 0
-    for point in points:
-        xs += point.x
-        ys += point.y
-        count += 1
-    if count == 0:
-        raise ValueError("cannot compute the centroid of zero points")
-    return GeoPoint(xs / count, ys / count)

@@ -8,7 +8,6 @@ import pytest
 from repro.crowd.arrival import (
     ChurnArrival,
     DiurnalPattern,
-    RoundRobinArrival,
     TimedArrivalSchedule,
     UniformRandomArrival,
 )
@@ -42,35 +41,6 @@ class TestUniformRandomArrival:
             UniformRandomArrival(pool, batch_size=0)
         with pytest.raises(ValueError):
             UniformRandomArrival(pool, batch_size=len(pool) + 1)
-
-
-class TestRoundRobinArrival:
-    def test_rotation_covers_all_workers(self, pool):
-        arrival = RoundRobinArrival(pool, batch_size=3)
-        seen = set()
-        for round_index in range(10):
-            seen.update(arrival.next_batch(round_index))
-        assert seen == set(pool.worker_ids)
-
-    def test_no_duplicates_within_batch(self, pool):
-        arrival = RoundRobinArrival(pool, batch_size=7)
-        for round_index in range(5):
-            batch = arrival.next_batch(round_index)
-            assert len(batch) == len(set(batch))
-
-    def test_deterministic(self, pool):
-        a = RoundRobinArrival(pool, batch_size=4)
-        b = RoundRobinArrival(pool, batch_size=4)
-        assert [a.next_batch(i) for i in range(4)] == [b.next_batch(i) for i in range(4)]
-
-    def test_batch_size_validation(self, pool):
-        with pytest.raises(ValueError):
-            RoundRobinArrival(pool, batch_size=0)
-
-    def test_reset_is_noop(self, pool):
-        arrival = RoundRobinArrival(pool, batch_size=2)
-        arrival.reset()
-        assert len(arrival.next_batch(0)) == 2
 
 
 class TestChurnArrival:
@@ -146,7 +116,9 @@ class TestDiurnalPattern:
 class TestTimedArrivalSchedule:
     def test_times_are_strictly_increasing(self, pool):
         schedule = TimedArrivalSchedule(
-            RoundRobinArrival(pool, batch_size=3), mean_interarrival=2.0, seed=4
+            UniformRandomArrival(pool, batch_size=3, seed=5),
+            mean_interarrival=2.0,
+            seed=4,
         )
         batches = [schedule.next_batch() for _ in range(6)]
         times = [batch.time for batch in batches]
@@ -156,7 +128,7 @@ class TestTimedArrivalSchedule:
         assert schedule.now == times[-1]
 
     def test_membership_comes_from_wrapped_process(self, pool):
-        process = RoundRobinArrival(pool, batch_size=3)
+        process = UniformRandomArrival(pool, batch_size=3, seed=5)
         schedule = TimedArrivalSchedule(process, seed=4)
         batch = schedule.next_batch()
         process.reset()
@@ -175,7 +147,7 @@ class TestTimedArrivalSchedule:
     def test_invalid_mean_interarrival(self, pool):
         with pytest.raises(ValueError):
             TimedArrivalSchedule(
-                RoundRobinArrival(pool, batch_size=2), mean_interarrival=0.0
+                UniformRandomArrival(pool, batch_size=2), mean_interarrival=0.0
             )
 
     @pytest.mark.parametrize(
@@ -189,7 +161,10 @@ class TestTimedArrivalSchedule:
     )
     def test_each_gap_replays_the_seeded_stream(self, pool, pattern):
         schedule = TimedArrivalSchedule(
-            RoundRobinArrival(pool, batch_size=2), mean_interarrival=2.0, seed=7, pattern=pattern
+            UniformRandomArrival(pool, batch_size=2, seed=8),
+            mean_interarrival=2.0,
+            seed=7,
+            pattern=pattern,
         )
         # One exponential draw per batch, shrunk by the rate at the clock;
         # a burst draw is spent only when bursts are on.

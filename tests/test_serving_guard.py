@@ -5,9 +5,10 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.core.em_kernel import AnswerColumns
 from repro.core.inference import LocationAwareInference
 from repro.crowd.answer_model import AnswerSimulator
-from repro.data.models import Answer
+from repro.data.models import Answer, AnswerSet
 from repro.serving import (
     AnswerEvent,
     AnswerIngestor,
@@ -192,10 +193,24 @@ class TestHistoryPaths:
     def test_seed_history_from_checkpoint_answers(
         self, inference, small_dataset, worker_pool, distance_model
     ):
+        events = [
+            make_event(small_dataset, worker_pool, distance_model, index=i)
+            for i in range(3)
+        ]
+        columns = AnswerColumns.gather(
+            AnswerSet(event.answer for event in events[:2]),
+            inference.tasks,
+            inference.workers,
+        )
         guard = EventGuard()
-        event = make_event(small_dataset, worker_pool, distance_model)
-        guard.seed_history([event.answer])
-        assert guard.admit(event, inference) == "duplicate"
+        guard.seed_history(columns)
+        assert (guard.stats.inspected, guard.stats.accepted) == (2, 2)
+        # The seeded rows count for duplicate detection; the unseeded does not.
+        assert [guard.admit(event, inference) for event in events] == [
+            "duplicate",
+            "duplicate",
+            None,
+        ]
 
 
 class TestIngestorIntegration:

@@ -17,6 +17,7 @@ from oracles import export_answers
 from repro.core.em_kernel import AnswerColumns
 from repro.core.inference import InferenceConfig, LocationAwareInference
 from repro.crowd.answer_model import AnswerSimulator
+from repro.data.io import task_to_entry, worker_to_entry
 from repro.data.models import AnswerSet
 from repro.serving import (
     AnswerEvent,
@@ -25,14 +26,18 @@ from repro.serving import (
     CheckpointCorruptionError,
     CheckpointManager,
     CheckpointState,
+    FaultInjector,
     IngestConfig,
     JournalCorruptionError,
     LiveStateError,
     RecoveryReport,
     ServingStateError,
+    SimulatedCrash,
     SnapshotIntegrityError,
+    StartupUniverseError,
     recover_ingestor,
 )
+from repro.serving import journal as journal_module
 from repro.serving.snapshots import SnapshotStore
 
 
@@ -56,6 +61,19 @@ def make_events(small_dataset, worker_pool, distance_model, count, with_payloads
     return events
 
 
+@pytest.fixture()
+def decoded(monkeypatch):
+    """Every payload the journal decodes into a record during the test."""
+    payloads = []
+    decode = journal_module._decode_record
+    monkeypatch.setattr(
+        journal_module,
+        "_decode_record",
+        lambda payload: payloads.append(payload) or decode(payload),
+    )
+    return payloads
+
+
 class TestErrorHierarchy:
     def test_typed_errors_share_a_root(self):
         for err in (
@@ -63,6 +81,7 @@ class TestErrorHierarchy:
             CheckpointCorruptionError,
             SnapshotIntegrityError,
             LiveStateError,
+            StartupUniverseError,
         ):
             assert issubclass(err, ServingStateError)
             # Callers that guarded with bare RuntimeError keep working.
@@ -206,8 +225,49 @@ class TestCorruption:
         lines[1] = b"deadbeef" + lines[1][8:]  # break record 2's checksum
         segment.write_bytes(b"".join(lines))
 
-        with pytest.raises(JournalCorruptionError):
+        # Record 2 lies below any tail a restart would replay (and so
+        # decode); the open scan refuses it all the same.
+        with pytest.raises(JournalCorruptionError, match="record 2"):
             AnswerJournal(tmp_path)
+
+    def test_record_seq_must_match_its_position(
+        self, tmp_path, small_dataset, worker_pool, distance_model
+    ):
+        events = make_events(small_dataset, worker_pool, distance_model, 6)
+        journal = AnswerJournal(tmp_path)
+        for event in events:
+            journal.append(event)
+        journal.close()
+        # Re-seal record 4 with seq 9 and a valid CRC: framing and CRC hold,
+        # so only the decoded seq can tell.
+        segment = journal.segment_paths()[0]
+        lines = segment.read_bytes().splitlines(keepends=True)
+        payload = lines[3][9:-1].replace(b'"seq":4', b'"seq":9')
+        lines[3] = b"%08x %s\n" % (zlib.crc32(payload), payload)
+        segment.write_bytes(b"".join(lines))
+
+        reopened = AnswerJournal(tmp_path)
+        assert reopened.last_seq == 6
+        assert [seq for seq, _ in reopened.replay(after=4)] == [5, 6]
+        with pytest.raises(JournalCorruptionError, match="seq 9 where its position"):
+            list(reopened.replay(after=2))
+        reopened.close()
+
+    def test_open_decodes_nothing_and_replay_only_its_tail(
+        self, tmp_path, small_dataset, worker_pool, distance_model, decoded
+    ):
+        events = make_events(small_dataset, worker_pool, distance_model, 10)
+        journal = AnswerJournal(tmp_path, max_segment_records=3)
+        for event in events:
+            journal.append(event)
+        journal.close()
+        reopened = AnswerJournal(tmp_path)
+        assert reopened.last_seq == 10 and decoded == []
+        tail = list(reopened.replay(after=7))
+        assert [seq for seq, _ in tail] == [8, 9, 10]
+        assert len(decoded) == 3
+        assert [event.answer for _, event in tail] == [e.answer for e in events[7:]]
+        reopened.close()
 
     def test_checksum_actually_covers_the_payload(
         self, tmp_path, small_dataset, worker_pool, distance_model
@@ -222,32 +282,46 @@ class TestCorruption:
         assert int(crc_hex, 16) == zlib.crc32(payload.rstrip(b"\n"))
 
 
-class TestCheckpointManager:
-    def _state(self, small_dataset, worker_pool, distance_model, seq=7):
-        inference = LocationAwareInference(
-            small_dataset.tasks, worker_pool.workers, distance_model
-        )
-        events = make_events(small_dataset, worker_pool, distance_model, 12)
-        answers = [event.answer for event in events]
-        from repro.data.models import AnswerSet
+def startup_model(small_dataset, worker_pool, distance_model, open_world=False):
+    """A fresh model over the startup universe: every entity, or only the
+    first 8 tasks and 5 workers when ``open_world`` (the rest are learned)."""
+    tasks, workers = small_dataset.tasks, worker_pool.workers
+    if open_world:
+        tasks, workers = tasks[:8], workers[:5]
+    return LocationAwareInference(tasks, workers, distance_model)
 
-        inference.fit(AnswerSet(answers))
+
+class TestCheckpointManager:
+    def _state(self, small_dataset, worker_pool, distance_model, seq=7,
+               open_world=False):
+        """A state over one worker's answers to all 12 tasks; the
+        ``open_world`` one learned 4 of those tasks and 3 more workers."""
+        inference = startup_model(
+            small_dataset, worker_pool, distance_model, open_world
+        )
+        for worker in worker_pool.workers:
+            inference.add_worker(worker)
+        for task in small_dataset.tasks:
+            inference.add_task(task)
+        events = make_events(small_dataset, worker_pool, distance_model, 12)
+        answers = AnswerSet(event.answer for event in events)
+        inference.fit(answers)
         task_ids = list(inference.tasks)
         store = inference.parameters.regather(
             list(inference.workers),
             task_ids,
             [inference.tasks[task_id].num_labels for task_id in task_ids],
         )
+        workers, tasks = inference.learned_entities()
         return CheckpointState(
             store=store,
             journal_seq=seq,
             snapshot_version=3,
             published_at=12.5,
-            columns=AnswerColumns.gather(
-                AnswerSet(answers), inference.tasks, inference.workers
-            ),
-            workers=list(inference.workers.values()),
-            tasks=list(inference.tasks.values()),
+            columns=AnswerColumns.gather(answers, inference.tasks, inference.workers),
+            workers=workers,
+            tasks=tasks,
+            startup_digest=inference.startup_digest,
             answers_since_full_refresh=5,
             counters={"answers": 12, "update_seconds": 0.25},
         )
@@ -255,12 +329,17 @@ class TestCheckpointManager:
     def test_save_load_round_trip(
         self, tmp_path, small_dataset, worker_pool, distance_model
     ):
-        state = self._state(small_dataset, worker_pool, distance_model)
+        state = self._state(
+            small_dataset, worker_pool, distance_model, open_world=True
+        )
+        assert (len(state.workers), len(state.tasks)) == (3, 4)
         manager = CheckpointManager(tmp_path)
         path = manager.save(state)
         assert path.exists() and path.with_suffix(".npz.crc").exists()
 
-        loaded, skipped = CheckpointManager(tmp_path).load_latest()
+        loaded, skipped = CheckpointManager(tmp_path).load_latest(
+            startup_model(small_dataset, worker_pool, distance_model, True)
+        )
         assert skipped == 0
         assert loaded.journal_seq == 7
         assert loaded.snapshot_version == 3
@@ -273,6 +352,7 @@ class TestCheckpointManager:
             )
         assert loaded.workers == state.workers
         assert loaded.tasks == state.tasks
+        assert loaded.startup_digest == state.startup_digest
         assert loaded.answers_since_full_refresh == 5
         assert loaded.counters["answers"] == 12
         assert loaded.counters["update_seconds"] == pytest.approx(0.25)
@@ -355,7 +435,9 @@ class TestCheckpointManager:
             tensor = ingestor._updater.live_tensor
             decay_epoch, arrivals = ingestor._updater.export_decay_state()
 
-            loaded, skipped = CheckpointManager(state_dir / "checkpoints").load_latest()
+            loaded, skipped = CheckpointManager(state_dir / "checkpoints").load_latest(
+                inference()
+            )
             assert skipped == 0 and loaded.journal_seq == len(picks)
             columns = loaded.columns
             assert list(columns.answers()) == export_answers(tensor)
@@ -399,9 +481,10 @@ class TestCheckpointManager:
         )
         corrupt_file(newest)
 
+        startup = startup_model(small_dataset, worker_pool, distance_model)
         with pytest.raises(CheckpointCorruptionError):
-            manager.load(newest)
-        loaded, skipped = manager.load_latest()
+            manager.load(newest, startup)
+        loaded, skipped = manager.load_latest(startup)
         assert skipped == 1
         assert loaded.journal_seq == 5
 
@@ -411,9 +494,10 @@ class TestCheckpointManager:
         manager = CheckpointManager(tmp_path)
         path = manager.save(self._state(small_dataset, worker_pool, distance_model))
         path.with_suffix(".npz.crc").unlink()
+        startup = startup_model(small_dataset, worker_pool, distance_model)
         with pytest.raises(CheckpointCorruptionError):
-            manager.load(path)
-        loaded, skipped = manager.load_latest()
+            manager.load(path, startup)
+        loaded, skipped = manager.load_latest(startup)
         assert loaded is None and skipped == 1
 
     def test_prune_keeps_the_newest(
@@ -430,8 +514,12 @@ class TestCheckpointManager:
             "ckpt-0000000012.npz",
         ]
 
-    def test_empty_directory_is_a_cold_start(self, tmp_path):
-        loaded, skipped = CheckpointManager(tmp_path / "none").load_latest()
+    def test_empty_directory_is_a_cold_start(
+        self, tmp_path, small_dataset, worker_pool, distance_model
+    ):
+        loaded, skipped = CheckpointManager(tmp_path / "none").load_latest(
+            startup_model(small_dataset, worker_pool, distance_model)
+        )
         assert loaded is None and skipped == 0
 
 
@@ -474,13 +562,16 @@ def _set(key, value):
 
 
 def _first_task_gains_a_label(arrays):
-    tasks = json.loads(arrays["tasks_json"].tobytes())
-    task_id = str(arrays["answers_task_ids"][0])
-    for entry in tasks:
-        if entry["task_id"] == task_id:
-            entry["labels"].append("extra")
-            entry["truth"].append(0)
-    arrays["tasks_json"] = np.frombuffer(json.dumps(tasks).encode(), dtype=np.uint8)
+    """The columns give their first task a fifth label (one more tick per
+    row, so they stay self-consistent) that its universe entry lacks."""
+    num_labels = arrays["answers_num_labels"].copy()
+    a_task = arrays["answers_a_task"]
+    row_ends = np.cumsum(num_labels[a_task])
+    arrays["answers_responses"] = np.insert(
+        arrays["answers_responses"], row_ends[a_task == 0], 0
+    )
+    num_labels[0] += 1
+    arrays["answers_num_labels"] = num_labels
 
 
 def _edit(key, edit):
@@ -537,9 +628,17 @@ ARCHIVE_DEFECTS = {
         _set("answers_responses", lambda a: a[:-1]),
         "the rows' tasks have",
     ),
-    "label-count-vs-metadata": (
+    "label-count-vs-universe": (
         _first_task_gains_a_label,
-        "has 4 labels, its metadata 5",
+        "has 5 labels, the restored universe 4",
+    ),
+    "learned-task-missing": (
+        _set("tasks_json", np.frombuffer(b"[]", dtype=np.uint8)),
+        "has 4 labels, the restored universe None",
+    ),
+    "worker-outside-universe": (
+        _set("answers_worker_ids", lambda a: np.asarray(["stranger", *a[1:]])),
+        "tensor worker 'stranger' is not in the restored universe",
     ),
     "duplicate-pair": (
         _edit("answers_a_task", lambda a: a.__setitem__(1, a[0])),
@@ -551,7 +650,7 @@ ARCHIVE_DEFECTS = {
     ),
     "unknown-format": (
         _set("format", np.asarray(1, dtype=np.int64)),
-        "has format 1, this build reads format 2",
+        "has format 1, this build reads format 3",
     ),
     "no-format": (
         lambda arrays: arrays.pop("format"),
@@ -561,14 +660,15 @@ ARCHIVE_DEFECTS = {
 
 
 class TestCheckpointBoundary:
-    """A checkpoint file is outside input: ``load`` validates every column."""
+    """A checkpoint file is outside input: ``load`` validates every column
+    against the universe it restores into (startup plus learned entities)."""
 
     @pytest.mark.parametrize("defect", sorted(ARCHIVE_DEFECTS))
     def test_defective_archive_falls_back_to_the_older_one(
         self, tmp_path, small_dataset, worker_pool, distance_model, defect
     ):
         state = TestCheckpointManager()._state(
-            small_dataset, worker_pool, distance_model
+            small_dataset, worker_pool, distance_model, open_world=True
         )
         # Rows 0 and 1 share a worker, so "duplicate-pair" repeats a pair
         # (and every task has as many labels, so only that check can fire).
@@ -579,16 +679,17 @@ class TestCheckpointBoundary:
             decay_epoch=4,
             arrival_epochs=np.arange(state.columns.num_answers, dtype=np.int64),
         )
+        startup = startup_model(small_dataset, worker_pool, distance_model, True)
         manager = CheckpointManager(tmp_path)
         manager.save(replace(state, journal_seq=5))
         newest = manager.save(replace(state, journal_seq=9))
-        assert manager.load(newest).journal_seq == 9
+        assert manager.load(newest, startup).journal_seq == 9
 
         mutate, refusal = ARCHIVE_DEFECTS[defect]
         _rewrite_archive(newest, mutate)
         with pytest.raises(CheckpointCorruptionError, match=refusal):
-            manager.load(newest)
-        loaded, skipped = manager.load_latest()
+            manager.load(newest, startup)
+        loaded, skipped = manager.load_latest(startup)
         assert skipped == 1
         assert loaded.journal_seq == 5
 
@@ -693,3 +794,253 @@ class TestRecoveryReport:
         text = warm.summary()
         assert "seq 40" in text and "v7" in text and "replayed 3" in text
         assert "1 corrupt" in text
+
+
+def _archive_entities(path):
+    """A checkpoint archive's learned-entity entries, as decoded JSON."""
+    with np.load(path, allow_pickle=False) as data:
+        return (
+            json.loads(data["workers_json"].tobytes()),
+            json.loads(data["tasks_json"].tobytes()),
+        )
+
+
+class TestStartupUniverseCheck:
+    """A restart handed another startup universe than the crashed run's is
+    refused with a typed error before any journal record is replayed."""
+
+    CONFIG = dict(max_batch_answers=4, checkpoint_interval=8, pipeline=False)
+
+    def _crash(self, tmp_path, small_dataset, worker_pool, distance_model):
+        journal = AnswerJournal(tmp_path / "journal", max_segment_records=16)
+        ingestor = AnswerIngestor(
+            startup_model(small_dataset, worker_pool, distance_model),
+            SnapshotStore(),
+            config=IngestConfig(**self.CONFIG),
+            journal=journal,
+            checkpoints=CheckpointManager(tmp_path / "checkpoints"),
+        )
+        for event in make_events(small_dataset, worker_pool, distance_model, 30):
+            ingestor.submit(event)
+        journal.close()  # the process dies here: no closing flush
+
+    def _recover(self, tmp_path, tasks, workers, distance_model):
+        return recover_ingestor(
+            tmp_path,
+            inference=LocationAwareInference(tasks, workers, distance_model),
+            snapshots=SnapshotStore(),
+            ingest_config=IngestConfig(**self.CONFIG),
+        )
+
+    @pytest.mark.parametrize(
+        "change", ["label-count", "moved-poi", "moved-worker", "missing-worker"]
+    )
+    def test_another_universe_is_refused_before_replay(
+        self, tmp_path, small_dataset, worker_pool, distance_model, decoded, change
+    ):
+        self._crash(tmp_path, small_dataset, worker_pool, distance_model)
+        tasks, workers = list(small_dataset.tasks), list(worker_pool.workers)
+        task, worker = tasks[0], workers[0]
+        if change == "label-count":
+            tasks[0] = replace(
+                task, labels=task.labels + ("extra",), truth=task.truth + (0,)
+            )
+        elif change == "moved-poi":
+            moved = replace(task.poi, location=task.location.offset(0.001, 0.0))
+            tasks[0] = replace(task, poi=moved)
+        elif change == "moved-worker":
+            moved = worker.locations[0].offset(0.0, 0.001)
+            workers[0] = replace(worker, locations=(moved,) + worker.locations[1:])
+        else:
+            # The last worker answered nothing: only the digest knows of it.
+            workers = workers[:-1]
+        with pytest.raises(StartupUniverseError, match="another startup universe"):
+            self._recover(tmp_path, tasks, workers, distance_model)
+        assert decoded == []
+
+    def test_the_same_universe_decodes_only_the_tail(
+        self, tmp_path, small_dataset, worker_pool, distance_model, decoded
+    ):
+        self._crash(tmp_path, small_dataset, worker_pool, distance_model)
+        # The same universe in another order is the same universe.
+        recovered, report = self._recover(
+            tmp_path,
+            small_dataset.tasks[::-1],
+            worker_pool.workers[::-1],
+            distance_model,
+        )
+        recovered.journal.close()
+        assert report.checkpoint_seq == 24 and report.replayed_events == 6
+        assert len(decoded) == report.replayed_events
+
+
+class TestLearnedEntityCheckpoints:
+    """Checkpoints carry only the entities learned after startup, and
+    restarts from them stay bit-equal to an uncrashed run."""
+
+    CONFIG = dict(
+        max_batch_answers=8,
+        max_batch_delay=4.0,
+        full_refresh_interval=30,
+        checkpoint_interval=20,
+    )
+
+    def _events(self, small_dataset, worker_pool, distance_model):
+        """Every (task, worker) pair, task-major, each with its payloads: the
+        held-back workers arrive early, the held-back tasks late."""
+        simulator = AnswerSimulator(distance_model, noise=0.1)
+        pairs = [
+            (task, profile) for task in small_dataset.tasks for profile in worker_pool
+        ]
+        return [
+            AnswerEvent(
+                simulator.sample_answer(profile, task, seed=7000 + index),
+                time=float(index),
+                worker=profile.worker,
+                task=task,
+            )
+            for index, (task, profile) in enumerate(pairs)
+        ]
+
+    def test_closed_world_checkpoint_holds_no_entity_entries(
+        self, tmp_path, small_dataset, worker_pool, distance_model
+    ):
+        ingestor = AnswerIngestor(
+            startup_model(small_dataset, worker_pool, distance_model),
+            SnapshotStore(),
+            config=IngestConfig(**self.CONFIG),
+            journal=AnswerJournal(tmp_path / "journal"),
+            checkpoints=CheckpointManager(tmp_path / "checkpoints"),
+        )
+        for event in make_events(small_dataset, worker_pool, distance_model, 60):
+            ingestor.submit(event)
+        ingestor.flush()
+        ingestor.close()
+        ingestor.journal.close()
+        paths = ingestor.checkpoints.checkpoint_paths()
+        assert paths
+        for path in paths:
+            assert _archive_entities(path) == ([], [])
+
+    def test_open_world_checkpoint_holds_the_learned_entities_in_order(
+        self, tmp_path, small_dataset, worker_pool, distance_model
+    ):
+        inference = startup_model(small_dataset, worker_pool, distance_model, True)
+        ingestor = AnswerIngestor(
+            inference,
+            SnapshotStore(),
+            config=IngestConfig(
+                **dict(self.CONFIG, checkpoint_interval=1, pipeline=False)
+            ),
+            journal=AnswerJournal(tmp_path / "journal"),
+            checkpoints=CheckpointManager(tmp_path / "checkpoints"),
+        )
+        events = self._events(small_dataset, worker_pool, distance_model)
+        for event in events:
+            ingestor.submit(event)
+        ingestor.flush()
+        ingestor.journal.close()
+        # First sight, in stream order, of everything past the startup set.
+        startup_workers = {w.worker_id for w in worker_pool.workers[:5]}
+        startup_tasks = {t.task_id for t in small_dataset.tasks[:8]}
+        learned_workers = list(dict.fromkeys(
+            e.worker for e in events if e.worker.worker_id not in startup_workers
+        ))
+        learned_tasks = list(dict.fromkeys(
+            e.task for e in events if e.task.task_id not in startup_tasks
+        ))
+        assert inference.learned_entities() == (learned_workers, learned_tasks)
+        newest = ingestor.checkpoints.checkpoint_paths()[-1]
+        assert _archive_entities(newest) == (
+            [worker_to_entry(worker) for worker in learned_workers],
+            [task_to_entry(task) for task in learned_tasks],
+        )
+
+    def test_two_chained_restarts_end_bit_equal(
+        self, tmp_path, small_dataset, worker_pool, distance_model
+    ):
+        events = self._events(small_dataset, worker_pool, distance_model)
+        config = IngestConfig(**self.CONFIG)
+
+        def startup():
+            return startup_model(small_dataset, worker_pool, distance_model, True)
+
+        reference = AnswerIngestor(startup(), SnapshotStore(), config=config)
+        for event in events:
+            reference.submit(event)
+        reference.flush()
+        reference.close()
+
+        def crash_after(count):
+            faults = FaultInjector()
+            faults.arm("ingest.submit", after=count + 1, crash=True)
+            return faults
+
+        journal = AnswerJournal(tmp_path / "journal", max_segment_records=16)
+        crashed = AnswerIngestor(
+            startup(),
+            SnapshotStore(),
+            config=config,
+            journal=journal,
+            checkpoints=CheckpointManager(tmp_path / "checkpoints"),
+            faults=crash_after(30),
+        )
+        with pytest.raises(SimulatedCrash):
+            for event in events:
+                crashed.submit(event)
+        crashed.close()
+        journal.close()
+
+        def newest_checkpoint():
+            state, _ = CheckpointManager(tmp_path / "checkpoints").load_latest(
+                startup()
+            )
+            return state
+
+        # First restart: the checkpoint learned workers only; crash again
+        # once the held-back tasks have arrived and been checkpointed.
+        checkpointed = newest_checkpoint()
+        assert checkpointed.workers and not checkpointed.tasks
+        first, report = recover_ingestor(
+            tmp_path,
+            inference=startup(),
+            snapshots=SnapshotStore(),
+            ingest_config=config,
+            faults=crash_after(58),
+        )
+        assert not report.cold_start
+        with pytest.raises(SimulatedCrash):
+            for event in events[first.journal.last_seq :]:
+                first.submit(event)
+        first.close()
+        first.journal.close()
+        checkpointed = newest_checkpoint()
+        assert checkpointed.workers and checkpointed.tasks
+
+        second, report = recover_ingestor(
+            tmp_path,
+            inference=startup(),
+            snapshots=SnapshotStore(),
+            ingest_config=config,
+        )
+        assert report.checkpoint_seq == checkpointed.journal_seq
+        for event in events[second.journal.last_seq :]:
+            second.submit(event)
+        second.flush()
+        second.close()
+        second.journal.close()
+
+        assert second.stats.answers == reference.stats.answers
+        assert second._inference.learned_entities() == (
+            reference._inference.learned_entities()
+        )
+        for got, want in (
+            (second._updater.live_store, reference._updater.live_store),
+            (second._snapshots.latest().store, reference._snapshots.latest().store),
+        ):
+            assert got.worker_ids == want.worker_ids
+            assert got.task_ids == want.task_ids
+            for name in (
+                "p_qualified", "distance_weights", "influence_weights", "label_probs",
+            ):
+                np.testing.assert_array_equal(getattr(got, name), getattr(want, name))

@@ -6,7 +6,6 @@ import pytest
 
 from repro.spatial.geometry import (
     GeoPoint,
-    centroid,
     euclidean_distance,
     haversine_distance,
 )
@@ -76,19 +75,6 @@ class TestHaversineDistance:
         a, b = GeoPoint(0.0, 0.0), GeoPoint(180.0, 0.0)
         distance = haversine_distance(a, b)
         assert distance == pytest.approx(math.pi * 6371.0088, rel=0.001)
-
-
-class TestCentroid:
-    def test_single_point(self):
-        assert centroid([GeoPoint(2.0, 3.0)]) == GeoPoint(2.0, 3.0)
-
-    def test_square(self):
-        points = [GeoPoint(0, 0), GeoPoint(2, 0), GeoPoint(2, 2), GeoPoint(0, 2)]
-        assert centroid(points) == GeoPoint(1.0, 1.0)
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            centroid([])
 
 
 class TestConvexHull:
