@@ -11,13 +11,13 @@ Lemma 2's recursion, and stop when every worker has ``h`` tasks.
 :class:`AccOptAssigner` implements Algorithm 1 on the batched ΔAcc kernels of
 :mod:`repro.core.accuracy_kernel`.  A request's inputs that change less often
 than requests arrive are kept across requests, so a warm request's Python work
-scales with the requesting workers (and the tasks they answered) and with the
-answers that arrived since the last request, not with |T|:
+scales with the requesting workers (and the tasks they answered), with its
+picks and with the answers that arrived since the last request, not with |T|:
 
 * the estimate's arrays, aligned to the assigner's task and worker order, and
   the Equation 15 baseline of its label probabilities — built once per
-  parameter version; each request's greedy pass borrows the baseline and
-  undoes its picks on exit (:func:`~repro.core.accuracy_kernel.greedy_state`);
+  parameter version; a request reads its workers' rows of the aligned arrays
+  straight into the kernels (no per-request store);
 * ``|W(t)|`` per task — counted in full once per answer set, then advanced
   by the (worker, task) pairs the log gained since
   (:meth:`~repro.data.models.AnswerSet.pair_tasks_since`), and extended by
@@ -26,13 +26,20 @@ answers that arrived since the last request, not with |T|:
   (:meth:`~repro.core.assignment.TaskAssigner.answered_columns`, advanced by
   the worker's new pairs), so the eligibility mask is one index write.
 
+Each request's greedy pass borrows the counts and the baseline in place and
+logs what its picks overwrite; on exit the log is undone in reverse
+(:func:`~repro.core.accuracy_kernel.greedy_state`), so entering and leaving
+cost O(picks).  A pick re-scores only the workers that can still take its
+task, and the last pick is not committed, since no later pick reads it: a
+one-worker request — the serving frontend's pattern — commits ``h − 1``
+picks and re-scores nothing.
+
 The greedy loop runs in one of two layouts:
 
 * ``engine="vectorized"`` (the default) scores every candidate pair: one
-  ``(|W|, |T|)`` Equation 9 matrix over the
-  :class:`~repro.core.params.ArrayParameterStore` arrays and the workers'
-  cached distance rows, one fused marginal-gain matrix, and an O(|W|)
-  column re-score after each greedy pick.
+  ``(|W|, |T|)`` Equation 9 matrix over the aligned arrays and the workers'
+  cached distance rows, one fused marginal-gain matrix, and a re-score of
+  the chosen column's live rows after each greedy pick.
 * ``engine="sparse"`` scores only the radius-bounded candidate pairs of a
   :class:`~repro.spatial.candidates.CandidateIndex` (CSR layout over a
   :class:`~repro.spatial.grid_index.GridIndex` bulk query), substituting the
@@ -83,18 +90,20 @@ class AccOptAssigner(TaskAssigner):
     lacks get the footnote-3 priors; the index maps of that
     :class:`~repro.core.params.RowAlignment` are kept while the estimate's
     ids stay put) and builds that version's one Equation 15 baseline; every
-    request then slices the aligned arrays and runs its greedy pass on the
-    baseline.  ``|W(t)|`` is counted in full once per answer set, then
-    advanced by the pairs the log gains between requests; each worker's
-    answered-task columns follow the worker's own new pairs the same way.
+    request then reads its workers' rows of the aligned arrays and runs its
+    greedy pass on the baseline.  ``|W(t)|`` is counted in full once per
+    answer set, then advanced by the pairs the log gains between requests;
+    each worker's answered-task columns follow the worker's own new pairs
+    the same way.
     A task posted after startup (:meth:`add_task`) extends the counts, the
     label layout and the alignment instead of dropping them.
 
     The dense engine caches each worker's distance row (:meth:`distance_row`),
-    computed from the task coordinate arrays the assigner keeps and grows as
-    tasks arrive; a row cached before the universe grew is extended from the
-    arrays' tail.  The sparse engine caches no dense row: its
-    :meth:`distance_row` is a fresh one from the same arrays.
+    computed from the worker's location arrays and the task coordinate arrays
+    the assigner keeps and grows as tasks arrive; a row cached before the
+    universe grew is extended from the arrays' tail.  The sparse engine
+    caches no dense row: its :meth:`distance_row` is a fresh one from the
+    same arrays.
 
     Complexity matches the paper — ``O(|W|·|T|·|L| + h·|W|²·|L|)`` per batch:
     the initial scoring of every (worker, task) pair dominates, and each greedy
@@ -102,8 +111,8 @@ class AccOptAssigner(TaskAssigner):
     vectorized engine keeps that shape but turns the initial scoring into a
     handful of ``(|W|, |T|)`` NumPy kernels (with worker-to-task distance rows
     and the task-side parameter arrays cached across calls) and each re-score
-    into one column update, so per-arrival latency stays flat as Figure 14
-    scales tasks and workers.
+    into one update of the column's live rows, so per-arrival latency stays
+    flat as Figure 14 scales tasks and workers.
     """
 
     def __init__(
@@ -231,13 +240,13 @@ class AccOptAssigner(TaskAssigner):
         # wins) matches a heap's lexicographic (worker, task) ordering on
         # exactly tied gains, independent of the caller's order.
         worker_list = sorted(workers)
-        store, baseline = self._build_store(worker_list)
+        baseline, aligned = self._aligned_parameters()
         engine = (
             self._assign_sparse if self._engine == "sparse" else self._assign_vectorized
         )
         counts = self._answer_counts(answers)
         with accuracy_kernel.greedy_state(baseline, counts) as state:
-            assignment = engine(worker_list, h, answers, store, state)
+            assignment = engine(worker_list, h, answers, aligned, state)
         for worker_id in available_workers:
             assignment.setdefault(worker_id, [])
         return assignment
@@ -274,7 +283,8 @@ class AccOptAssigner(TaskAssigner):
 
         Counted in full for an answer set other than the one counted last, or
         after the universe grew; otherwise the counts advance by the pairs
-        ``answers`` gained since (re-answers add none).
+        ``answers`` gained since (re-answers add none).  A request's greedy
+        pass borrows this array as its ``m_t`` and restores it on exit.
         """
         if answers is not self._counted or self._counts is None:
             self._counts = np.array(
@@ -313,19 +323,36 @@ class AccOptAssigner(TaskAssigner):
         self._distance_rows[worker_id] = row
         return row
 
+    def _equation9_inputs(
+        self, worker_list: Sequence[str], aligned: ArrayParameterStore
+    ) -> tuple:
+        """What the Equation 9 kernels read after the distances: the
+        requesting workers' ``p_qualified`` and ``distance_weights`` rows,
+        then ``influence_weights``, ``alpha`` and the lambdas."""
+        rows = [self._worker_row[worker_id] for worker_id in worker_list]
+        return (
+            aligned.p_qualified[rows],
+            aligned.distance_weights[rows],
+            aligned.influence_weights,
+            aligned.alpha,
+            aligned.function_set.lambdas,
+        )
+
     def _assign_vectorized(
         self,
         worker_list: Sequence[str],
         h: int,
         answers: AnswerSet,
-        store: ArrayParameterStore,
+        aligned: ArrayParameterStore,
         state: accuracy_kernel.BatchAccuracyState,
     ) -> dict[str, list[str]]:
         num_workers = len(worker_list)
         num_tasks = len(self._task_ids)
 
         distances = np.stack([self.distance_row(w) for w in worker_list])
-        accuracies = accuracy_kernel.answer_accuracy_matrix(store, distances)
+        accuracies = accuracy_kernel.answer_accuracy_matrix(
+            distances, *self._equation9_inputs(worker_list, aligned)
+        )
         # Ineligible pairs — answered, picked, or of a worker at capacity —
         # hold -inf for good; every real gain is finite.
         scores = accuracy_kernel.marginal_gains(state, accuracies)
@@ -337,23 +364,26 @@ class AccOptAssigner(TaskAssigner):
         capacity = np.full(num_workers, h, dtype=np.intp)
 
         assignment: dict[str, list[str]] = {w: [] for w in worker_list}
-        for _ in range(total_to_assign):
+        for pick in range(total_to_assign):
             flat = int(np.argmax(scores))
             i, j = divmod(flat, num_tasks)
             if not np.isfinite(scores[i, j]):
                 break  # defensive: no eligible pair left
             assignment[worker_list[i]].append(self._task_ids[j])
+            if pick == total_to_assign - 1:
+                break  # no later pick reads the state; greedy_state undoes it
             scores[i, j] = -np.inf
             capacity[i] -= 1
             if capacity[i] == 0:
                 scores[i, :] = -np.inf
-            # Commit the pick and re-score only the chosen task's column.
+            # Commit the pick and re-score the chosen task's column, for the
+            # workers that can still take it (none in a one-worker request).
             accuracy_kernel.add_worker(state, j, float(accuracies[i, j]))
-            column_gains = accuracy_kernel.marginal_gains_for_task(
-                state, j, accuracies[:, j]
-            )
-            column = scores[:, j]
-            scores[:, j] = np.where(np.isfinite(column), column_gains, -np.inf)
+            live = np.flatnonzero(np.isfinite(scores[:, j]))
+            if live.size:
+                scores[live, j] = accuracy_kernel.marginal_gains_for_task(
+                    state, j, accuracies[live, j]
+                )
         return assignment
 
     # ----------------------------------------------------------- sparse engine
@@ -369,31 +399,12 @@ class AccOptAssigner(TaskAssigner):
             )
         return self._candidate_index
 
-    def _build_store(
-        self, worker_list: Sequence[str]
-    ) -> tuple[ArrayParameterStore, accuracy_kernel.BatchAccuracyState]:
-        """ArrayParameterStore over sorted workers, plus the version's baseline."""
-        baseline, aligned = self._aligned_parameters()
-        rows = [self._worker_row[worker_id] for worker_id in worker_list]
-        store = ArrayParameterStore(
-            function_set=aligned.function_set,
-            alpha=aligned.alpha,
-            worker_ids=tuple(worker_list),
-            task_ids=self._task_ids,
-            label_offsets=baseline.label_offsets,
-            p_qualified=aligned.p_qualified[rows],
-            distance_weights=aligned.distance_weights[rows],
-            influence_weights=aligned.influence_weights,
-            label_probs=baseline.p_z1,
-        )
-        return store, baseline
-
     def _assign_sparse(
         self,
         worker_list: Sequence[str],
         h: int,
         answers: AnswerSet,
-        store: ArrayParameterStore,
+        aligned: ArrayParameterStore,
         state: accuracy_kernel.BatchAccuracyState,
     ) -> dict[str, list[str]]:
         """Algorithm 1 over candidate pairs only (plus a far-field heap).
@@ -405,8 +416,9 @@ class AccOptAssigner(TaskAssigner):
         worker row (first-argmax over the row's CSR segment, replicating the
         dense row-major tie-break) and (b) a lazy max-heap over far-field
         task gains that is consulted only when it could beat the best
-        candidate — exact ties go to the candidate.  A pick re-scores one
-        CSR column (O(nnz in column)) and one far-gain slot (O(1)).
+        candidate — exact ties go to the candidate.  A pick re-scores the
+        live candidates of one CSR column (O(nnz in column)) and one far-gain
+        slot (O(1)).
         """
         num_workers = len(worker_list)
         num_tasks = len(self._task_ids)
@@ -416,7 +428,10 @@ class AccOptAssigner(TaskAssigner):
             [self._workers[w] for w in worker_list]
         )
         nnz = int(indptr[-1])
-        accuracies = accuracy_kernel.answer_accuracy_csr(store, indptr, indices, data)
+        equation9 = self._equation9_inputs(worker_list, aligned)
+        accuracies = accuracy_kernel.answer_accuracy_csr(
+            indptr, indices, data, *equation9
+        )
         scores = accuracy_kernel.marginal_gains_csr(state, indices, accuracies)
         rows = np.repeat(np.arange(num_workers, dtype=np.intp), np.diff(indptr))
 
@@ -461,7 +476,8 @@ class AccOptAssigner(TaskAssigner):
         # lazy max-heap.  Entries are validated by value on pop; a task with
         # no far-eligible worker left is dropped for good (eligibility only
         # ever shrinks).  With full coverage no far pair exists at all.
-        far_accuracy = accuracy_kernel.far_field_accuracy(store)
+        p_qualified, *_, lambdas = equation9
+        far_accuracy = accuracy_kernel.far_field_accuracy(p_qualified, lambdas)
         far_gains = accuracy_kernel.far_field_gains(state, far_accuracy)
         full_coverage = nnz == num_workers * num_tasks
         far_heap: list[tuple[float, int]] = (
@@ -503,23 +519,25 @@ class AccOptAssigner(TaskAssigner):
             return None
 
         def rescore_column(j: int) -> np.ndarray:
-            """Recompute the CSR column of ``j``; returns the affected rows."""
+            """Re-score the live candidates of column ``j`` and its far gain;
+            returns the re-scored rows."""
             lo = int(np.searchsorted(sorted_cols, j, side="left"))
             hi = int(np.searchsorted(sorted_cols, j, side="right"))
             span = order_by_col[lo:hi]
-            if span.size:
-                column_gains = accuracy_kernel.marginal_gains_for_task(
-                    state, j, accuracies[span]
+            live = span[np.isfinite(scores[span])]
+            if live.size:
+                scores[live] = accuracy_kernel.marginal_gains_for_task(
+                    state, j, accuracies[live]
                 )
-                dead = ~np.isfinite(scores[span])
-                scores[span] = np.where(dead, -np.inf, column_gains)
-            far_gains[j] = accuracy_kernel.far_field_gains(state, far_accuracy)[j]
+            far_gains[j] = accuracy_kernel.marginal_gains_for_task(
+                state, j, far_accuracy
+            )
             if not full_coverage:
                 heapq.heappush(far_heap, (-float(far_gains[j]), j))
-            return rows[span]
+            return rows[live]
 
         assignment: dict[str, list[str]] = {w: [] for w in worker_list}
-        for _ in range(total_to_assign):
+        for pick in range(total_to_assign):
             best_i = int(np.argmax(row_best))
             candidate_gain = float(row_best[best_i])
             far_pick = best_far_pick(candidate_gain)
@@ -536,6 +554,8 @@ class AccOptAssigner(TaskAssigner):
             else:
                 break  # defensive: no assignable pair left
             assignment[worker_list[i]].append(self._task_ids[j])
+            if pick == total_to_assign - 1:
+                break  # no later pick reads the state; greedy_state undoes it
             capacity[i] -= 1
             if capacity[i] == 0:
                 scores[int(indptr[i]) : int(indptr[i + 1])] = -np.inf

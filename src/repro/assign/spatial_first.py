@@ -15,47 +15,40 @@ from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
+
 from repro.core.assignment import TaskAssigner
-from repro.data.models import AnswerSet, Task, Worker
-from repro.spatial.distance import DistanceModel
+from repro.data.models import AnswerSet
 
 
 class SpatialFirstAssigner(TaskAssigner):
-    """Closest-task-first assignment."""
+    """Closest-task-first assignment.
 
-    def __init__(
-        self,
-        tasks: list[Task],
-        workers: list[Worker],
-        distance_model: DistanceModel,
-    ) -> None:
-        super().__init__(tasks, workers, distance_model)
-        # Distances are deterministic per (worker, task); cache them because the
-        # same worker typically shows up in many assignment rounds.
-        self._distance_cache: dict[tuple[str, str], float] = {}
-
-    def _distance(self, worker_id: str, task_id: str) -> float:
-        key = (worker_id, task_id)
-        cached = self._distance_cache.get(key)
-        if cached is not None:
-            return cached
-        worker = self._workers[worker_id]
-        task = self._tasks[task_id]
-        value = self._distance_model.worker_task_distance(
-            worker.locations, task.location
-        )
-        self._distance_cache[key] = value
-        return value
+    Ranks each worker's unanswered tasks by ``(distance, task id)`` off the
+    worker's :meth:`~repro.core.assignment.TaskAssigner.distance_row`, with
+    the tasks the worker answered masked out through
+    :meth:`~repro.core.assignment.TaskAssigner.answered_columns`.  Only the
+    tasks within the ``h``-th smallest distance are sorted.
+    """
 
     def assign(
         self, available_workers: Sequence[str], h: int, answers: AnswerSet
     ) -> dict[str, list[str]]:
         self._validate_request(available_workers, h)
+        task_ids = self._task_ids
         assignment: dict[str, list[str]] = {}
         for worker_id in available_workers:
-            candidates = self._candidate_tasks(worker_id, answers)
-            ranked = sorted(
-                candidates, key=lambda task_id: (self._distance(worker_id, task_id), task_id)
-            )
-            assignment[worker_id] = ranked[: min(h, len(ranked))]
+            distances = self.distance_row(worker_id).copy()
+            answered = self.answered_columns(worker_id, answers)
+            distances[answered] = np.inf
+            k = min(h, len(task_ids) - answered.size)
+            if k <= 0:
+                assignment[worker_id] = []
+                continue
+            # Every task among the k first by (distance, id) lies within the
+            # k-th smallest distance; ties there are broken by id.
+            kth = np.partition(distances, k - 1)[k - 1]
+            near = np.flatnonzero(distances <= kth).tolist()
+            ranked = sorted(zip(distances[near].tolist(), (task_ids[j] for j in near)))
+            assignment[worker_id] = [task_id for _, task_id in ranked[:k]]
         return assignment

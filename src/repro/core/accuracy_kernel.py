@@ -8,10 +8,11 @@ is tested against (``LabelAccuracy``, ``AccuracyEstimator``) lives in
 ``tests/oracles/accuracy.py``.
 
 * :func:`answer_accuracy_matrix` evaluates Equation 9 for **every** candidate
-  (worker, task) pair in one batch, reading the flat arrays of an
-  :class:`~repro.core.params.ArrayParameterStore` against a precomputed
-  normalised-distance matrix (``DistanceModel.worker_task_distances`` /
-  :func:`~repro.spatial.distance.normalised_distance_matrix`);
+  (worker, task) pair in one batch, from the arrays it reads — the requesting
+  workers' ``p_qualified`` and ``distance_weights`` rows, the tasks'
+  ``influence_weights``, ``alpha`` and the function set's lambdas — against
+  the workers' normalised distance rows
+  (:func:`~repro.spatial.distance.normalised_distance_row`);
 * :class:`BatchAccuracyState` stores the Equation 15 accuracy pairs of every
   label of every task as flat ragged arrays (the exact layout of
   ``ArrayParameterStore.label_probs``), mirroring one list of scalar
@@ -19,8 +20,8 @@ is tested against (``LabelAccuracy``, ``AccuracyEstimator``) lives in
 * :func:`marginal_gains` scores the marginal ΔAcc of every candidate pair in
   one ``(|W|, |T|)`` array operation, and :func:`add_worker` commits a greedy
   pick by re-scoring only the chosen task (Algorithm 1's incremental update);
-* :func:`greedy_state` runs one greedy pass on a baseline built once per
-  parameter version, undoing the pass's picks on exit.
+* :func:`greedy_state` lends one greedy pass a baseline built once per
+  parameter version, and undoes the pass's picks on exit in O(picks).
 
 The closed form behind :func:`marginal_gains`: Lemma 2's recursion
 
@@ -33,7 +34,8 @@ the task's labels to ``(|L_t|·s − E_t)/(m_t+1)``, where
 ``E_t = Σ_k [p_k·Acc¹_k + (1−p_k)·Acc⁰_k]`` is the task's current expected
 accuracy mass — a quantity that only changes when the task itself receives a
 new tentative worker.  That is what turns the initial scoring into one fused
-``(|W|, |T|)`` kernel and each greedy re-score into an O(|W|) column update.
+``(|W|, |T|)`` kernel and each greedy re-score into an update of the chosen
+task's column, for the workers that can still take it.
 """
 
 from __future__ import annotations
@@ -44,85 +46,111 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from repro.core.params import ArrayParameterStore
+
+def _qualified_accuracy(
+    squared: np.ndarray,
+    p_qualified: np.ndarray,
+    distance_weights: np.ndarray,
+    influence_weights: np.ndarray,
+    alpha: float,
+    lambdas: Sequence[float],
+) -> np.ndarray:
+    """Equation 9 over squared distances, with every operand pre-broadcast.
+
+    |F| is tiny (three functions in the paper), so one fused pass per
+    function beats materialising the ``(|F|, …)`` tensor; the dense and CSR
+    kernels share this accumulation order, which keeps their values
+    bit-identical.
+    """
+    distance_quality = np.zeros(squared.shape)
+    influence_quality = np.zeros(squared.shape)
+    for index, lam in enumerate(lambdas):
+        quality = (1.0 + np.exp(-lam * squared)) / 2.0
+        distance_quality += distance_weights[..., index] * quality
+        influence_quality += influence_weights[..., index] * quality
+    qualified = alpha * distance_quality + (1.0 - alpha) * influence_quality
+    return p_qualified * qualified + (1.0 - p_qualified) * 0.5
 
 
 def answer_accuracy_matrix(
-    store: ArrayParameterStore, distances: np.ndarray
+    distances: np.ndarray,
+    p_qualified: np.ndarray,
+    distance_weights: np.ndarray,
+    influence_weights: np.ndarray,
+    alpha: float,
+    lambdas: Sequence[float],
 ) -> np.ndarray:
     """Equation 9 — ``P(r_{w,t,k} = z_{t,k})`` — for every (worker, task) pair.
 
     ``distances`` is the ``(|W|, |T|)`` matrix of normalised worker-to-task
-    distances over the store's orderings.  Returns the same-shape matrix of
-    estimated answer accuracies: the batched counterpart of
+    distances; ``p_qualified`` ``(|W|,)`` and ``distance_weights``
+    ``(|W|, |F|)`` are the workers' rows in the same order,
+    ``influence_weights`` ``(|T|, |F|)`` the tasks' rows, and ``lambdas``
+    the function set's.  Returns the same-shape matrix of estimated answer
+    accuracies: the batched counterpart of
     :meth:`repro.core.params.ArrayParameterStore.answer_accuracy`.
     """
     distances = np.asarray(distances, dtype=float)
-    expected_shape = (store.num_workers, store.num_tasks)
+    expected_shape = (p_qualified.shape[0], influence_weights.shape[0])
     if distances.shape != expected_shape:
         raise ValueError(
             f"distances must have shape {expected_shape}, got {distances.shape}"
         )
-    squared = distances * distances
-    distance_quality = np.zeros(expected_shape)
-    influence_quality = np.zeros(expected_shape)
-    # |F| is tiny (three functions in the paper), so one fused (W, T) pass per
-    # function beats materialising the (F, W, T) tensor.
-    for index, lam in enumerate(store.function_set.lambdas):
-        quality = (1.0 + np.exp(-lam * squared)) / 2.0
-        distance_quality += store.distance_weights[:, index, None] * quality
-        influence_quality += store.influence_weights[None, :, index] * quality
-    qualified = (
-        store.alpha * distance_quality + (1.0 - store.alpha) * influence_quality
+    return _qualified_accuracy(
+        distances * distances,
+        p_qualified[:, None],
+        distance_weights[:, None, :],
+        influence_weights[None, :, :],
+        alpha,
+        lambdas,
     )
-    p_qualified = store.p_qualified[:, None]
-    return p_qualified * qualified + (1.0 - p_qualified) * 0.5
 
 
 def answer_accuracy_csr(
-    store: ArrayParameterStore,
     indptr: np.ndarray,
     indices: np.ndarray,
     data: np.ndarray,
+    p_qualified: np.ndarray,
+    distance_weights: np.ndarray,
+    influence_weights: np.ndarray,
+    alpha: float,
+    lambdas: Sequence[float],
 ) -> np.ndarray:
     """Equation 9 for the candidate pairs of a CSR structure only.
 
     Sparse twin of :func:`answer_accuracy_matrix`: ``indptr``/``indices``
-    describe per worker row (in the store's worker order) the candidate task
-    columns, ``data`` their normalised distances, and the result is the
-    ``(nnz,)`` vector of answer accuracies aligned with ``indices``.  The
-    accumulation order over the function set matches the dense kernel exactly
-    (one fused pass per function), so a candidate pair's accuracy is
-    bit-identical to the dense matrix entry — which is what lets the sparse
-    AccOpt engine reproduce the dense greedy pick sequence when the radius
-    covers the whole universe.
+    describe per worker row (in the order of ``p_qualified`` and
+    ``distance_weights``) the candidate task columns, ``data`` their
+    normalised distances, and the result is the ``(nnz,)`` vector of answer
+    accuracies aligned with ``indices``.  The accumulation order over the
+    function set matches the dense kernel exactly (one fused pass per
+    function), so a candidate pair's accuracy is bit-identical to the dense
+    matrix entry — which is what lets the sparse AccOpt engine reproduce the
+    dense greedy pick sequence when the radius covers the whole universe.
     """
     indptr = np.asarray(indptr, dtype=np.intp)
     indices = np.asarray(indices, dtype=np.intp)
     data = np.asarray(data, dtype=float)
-    if indptr.size != store.num_workers + 1:
+    num_workers = p_qualified.shape[0]
+    if indptr.size != num_workers + 1:
         raise ValueError(
-            f"indptr must have {store.num_workers + 1} entries, got {indptr.size}"
+            f"indptr must have {num_workers + 1} entries, got {indptr.size}"
         )
     if indices.size != data.size or indices.size != int(indptr[-1]):
         raise ValueError("indices and data must both hold indptr[-1] entries")
-    rows = np.repeat(np.arange(store.num_workers, dtype=np.intp), np.diff(indptr))
-    squared = data * data
-    distance_quality = np.zeros(data.size)
-    influence_quality = np.zeros(data.size)
-    for index, lam in enumerate(store.function_set.lambdas):
-        quality = (1.0 + np.exp(-lam * squared)) / 2.0
-        distance_quality += store.distance_weights[rows, index] * quality
-        influence_quality += store.influence_weights[indices, index] * quality
-    qualified = (
-        store.alpha * distance_quality + (1.0 - store.alpha) * influence_quality
+    rows = np.repeat(np.arange(num_workers, dtype=np.intp), np.diff(indptr))
+    return _qualified_accuracy(
+        data * data,
+        p_qualified[rows],
+        distance_weights[rows],
+        influence_weights[indices],
+        alpha,
+        lambdas,
     )
-    p_qualified = store.p_qualified[rows]
-    return p_qualified * qualified + (1.0 - p_qualified) * 0.5
 
 
 def far_field_accuracy(
-    store: ArrayParameterStore, far_distance: float = 1.0
+    p_qualified: np.ndarray, lambdas: Sequence[float], far_distance: float = 1.0
 ) -> float:
     """The shared closed-form Equation 9 accuracy of an out-of-radius pair.
 
@@ -132,19 +160,17 @@ def far_field_accuracy(
     score **every** far pair with one shared scalar: Equation 9 evaluated at
     the far distance with the uniform function weights (the EM
     initialisation, hence the natural zero-information prior for both the
-    worker's distance weights and the task's influence weights) and the batch
-    mean qualification probability.  Because the scalar is shared, far-field
-    marginal gains collapse to per-task values independent of the worker,
-    which is what keeps the sparse greedy loop's bookkeeping O(T) instead of
-    O(W·T).
+    worker's distance weights and the task's influence weights) and the mean
+    qualification probability of the requesting workers (``p_qualified``).
+    Because the scalar is shared, far-field marginal gains collapse to
+    per-task values independent of the worker, which is what keeps the
+    sparse greedy loop's bookkeeping O(T) instead of O(W·T).
     """
-    lambdas = np.asarray(store.function_set.lambdas, dtype=float)
+    lambdas = np.asarray(lambdas, dtype=float)
     quality = (1.0 + np.exp(-lambdas * far_distance * far_distance)) / 2.0
-    mixed = float(store.function_set.uniform_weights() @ quality)
-    p_qualified = (
-        float(store.p_qualified.mean()) if store.num_workers else 0.0
-    )
-    return p_qualified * mixed + (1.0 - p_qualified) * 0.5
+    mixed = float(np.full(lambdas.size, 1.0 / lambdas.size) @ quality)
+    p_mean = float(p_qualified.mean()) if p_qualified.size else 0.0
+    return p_mean * mixed + (1.0 - p_mean) * 0.5
 
 
 def _segment_sums(values: np.ndarray, label_offsets: np.ndarray) -> np.ndarray:
@@ -164,7 +190,10 @@ class BatchAccuracyState:
 
     ``expected_sum[j]`` caches ``E_j = Σ_k [p_k·Acc¹_k + (1−p_k)·Acc⁰_k]`` so
     :func:`marginal_gains` never touches the per-label arrays; it is refreshed
-    by :func:`add_worker` for the one task a greedy pick changes.
+    by :func:`add_worker` for the one task a greedy pick changes.  A state
+    lent by :func:`greedy_state` carries an ``undo`` log, to which
+    :func:`add_worker` appends each picked task's ``(j, m_j, E_j)`` before it
+    writes them.
     """
 
     label_offsets: np.ndarray  # (|T| + 1,) intp — ragged bounds into the slots
@@ -174,17 +203,7 @@ class BatchAccuracyState:
     acc_incorrect: np.ndarray  # (S,) — Acc if the label is truly incorrect
     effective_answers: np.ndarray  # (|T|,) float — m_t = |W(t)| + |Ŵ(t)|
     expected_sum: np.ndarray  # (|T|,) — E_t, maintained by add_worker
-
-    @property
-    def num_tasks(self) -> int:
-        return int(self.num_labels.size)
-
-    def task_slice(self, task_index: int) -> slice:
-        """Slice of the flat label arrays owned by task ``task_index``."""
-        return slice(
-            int(self.label_offsets[task_index]),
-            int(self.label_offsets[task_index + 1]),
-        )
+    undo: list[tuple[int, float, float]] | None = None  # greedy_state's log
 
 
 def baseline_state(
@@ -234,31 +253,34 @@ def greedy_state(
     """``baseline`` with ``answer_counts`` as ``m_t``, for one greedy pass.
 
     The Equation 15 baseline depends only on ``P(z = 1)``, so one serves
-    every pass over a parameter version.  A pass gets its own ``m_t`` and
-    ``E_t`` (O(|T|) copies) and borrows the baseline's per-slot accuracy
-    pairs: :func:`add_worker` writes only the picked tasks' slots, and on
-    exit those slots return to ``P(z = 1)`` and ``1 − P(z = 1)``, the values
-    :func:`baseline_state` gave them.  One pass per baseline at a time.
+    every pass over a parameter version.  The pass borrows in place: the
+    caller's ``answer_counts`` array itself becomes ``m_t``, and the
+    baseline's ``E_t`` and per-slot accuracy pairs are the pass's.
+    :func:`add_worker` logs each pick's task with its ``m_t`` and ``E_t``
+    before it writes them; on exit, an exception included, the log is undone
+    in reverse, so the counts and ``E_t`` get their old values back and the
+    picked tasks' slots return to ``P(z = 1)`` and ``1 − P(z = 1)``, the
+    values :func:`baseline_state` gave them.  Entering and leaving cost
+    O(picks), not O(|T|).  One pass per baseline at a time.
     """
     counts = np.asarray(answer_counts, dtype=float)
-    if counts.shape != baseline.effective_answers.shape:
+    if counts.shape != baseline.expected_sum.shape:
         raise ValueError(
             f"answer_counts must align with tasks: {counts.shape} vs "
-            f"{baseline.effective_answers.shape}"
+            f"{baseline.expected_sum.shape}"
         )
-    state = replace(
-        baseline,
-        effective_answers=counts.copy(),
-        expected_sum=baseline.expected_sum.copy(),
-    )
+    undo: list[tuple[int, float, float]] = []
+    state = replace(baseline, effective_answers=counts, undo=undo)
     try:
         yield state
     finally:
-        # add_worker moves m_t before it writes a task's slots.
-        for task_index in np.flatnonzero(state.effective_answers != counts).tolist():
-            sl = state.task_slice(task_index)
-            state.acc_correct[sl] = state.p_z1[sl]
-            state.acc_incorrect[sl] = 1.0 - state.p_z1[sl]
+        offsets, p_z1 = state.label_offsets, state.p_z1
+        for task_index, answers, expected in reversed(undo):
+            counts[task_index] = answers
+            state.expected_sum[task_index] = expected
+            sl = slice(offsets[task_index], offsets[task_index + 1])
+            state.acc_correct[sl] = p_z1[sl]
+            state.acc_incorrect[sl] = 1.0 - p_z1[sl]
 
 
 def _agreement_mass(answer_accuracy: np.ndarray | float) -> np.ndarray | float:
@@ -314,8 +336,9 @@ def far_field_gains(
 
     With the shared :func:`far_field_accuracy` scalar, the Lemma 2 closed
     form no longer depends on which worker is added, so the far side of the
-    sparse greedy loop needs only this ``(|T|,)`` vector — recomputed per
-    task in O(1) after a pick, with ``max()`` acting as the admissible upper
+    sparse greedy loop needs only this ``(|T|,)`` vector — one entry
+    recomputed after a pick (:func:`marginal_gains_for_task` at the shared
+    scalar gives it bit-for-bit), with ``max()`` acting as the admissible upper
     bound that decides whether a far assignment can beat the best candidate.
     """
     s = _agreement_mass(float(far_accuracy))
@@ -327,7 +350,13 @@ def far_field_gains(
 def marginal_gains_for_task(
     state: BatchAccuracyState, task_index: int, answer_accuracies: np.ndarray
 ) -> np.ndarray:
-    """One column of :func:`marginal_gains` — the greedy loop's re-score."""
+    """Entries of one column of :func:`marginal_gains` — the greedy re-score.
+
+    ``answer_accuracies`` holds the Equation 9 values of the workers to
+    re-score (any subset of the column, or one shared scalar), and each entry
+    is bit-identical to the matching :func:`marginal_gains` entry, so a pick
+    re-scores only the workers that can still take the task.
+    """
     s = _agreement_mass(np.asarray(answer_accuracies, dtype=float))
     return (
         state.num_labels[task_index] * s - state.expected_sum[task_index]
@@ -343,13 +372,16 @@ def add_worker(
     cached ``E_t``; every other task's state is untouched, so the caller only
     needs to re-score this task's column.  Runs once per greedy pick, so the
     slots are updated in place: ``(m·Acc + s)/(m + 1)``, the same operations
-    in the same order as the expression, on views of the slot arrays.
+    in the same order as the expression, on views of the slot arrays.  On a
+    state lent by :func:`greedy_state`, the task's ``m_t`` and ``E_t`` go to
+    the pass's undo log first, so the exit can restore everything written.
     """
     offsets = state.label_offsets
     sl = slice(offsets[task_index], offsets[task_index + 1])
     m = state.effective_answers[task_index]
+    if state.undo is not None:
+        state.undo.append((task_index, m, state.expected_sum[task_index]))
     s = _agreement_mass(float(answer_accuracy))
-    # m_t moves first: greedy_state restores the slots of every moved task.
     state.effective_answers[task_index] = m + 1.0
     acc_correct, acc_incorrect = state.acc_correct[sl], state.acc_incorrect[sl]
     for acc in (acc_correct, acc_incorrect):

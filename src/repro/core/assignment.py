@@ -19,11 +19,27 @@ import numpy as np
 
 from repro.core.params import ArrayParameterStore
 from repro.data.models import AnswerSet, Task, Worker
-from repro.spatial.distance import DistanceModel, normalised_distance_rows
+from repro.spatial.distance import DistanceModel, normalised_distance_row
 from repro.spatial.geometry import points_to_arrays
 
-#: The answered columns of a worker with no answered task in the universe.
-_NO_COLUMNS = np.empty(0, dtype=np.intp)
+#: The kept answered columns of a worker not read yet: ``(buffer, size, pairs)``.
+_NO_COLUMNS = (np.empty(0, dtype=np.intp), 0, 0)
+
+
+def _appended(
+    kept: tuple[np.ndarray, int, int], columns: list[int], pairs: int
+) -> tuple[np.ndarray, int, int]:
+    """``kept`` with ``columns`` appended, now covering ``pairs`` pairs.
+
+    The buffer doubles when full, so appends cost amortised O(new columns).
+    """
+    buffer, size, _ = kept
+    if size + len(columns) > buffer.size:
+        grown = np.empty(2 * (size + len(columns)), dtype=np.intp)
+        grown[:size] = buffer[:size]
+        buffer = grown
+    buffer[size : size + len(columns)] = columns
+    return buffer, size + len(columns), pairs
 
 
 class TaskAssigner(ABC):
@@ -34,8 +50,9 @@ class TaskAssigner(ABC):
     task twice to one worker within a single call.
 
     Every strategy keeps its tasks in one column order (:attr:`task_order`)
-    with their coordinates as arrays, and the per-worker arrays a request
-    reads over it: a worker's normalised distances to every task
+    with their coordinates as arrays, each requesting worker's declared
+    locations as arrays, and the per-worker arrays a request reads over the
+    columns: a worker's normalised distances to every task
     (:meth:`distance_row`) and the columns of the tasks the worker answered
     (:meth:`answered_columns`).  The serving frontend's trust probe reads
     both through the strategy it serves.
@@ -61,6 +78,9 @@ class TaskAssigner(ABC):
         self._task_x, self._task_y = points_to_arrays(
             [self._tasks[tid].location for tid in self._task_ids]
         )
+        # Each worker's declared locations as coordinate arrays, from the
+        # worker's first distance row on.
+        self._locations: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         # Per worker, ``(buffer, size, pairs)``: the answered columns fill
         # ``buffer[:size]`` and cover the worker's first ``pairs`` pairs of
         # ``_answered_log`` (held by reference, compared with ``is``).
@@ -98,8 +118,7 @@ class TaskAssigner(ABC):
         self._task_ids.append(task.task_id)
         self._task_x = np.append(self._task_x, task.location.x)
         self._task_y = np.append(self._task_y, task.location.y)
-        # A worker may have answered the task before it joined: recount.
-        self._answered = {}
+        self._extend_answered(task.task_id)
         self._on_task_added(task)
         return True
 
@@ -162,10 +181,11 @@ class TaskAssigner(ABC):
     def distance_row(self, worker_id: str) -> np.ndarray:
         """Normalised distances from ``worker_id`` to every task, by column.
 
-        A fresh row from the kept task coordinates
-        (:func:`~repro.spatial.distance.normalised_distance_rows`); AccOpt's
-        dense engine returns its cached row instead, so treat the result as
-        read-only.
+        A fresh row from the kept task coordinates and the worker's kept
+        location arrays (:func:`~repro.spatial.distance.normalised_distance_row`:
+        one metric pass over the worker's locations and the tasks, and the
+        minimum over locations); AccOpt's dense engine returns its cached row
+        instead, so treat the result as read-only.
         """
         return self._distances_from(worker_id, 0)
 
@@ -173,12 +193,16 @@ class TaskAssigner(ABC):
         """:meth:`distance_row` over the columns from ``start`` on."""
         if self._distance_model is None:
             raise ValueError(f"{type(self).__name__} has no distance_model")
-        return normalised_distance_rows(
-            [self._workers[worker_id].locations],
+        locations = self._locations.get(worker_id)
+        if locations is None:
+            locations = points_to_arrays(self._workers[worker_id].locations)
+            self._locations[worker_id] = locations
+        return normalised_distance_row(
+            *locations,
             self._task_x[start:],
             self._task_y[start:],
             self._distance_model,
-        )[0]
+        )
 
     def answered_columns(self, worker_id: str, answers: AnswerSet) -> np.ndarray:
         """The columns of the tasks ``worker_id`` answered in ``answers``.
@@ -187,25 +211,37 @@ class TaskAssigner(ABC):
         gained since the last call
         (:meth:`~repro.data.models.AnswerSet.worker_tasks_since`), so a
         request costs O(new pairs); rebuilt for an answer set other than the
-        one read last, and after :meth:`add_task`.  Each column appears once,
-        in first-answer order; the result is a view, so read it, never
-        change it.
+        one read last.  :meth:`add_task` extends the kept columns of the
+        workers who answered the new task before it was posted.  Each column
+        appears once; the result is a view, so read it, never change it.
         """
         if answers is not self._answered_log:
             self._answered_log, self._answered = answers, {}
-        buffer, size, pairs = self._answered.get(worker_id, (_NO_COLUMNS, 0, 0))
+        kept = self._answered.get(worker_id, _NO_COLUMNS)
+        buffer, size, pairs = kept
         new_tasks = answers.worker_tasks_since(worker_id, pairs)
         if new_tasks:
-            column_of = self._task_column.get
-            found = [j for tid in new_tasks if (j := column_of(tid)) is not None]
-            if size + len(found) > buffer.size:  # doubling: amortised O(new)
-                grown = np.empty(2 * (size + len(found)), dtype=np.intp)
-                grown[:size] = buffer[:size]
-                buffer = grown
-            buffer[size : size + len(found)] = found
-            size += len(found)
-            self._answered[worker_id] = (buffer, size, pairs + len(new_tasks))
+            found = list(map(self._task_column.get, new_tasks))
+            if None in found:  # a task outside the universe
+                found = [j for j in found if j is not None]
+            kept = _appended(kept, found, pairs + len(new_tasks))
+            buffer, size, _ = self._answered[worker_id] = kept
         return buffer[:size]
+
+    def _extend_answered(self, task_id: str) -> None:
+        """Give the new column of ``task_id`` to the kept columns of the
+        workers whose counted pairs include it (answered before it was
+        posted); a later pair maps to the column when it is read."""
+        log = self._answered_log
+        if log is None:
+            return
+        column = self._task_column[task_id]
+        for worker_id in log.workers_of_task(task_id):
+            kept = self._answered.get(worker_id)
+            if kept is not None and task_id not in log.worker_tasks_since(
+                worker_id, kept[2]
+            ):
+                self._answered[worker_id] = _appended(kept, [column], kept[2])
 
     # ------------------------------------------------------------ shared helpers
     def _validate_request(self, available_workers: Sequence[str], h: int) -> None:

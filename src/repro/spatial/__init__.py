@@ -23,7 +23,7 @@ from repro.spatial.geometry import GeoPoint, euclidean_distance, haversine_dista
 from repro.spatial.bbox import BoundingBox
 from repro.spatial.distance import (
     DistanceModel,
-    normalised_distance_matrix,
+    normalised_distance_row,
     sparse_distance_csr,
 )
 from repro.spatial.grid_index import CandidatePairs, GridIndex
@@ -35,7 +35,7 @@ __all__ = [
     "haversine_distance",
     "BoundingBox",
     "DistanceModel",
-    "normalised_distance_matrix",
+    "normalised_distance_row",
     "sparse_distance_csr",
     "CandidatePairs",
     "GridIndex",

@@ -3,8 +3,9 @@
 :class:`CandidateIndex` owns the task-side grid and a per-worker cache of CSR
 candidate rows: for each worker, the ascending task-column indices within the
 candidate radius of any of the worker's declared locations, plus the *exact*
-normalised model distance for each (bit-identical to what the dense
-``normalised_distance_matrix`` would hold for the same pair).  Out-of-radius
+normalised model distance for each (bit-identical to what the worker's dense
+row, :func:`~repro.spatial.distance.normalised_distance_row`, holds for the
+same pair).  Out-of-radius
 pairs are never stored — the sparse engines substitute the shared far-field
 default (normalised distance ``1.0`` on the EM side, the closed-form far-field
 accuracy on the AccOpt side) — so total state is O(nnz) instead of O(W·T).

@@ -231,78 +231,29 @@ class DistanceModel:
         self._cache.clear()
 
 
-def normalised_distance_matrix(
-    worker_locations: Sequence[Sequence[GeoPoint]],
-    task_locations: Sequence[GeoPoint],
-    model: DistanceModel,
-    chunk_size: int = 1024,
-) -> np.ndarray:
-    """Dense ``len(workers) x len(tasks)`` matrix of normalised distances.
-
-    ``worker_locations[i]`` is the list of declared locations of worker ``i``.
-    Used by the assignment scalability benchmarks where recomputing distances
-    per pair would dominate the measured runtime.  Vectorised in blocks of
-    ``chunk_size`` workers: each block broadcasts its declared locations
-    against every task and reduces to the per-worker minimum one location
-    rank at a time, bounding peak memory at
-    O(chunk_size · max_locations · len(tasks)).
-    """
-    task_x, task_y = points_to_arrays(task_locations)
-    return normalised_distance_rows(worker_locations, task_x, task_y, model, chunk_size)
-
-
-def normalised_distance_rows(
-    worker_locations: Sequence[Sequence[GeoPoint]],
+def normalised_distance_row(
+    location_x: np.ndarray,
+    location_y: np.ndarray,
     task_x: np.ndarray,
     task_y: np.ndarray,
     model: DistanceModel,
-    chunk_size: int = 1024,
 ) -> np.ndarray:
-    """:func:`normalised_distance_matrix` over task coordinate arrays.
+    """One worker's normalised distances to every task, as a ``(T,)`` row.
 
-    ``task_x``/``task_y`` come from :func:`~repro.spatial.geometry.points_to_arrays`,
-    so a caller that keeps its tasks' coordinates converts no points per call.
+    ``location_x``/``location_y`` are the worker's declared locations and
+    ``task_x``/``task_y`` the tasks' coordinates, each as the arrays
+    :func:`~repro.spatial.geometry.points_to_arrays` makes, so a caller that
+    keeps both converts no points per call.  One metric pass over the
+    ``(locations, tasks)`` grid, the exact minimum over locations, then
+    ``min(1, raw / max_distance)``: the arithmetic of
+    :meth:`DistanceModel.worker_task_distance` on the array metric.
     """
-    if chunk_size <= 0:
-        raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-    num_workers = len(worker_locations)
-    num_tasks = len(task_x)
-    if num_workers == 0 or num_tasks == 0:
-        return np.empty((num_workers, num_tasks), dtype=float)
-
-    flat_locations: list[GeoPoint] = []
-    counts = np.empty(num_workers, dtype=np.intp)
-    for i, locations in enumerate(worker_locations):
-        materialised = list(locations)
-        if not materialised:
-            raise ValueError("a worker must declare at least one location")
-        counts[i] = len(materialised)
-        flat_locations.extend(materialised)
-
-    wx, wy = points_to_arrays(flat_locations)
-    distance_fn = _ARRAY_METRICS[model.metric]
-    starts = np.cumsum(counts) - counts  # first flat row of each worker
-    matrix = np.empty((num_workers, num_tasks), dtype=float)
-    for block_start in range(0, num_workers, chunk_size):
-        block_stop = min(block_start + chunk_size, num_workers)
-        row_start = int(starts[block_start])
-        row_stop = int(starts[block_stop - 1] + counts[block_stop - 1])
-        raw = distance_fn(
-            wx[row_start:row_stop, None],
-            wy[row_start:row_stop, None],
-            task_x[None, :],
-            task_y[None, :],
-        )
-        # Each worker's minimum over its locations, one location at a time:
-        # np.minimum.reduceat along axis 0 costs ~25x more per element.
-        first = starts[block_start:block_stop] - row_start
-        block_counts = counts[block_start:block_stop]
-        block = matrix[block_start:block_stop]
-        block[...] = raw[first]
-        for extra in range(1, int(block_counts.max())):
-            more = np.flatnonzero(block_counts > extra)
-            block[more] = np.minimum(block[more], raw[first[more] + extra])
-    return np.minimum(1.0, matrix / model.max_distance, out=matrix)
+    raw = _ARRAY_METRICS[model.metric](
+        location_x[:, None], location_y[:, None], task_x, task_y
+    )
+    row = raw[0] if len(raw) == 1 else raw.min(axis=0)
+    row /= model.max_distance
+    return np.minimum(row, 1.0, out=row)
 
 
 def sparse_distance_csr(
@@ -315,14 +266,14 @@ def sparse_distance_csr(
 ) -> np.ndarray:
     """Normalised distances for the candidate pairs of a CSR structure only.
 
-    Sparse twin of :func:`normalised_distance_matrix`: ``indptr``/``indices``
+    Sparse twin of :func:`normalised_distance_row`: ``indptr``/``indices``
     describe, per worker row ``i``, which task columns are candidates
     (``indices[indptr[i]:indptr[i + 1]]``), and the result is the ``(nnz,)``
     vector of normalised worker→task distances aligned with ``indices``.  The
     arithmetic matches the dense path exactly — same metric kernel, minimum
     over the worker's declared locations, then ``min(1, raw / max_distance)``
-    — so a candidate pair gets a bit-identical distance to the one the dense
-    matrix would hold.  Work and memory are O(nnz · max_locations), chunked
+    — so a candidate pair gets a bit-identical distance to the one the
+    worker's dense row would hold.  Work and memory are O(nnz · max_locations), chunked
     over ``chunk_size`` candidate pairs.
     """
     if chunk_size <= 0:

@@ -77,8 +77,9 @@ def euclidean_distances(
 ) -> np.ndarray:
     """Element-wise (broadcasting) planar Euclidean distances.
 
-    Array counterpart of :func:`euclidean_distance`; ``np.hypot`` matches
-    ``math.hypot`` so scalar and batched code paths agree bit-for-bit.
+    Array counterpart of :func:`euclidean_distance`.  ``np.hypot`` and
+    ``math.hypot`` may round the last bit differently, so the scalar and
+    batched paths agree to within an ulp.
     """
     return np.hypot(np.asarray(ax, dtype=float) - bx, np.asarray(ay, dtype=float) - by)
 

@@ -22,6 +22,9 @@ from here.
   :class:`ReferenceAccOptAssigner`;
 * :mod:`oracles.dawid_skene` — the per-observation Dawid–Skene baseline,
   :class:`ReferenceDawidSkene`;
+* :mod:`oracles.distance` — the dense ``workers × tasks`` normalised-distance
+  matrix, from point lists in worker blocks,
+  :func:`~oracles.distance.normalised_distance_matrix`;
 * :mod:`oracles.probe` — the serving frontend's trust-probe pick, one
   scalar distance per task, :func:`nearest_unanswered_task`;
 * :mod:`oracles.tensor` — the answer log read back out of a tensor one row
@@ -35,6 +38,7 @@ Import with ``tests/`` on ``sys.path`` (pytest does this for the test suite;
 
 from oracles.accopt import ReferenceAccOptAssigner
 from oracles.dawid_skene import ReferenceDawidSkene
+from oracles.distance import normalised_distance_matrix
 from oracles.em import ReferenceInference
 from oracles.incremental import ReferenceIncrementalUpdater
 from oracles.probe import nearest_unanswered_task
@@ -46,5 +50,6 @@ __all__ = [
     "ReferenceIncrementalUpdater",
     "ReferenceInference",
     "export_answers",
+    "normalised_distance_matrix",
     "nearest_unanswered_task",
 ]

@@ -21,7 +21,9 @@ assigning task ``t`` to worker ``w`` (given who else already has it this
 round)?".  This one-label-at-a-time form is the specification the batched
 kernels of :mod:`repro.core.accuracy_kernel` are tested against.
 :func:`add_worker_expression` is the kernel's greedy commit written as
-whole-slice expressions, the bit-level reference for its in-place form.
+whole-slice expressions, the bit-level reference for its in-place form, and
+:func:`equation9_arrays` unpacks a whole store into the arrays the Equation 9
+kernels take.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ import numpy as np
 
 from oracles.params import ModelParameters
 from repro.core.accuracy_kernel import BatchAccuracyState, _agreement_mass
+from repro.core.params import ArrayParameterStore
 from repro.data.models import AnswerSet, Task, Worker
 from repro.spatial.distance import DistanceModel
 
@@ -249,7 +252,7 @@ def add_worker_expression(
     and ``E_t`` re-summed through ``np.sum``.  The kernel must match it bit
     for bit.
     """
-    sl = state.task_slice(task_index)
+    sl = slice(state.label_offsets[task_index], state.label_offsets[task_index + 1])
     m = state.effective_answers[task_index]
     s = _agreement_mass(float(answer_accuracy))
     state.effective_answers[task_index] = m + 1.0
@@ -258,4 +261,18 @@ def add_worker_expression(
     p = state.p_z1[sl]
     state.expected_sum[task_index] = float(
         np.sum(p * state.acc_correct[sl] + (1.0 - p) * state.acc_incorrect[sl])
+    )
+
+
+def equation9_arrays(store: ArrayParameterStore) -> tuple:
+    """Every worker's and task's Equation 9 inputs from ``store``, in the
+    order :func:`repro.core.accuracy_kernel.answer_accuracy_matrix` takes
+    them after the distances: ``p_qualified``, ``distance_weights``,
+    ``influence_weights``, ``alpha`` and the function set's lambdas."""
+    return (
+        store.p_qualified,
+        store.distance_weights,
+        store.influence_weights,
+        store.alpha,
+        store.function_set.lambdas,
     )

@@ -29,10 +29,11 @@ from oracles.accuracy import (
     LabelAccuracy,
     add_worker_expression,
     enumerate_expected_accuracy,
+    equation9_arrays,
 )
+from oracles.distance import normalised_distance_matrix
 from repro.core import accuracy_kernel
 from repro.core.inference import LocationAwareInference
-from repro.spatial.distance import normalised_distance_matrix
 
 probability = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -192,6 +193,101 @@ class TestLemma2Recursion:
             accuracy_kernel.baseline_state([0.5, 0.5], np.asarray([0, 2]), [-1])
 
 
+def random_layout(rng, num_tasks=30):
+    """A ragged label layout with one-label tasks and P(z=1) of 0, 1 and ½."""
+    num_labels = rng.integers(1, 7, size=num_tasks)
+    num_labels[:4] = 1
+    offsets = np.concatenate(([0], np.cumsum(num_labels)))
+    p_z1 = rng.random(int(offsets[-1]))
+    p_z1[:3] = (0.0, 1.0, 0.5)
+    return p_z1, offsets
+
+
+class TestGreedyStateUndo:
+    """A pass borrows the baseline's arrays and the caller's counts in place;
+    its exit puts back every value it wrote, bit for bit."""
+
+    FIELDS = ("p_z1", "acc_correct", "acc_incorrect", "effective_answers", "expected_sum")
+
+    @classmethod
+    def snapshot(cls, baseline, counts):
+        return [getattr(baseline, name).tobytes() for name in cls.FIELDS], counts.tobytes()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_passes_of_one_to_h_picks(self, seed):
+        rng = np.random.default_rng(seed)
+        p_z1, offsets = random_layout(rng)
+        num_tasks = offsets.size - 1
+        baseline = accuracy_kernel.baseline_state(p_z1, offsets, np.zeros(num_tasks))
+        counts = rng.integers(0, 5, size=num_tasks).astype(float)
+        before = self.snapshot(baseline, counts)
+        for picks in range(1, 7):
+            tasks = rng.integers(num_tasks, size=picks).tolist()
+            with accuracy_kernel.greedy_state(baseline, counts) as state:
+                assert state.effective_answers is counts
+                assert state.expected_sum is baseline.expected_sum
+                for task_index in tasks:
+                    accuracy_kernel.add_worker(state, task_index, float(rng.random()))
+                assert len(state.undo) == picks
+            assert self.snapshot(baseline, counts) == before
+
+    def test_borrowed_pass_equals_a_fresh_state(self):
+        rng = np.random.default_rng(11)
+        p_z1, offsets = random_layout(rng)
+        num_tasks = offsets.size - 1
+        counts = rng.integers(0, 5, size=num_tasks).astype(float)
+        baseline = accuracy_kernel.baseline_state(p_z1, offsets, np.zeros(num_tasks))
+        picks = [(3, 0.9), (7, 0.2), (3, 0.6), (0, 1.0), (3, 0.0)]
+        fresh = accuracy_kernel.baseline_state(p_z1, offsets, counts.copy())
+        for task_index, accuracy in picks:
+            accuracy_kernel.add_worker(fresh, task_index, accuracy)
+        with accuracy_kernel.greedy_state(baseline, counts) as state:
+            for task_index, accuracy in picks:
+                accuracy_kernel.add_worker(state, task_index, accuracy)
+            for name in self.FIELDS:
+                assert getattr(state, name).tobytes() == getattr(fresh, name).tobytes()
+
+    def test_repeated_picks_of_one_task(self):
+        rng = np.random.default_rng(3)
+        p_z1, offsets = random_layout(rng)
+        num_tasks = offsets.size - 1
+        baseline = accuracy_kernel.baseline_state(p_z1, offsets, np.zeros(num_tasks))
+        counts = np.arange(num_tasks, dtype=float)
+        before = self.snapshot(baseline, counts)
+        with accuracy_kernel.greedy_state(baseline, counts) as state:
+            for accuracy in (0.7, 0.7, 0.1, 1.0):
+                accuracy_kernel.add_worker(state, 5, accuracy)
+            assert counts[5] == 5.0 + 4
+        assert self.snapshot(baseline, counts) == before
+
+    def test_exception_mid_pass(self):
+        rng = np.random.default_rng(4)
+        p_z1, offsets = random_layout(rng)
+        num_tasks = offsets.size - 1
+        baseline = accuracy_kernel.baseline_state(p_z1, offsets, np.zeros(num_tasks))
+        counts = rng.integers(0, 3, size=num_tasks).astype(float)
+        before = self.snapshot(baseline, counts)
+        with pytest.raises(RuntimeError):
+            with accuracy_kernel.greedy_state(baseline, counts) as state:
+                accuracy_kernel.add_worker(state, 2, 0.8)
+                accuracy_kernel.add_worker(state, 9, 0.3)
+                accuracy_kernel.add_worker(state, 2, 0.6)
+                raise RuntimeError("mid-pass")
+        assert self.snapshot(baseline, counts) == before
+        # The baseline serves the next pass as if nothing happened.
+        with accuracy_kernel.greedy_state(baseline, counts) as state:
+            gains = accuracy_kernel.marginal_gains(state, np.full((1, num_tasks), 0.7))
+        fresh = accuracy_kernel.baseline_state(p_z1, offsets, counts.copy())
+        expected = accuracy_kernel.marginal_gains(fresh, np.full((1, num_tasks), 0.7))
+        assert gains.tobytes() == expected.tobytes()
+
+    def test_counts_must_align_with_tasks(self):
+        baseline = accuracy_kernel.baseline_state([0.5, 0.2], np.asarray([0, 1, 2]), [0, 0])
+        with pytest.raises(ValueError):
+            with accuracy_kernel.greedy_state(baseline, np.zeros(3)):
+                pass
+
+
 class TestBatchedEstimator:
     def _matrices(self, small_dataset, worker_pool, distance_model, params, answers):
         task_ids = sorted(small_dataset.task_index)
@@ -219,7 +315,9 @@ class TestBatchedEstimator:
         task_ids, worker_ids, store, distances, estimator = self._matrices(
             small_dataset, worker_pool, distance_model, fitted, collected_answers
         )
-        matrix = accuracy_kernel.answer_accuracy_matrix(store, distances)
+        matrix = accuracy_kernel.answer_accuracy_matrix(
+            distances, *equation9_arrays(store)
+        )
         for i, worker_id in enumerate(worker_ids):
             for j, task_id in enumerate(task_ids):
                 assert matrix[i, j] == pytest.approx(
@@ -233,7 +331,9 @@ class TestBatchedEstimator:
             small_dataset, worker_pool, distance_model, fitted, collected_answers
         )
         with pytest.raises(ValueError):
-            accuracy_kernel.answer_accuracy_matrix(store, distances[:, :-1])
+            accuracy_kernel.answer_accuracy_matrix(
+                distances[:, :-1], *equation9_arrays(store)
+            )
 
     def test_marginal_gains_match_scalar_task_improvement(
         self, small_dataset, worker_pool, distance_model, fitted, collected_answers
@@ -241,7 +341,9 @@ class TestBatchedEstimator:
         task_ids, worker_ids, store, distances, estimator = self._matrices(
             small_dataset, worker_pool, distance_model, fitted, collected_answers
         )
-        matrix = accuracy_kernel.answer_accuracy_matrix(store, distances)
+        matrix = accuracy_kernel.answer_accuracy_matrix(
+            distances, *equation9_arrays(store)
+        )
         state = accuracy_kernel.baseline_state(
             store.label_probs,
             store.label_offsets,
@@ -261,7 +363,9 @@ class TestBatchedEstimator:
         task_ids, worker_ids, store, distances, estimator = self._matrices(
             small_dataset, worker_pool, distance_model, fitted, collected_answers
         )
-        matrix = accuracy_kernel.answer_accuracy_matrix(store, distances)
+        matrix = accuracy_kernel.answer_accuracy_matrix(
+            distances, *equation9_arrays(store)
+        )
         state = accuracy_kernel.baseline_state(
             store.label_probs,
             store.label_offsets,

@@ -14,12 +14,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from oracles import ReferenceAccOptAssigner
+from oracles import ReferenceAccOptAssigner, normalised_distance_matrix
 from oracles.params import model_from_store
 from repro.assign.accopt import AccOptAssigner
+from repro.core import accuracy_kernel
 from repro.core.inference import InferenceConfig, LocationAwareInference
 from repro.core.params import ArrayParameterStore
-from repro.data.models import POI, Answer, AnswerSet, Task
+from repro.data.models import POI, Answer, AnswerSet, Task, Worker
+from repro.spatial.distance import DistanceModel
+from repro.spatial.geometry import GeoPoint
 from repro.framework.config import FrameworkConfig
 from repro.framework.framework import PoiLabellingFramework
 
@@ -135,16 +138,29 @@ class TestStoreFeed:
             )
         )
         for by_store, by_model, workers in pairs:
-            # The arrays AccOpt scores from equal the oracle's accessor-built
-            # flatten of the estimate, footnote-3 priors included.
-            scored = by_store._build_store(sorted(workers))[0]
+            # The aligned arrays AccOpt scores from equal the oracle's
+            # accessor-built flatten of the estimate, footnote-3 priors
+            # included, and a request reads its workers' rows of them.
+            baseline, aligned = by_store._aligned_parameters()
+            assert aligned.task_ids == tuple(by_store.task_order)
             expected = model_from_store(by_model.parameters).to_array_store(
-                scored.worker_ids, scored.task_ids, np.diff(scored.label_offsets)
+                aligned.worker_ids, aligned.task_ids, np.diff(aligned.label_offsets)
             )
             for name in ("p_qualified", "distance_weights", "influence_weights", "label_probs"):
                 np.testing.assert_array_equal(
-                    getattr(scored, name), getattr(expected, name)
+                    getattr(aligned, name), getattr(expected, name)
                 )
+            np.testing.assert_array_equal(baseline.p_z1, expected.label_probs)
+            requested = sorted(workers)
+            p_qualified, distance_weights, *task_side = by_store._equation9_inputs(
+                requested, aligned
+            )
+            np.testing.assert_array_equal(task_side[0], expected.influence_weights)
+            rows = [expected.index_of_worker(w) for w in requested]
+            np.testing.assert_array_equal(p_qualified, expected.p_qualified[rows])
+            np.testing.assert_array_equal(
+                distance_weights, expected.distance_weights[rows]
+            )
             for h in (1, 2, 3):
                 assert by_store.assign(
                     workers, h, collected_answers
@@ -366,6 +382,65 @@ class TestStateAcrossRequests:
         assert calls == []
 
 
+class TestGreedyPassLeavesNoTrace:
+    """A request's greedy pass borrows the assigner's ``|W(t)|`` counts and
+    the version's Equation 15 baseline; afterwards both are bit-equal to
+    what they were, an exception in mid-pass included."""
+
+    FIELDS = ("p_z1", "acc_correct", "acc_incorrect", "expected_sum")
+
+    @classmethod
+    def snapshot(cls, assigner, answers):
+        counts = assigner._answer_counts(answers)
+        baseline, _ = assigner._aligned_parameters()
+        return counts.tobytes(), [getattr(baseline, f).tobytes() for f in cls.FIELDS]
+
+    def test_requests_of_every_shape(
+        self, small_dataset, worker_pool, distance_model, fitted_parameters,
+        collected_answers, engine_options,
+    ):
+        assigner, reference = TestStateAcrossRequests.build(
+            small_dataset.tasks, worker_pool, distance_model, fitted_parameters,
+            engine_options,
+        )
+        workers = worker_pool.worker_ids
+        before = self.snapshot(assigner, collected_answers)
+        for available in (workers[:1], workers[:3], workers):
+            for h in (1, 2, 3, len(small_dataset.tasks)):
+                assert assigner.assign(available, h, collected_answers) == (
+                    reference.assign(available, h, collected_answers)
+                )
+                assert self.snapshot(assigner, collected_answers) == before
+
+    def test_exception_in_mid_pass(
+        self, monkeypatch, small_dataset, worker_pool, distance_model,
+        fitted_parameters, collected_answers, engine_options,
+    ):
+        assigner, reference = TestStateAcrossRequests.build(
+            small_dataset.tasks, worker_pool, distance_model, fitted_parameters,
+            engine_options,
+        )
+        workers = worker_pool.worker_ids
+        before = self.snapshot(assigner, collected_answers)
+        commit = accuracy_kernel.add_worker
+        commits = []
+
+        def failing(state, task_index, accuracy):
+            commit(state, task_index, accuracy)
+            commits.append(task_index)
+            if len(commits) == 3:
+                raise RuntimeError("mid-pass")
+
+        monkeypatch.setattr(accuracy_kernel, "add_worker", failing)
+        with pytest.raises(RuntimeError):
+            assigner.assign(workers, 2, collected_answers)
+        monkeypatch.setattr(accuracy_kernel, "add_worker", commit)
+        assert self.snapshot(assigner, collected_answers) == before
+        assert assigner.assign(workers, 2, collected_answers) == reference.assign(
+            workers, 2, collected_answers
+        )
+
+
 class TestPerWorkerArrays:
     """Each worker's answered-task columns advance from the worker's new pairs
     and its distance row is cached (dense) or recomputed (sparse) from the
@@ -485,6 +560,50 @@ class TestPerWorkerArrays:
                 assigner.distance_row(worker.worker_id), expected, rtol=1e-12
             )
 
+    @pytest.mark.parametrize("metric", ["euclidean", "haversine"])
+    def test_first_rows_match_the_oracle_matrix_bit_for_bit(
+        self, small_dataset, fitted_parameters, engine_options, metric
+    ):
+        """Workers of 1, 2 and 3 locations: the row a first request reads,
+        and the row after tasks arrive (extended from the tail when cached),
+        equal the oracle matrix's row over the assigner's task order."""
+        rng = np.random.default_rng(17)
+        tasks = small_dataset.tasks
+        xs = [t.location.x for t in tasks]
+        ys = [t.location.y for t in tasks]
+        model = DistanceModel.from_pois([t.location for t in tasks], metric=metric)
+        workers = [
+            Worker(
+                f"w{i}",
+                tuple(
+                    GeoPoint(
+                        float(rng.uniform(min(xs), max(xs))),
+                        float(rng.uniform(min(ys), max(ys))),
+                    )
+                    for _ in range(1 + i % 3)
+                ),
+            )
+            for i in range(9)
+        ]
+        *early, late = tasks
+        assigner = AccOptAssigner(
+            early, workers, model, fitted_parameters, **engine_options
+        )
+
+        def check():
+            locations = [assigner.tasks[t].location for t in assigner.task_order]
+            for worker in workers:
+                want = normalised_distance_matrix([worker.locations], locations, model)[0]
+                assert assigner.distance_row(worker.worker_id).tobytes() == want.tobytes()
+
+        answers = AnswerSet()
+        for worker in workers:
+            assigner.assign([worker.worker_id], 2, answers)
+        check()
+        for task in (late, TestTaskArrivalKeepsState.late_task(tasks[3], 1)):
+            assert assigner.add_task(task)
+            check()
+
     def test_worker_with_no_answers(
         self, small_dataset, worker_pool, distance_model, fitted_parameters,
         collected_answers, engine_options,
@@ -572,10 +691,11 @@ class TestTaskArrivalKeepsState:
         assert assigner._alignment is None
         assert assigner._counts is not None
         self.check(assigner, reference, workers, answers)
-        scored = assigner._build_store(sorted(workers))[0]
-        column = scored.index_of_task(late.task_id)
+        _, aligned = assigner._aligned_parameters()
+        column = assigner.task_order.index(late.task_id)
+        assert aligned.index_of_task(late.task_id) == column
         expected = fitted_parameters.task(late.task_id).influence_weights
-        np.testing.assert_array_equal(scored.influence_weights[column], expected)
+        np.testing.assert_array_equal(aligned.influence_weights[column], expected)
 
     def test_arrivals_across_parameter_versions(
         self, small_dataset, worker_pool, distance_model, fitted_parameters,
@@ -599,3 +719,47 @@ class TestTaskArrivalKeepsState:
             assignment = assigner.assign(workers[:3], 1, answers)
             self.answer_assignment(answers, assignment, tasks_by_id)
             self.check(assigner, reference, workers, answers)
+
+    def test_arrivals_keep_the_answered_columns(
+        self, small_dataset, worker_pool, distance_model, fitted_parameters,
+        collected_answers, engine_options,
+    ):
+        """A task posted after the columns were read extends only the kept
+        columns of the workers who answered it before; every column set
+        equals a fresh assigner's over the grown universe."""
+        *early, late_a, late_b = small_dataset.tasks
+        assigner = AccOptAssigner(
+            early, worker_pool.workers, distance_model, fitted_parameters,
+            **engine_options,
+        )
+        answers = collected_answers.copy()
+        workers = worker_pool.worker_ids
+        for worker_id in workers:
+            assigner.answered_columns(worker_id, answers)
+        # late_b gains a pair after the columns were read, before it is posted.
+        newcomer = next(
+            w for w in workers if w not in answers.workers_of_task(late_b.task_id)
+        )
+        answers.add(Answer(newcomer, late_b.task_id, tuple(late_b.truth)))
+        for task in (late_a, late_b):
+            answered = answers.workers_of_task(task.task_id)
+            assert answered
+            kept = dict(assigner._answered)
+            assert assigner.add_task(task)
+            assert set(assigner._answered) == set(kept)
+            for worker_id in set(kept) - answered:
+                assert assigner._answered[worker_id] is kept[worker_id]
+        # ...and one after both are posted.
+        later = next(w for w in workers if w not in answers.workers_of_task(late_a.task_id))
+        answers.add(Answer(later, late_a.task_id, tuple(late_a.truth)))
+        fresh = AccOptAssigner(
+            small_dataset.tasks, worker_pool.workers, distance_model,
+            fitted_parameters, **engine_options,
+        )
+        for worker_id in workers:
+            got, want = (
+                [side.task_order[j] for j in side.answered_columns(worker_id, answers)]
+                for side in (assigner, fresh)
+            )
+            assert len(set(got)) == len(got)
+            assert set(got) == set(want) == set(answers.tasks_of_worker(worker_id))

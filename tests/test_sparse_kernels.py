@@ -20,16 +20,14 @@ import pytest
 from repro.assign.accopt import AccOptAssigner
 from repro.core import accuracy_kernel
 from repro.core.inference import InferenceConfig, LocationAwareInference
+from oracles.accuracy import equation9_arrays
+from oracles.distance import normalised_distance_matrix
 from oracles.params import model_from_store
 from repro.core.params import ArrayParameterStore
 from repro.data.models import POI, Answer, AnswerSet, Task, Worker
 from repro.obs.metrics import MetricsRegistry
 from repro.spatial.candidates import CandidateIndex
-from repro.spatial.distance import (
-    DistanceModel,
-    normalised_distance_matrix,
-    sparse_distance_csr,
-)
+from repro.spatial.distance import DistanceModel, sparse_distance_csr
 from repro.spatial.geometry import GeoPoint
 
 #: A radius that covers the Beijing-extent test universe with a wide margin
@@ -119,11 +117,11 @@ class TestKernelTwins:
         self, fitted_store, dense_distances
     ):
         dense = accuracy_kernel.answer_accuracy_matrix(
-            fitted_store, dense_distances
+            dense_distances, *equation9_arrays(fitted_store)
         )
         indptr, indices, data = full_coverage_csr(dense_distances)
         sparse = accuracy_kernel.answer_accuracy_csr(
-            fitted_store, indptr, indices, data
+            indptr, indices, data, *equation9_arrays(fitted_store)
         )
         assert np.array_equal(sparse, dense.ravel())
 
@@ -131,7 +129,7 @@ class TestKernelTwins:
         self, small_dataset, fitted_store, dense_distances, collected_answers
     ):
         dense_acc = accuracy_kernel.answer_accuracy_matrix(
-            fitted_store, dense_distances
+            dense_distances, *equation9_arrays(fitted_store)
         )
         state = accuracy_kernel.baseline_state(
             fitted_store.label_probs,
@@ -153,7 +151,9 @@ class TestKernelTwins:
     ):
         """The per-task far vector is the CSR gain evaluated at the shared
         far-field accuracy — the identity the sparse greedy loop relies on."""
-        far = accuracy_kernel.far_field_accuracy(fitted_store)
+        far = accuracy_kernel.far_field_accuracy(
+            fitted_store.p_qualified, fitted_store.function_set.lambdas
+        )
         state = accuracy_kernel.baseline_state(
             fitted_store.label_probs,
             fitted_store.label_offsets,
@@ -170,7 +170,9 @@ class TestKernelTwins:
         assert np.array_equal(far_gains, via_csr)
 
     def test_far_field_accuracy_is_a_probability(self, fitted_store):
-        far = accuracy_kernel.far_field_accuracy(fitted_store)
+        far = accuracy_kernel.far_field_accuracy(
+            fitted_store.p_qualified, fitted_store.function_set.lambdas
+        )
         assert 0.0 <= far <= 1.0
 
 
@@ -308,16 +310,29 @@ class TestSparseAccOptEquivalence:
             )
         )
         for by_store, by_model, workers in pairs:
-            # The arrays AccOpt scores from equal the oracle's accessor-built
-            # flatten of the estimate, footnote-3 priors included.
-            scored = by_store._build_store(sorted(workers))[0]
+            # The aligned arrays AccOpt scores from equal the oracle's
+            # accessor-built flatten of the estimate, footnote-3 priors
+            # included, and a request reads its workers' rows of them.
+            baseline, aligned = by_store._aligned_parameters()
+            assert aligned.task_ids == tuple(by_store.task_order)
             expected = model_from_store(by_model.parameters).to_array_store(
-                scored.worker_ids, scored.task_ids, np.diff(scored.label_offsets)
+                aligned.worker_ids, aligned.task_ids, np.diff(aligned.label_offsets)
             )
             for name in ("p_qualified", "distance_weights", "influence_weights", "label_probs"):
                 np.testing.assert_array_equal(
-                    getattr(scored, name), getattr(expected, name)
+                    getattr(aligned, name), getattr(expected, name)
                 )
+            np.testing.assert_array_equal(baseline.p_z1, expected.label_probs)
+            requested = sorted(workers)
+            p_qualified, distance_weights, *task_side = by_store._equation9_inputs(
+                requested, aligned
+            )
+            np.testing.assert_array_equal(task_side[0], expected.influence_weights)
+            rows = [expected.index_of_worker(w) for w in requested]
+            np.testing.assert_array_equal(p_qualified, expected.p_qualified[rows])
+            np.testing.assert_array_equal(
+                distance_weights, expected.distance_weights[rows]
+            )
             for h in (1, 2, 3):
                 assert by_store.assign(
                     workers, h, collected_answers

@@ -5,14 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from oracles.distance import normalised_distance_matrix
 from repro.spatial.distance import (
     _ARRAY_METRICS,
     DistanceModel,
     max_pairwise_distance,
-    normalised_distance_matrix,
-    normalised_distance_rows,
+    normalised_distance_row,
 )
-from repro.spatial.geometry import GeoPoint
+from repro.spatial.geometry import GeoPoint, points_to_arrays
 
 
 class TestMaxPairwiseDistance:
@@ -176,6 +176,9 @@ class TestWorkerTaskDistancesBatch:
 
 
 class TestNormalisedDistanceMatrix:
+    """``normalised_distance_row`` and the W×T oracle matrix of
+    ``tests/oracles/distance.py`` that the kernel tests read."""
+
     def test_shape_and_values(self):
         model = DistanceModel(max_distance=10.0)
         workers = [[GeoPoint(0, 0)], [GeoPoint(10, 0), GeoPoint(0, 10)]]
@@ -222,8 +225,9 @@ class TestNormalisedDistanceMatrix:
 
     @pytest.mark.parametrize("metric", ["euclidean", "haversine"])
     def test_rows_are_the_segmented_minimum_bit_for_bit(self, metric):
-        """Mixed location counts, any chunking: the exact minimum over each
-        worker's locations of the raw metric, as one reduceat computes it."""
+        """Mixed location counts: each worker's row, and the oracle matrix
+        under any chunking, is the exact minimum over the worker's locations
+        of the raw metric, as one reduceat computes it."""
         rng = np.random.default_rng(5)
         model = DistanceModel(max_distance=50.0, metric=metric)
         counts = np.array([1, 3, 2, 1, 4, 2, 2])
@@ -234,10 +238,14 @@ class TestNormalisedDistanceMatrix:
             for a, n in zip(starts, counts)
         ]
         task_x, task_y = 116.0 + rng.random(37), 39.5 + rng.random(37)
+        tasks = [GeoPoint(float(x), float(y)) for x, y in zip(task_x, task_y)]
         raw = _ARRAY_METRICS[metric](xs[:, None], ys[:, None], task_x, task_y)
         want = np.minimum(1.0, np.minimum.reduceat(raw, starts, axis=0) / 50.0)
+        for i, locations in enumerate(workers):
+            row = normalised_distance_row(*points_to_arrays(locations), task_x, task_y, model)
+            assert row.tobytes() == want[i].tobytes()
         for chunk_size in (1, 2, 3, 1024):
-            got = normalised_distance_rows(workers, task_x, task_y, model, chunk_size)
+            got = normalised_distance_matrix(workers, tasks, model, chunk_size)
             assert got.tobytes() == want.tobytes()
 
     def test_empty_matrix(self):
