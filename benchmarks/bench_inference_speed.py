@@ -13,12 +13,14 @@ falls below ``INFERENCE_MIN_SPEEDUP`` (defined in ``check_gates.py``) over
 the per-record loop.
 
 It also records the tracemalloc peak, above what was allocated before the
-call, of one ``em_step`` from the fit's cold start (``em_step_peak_mib``)
-and of two ``localized_sweeps`` over every entity of the same tensor
-(``localized_sweeps_peak_mib``).  Both are deterministic for a NumPy
-version and gated by ceilings in ``check_gates.py``: they show that the
-E-step's temporaries stay block-sized rather than growing with the answer
-log.
+call, of one ``em_step`` from the fit's cold start (``em_step_peak_mib``),
+of two ``localized_sweeps`` over every entity of the same tensor
+(``localized_sweeps_peak_mib``), which read the tensor's own columns, and
+of two over the answer rows of every other worker
+(``half_workers_sweeps_peak_mib``), which gather theirs.  All three are
+deterministic for a NumPy version and gated by ceilings in
+``check_gates.py``: they show that the E-step's temporaries stay
+block-sized rather than growing with the answer log.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from bench_common import RESULTS_DIR, build_inference_corpus
 from check_gates import (
     INFERENCE_MIN_SPEEDUP,
     MAX_EM_STEP_PEAK_MIB,
+    MAX_HALF_WORKERS_SWEEPS_PEAK_MIB,
     MAX_LOCALIZED_SWEEPS_PEAK_MIB,
 )
 from oracles import ReferenceInference
@@ -65,8 +68,9 @@ def _peak_mib(fn) -> float:
     return (peak - before) / 2**20
 
 
-def _memory_peaks(tensor, config) -> tuple[float, float]:
-    """Peaks of one ``em_step`` and of two sweeps over every entity."""
+def _memory_peaks(tensor, config) -> tuple[float, float, float]:
+    """Peaks of one ``em_step``, of two sweeps over every entity and of two
+    over every other worker's answer rows."""
     store = em_kernel.initial_store(
         tensor, config.function_set, config.alpha, config.initial_p_qualified
     )
@@ -84,7 +88,21 @@ def _memory_peaks(tensor, config) -> tuple[float, float]:
             iterations=2,
         )
     )
-    return em_step_mib, sweeps_mib
+    swept = store.copy()
+    half_workers = np.arange(0, swept.num_workers, 2, dtype=np.intp)
+    no_tasks = np.empty(0, dtype=np.intp)
+    half_mib = _peak_mib(
+        lambda: em_kernel.localized_sweeps(
+            tensor,
+            swept,
+            np.flatnonzero(tensor.a_worker % 2 == 0),
+            half_workers,
+            no_tasks,
+            no_tasks,
+            iterations=2,
+        )
+    )
+    return em_step_mib, sweeps_mib, half_mib
 
 
 def test_inference_speed_regression(benchmark):
@@ -118,7 +136,7 @@ def test_inference_speed_regression(benchmark):
     reference_ms = 1000.0 * reference_s / EM_ITERATIONS
     vectorized_ms = 1000.0 * vectorized_s / EM_ITERATIONS
     speedup = reference_ms / vectorized_ms
-    em_step_mib, sweeps_mib = _memory_peaks(tensor, config)
+    em_step_mib, sweeps_mib, half_mib = _memory_peaks(tensor, config)
 
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     payload = {
@@ -136,6 +154,8 @@ def test_inference_speed_regression(benchmark):
         "max_em_step_peak_mib": MAX_EM_STEP_PEAK_MIB,
         "localized_sweeps_peak_mib": round(sweeps_mib, 2),
         "max_localized_sweeps_peak_mib": MAX_LOCALIZED_SWEEPS_PEAK_MIB,
+        "half_workers_sweeps_peak_mib": round(half_mib, 2),
+        "max_half_workers_sweeps_peak_mib": MAX_HALF_WORKERS_SWEEPS_PEAK_MIB,
     }
     path = RESULTS_DIR / "BENCH_inference_speed.json"
     path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
@@ -157,4 +177,8 @@ def test_inference_speed_regression(benchmark):
     assert sweeps_mib <= MAX_LOCALIZED_SWEEPS_PEAK_MIB, (
         f"two localized sweeps peaked at {sweeps_mib:.2f} MiB "
         f"(ceiling: {MAX_LOCALIZED_SWEEPS_PEAK_MIB} MiB); see {path}"
+    )
+    assert half_mib <= MAX_HALF_WORKERS_SWEEPS_PEAK_MIB, (
+        f"two sweeps over half the workers' rows peaked at {half_mib:.2f} MiB "
+        f"(ceiling: {MAX_HALF_WORKERS_SWEEPS_PEAK_MIB} MiB); see {path}"
     )

@@ -12,7 +12,9 @@ capacity-doubling buffers, per-entity row indexes), so the incremental
 updater's sweeps and a full re-fit
 (:meth:`repro.core.inference.LocationAwareInference.fit_from_tensor`) both
 run straight off it — the flatten happens once per *stream*, not once per
-refresh.
+refresh.  Responses are stored as ``int8``, as :class:`AnswerColumns` and
+the checkpoints hold them; every reader promotes them exactly (the E-step's
+``1.0 - r``, ``np.bincount``'s float64 weights).
 
 Every EM step is the same three stages over a set of answer rows: the
 E-step posteriors (:func:`_estep_posteriors`, array expressions mirroring
@@ -262,7 +264,7 @@ class AnswerTensor:
         self._r_worker = np.asarray(r_worker)
         self._r_task = np.asarray(r_task)
         self._r_label = np.asarray(r_label)
-        self._responses = np.asarray(responses)
+        self._responses = np.asarray(responses, dtype=np.int8)
         self._task_of_label = np.asarray(task_of_label)
         self._num_answers = int(self._a_worker.size)
         self._num_label_rows = int(self._responses.size)
@@ -431,42 +433,42 @@ class AnswerTensor:
         return self._task_row[task_id]
 
     def snapshot(self) -> "AnswerTensor":
-        """A frozen copy of the logical prefix, safe to read off-thread.
+        """The logical prefix as a tensor later appends leave unchanged.
 
-        The live tensor's backing buffers are append-only *except* for two
-        hazards a concurrent reader must not observe: re-submitted
-        ``(worker, task)`` answers rewrite their ``_responses`` slice in
-        place, and capacity growth reallocates whole buffers mid-append.
-        The snapshot copies every logical-prefix array into a fresh tensor
-        (no row tracking — a full fit never needs the per-entity indexes),
-        which is what the background refresh worker fits against while the
-        ingest thread keeps appending to the original.  Cost is a handful of
-        C-level memcpys over the logical sizes.
+        What the background refresh worker fits while the ingest thread
+        keeps appending.  Every append-only column is a view of its logical
+        prefix, which appends never write (:meth:`_append_fresh_rows`); the
+        old buffer stays alive under the view when a column grows.  Only
+        ``responses`` is copied, one ``int8`` per label response, because a
+        re-submitted pair rewrites its slice in place.  No row tracking: a
+        full fit never needs the per-entity indexes.
         """
         return AnswerTensor(
             worker_ids=self.worker_ids,
             task_ids=self.task_ids,
-            num_labels=self.num_labels.copy(),
-            label_offsets=self.label_offsets.copy(),
-            a_worker=self.a_worker.copy(),
-            a_task=self.a_task.copy(),
-            distances=self.distances.copy(),
-            f_values=self.f_values.copy(),
-            r_answer=self.r_answer.copy(),
-            r_worker=self.r_worker.copy(),
-            r_task=self.r_task.copy(),
-            r_label=self.r_label.copy(),
+            num_labels=self.num_labels,
+            label_offsets=self.label_offsets,
+            a_worker=self.a_worker,
+            a_task=self.a_task,
+            distances=self.distances,
+            f_values=self.f_values,
+            r_answer=self.r_answer,
+            r_worker=self.r_worker,
+            r_task=self.r_task,
+            r_label=self.r_label,
             responses=self.responses.copy(),
-            task_of_label=self.task_of_label.copy(),
+            task_of_label=self.task_of_label,
         )
 
     def columns(self) -> "AnswerColumns":
         """The logical prefix as :class:`AnswerColumns`, the durable form.
 
-        The index columns are views of the live buffers (valid until the
-        next append); ``responses`` is an ``int8`` copy.
-        :meth:`from_columns` over the result rebuilds this tensor array for
-        array — the checkpoint path persists exactly these columns.
+        Every column is a view of the live buffers, ``responses`` in its
+        stored ``int8``.  Appends leave the views unchanged, but a
+        re-submitted pair rewrites its responses in place, so read the
+        columns before the next append (the checkpoint path writes them at
+        once).  :meth:`from_columns` over the result rebuilds this tensor
+        array for array.
         """
         return AnswerColumns(
             worker_ids=self.worker_ids,
@@ -474,7 +476,7 @@ class AnswerTensor:
             num_labels=self.num_labels,
             a_worker=self.a_worker,
             a_task=self.a_task,
-            responses=self.responses.astype(np.int8),
+            responses=self.responses,
         )
 
     # ------------------------------------------------------- open-world growth
@@ -557,9 +559,11 @@ class AnswerTensor:
             pair = (widx, tidx)
             existing = self._pair_row.get(pair)
             if existing is not None:
+                # The one write inside the logical prefix: snapshot() copies
+                # the responses for it.
                 start = int(self._a_label_start[existing])
                 self._responses[start : start + answer.num_labels] = np.asarray(
-                    answer.responses, dtype=float
+                    answer.responses, dtype=np.int8
                 )
                 rows[position] = existing
             elif pair in pending:
@@ -600,7 +604,13 @@ class AnswerTensor:
         f_values: np.ndarray,
         rows_out: np.ndarray,
     ) -> None:
-        """Bulk-append genuinely new answer rows (and their label rows)."""
+        """Bulk-append genuinely new answer rows (and their label rows).
+
+        Writes only past the logical prefix, in place or into a grown copy
+        of a full buffer (``_grown_buffer``), as :meth:`_register_task`
+        does: views of the prefix (:meth:`snapshot`, :meth:`columns`) keep
+        their values and their old buffer.
+        """
         n_new = len(fresh)
         base = self._num_answers
         aw = np.asarray([widx for _, widx, _, _ in fresh], dtype=np.intp)
@@ -634,8 +644,10 @@ class AnswerTensor:
             self._label_offsets[r_task] + within
         )
         if total:
-            self._responses[label_base : label_base + total] = np.concatenate(
-                [np.asarray(answer.responses, dtype=float) for _, _, _, answer in fresh]
+            self._responses[label_base : label_base + total] = np.fromiter(
+                itertools.chain.from_iterable(answer.responses for *_, answer in fresh),
+                dtype=np.int8,
+                count=total,
             )
         self._num_answers = base + n_new
         self._num_label_rows = label_base + total
@@ -696,6 +708,10 @@ class AnswerTensor:
         :class:`~repro.spatial.candidates.CandidateIndex` so observed pairs
         reuse the O(nnz) candidate structure (far pairs fall back to the
         maximal distance 1.0) and the fit never touches dense W×T geometry.
+
+        ``responses`` is copied as ``int8`` (one byte per label response),
+        so a re-submitted pair never rewrites ``columns``, which may be
+        another tensor's :meth:`columns` views.
         """
         task_entries = [tasks[task_id] for task_id in columns.task_ids]
         worker_entries = [workers[worker_id] for worker_id in columns.worker_ids]
@@ -750,7 +766,7 @@ class AnswerTensor:
             r_worker=a_worker[r_answer],
             r_task=r_task,
             r_label=r_label,
-            responses=np.asarray(columns.responses, dtype=float),
+            responses=np.array(columns.responses, dtype=np.int8),
             task_of_label=task_of_label,
         )
 
@@ -877,7 +893,7 @@ def _estep_posteriors(
     owning position in those arrays and must be non-decreasing (each
     answer's label rows contiguous); ``r_label`` (the label slot, read from
     ``label_probs`` and clipped) and ``responses`` (the observed 0/1 ticks,
-    as floats) are per label response.  Returns
+    the tensor's ``int8`` or floats) are per label response.  Returns
     ``(post_z1, post_i1, post_dw, post_dt, evidence)``: ``post_z1``,
     ``post_i1`` and ``evidence`` per label response (``M`` rows), while
     ``post_dw`` and ``post_dt`` come already summed over each answer's label
@@ -967,7 +983,7 @@ def _label_block(
     """
     post_z1, post_i1, evidence, sums = out
     # |1 - r - x| is x where r = 1 and 1 - x where r = 0, exactly — a select
-    # without np.where's per-element branch.
+    # without np.where's per-element branch.  Float64 for int8 responses.
     one_minus_r = 1.0 - responses
     pz_equal_r = np.abs(one_minus_r - pz1)  # P(z = r)
     pz_not_r = 1.0 - pz_equal_r
@@ -1047,12 +1063,17 @@ def _all_rows(tensor: AnswerTensor) -> _Rows:
 
 def _gather_rows(
     tensor: AnswerTensor, answer_rows: np.ndarray
-) -> tuple[_Rows, np.ndarray]:
+) -> tuple[_Rows, np.ndarray | slice]:
     """The answers ``answer_rows`` with their label rows, in the given order.
 
-    Also returns the tensor label row of every gathered label response (an
-    answer's label rows are contiguous from its ``a_label_start``).
+    Also returns the tensor label rows of the gathered label responses (an
+    answer's label rows are contiguous from its ``a_label_start``).  Every
+    answer row in order is :func:`_all_rows`, the tensor's own columns,
+    equal to the gather array for array, with the label rows as a slice.
     """
+    n = tensor.num_answers
+    if answer_rows.size == n and np.array_equal(answer_rows, np.arange(n)):
+        return _all_rows(tensor), slice(0, tensor.num_label_responses)
     aw = tensor.a_worker[answer_rows]
     at = tensor.a_task[answer_rows]
     counts = tensor.num_labels[at]
@@ -1366,8 +1387,16 @@ def gather_affected_rows(
 
     Every answer of every affected worker (to re-estimate that worker's
     quality) or affected task (labels and influence), gathered through the
-    tensor's per-entity row indexes and deduplicated.  Requires row tracking.
+    tensor's per-entity row indexes and deduplicated, in row order.  Each
+    argument holds distinct rows.  When either holds every entity, every
+    answer row is relevant: the result is ``arange(N)``, and no row list is
+    walked.  Otherwise it requires row tracking.
     """
+    if (
+        affected_workers.size == tensor.num_workers
+        or affected_tasks.size == tensor.num_tasks
+    ):
+        return np.arange(tensor.num_answers, dtype=np.intp)
     return np.unique(
         np.fromiter(
             itertools.chain.from_iterable(
@@ -1756,7 +1785,7 @@ class SufficientStatCache:
         self._row_i1[label_rows] = post_i1
         self._answer_dw[answer_rows] = post_dw
         self._answer_dt[answer_rows] = post_dt
-        return int(label_rows.size)
+        return int(post_z1.size)
 
     def estimate(
         self,

@@ -47,7 +47,8 @@ return value, installed as the inference model's
 :attr:`~repro.core.inference.LocationAwareInference.parameters` — is the live
 store itself, not a copy: every micro-batch changes it in place.  A caller
 that keeps one version copies it; the serving snapshots publish frozen
-copies, and the pipelined refresh fits a copy taken at launch
+copies, and the pipelined refresh fits a store copy taken at launch over
+views of the live tensor's columns
 (:meth:`IncrementalUpdater.capture_refresh_state`).
 """
 
@@ -375,6 +376,10 @@ class IncrementalUpdater:
         ``answers``, when provided, must already contain ``new_answers`` and
         is only consulted to recover from a log/tensor divergence (an
         external fit bypassed this updater).
+        The sufficient-stat cache is dropped before the fit, so it does not
+        sit in memory beside the fit's own arrays; the adopted store would
+        drop it anyway, and after a fit that raises the next :meth:`apply`
+        re-seeds it.
         Resets the refresh counter.  Returns the fitted store, which becomes
         the live store.
         """
@@ -405,6 +410,7 @@ class IncrementalUpdater:
             if self._store is not None:
                 self._admit_new_entities(result)
         self._recover_if_diverged(answers, params if warm else None, chain_intact)
+        self._reset_sufficient_stats()
         inference.fit_from_tensor(
             self._tensor,
             initial=self._store if warm else None,
@@ -428,16 +434,18 @@ class IncrementalUpdater:
         np.ndarray | None,
         float,
     ]:
-        """Frozen copies of the live state for an off-thread full fit.
+        """The live state as an off-thread full fit reads it.
 
         Returns ``(tensor, initial, answer_weights, first_delta_floor)``
         ready to hand to
         :meth:`~repro.core.inference.LocationAwareInference.run_em_detached`:
         a :meth:`~repro.core.em_kernel.AnswerTensor.snapshot` of the live
-        tensor and, on warm starts, a copy of the live store (copied because
-        the ingest thread's localized sweeps keep mutating the original while
-        the background fit runs) — or the estimate installed from outside,
-        when the live store is not the model's estimate.
+        tensor — views of its append-only columns, which batches applied
+        mid-fit never change, plus a copy of its ``int8`` responses — and, on
+        warm starts, a copy of the live store (copied because the ingest
+        thread's localized sweeps keep mutating the original while the
+        background fit runs) — or the estimate installed from outside, when
+        the live store is not the model's estimate.
         ``answer_weights`` is the decay × trust weighting of the snapshot's
         rows frozen at capture time (``None`` on the exact unweighted path) —
         batches applied mid-fit advance the live decay epoch without

@@ -6,9 +6,11 @@ iterations.  The pipelined loop instead hands the fit to a
 :class:`RefreshWorker` — a single daemon thread fitting a frozen
 :meth:`~repro.core.em_kernel.AnswerTensor.snapshot` of the live tensor via
 :meth:`~repro.core.inference.LocationAwareInference.run_em_detached` — while
-the ingest thread keeps appending, sweeping and publishing.  The EM
-kernels are NumPy-bound, so the fit releases the GIL for the bulk of its
-work and genuinely overlaps the ingest thread.
+the ingest thread keeps appending, sweeping and publishing.  The fit
+overlaps only the ingest thread's idle time, such as waits on the stream's
+producer.  While the ingest thread is busy the two share the cores, and the
+interpreter between NumPy calls, so its batches and requests run slower
+until the fit ends.
 
 Determinism is the design constraint: the serving stack's crash-recovery
 contract replays a journal through the exact same batching code path and
